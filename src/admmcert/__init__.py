@@ -20,7 +20,7 @@ from .problems import (
     save_instance,
 )
 from .prox import FactorizationCache, huber_prox, soft_threshold
-from .solver import IterateState, SolverConfig, Trace, admm_step, general_admm_step, run
+from .solver import IterateState, SolverConfig, Trace, admm_step, run
 from .diagnostics import (
     CertificateEntry,
     CertificateReport,
@@ -33,7 +33,6 @@ from .diagnostics import (
 from .oracle import long_run_oracle, saddle_point_oracle, sign_pattern_oracle
 from .ode import (
     ContinuousState,
-    ContinuousTrace,
     IntegratorConfig,
     certify_continuous,
     continuous_lyapunov,
@@ -52,7 +51,6 @@ __all__ = [
     "CertificateEntry",
     "CertificateReport",
     "ContinuousState",
-    "ContinuousTrace",
     "FactorizationCache",
     "HuberSmoothedL1",
     "IllConditionedError",
@@ -78,7 +76,6 @@ __all__ = [
     "continuous_lyapunov",
     "discrete_lyapunov",
     "extended_lyapunov",
-    "general_admm_step",
     "high_res_implicit_step",
     "huber_prox",
     "hyperplane_deviation",

@@ -175,11 +175,11 @@ def criterion_7():
         report = certify_continuous(high, saddle, spec, _S, config.delta)
 
         low = simulate_low_res(spec, config.T, config.delta, np.zeros(spec.d1), ref=ref, s=_S)
-        low_dev = float(np.max(low.deviations()))
+        low_dev = float(np.max(low.scalars["deviation"]))
 
         off = ContinuousState(np.ones(spec.d1), np.zeros(spec.d2), np.zeros(spec.m), 0.0)
         off_trace = simulate_high_res(spec, config, off, ref=ref)
-        dev = off_trace.deviations()
+        dev = off_trace.scalars["deviation"]
         dev_ok = dev[0] > 1e-3 and dev[-1] < dev[0]
 
         details[name] = {

@@ -27,19 +27,11 @@ from .errors import AdmmError
 from .ode import ContinuousState, IntegratorConfig, simulate_high_res, simulate_low_res
 from .oracle import saddle_point_oracle
 from .problems import build_basis_pursuit, build_generalized_lasso, load_instance, save_instance
-from .solver import GENERAL, SolverConfig, run, zero_state
+from .solver import GENERAL, SolverConfig, default_r, run
 
 EXIT_PASS = 0
 EXIT_CERT_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _difference_matrix(d, order):
-    """Rows like (1, -1, 0, ...) for order 1 and (1, -2, 1, 0, ...) for order 2."""
-    D = np.eye(d)
-    for _ in range(order):
-        D = -np.diff(D, axis=0)
-    return D
 
 
 def _write_sidecar(outdir, note):
@@ -114,7 +106,7 @@ def cmd_generate(args):
             raise ValueError(f"{kind} filtering needs d >= {order + 1}")
         A = np.eye(d)
         b = rng.standard_normal(d)
-        spec = build_generalized_lasso(A, b, _difference_matrix(d, order), 0.5)
+        spec = build_generalized_lasso(A, b, library._difference_matrix(d, order), 0.5)
     elif kind == "basis_pursuit":
         if len(dims) != 2:
             raise ValueError("basis_pursuit needs dims m,d")
@@ -151,8 +143,7 @@ def cmd_solve(args):
     trace.to_csv(os.path.join(out, "trace.csv"))
     trace.to_json(os.path.join(out, "trace.json"))
     if variant == GENERAL:
-        report = certify_general(trace, spec, s,
-                                 r if r is not None else 1.5 * spec.FtF_norm, saddle)
+        report = certify_general(trace, spec, s, r if r is not None else default_r(spec), saddle)
     else:
         report = certify_standard(trace, spec, s, saddle)
     report.save(os.path.join(out, "certificates.json"))
@@ -195,18 +186,17 @@ def cmd_simulate(args):
     if spec.f.smooth and spec.g.smooth and spec.d2 == spec.m:
         low = simulate_low_res(spec, T, delta, np.zeros(spec.d1), ref=ref, s=s)
         low.to_csv(os.path.join(out, "low_res.csv"))
-    dev_h, lyap_h = high.deviations(), high.lyapunov_values()
-    dev_l = low.deviations() if low is not None else None
+    dev_h, lyap_h = high.scalars["deviation"], high.scalars["lyapunov"]
+    dev_l = low.scalars["deviation"] if low is not None else None
     per = max(1, int(round(s / delta)))
     for k in range(len(trace)):
         j = k * per
         if j >= len(high):
             break
-        st = trace.states[k]
-        dev_d = float(np.linalg.norm(spec.constraint_residual(st.x, st.y)))
-        rows.append([high.times[j], dev_h[j],
+        dev_d = float(np.linalg.norm(spec.constraint_residual(trace.xs[k], trace.ys[k])))
+        rows.append([high.axis[j], dev_h[j],
                      dev_l[j] if dev_l is not None else float("nan"),
-                     dev_d, lyap_h[j], trace.diagnostics["lyapunov"][k]])
+                     dev_d, lyap_h[j], trace.scalars["lyapunov"][k]])
     with open(os.path.join(out, "comparison.csv"), "w") as fh:
         fh.write("\n".join(
             ",".join(str(v) if isinstance(v, str) else repr(float(v)) for v in row)

@@ -108,18 +108,18 @@ def extended_lyapunov(state, saddle, spec, s, r):
     """Lyapunov function of the r-proximal variant; adds (r||x-x*||^2 - ||F(x-x*)||^2)/(2s)."""
     if not r > spec.FtF_norm:
         raise ParameterError("extended Lyapunov requires r above the spectral norm of F^T F")
-    dx = state.x - saddle.x_star
+    return _extended_energy(state.x, state.y, state.lam, saddle, spec, s, r)
+
+
+def _extended_energy(x, y, lam, saddle, spec, s, r):
+    dx = x - saddle.x_star
     Fdx = spec.F @ dx
     extra = (r * float(dx @ dx) - float(Fdx @ Fdx)) / (2.0 * s)
-    return extra + _energy(state.y, state.lam, saddle.y_star, saddle.lambda_star, spec.G, s)
-
-
-def _trace_arrays(trace):
-    return trace.xs(), trace.ys(), trace.lams()
+    return extra + _energy(y, lam, saddle.y_star, saddle.lambda_star, spec.G, s)
 
 
 def _ne_series(trace, spec, s):
-    ys, ls = trace.ys(), trace.lams()
+    ys, ls = trace.ys, trace.lams
     dy = (ys[1:] - ys[:-1]) @ spec.G.T
     dl = ls[1:] - ls[:-1]
     return np.sum(dy * dy, axis=1) / (2.0 * s) + s * np.sum(dl * dl, axis=1) / 2.0
@@ -131,7 +131,7 @@ def _u_series(trace, spec, s):
 
 
 def _rate_constant(trace, saddle, spec, s):
-    y0, l0 = trace.states[0].y, trace.states[0].lam
+    y0, l0 = trace.ys[0], trace.lams[0]
     gy = spec.G @ (y0 - saddle.y_star)
     dl = l0 - saddle.lambda_star
     return float(gy @ gy) + s * s * float(dl @ dl)
@@ -148,7 +148,7 @@ def canonical_probes(saddle, spec):
 
 def check_lemma_iterative_inequality(trace, spec, s, saddle, probes=None):
     """Per-step Lyapunov difference inequality for arbitrary probe points."""
-    xs, ys, ls = _trace_arrays(trace)
+    xs, ys, ls = trace.xs, trace.ys, trace.lams
     ne = _ne_series(trace, spec, s)
     all_probes = canonical_probes(saddle, spec) + list(probes or [])
     slacks = np.full(len(trace) - 1, -np.inf)
@@ -174,7 +174,7 @@ def check_lemma_iterative_inequality(trace, spec, s, saddle, probes=None):
 
 def check_convergence1(trace, saddle, spec, s):
     """E(k+1) - E(k) + NE(k) <= 0 with the saddle as reference (energy decay)."""
-    ys, ls = trace.ys(), trace.lams()
+    ys, ls = trace.ys, trace.lams
     ne = _ne_series(trace, spec, s)
     e = np.array([_energy(ys[k], ls[k], saddle.y_star, saddle.lambda_star, spec.G, s)
                   for k in range(len(trace))])
@@ -183,7 +183,7 @@ def check_convergence1(trace, saddle, spec, s):
 
 
 def check_lyapunov_monotone(trace, saddle, spec, s):
-    ys, ls = trace.ys(), trace.lams()
+    ys, ls = trace.ys, trace.lams
     e = np.array([_energy(ys[k], ls[k], saddle.y_star, saddle.lambda_star, spec.G, s)
                   for k in range(len(trace))])
     return _entry("lyapunov_monotone", np.diff(e), TOL_STEP, {"E0": e[0], "s": s})
@@ -229,7 +229,7 @@ def check_weak_rate_theorem_4_2(trace, saddle, spec, s, probes=None):
     the averaged-difference multiplier term telescopes to
     G(y_{N+1} - y_0)/(s(N+1)).
     """
-    xs, ys, ls = _trace_arrays(trace)
+    xs, ys, ls = trace.xs, trace.ys, trace.lams
     xbar, ybar, lbar = _prefix_means(xs), _prefix_means(ys), _prefix_means(ls)
     n = np.arange(1, len(trace))
     y0, l0 = ys[0], ls[0]
@@ -273,8 +273,8 @@ def check_strong_avg_theorem_4_4(trace, saddle, spec, s, mu=None):
     recorded; pass/fail follows the literal printed bound.
     """
     mu = mu if mu is not None else strong_convexity_modulus(spec)
-    xs = trace.xs()
-    x0, l0 = trace.states[0].x, trace.states[0].lam
+    xs = trace.xs
+    x0, l0 = xs[0], trace.lams[0]
     dx0 = x0 - saddle.x_star
     dl0 = l0 - saddle.lambda_star
     C = float(dx0 @ dx0) + s * s * float(dl0 @ dl0)
@@ -294,7 +294,7 @@ def check_strong_avg_theorem_4_4(trace, saddle, spec, s, mu=None):
 def check_ne_telescoping(trace, saddle, spec, s):
     """Telescoped numerical error: sum_{k<=N} NE(k) <= E(0) for every prefix."""
     ne = _ne_series(trace, spec, s)
-    e0 = _energy(trace.states[0].y, trace.states[0].lam,
+    e0 = _energy(trace.ys[0], trace.lams[0],
                  saddle.y_star, saddle.lambda_star, spec.G, s)
     slacks = np.cumsum(ne) - e0
     return _entry("ne_telescoping", slacks, TOL_STEP, {"E0": e0, "s": s})
@@ -304,7 +304,7 @@ def check_ne_monotone_theorem_5(trace, spec, s, saddle):
     """NE monotonicity, the last-iterate rate bound, and the supporting triple inequality."""
     if len(trace) < 3:
         raise ParameterError("NE monotonicity needs a trace of length >= 3")
-    xs, ys, ls = _trace_arrays(trace)
+    xs, ys, ls = trace.xs, trace.ys, trace.lams
     ne = _ne_series(trace, spec, s)
     mono = _entry("theorem_5_1_ne_monotone", np.diff(ne), TOL_MONO, {"s": s})
 
@@ -329,7 +329,7 @@ def check_general_rates_theorems_6(trace, saddle, spec, s, r):
         raise ParameterError("general-rate certificates require an r-proximal trace")
     if not r > spec.FtF_norm:
         raise ParameterError("r must exceed the spectral norm of F^T F")
-    xs, ys, ls = _trace_arrays(trace)
+    xs, ys, ls = trace.xs, trace.ys, trace.lams
     dx0 = xs[0] - saddle.x_star
     C = (r * float(dx0 @ dx0) + _rate_constant(trace, saddle, spec, s))
     denom = r - spec.FtF_norm
@@ -347,7 +347,8 @@ def check_general_rates_theorems_6(trace, saddle, spec, s, r):
     mono_ne = _entry("theorem_6_extended_ne_monotone", np.diff(ext_ne), TOL_MONO,
                      {"r": r, "s": s})
 
-    e = np.array([extended_lyapunov(st, saddle, spec, s, r) for st in trace.states])
+    e = np.array([_extended_energy(x, y, lam, saddle, spec, s, r)
+                  for x, y, lam in zip(xs, ys, ls)])
     mono_e = _entry("theorem_6_extended_lyapunov_monotone", np.diff(e), TOL_STEP,
                     {"E0": e[0], "r": r, "s": s})
     return [e61, e62, mono_ne, mono_e]
@@ -355,7 +356,7 @@ def check_general_rates_theorems_6(trace, saddle, spec, s, r):
 
 def step_inclusion_residuals(trace, spec, s, r=None):
     """Subgradient-membership residuals of the defining optimality inclusions per step."""
-    xs, ys, ls = _trace_arrays(trace)
+    xs, ys, ls = trace.xs, trace.ys, trace.lams
     res_x, res_y = [], []
     for k in range(len(trace) - 1):
         target = spec.FtG @ (ys[k + 1] - ys[k]) / s - spec.F.T @ ls[k + 1]

@@ -155,9 +155,5 @@ class HuberSmoothedL1:
         v = np.asarray(v, dtype=float)
         return self.w * np.clip(v / self.delta, -1.0, 1.0)
 
-    def hess_diag(self, v):
-        v = np.asarray(v, dtype=float)
-        return np.where(np.abs(v) <= self.delta, self.w / self.delta, 0.0)
-
     def subgrad_distance(self, target, at):
         return float(np.linalg.norm(np.asarray(target, dtype=float) - self.grad(at)))

@@ -25,9 +25,11 @@ from .diagnostics import CertificateReport, _energy, _entry
 from .errors import InnerSolveError, ParameterError, UnsupportedProblemError
 from .functions import AffineIndicator, HuberSmoothedL1, Quadratic
 from .prox import FactorizationCache, x_update, y_update
+from .solver import Trace
 
 ALGEBRAIC_TOL = 1e-11
 
+CONT_PREFIXES = ("X", "Y", "Lambda")
 CONT_SCALAR_COLUMNS = ["deviation", "lyapunov", "ne_continuous"]
 
 
@@ -61,68 +63,6 @@ class IntegratorConfig:
             raise ParameterError("inner tolerance must be at most 1e-10")
 
 
-class ContinuousTrace:
-    def __init__(self, spec, times, Xs, Ys, Ls, s, ref=None):
-        self.spec = spec
-        self.s = float(s)
-        self.times = np.asarray(times, dtype=float)
-        self.Xs = np.asarray(Xs, dtype=float)
-        self.Ys = np.asarray(Ys, dtype=float)
-        self.Ls = np.asarray(Ls, dtype=float)
-        self.ref = ref
-
-    def __len__(self):
-        return self.times.size
-
-    def state(self, j):
-        return ContinuousState(self.Xs[j], self.Ys[j], self.Ls[j], self.times[j])
-
-    def deviations(self):
-        r = self.Xs @ self.spec.F.T + self.Ys @ self.spec.G.T - self.spec.h
-        return np.linalg.norm(r, axis=1)
-
-    def lyapunov_values(self):
-        if self.ref is None:
-            return np.full(len(self), np.nan)
-        ry, rl = self.ref
-        return np.array([
-            _energy(self.Ys[j], self.Ls[j], ry, rl, self.spec.G, self.s)
-            for j in range(len(self))
-        ])
-
-    def gydot(self):
-        """G * dY/dt estimated by central differences (one-sided at the ends)."""
-        d = np.gradient(self.Ys, self.times, axis=0)
-        return d @ self.spec.G.T
-
-    def columns(self):
-        cols = ["t"]
-        cols += [f"X{i}" for i in range(self.spec.d1)]
-        cols += [f"Y{i}" for i in range(self.spec.d2)]
-        cols += [f"Lambda{i}" for i in range(self.spec.m)]
-        cols += CONT_SCALAR_COLUMNS
-        return cols
-
-    def to_csv(self, path):
-        cols = self.columns()
-        dev = self.deviations()
-        lyap = self.lyapunov_values()
-        lines = [",".join(cols)]
-        for j in range(len(self)):
-            if 0 < j < len(self) - 1:
-                ne = continuous_ne_lyapunov(self, j, self.spec, self.s)
-            else:
-                ne = float("nan")
-            row = [self.times[j], *self.Xs[j], *self.Ys[j], *self.Ls[j],
-                   dev[j], lyap[j], ne]
-            lines.append(",".join(repr(float(v)) for v in row))
-        text = "\n".join(lines) + "\n"
-        if text.split("\n", 1)[0].split(",") != cols:
-            raise RuntimeError("continuous trace CSV schema mismatch")
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
 def hyperplane_deviation(state, spec):
     """||F X + G Y - h||: how far the pair (X, Y) sits off the constraint hyperplane."""
     return float(np.linalg.norm(spec.F @ state.X + spec.G @ state.Y - spec.h))
@@ -143,19 +83,39 @@ def continuous_ne_lyapunov(trace, index, spec, s):
     """
     if index <= 0 or index >= len(trace) - 1:
         raise ParameterError("continuous NE needs an interior node")
-    dt = trace.times[index + 1] - trace.times[index - 1]
-    ydot = (trace.Ys[index + 1] - trace.Ys[index - 1]) / dt
+    dt = trace.axis[index + 1] - trace.axis[index - 1]
+    ydot = (trace.ys[index + 1] - trace.ys[index - 1]) / dt
     gyd = spec.G @ ydot
-    lamdot = (spec.F @ trace.Xs[index] + spec.G @ trace.Ys[index] - spec.h) / (s * s)
+    lamdot = (spec.F @ trace.xs[index] + spec.G @ trace.ys[index] - spec.h) / (s * s)
     return s * float(gyd @ gyd) / 2.0 + s ** 3 * float(lamdot @ lamdot) / 2.0
+
+
+def _continuous_trace(spec, n):
+    return Trace(spec, n, axis="t", prefixes=CONT_PREFIXES, scalars=CONT_SCALAR_COLUMNS)
+
+
+def _fill_columns(trace, spec, s, ref):
+    """The scalar columns: deviation ||F X + G Y - h||, the Lyapunov energy
+    against ref (NaN without one) and the continuous NE at interior nodes."""
+    cols = trace.scalars
+    r = trace.xs @ spec.F.T + trace.ys @ spec.G.T - spec.h
+    cols["deviation"] = np.linalg.norm(r, axis=1)
+    if ref is not None:
+        ry, rl = ref
+        cols["lyapunov"] = np.array([_energy(trace.ys[j], trace.lams[j], ry, rl, spec.G, s)
+                                     for j in range(len(trace))])
+    for j in range(1, len(trace) - 1):
+        cols["ne_continuous"][j] = continuous_ne_lyapunov(trace, j, spec, s)
+    return trace
+
+
+def _gydot(trace, spec):
+    """G * dY/dt estimated by central differences (one-sided at the ends)."""
+    return np.gradient(trace.ys, trace.axis, axis=0) @ spec.G.T
 
 
 # ---------------------------------------------------------------------------
 # implicit Euler for the high-resolution system
-
-
-def _grad_f(spec, x):
-    return spec.f.grad(x)
 
 
 def _implicit_residual(spec, s, delta, Y_old, L_old, X1, Y1, L1):
@@ -165,7 +125,7 @@ def _implicit_residual(spec, s, delta, Y_old, L_old, X1, Y1, L1):
         if not np.isfinite(rA):
             rA = float(np.linalg.norm(spec.f.A @ X1 - spec.f.b))
     else:
-        rA = float(np.linalg.norm(vx - _grad_f(spec, X1)))
+        rA = float(np.linalg.norm(vx - spec.f.grad(X1)))
     rB = spec.g.subgrad_distance(-(spec.G.T @ L1), Y1)
     rc = s * s * (L1 - L_old) / delta - (spec.F @ X1 + spec.G @ Y1 - spec.h)
     rC = float(np.linalg.norm(rc))
@@ -288,23 +248,20 @@ def simulate_high_res(spec, config, init, ref=None, cache=None):
     cache = cache if cache is not None else FactorizationCache()
     steps = int(round(config.T / config.delta))
     state = ContinuousState(init.X, init.Y, init.Lam, 0.0)
-    times = [0.0]
-    Xs, Ys, Ls = [state.X], [state.Y], [state.Lam]
-    for _ in range(steps):
-        state = high_res_implicit_step(state, spec, config.s, config.delta, cache,
-                                       config.inner_tol, config.inner_max)
-        times.append(state.t)
-        Xs.append(state.X)
-        Ys.append(state.Y)
-        Ls.append(state.Lam)
-    trace = ContinuousTrace(spec, times, Xs, Ys, Ls, config.s, ref=ref)
+    trace = _continuous_trace(spec, steps + 1)
+    for j in range(steps + 1):
+        if j:
+            state = high_res_implicit_step(state, spec, config.s, config.delta, cache,
+                                           config.inner_tol, config.inner_max)
+        trace.axis[j] = state.t
+        trace.xs[j], trace.ys[j], trace.lams[j] = state.X, state.Y, state.Lam
     # the algebraic leg G^T Lam + grad g(Y) = 0 must hold at every node
     if spec.g.smooth:
         for j in range(1, len(trace)):
-            alg = np.linalg.norm(spec.G.T @ trace.Ls[j] + spec.g.grad(trace.Ys[j]))
-            if alg > ALGEBRAIC_TOL * (1.0 + np.linalg.norm(trace.Ls[j])):
+            alg = np.linalg.norm(spec.G.T @ trace.lams[j] + spec.g.grad(trace.ys[j]))
+            if alg > ALGEBRAIC_TOL * (1.0 + np.linalg.norm(trace.lams[j])):
                 raise InnerSolveError(f"algebraic constraint violated at node {j}: {alg:.3e}")
-    return trace
+    return _fill_columns(trace, spec, config.s, ref)
 
 
 def simulate_low_res(spec, T, delta, init_x, ref=None, s=1.0):
@@ -333,20 +290,21 @@ def simulate_low_res(spec, T, delta, init_x, ref=None, s=1.0):
 
     steps = int(round(T / delta))
     x = np.asarray(init_x, dtype=float)
-    times, Xs = [0.0], [x]
+    trace = _continuous_trace(spec, steps + 1)
+    trace.xs[0] = x
     for j in range(steps):
         k1 = field(x)
         k2 = field(x + 0.5 * delta * k1)
         k3 = field(x + 0.5 * delta * k2)
         k4 = field(x + delta * k3)
         x = x + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        times.append((j + 1) * delta)
-        Xs.append(x)
-    Xs = np.array(Xs)
-    Ys = np.array([y_of(xj) for xj in Xs])
-    # the algebraic leg defines a multiplier surrogate along the flow
-    Ls = np.array([-np.linalg.solve(spec.G.T, spec.g.grad(yj)) for yj in Ys])
-    return ContinuousTrace(spec, times, Xs, Ys, Ls, s, ref=ref)
+        trace.axis[j + 1] = (j + 1) * delta
+        trace.xs[j + 1] = x
+    for j in range(steps + 1):
+        trace.ys[j] = y_of(trace.xs[j])
+        # the algebraic leg defines a multiplier surrogate along the flow
+        trace.lams[j] = -np.linalg.solve(spec.G.T, spec.g.grad(trace.ys[j]))
+    return _fill_columns(trace, spec, s, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +327,7 @@ def _sample_indices(trace, fracs=(0.25, 0.5, 1.0)):
 
 def check_theorem_3_3_monotone(trace, saddle, spec, s, delta):
     """Continuous Lyapunov (saddle reference) nonincreasing along the trajectory."""
-    e = np.array([_energy(trace.Ys[j], trace.Ls[j], saddle.y_star, saddle.lambda_star,
+    e = np.array([_energy(trace.ys[j], trace.lams[j], saddle.y_star, saddle.lambda_star,
                           spec.G, s) for j in range(len(trace))])
     return _entry("theorem_3_3_lyapunov_monotone", np.diff(e), 10.0 * delta,
                   {"E0": e[0], "s": s, "delta": delta})
@@ -379,7 +337,7 @@ def check_theorem_3_2_weak(trace, saddle, spec, s, delta, probes=None):
     """Time-average weak gap at sampled times against C/(2t)."""
     if probes is None:
         probes = [(saddle.x_star, saddle.y_star), (np.zeros(spec.d1), np.zeros(spec.d2))]
-    mult_nodes = trace.Ls - trace.gydot()
+    mult_nodes = trace.lams - _gydot(trace, spec)
     idxs = _sample_indices(trace)
     slacks = []
     for px, py in probes:
@@ -387,17 +345,17 @@ def check_theorem_3_2_weak(trace, saddle, spec, s, delta, probes=None):
         fp, gp = spec.f.value(px), spec.g.value(py)
         if not np.isfinite(fp) or not np.isfinite(gp):
             continue
-        gy0 = spec.G @ (trace.Ys[0] - py)
-        C = float(gy0 @ gy0) + s * s * float(trace.Ls[0] @ trace.Ls[0])
+        gy0 = spec.G @ (trace.ys[0] - py)
+        C = float(gy0 @ gy0) + s * s * float(trace.lams[0] @ trace.lams[0])
         disp = spec.F @ (px - saddle.x_star) + spec.G @ (py - saddle.y_star)
         for j in idxs:
-            xbar = _trapezoid_prefix_mean(trace.Xs, trace.times, j)
-            ybar = _trapezoid_prefix_mean(trace.Ys, trace.times, j)
-            mbar = _trapezoid_prefix_mean(mult_nodes, trace.times, j)
+            xbar = _trapezoid_prefix_mean(trace.xs, trace.axis, j)
+            ybar = _trapezoid_prefix_mean(trace.ys, trace.axis, j)
+            mbar = _trapezoid_prefix_mean(mult_nodes, trace.axis, j)
             # as in the discrete weak-rate check, integrating the derivative
             # inequality puts the multiplier term on the bound side
             lhs = spec.f.value(xbar) - fp + spec.g.value(ybar) - gp - float(mbar @ disp)
-            slacks.append(lhs - C / (2.0 * trace.times[j]))
+            slacks.append(lhs - C / (2.0 * trace.axis[j]))
     return _entry("theorem_3_2_weak_rate", slacks, 10.0 * delta, {"s": s, "delta": delta})
 
 
@@ -409,14 +367,14 @@ def check_continuous_strong_avg(trace, saddle, spec, s, delta, mu=None):
         mu = spec.f.strong_convexity_modulus()
     if mu <= 1e-10:
         raise ParameterError("strong convexity modulus is zero")
-    dx0 = trace.Xs[0] - saddle.x_star
-    dl0 = trace.Ls[0] - saddle.lambda_star
+    dx0 = trace.xs[0] - saddle.x_star
+    dl0 = trace.lams[0] - saddle.lambda_star
     C = float(dx0 @ dx0) + s * s * float(dl0 @ dl0)
     slacks = []
     for j in _sample_indices(trace):
-        xbar = _trapezoid_prefix_mean(trace.Xs, trace.times, j)
+        xbar = _trapezoid_prefix_mean(trace.xs, trace.axis, j)
         d = xbar - saddle.x_star
-        slacks.append(float(d @ d) - C / (mu * trace.times[j]))
+        slacks.append(float(d @ d) - C / (mu * trace.axis[j]))
     return _entry("theorem_3_4_strong_avg", slacks, 10.0 * delta,
                   {"C": C, "mu": mu, "s": s, "delta": delta})
 

@@ -17,18 +17,11 @@ from .errors import OracleConvergenceError, ParameterError
 from .functions import AffineIndicator, Quadratic, ScaledL1
 from .problems import SaddlePoint, kkt_residuals
 from .prox import FactorizationCache
-from .solver import IterateState, default_r, general_admm_step, zero_state
+from .solver import admm_step, default_r, zero_state
 
 SIGN_PATTERN_MAX_DIM = 12
 LONG_RUN_BUDGET = 10_000_000
 _CHECK_EVERY = 100
-
-
-def _certify(spec, x, y, lam, tol):
-    res = max(kkt_residuals(spec, x, y, lam))
-    if res > tol:
-        return None
-    return SaddlePoint(x, y, lam, res)
 
 
 def sign_pattern_oracle(spec, tol=1e-8):
@@ -45,7 +38,6 @@ def sign_pattern_oracle(spec, tol=1e-8):
     indicator = isinstance(f, AffineIndicator)
     m1 = f.A.shape[0] if indicator else 0
 
-    best = None
     best_res = np.inf
     for sigma in itertools.product((-1.0, 0.0, 1.0), repeat=d2):
         sigma = np.array(sigma)
@@ -97,9 +89,7 @@ def sign_pattern_oracle(spec, tol=1e-8):
         y[P] = z[d1:d1 + p]
         lam = z[d1 + p:d1 + p + m]
         res = max(kkt_residuals(spec, x, y, lam))
-        if res < best_res:
-            best_res = res
-            best = (x, y, lam)
+        best_res = min(best_res, res)
         if res <= tol:
             return SaddlePoint(x, y, lam, res)
     raise OracleConvergenceError(
@@ -112,15 +102,12 @@ def long_run_oracle(spec, tol=1e-8, r=None, budget=LONG_RUN_BUDGET, init=None):
     r = r if r is not None else default_r(spec)
     cache = FactorizationCache()
     state = init if init is not None else zero_state(spec)
-    best = None
     best_res = np.inf
     for it in range(budget):
-        state = general_admm_step(state, spec, 1.0, r, cache)
+        state = admm_step(state, spec, 1.0, cache, r)
         if (it + 1) % _CHECK_EVERY == 0 or it + 1 == budget:
             res = max(kkt_residuals(spec, state.x, state.y, state.lam))
-            if res < best_res:
-                best_res = res
-                best = IterateState(state.x, state.y, state.lam, state.k)
+            best_res = min(best_res, res)
             if res <= tol:
                 return SaddlePoint(state.x, state.y, state.lam, res)
     raise OracleConvergenceError(

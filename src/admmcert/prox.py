@@ -3,8 +3,8 @@
 The x-update for a quadratic f solves (2s A^T A + F^T F) x = rhs; for an
 affine indicator it solves the equality-constrained least-squares KKT
 system. The r-proximal variant replaces F^T F on the left by r*I, which
-stays solvable even when A and F share a null direction. All factorizations
-are computed once per (problem, parameters) pair and cached.
+stays solvable even when A and F share a null direction. Each of the four
+cases is one XUpdate, factored once per (problem, s, r) and cached.
 """
 
 from __future__ import annotations
@@ -36,83 +36,88 @@ def huber_prox(v, t, w, delta):
     return np.where(quad, v * (delta / cut), v - t * w * np.sign(v))
 
 
+class XUpdate:
+    """The x-update of one (problem, s, r): a factored affine system, built once.
+
+    With P = F^T F (standard step, r is None) or P = r*I (r-proximal step) and
+    c = F^T (h - G y_k - s lam_k), plus r x_k - F^T F x_k for the r-proximal
+    step, a quadratic f solves (2s A^T A + P) x = 2s A^T b + c by Cholesky, and
+    an affine-indicator f solves the KKT system [[P, A^T], [A, 0]] (x, nu) = (c, b)
+    by LU. Every solve is checked: the linear residual for a quadratic f, the
+    constraint A x = b for an indicator f.
+    """
+
+    def __init__(self, spec, s, r=None):
+        if r is not None and not r > spec.FtF_norm:
+            raise ParameterError(
+                f"r = {r!r} must be greater than the maximum eigenvalue of F^T F "
+                f"({spec.FtF_norm!r})"
+            )
+        f = spec.f
+        P = spec.FtF if r is None else r * np.eye(spec.d1)
+        self.quadratic = isinstance(f, Quadratic)
+        if self.quadratic:
+            M = 2.0 * s * f.gram + P
+            what, hint = "x-update system", "; use the r-proximal variant instead"
+        elif isinstance(f, AffineIndicator):
+            m1 = f.A.shape[0]
+            M = np.block([
+                [P, f.A.T],
+                [f.A, np.zeros((m1, m1))],
+            ])
+            what, hint = "KKT system", ""
+        else:
+            raise UnsupportedProblemError(f"no closed-form x-update for {type(f).__name__}")
+        cond = float(np.linalg.cond(M))
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            raise IllConditionedError(
+                f"{what} has condition estimate {cond:.3e} > {COND_LIMIT:.0e}{hint}"
+            )
+        self.spec, self.s, self.r, self.matrix = spec, s, r, M
+        if self.quadratic:
+            self._factor = scipy.linalg.cho_factor(M, lower=True)
+        else:
+            self._factor = scipy.linalg.lu_factor(M)
+
+    def __call__(self, y_k, lambda_k, x_k=None):
+        spec, s, r, f = self.spec, self.s, self.r, self.spec.f
+        drive = spec.F.T @ (spec.h - spec.G @ y_k - s * lambda_k)
+        if r is not None:
+            drive = drive + r * x_k - spec.FtF @ x_k
+        if self.quadratic:
+            rhs = 2.0 * s * f.gram_rhs + drive
+            x = scipy.linalg.cho_solve(self._factor, rhs)
+            res = np.linalg.norm(self.matrix @ x - rhs)
+            if res > 1e-10 * (1.0 + np.linalg.norm(rhs)):
+                raise IllConditionedError(f"x-update solve residual {res:.3e} exceeds tolerance")
+            return x
+        x = scipy.linalg.lu_solve(self._factor, np.concatenate([drive, f.b]))[: spec.d1]
+        if np.linalg.norm(f.A @ x - f.b) > 1e-10 * (1.0 + np.linalg.norm(f.b)):
+            raise IllConditionedError("indicator x-update left the constraint set")
+        return x
+
+
 class FactorizationCache:
-    """Caches linear-system factorizations keyed by (problem tag, kind, s, r)."""
+    """One XUpdate per (problem tag, s, r), built on first use."""
 
     def __init__(self):
         self._store = {}
 
-    def get(self, key, builder):
-        entry = self._store.get(key)
-        if entry is None:
-            entry = builder()
-            self._store[key] = entry
-        return entry
+    def get(self, spec, s, r=None):
+        key = (spec.tag, float(s), None if r is None else float(r))
+        op = self._store.get(key)
+        if op is None:
+            op = self._store[key] = XUpdate(spec, s, r)
+        return op
 
     def __len__(self):
         return len(self._store)
 
 
-def _spd_entry(M):
-    cond = float(np.linalg.cond(M))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise IllConditionedError(
-            f"x-update system has condition estimate {cond:.3e} > {COND_LIMIT:.0e}; "
-            "use the r-proximal variant instead"
-        )
-    factor = scipy.linalg.cho_factor(M, lower=True)
-    return {"matrix": M, "cond": cond, "solve": lambda rhs: scipy.linalg.cho_solve(factor, rhs)}
-
-
-def _kkt_entry(M):
-    cond = float(np.linalg.cond(M))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise IllConditionedError(
-            f"KKT system has condition estimate {cond:.3e} > {COND_LIMIT:.0e}"
-        )
-    lu, piv = scipy.linalg.lu_factor(M)
-    return {"matrix": M, "cond": cond, "solve": lambda rhs: scipy.linalg.lu_solve((lu, piv), rhs)}
-
-
-def quadratic_x_update(spec, y_k, lambda_k, s, cache=None):
-    """x-update for quadratic f: stationarity s*grad f + F^T(Fx + Gy - h + s*lam) = 0."""
-    f = spec.f
-    if not isinstance(f, Quadratic):
-        raise UnsupportedProblemError("quadratic_x_update requires a quadratic f")
+def x_update(spec, y_k, lambda_k, s, cache=None, r=None, x_k=None):
+    """x_{k+1} of the standard step, or of the r-proximal step around x_k when r is given."""
     cache = cache if cache is not None else FactorizationCache()
-    entry = cache.get(
-        (spec.tag, "std_quad", float(s)),
-        lambda: _spd_entry(2.0 * s * f.gram + spec.FtF),
-    )
-    rhs = 2.0 * s * f.gram_rhs + spec.F.T @ (spec.h - spec.G @ y_k - s * lambda_k)
-    x = entry["solve"](rhs)
-    res = np.linalg.norm(entry["matrix"] @ x - rhs)
-    if res > 1e-10 * (1.0 + np.linalg.norm(rhs)):
-        raise IllConditionedError(f"x-update solve residual {res:.3e} exceeds tolerance")
-    return x
-
-
-def indicator_x_update(spec, y_k, lambda_k, s, cache=None):
-    """x-update for an affine-indicator f: project in the F-metric onto {Ax = b}."""
-    f = spec.f
-    if not isinstance(f, AffineIndicator):
-        raise UnsupportedProblemError("indicator_x_update requires an affine-indicator f")
-    cache = cache if cache is not None else FactorizationCache()
-    m1 = f.A.shape[0]
-
-    def build():
-        K = np.block([
-            [spec.FtF, f.A.T],
-            [f.A, np.zeros((m1, m1))],
-        ])
-        return _kkt_entry(K)
-
-    entry = cache.get((spec.tag, "std_kkt"), build)
-    rhs = np.concatenate([spec.F.T @ (spec.h - spec.G @ y_k - s * lambda_k), f.b])
-    x = entry["solve"](rhs)[: spec.d1]
-    if np.linalg.norm(f.A @ x - f.b) > 1e-10 * (1.0 + np.linalg.norm(f.b)):
-        raise IllConditionedError("indicator x-update left the constraint set")
-    return x
+    return cache.get(spec, s, r)(y_k, lambda_k, x_k)
 
 
 def l1_y_update(spec, x_next, lambda_k, s):
@@ -140,60 +145,3 @@ def y_update(spec, x_next, lambda_k, s):
     if isinstance(spec.g, HuberSmoothedL1):
         return huber_y_update(spec, x_next, lambda_k, s)
     raise UnsupportedProblemError(f"no closed-form y-update for {type(spec.g).__name__}")
-
-
-def _check_r(spec, r):
-    if not r > spec.FtF_norm:
-        raise ParameterError(
-            f"r = {r!r} must be greater than the maximum eigenvalue of F^T F "
-            f"({spec.FtF_norm!r})"
-        )
-
-
-def proximal_x_update_general(spec, x_k, y_k, lambda_k, s, r, cache=None):
-    """r-proximal x-update: adds (r||x - x_k||^2 - ||F(x - x_k)||^2)/(2s) to the subproblem.
-
-    For quadratic f the system matrix becomes 2s A^T A + r I, so no
-    invertibility of A^T A + s F^T F is needed.
-    """
-    _check_r(spec, r)
-    cache = cache if cache is not None else FactorizationCache()
-    f = spec.f
-    drive = spec.F.T @ (spec.h - spec.G @ y_k - s * lambda_k) + r * x_k - spec.FtF @ x_k
-
-    if isinstance(f, Quadratic):
-        entry = cache.get(
-            (spec.tag, "gen_quad", float(s), float(r)),
-            lambda: _spd_entry(2.0 * s * f.gram + r * np.eye(spec.d1)),
-        )
-        rhs = 2.0 * s * f.gram_rhs + drive
-        x = entry["solve"](rhs)
-        res = np.linalg.norm(entry["matrix"] @ x - rhs)
-        if res > 1e-10 * (1.0 + np.linalg.norm(rhs)):
-            raise IllConditionedError(f"general x-update solve residual {res:.3e}")
-        return x
-
-    if isinstance(f, AffineIndicator):
-        m1 = f.A.shape[0]
-
-        def build():
-            K = np.block([
-                [r * np.eye(spec.d1), f.A.T],
-                [f.A, np.zeros((m1, m1))],
-            ])
-            return _kkt_entry(K)
-
-        entry = cache.get((spec.tag, "gen_kkt", float(r)), build)
-        rhs = np.concatenate([drive, f.b])
-        return entry["solve"](rhs)[: spec.d1]
-
-    raise UnsupportedProblemError("general x-update needs a quadratic or indicator f")
-
-
-def x_update(spec, y_k, lambda_k, s, cache=None):
-    """Standard x-update, dispatching on the structure of f."""
-    if isinstance(spec.f, Quadratic):
-        return quadratic_x_update(spec, y_k, lambda_k, s, cache)
-    if isinstance(spec.f, AffineIndicator):
-        return indicator_x_update(spec, y_k, lambda_k, s, cache)
-    raise UnsupportedProblemError(f"no closed-form x-update for {type(spec.f).__name__}")

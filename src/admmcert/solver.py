@@ -9,14 +9,14 @@ and is recorded per step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagnostics as diag
 from .errors import ParameterError
 from .problems import kkt_residuals
-from .prox import FactorizationCache, proximal_x_update_general, x_update, y_update
+from .prox import FactorizationCache, x_update, y_update
 
 STANDARD = "standard"
 GENERAL = "general"
@@ -30,7 +30,6 @@ class IterateState:
     y: np.ndarray
     lam: np.ndarray
     k: int
-    residual: np.ndarray | None = None  # F x + G y - h, as used by the dual step
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -44,7 +43,6 @@ class SolverConfig:
     N: int = 100
     variant: str = STANDARD
     r: float | None = None
-    record_every: int = 1
     stop_tol: float | None = None  # optional early stop on all KKT residuals
 
     def __post_init__(self):
@@ -52,66 +50,78 @@ class SolverConfig:
             raise ParameterError("step size s must be positive")
         if self.N < 1:
             raise ParameterError("iteration count N must be at least 1")
-        if self.record_every < 1:
-            raise ParameterError("record_every must be positive")
         if self.variant not in (STANDARD, GENERAL):
             raise ParameterError(f"unknown variant {self.variant!r}")
 
 
-@dataclass
 class Trace:
-    spec: object
-    config: SolverConfig
-    states: list = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
-    stop_reason: str = "completed"
+    """The rows of one run, stored by column: the discrete iteration or an ODE.
+
+    Row j holds the axis value (step k or time t), x_j, y_j and lambda_j as rows
+    of the preallocated (n, d) arrays xs, ys and lams, and one value of each
+    named per-row scalar column. The axis name and the x/y/lambda column
+    prefixes are data, so one writer serves every trace.
+    """
+
+    def __init__(self, spec, n, axis="k", prefixes=("x", "y", "lambda"),
+                 scalars=TRACE_SCALAR_COLUMNS, config=None):
+        self.spec = spec
+        self.config = config
+        self.stop_reason = "completed"
+        self.axis_name = axis
+        self.prefixes = prefixes
+        self.axis = np.zeros(n, dtype=int if axis == "k" else float)
+        self.xs = np.zeros((n, spec.d1))
+        self.ys = np.zeros((n, spec.d2))
+        self.lams = np.zeros((n, spec.m))
+        self.scalars = {name: np.full(n, np.nan) for name in scalars}
 
     def __len__(self):
-        return len(self.states)
+        return self.axis.shape[0]
 
-    def xs(self):
-        return np.array([st.x for st in self.states])
-
-    def ys(self):
-        return np.array([st.y for st in self.states])
-
-    def lams(self):
-        return np.array([st.lam for st in self.states])
+    def truncate(self, n):
+        """Keep the first n rows."""
+        self.axis, self.xs, self.ys, self.lams = (
+            self.axis[:n], self.xs[:n], self.ys[:n], self.lams[:n])
+        self.scalars = {name: col[:n] for name, col in self.scalars.items()}
 
     def columns(self):
-        d1, d2, m = self.spec.d1, self.spec.d2, self.spec.m
-        cols = ["k"]
-        cols += [f"x{i}" for i in range(d1)]
-        cols += [f"y{i}" for i in range(d2)]
-        cols += [f"lambda{i}" for i in range(m)]
-        cols += TRACE_SCALAR_COLUMNS
+        (px, py, pl), spec = self.prefixes, self.spec
+        cols = [self.axis_name]
+        cols += [f"{px}{i}" for i in range(spec.d1)]
+        cols += [f"{py}{i}" for i in range(spec.d2)]
+        cols += [f"{pl}{i}" for i in range(spec.m)]
+        cols += list(self.scalars)
         return cols
 
     def _rows(self):
-        for idx, st in enumerate(self.states):
-            row = [st.k]
-            row += [float(v) for v in st.x]
-            row += [float(v) for v in st.y]
-            row += [float(v) for v in st.lam]
-            row += [float(self.diagnostics[name][idx]) for name in TRACE_SCALAR_COLUMNS]
-            yield row
+        """The rows as lists of Python numbers, produced one at a time.
+
+        Raises RuntimeError at once, before any row, unless every column has
+        one entry per row, that is, unless every row has the header's width.
+        """
+        n, width = len(self), len(self.columns())
+        blocks = [self.xs, self.ys, self.lams]
+        blocks += [np.reshape(col, (-1, 1)) for col in self.scalars.values()]
+        if any(b.shape[0] != n for b in blocks) or 1 + sum(b.shape[1] for b in blocks) != width:
+            raise RuntimeError(f"trace rows do not all have the header's {width} columns")
+        axis = self.axis.tolist()
+        table = np.hstack([np.empty((n, 0))] + blocks[3:])  # the (n, c) scalar columns
+        return ([axis[j]] + self.xs[j].tolist() + self.ys[j].tolist()
+                + self.lams[j].tolist() + table[j].tolist() for j in range(n))
 
     def to_csv(self, path):
-        cols = self.columns()
-        lines = [",".join(cols)]
-        for row in self._rows():
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-        text = "\n".join(lines) + "\n"
-        header = text.split("\n", 1)[0].split(",")
-        if header != cols:  # schema check on every write
-            raise RuntimeError("trace CSV schema mismatch")
+        rows = self._rows()  # the width check runs here, before the file is created
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.write(",".join(self.columns()) + "\n")
+            for row in rows:
+                fh.write(",".join(map(repr, row)) + "\n")
 
     def to_json(self, path):
+        """The CSV's columns and rows plus the stop reason and config of a solver run."""
         payload = {
             "columns": self.columns(),
-            "rows": [row for row in self._rows()],
+            "rows": list(self._rows()),
             "stop_reason": self.stop_reason,
             "config": {
                 "s": self.config.s,
@@ -125,22 +135,13 @@ class Trace:
             fh.write("\n")
 
 
-def admm_step(state, spec, s, cache=None):
-    """One standard ADMM step: x-minimization, y-minimization, dual ascent."""
-    x1 = x_update(spec, state.y, state.lam, s, cache)
+def admm_step(state, spec, s, cache=None, r=None):
+    """One ADMM step: x-minimization (r-proximal when r is given), y-minimization,
+    dual ascent."""
+    x1 = x_update(spec, state.y, state.lam, s, cache, r, state.x)
     y1 = y_update(spec, x1, state.lam, s)
-    res = spec.constraint_residual(x1, y1)
-    lam1 = state.lam + res / s
-    return IterateState(x1, y1, lam1, state.k + 1, residual=res)
-
-
-def general_admm_step(state, spec, s, r, cache=None):
-    """One r-proximal ADMM step (general x-update, standard y and dual steps)."""
-    x1 = proximal_x_update_general(spec, state.x, state.y, state.lam, s, r, cache)
-    y1 = y_update(spec, x1, state.lam, s)
-    res = spec.constraint_residual(x1, y1)
-    lam1 = state.lam + res / s
-    return IterateState(x1, y1, lam1, state.k + 1, residual=res)
+    lam1 = state.lam + spec.constraint_residual(x1, y1) / s
+    return IterateState(x1, y1, lam1, state.k + 1)
 
 
 def default_r(spec):
@@ -152,20 +153,17 @@ def zero_state(spec):
     return IterateState(np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m), 0)
 
 
-def _record(trace, state, spec, s, saddle):
+def _record(trace, j, state, spec, s, saddle):
     primal, dual_x, dual_y = kkt_residuals(spec, state.x, state.y, state.lam)
-    d = trace.diagnostics
-    d["primal_res"].append(primal)
-    d["dual_x_res"].append(dual_x)
-    d["dual_y_res"].append(dual_y)
-    d["objective"].append(spec.objective(state.x, state.y))
+    trace.axis[j] = state.k
+    trace.xs[j], trace.ys[j], trace.lams[j] = state.x, state.y, state.lam
+    d = trace.scalars
+    d["primal_res"][j], d["dual_x_res"][j], d["dual_y_res"][j] = primal, dual_x, dual_y
+    d["objective"][j] = spec.objective(state.x, state.y)
     if saddle is not None:
-        d["lyapunov"].append(
-            diag.discrete_lyapunov(state, (saddle.y_star, saddle.lambda_star), spec, s)
-        )
-    else:
-        d["lyapunov"].append(float("nan"))
-    d["ne"].append(float("nan"))  # filled once the next state exists
+        d["lyapunov"][j] = diag.discrete_lyapunov(
+            state, (saddle.y_star, saddle.lambda_star), spec, s)
+    # d["ne"][j] stays NaN until the next state exists
     return primal, dual_x, dual_y
 
 
@@ -184,22 +182,16 @@ def run(spec, config, init=None, saddle=None, cache=None):
     else:
         r = None
 
-    trace = Trace(spec=spec, config=config,
-                  diagnostics={name: [] for name in TRACE_SCALAR_COLUMNS})
-    trace.states.append(state)
-    _record(trace, state, spec, config.s, saddle)
-
-    for _ in range(config.N):
+    trace = Trace(spec, config.N + 1, config=config)
+    _record(trace, 0, state, spec, config.s, saddle)
+    for j in range(1, config.N + 1):
         prev = state
-        if config.variant == GENERAL:
-            state = general_admm_step(prev, spec, config.s, r, cache)
-        else:
-            state = admm_step(prev, spec, config.s, cache)
-        trace.diagnostics["ne"][-1] = diag.numerical_error(prev, state, spec, config.s)
-        trace.states.append(state)
-        primal, dual_x, dual_y = _record(trace, state, spec, config.s, saddle)
+        state = admm_step(prev, spec, config.s, cache, r)
+        trace.scalars["ne"][j - 1] = diag.numerical_error(prev, state, spec, config.s)
+        primal, dual_x, dual_y = _record(trace, j, state, spec, config.s, saddle)
         if config.stop_tol is not None and max(primal, dual_x, dual_y) <= config.stop_tol:
             trace.stop_reason = f"kkt residuals below {config.stop_tol!r} at k={state.k}"
+            trace.truncate(j + 1)
             break
     return trace
 
@@ -208,9 +200,8 @@ def running_average(trace):
     """Incremental running averages (x_bar_N, y_bar_N, lam_bar_N) for N = 0..len-1."""
     if len(trace) == 0:
         raise ParameterError("cannot average an empty trace")
-    xs, ys, ls = trace.xs(), trace.ys(), trace.lams()
     out = []
-    for arr in (xs, ys, ls):
+    for arr in (trace.xs, trace.ys, trace.lams):
         avg = np.empty_like(arr)
         acc = arr[0].copy()
         avg[0] = acc

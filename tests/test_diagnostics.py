@@ -9,6 +9,10 @@ from admmcert.library import get_instance, get_saddle
 from admmcert.solver import GENERAL, IterateState, SolverConfig, run
 
 
+def row(trace, j):
+    return IterateState(trace.xs[j], trace.ys[j], trace.lams[j], int(trace.axis[j]))
+
+
 def scalar_run(N=200):
     spec = get_instance("scalar_lasso")
     sad = get_saddle("scalar_lasso")
@@ -19,29 +23,29 @@ class TestEnergies:
     def test_lyapunov_initial_value(self):
         # from zeros with saddle (0.5, 0.5, 1): (1/2)*0.25 + (1/2)*1 = 0.625
         trace, spec, sad = scalar_run(1)
-        e0 = diag.discrete_lyapunov(trace.states[0], (sad.y_star, sad.lambda_star), spec, 1.0)
+        e0 = diag.discrete_lyapunov(row(trace, 0), (sad.y_star, sad.lambda_star), spec, 1.0)
         assert e0 == pytest.approx(0.625)
 
     def test_lyapunov_needs_positive_s(self):
         trace, spec, sad = scalar_run(1)
         with pytest.raises(ParameterError):
-            diag.discrete_lyapunov(trace.states[0], (sad.y_star, sad.lambda_star), spec, 0.0)
+            diag.discrete_lyapunov(row(trace, 0), (sad.y_star, sad.lambda_star), spec, 0.0)
 
     def test_numerical_error_first_step(self):
         # y0=0 -> y1=0, lam0=0 -> lam1=2/3: NE(0) = (1/2)(2/3)^2 = 2/9
         trace, spec, _ = scalar_run(1)
-        ne = diag.numerical_error(trace.states[0], trace.states[1], spec, 1.0)
+        ne = diag.numerical_error(row(trace, 0), row(trace, 1), spec, 1.0)
         assert ne == pytest.approx(2.0 / 9.0)
 
     def test_numerical_error_needs_consecutive(self):
         trace, spec, _ = scalar_run(3)
         with pytest.raises(ParameterError, match="consecutive"):
-            diag.numerical_error(trace.states[0], trace.states[2], spec, 1.0)
+            diag.numerical_error(row(trace, 0), row(trace, 2), spec, 1.0)
 
     def test_extended_lyapunov_exceeds_base_energy(self):
         trace, spec, sad = scalar_run(2)
-        base = diag.discrete_lyapunov(trace.states[0], (sad.y_star, sad.lambda_star), spec, 1.0)
-        ext = diag.extended_lyapunov(trace.states[0], sad, spec, 1.0, r=2.0)
+        base = diag.discrete_lyapunov(row(trace, 0), (sad.y_star, sad.lambda_star), spec, 1.0)
+        ext = diag.extended_lyapunov(row(trace, 0), sad, spec, 1.0, r=2.0)
         assert ext >= base  # the added term is nonnegative for r > ||F^T F||
 
 
@@ -86,7 +90,7 @@ class TestStandardChecks:
     def test_weak_rate_zero_bound_probe(self):
         # probe y = y0 and lam0 = 0 makes the bound exactly 0 at every prefix
         trace, spec, sad = scalar_run(50)
-        probe = [(sad.x_star, trace.states[0].y)]
+        probe = [(sad.x_star, trace.ys[0])]
         entry = diag.check_weak_rate_theorem_4_2(trace, sad, spec, 1.0, probes=probe)
         assert entry.passed
         assert entry.constants["C_probe0"] == 0.0

@@ -1,0 +1,50 @@
+"""Golden bytes: the artifacts of three small CLI runs, pinned by sha256.
+
+The instances are one-dimensional (d1 = d2 = m = 1), so every product is a
+scalar multiply and the hashes do not depend on the BLAS build. Any change in
+the last bit of any written number, or in a column name, fails this test; a
+change that is meant to alter the artifacts must update the hashes and say so.
+"""
+
+import hashlib
+
+import pytest
+
+from admmcert.cli import main
+
+GOLDEN = {
+    "solve": (
+        ["solve", "--spec", "scalar_lasso", "--N", "50"],
+        {
+            "certificates.json": "875407ea52791f418892a032165d2c267bf0b2484ab10643c1efeb30c5d758c5",
+            "trace.csv": "ad8f08224200ff943afe9cc1142da676b6c432e1551a1cac148a4762e915b801",
+            "trace.json": "6ae92bf4588d1c02718f098d3b5fc4d47b9f1db34a3a6b2f555730c8122b7e72",
+        },
+    ),
+    "solve_general": (
+        ["solve", "--spec", "scalar_lasso", "--N", "50", "--variant", "general", "--r", "2.0"],
+        {
+            "certificates.json": "9ebfcbee91f40b4e3ace8327c7c529460eaabbc9aa87ce9ab058c7bfee4d78f0",
+            "trace.csv": "a41d2cc058842f42497fae9158efbc868114e5ddcfef52ed673e14c241593292",
+            "trace.json": "54e6df8379243394725080f0669806ef7848e232f16b68f314d358b6ea9387d4",
+        },
+    ),
+    "simulate": (
+        ["simulate", "--spec", "scalar_lasso_smoothed", "--delta", "0.01", "--horizon", "1"],
+        {
+            "comparison.csv": "4b819764261b9bf5c045cbaacf7d726eba227db28d3ea315f84238c5ec1b18f4",
+            "discrete.csv": "5479685156185a1b15d49c221d08ffd5081b95ba45645731b0def3b06a471d3d",
+            "high_res.csv": "6c11c78f75cb0a9351b386f39ec1b79fa6959ae7f2d10e9badf6ecac745298e8",
+            "low_res.csv": "652c21a850fbc2f029a9e22f4a2b4654569ed8ab81906e387c3aca220388fc3d",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_artifacts_match_golden_hashes(tmp_path, name):
+    argv, expected = GOLDEN[name]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    actual = {fname: hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
+              for fname in expected}
+    assert actual == expected

@@ -87,15 +87,15 @@ class TestSimulateHighRes:
         config = IntegratorConfig(s=1.0, delta=0.1, T=1.0)
         trace = simulate_high_res(spec, config, zero_cont(spec))
         assert len(trace) == 11
-        assert trace.times[-1] == pytest.approx(1.0)
+        assert trace.axis[-1] == pytest.approx(1.0)
 
     def test_algebraic_constraint_on_nodes(self):
         spec = get_instance("lasso_8x6_smoothed")
         config = IntegratorConfig(s=1.0, delta=0.05, T=2.0)
         trace = simulate_high_res(spec, config, zero_cont(spec))
         for j in range(1, len(trace)):
-            alg = np.linalg.norm(spec.G.T @ trace.Ls[j] + spec.g.grad(trace.Ys[j]))
-            assert alg <= 1e-11 * (1.0 + np.linalg.norm(trace.Ls[j]))
+            alg = np.linalg.norm(spec.G.T @ trace.lams[j] + spec.g.grad(trace.ys[j]))
+            assert alg <= 1e-11 * (1.0 + np.linalg.norm(trace.lams[j]))
 
     def test_csv_schema(self, tmp_path):
         spec = get_instance("scalar_lasso_smoothed")
@@ -113,7 +113,7 @@ class TestLowRes:
     def test_deviation_identically_zero(self):
         spec = get_instance("lasso_8x6_smoothed")
         trace = simulate_low_res(spec, T=5.0, delta=0.01, init_x=np.zeros(spec.d1))
-        assert float(np.max(trace.deviations())) <= 1e-10
+        assert float(np.max(trace.scalars["deviation"])) <= 1e-10
 
     def test_requires_smooth_terms(self):
         with pytest.raises(ParameterError, match="differentiable"):
@@ -135,7 +135,7 @@ class TestLowRes:
     def test_flow_decreases_objective(self):
         spec = get_instance("lasso_8x6_smoothed")
         trace = simulate_low_res(spec, T=5.0, delta=0.01, init_x=np.zeros(spec.d1))
-        obj = [spec.f.value(trace.Xs[j]) + spec.g.value(trace.Ys[j])
+        obj = [spec.f.value(trace.xs[j]) + spec.g.value(trace.ys[j])
                for j in (0, len(trace) - 1)]
         assert obj[1] < obj[0]
 
@@ -153,7 +153,7 @@ def high():
 class TestContinuousDiagnostics:
     def test_lyapunov_matches_discrete_formula(self, high):
         trace, spec, sad, _ = high
-        st = trace.state(0)
+        st = ContinuousState(trace.xs[0], trace.ys[0], trace.lams[0], trace.axis[0])
         val = continuous_lyapunov(st, (sad.y_star, sad.lambda_star), spec, 1.0)
         gy = spec.G @ (st.Y - sad.y_star)
         expect = 0.5 * gy @ gy + 0.5 * sad.lambda_star @ sad.lambda_star
@@ -196,8 +196,7 @@ class TestDeviation:
         # the dual correction pushes ADMM iterates off F x + G y = h ...
         spec = get_instance("scalar_lasso")
         trace = run(spec, SolverConfig(s=1.0, N=3))
-        st = trace.states[1]
-        assert np.linalg.norm(spec.constraint_residual(st.x, st.y)) > 1e-3
+        assert np.linalg.norm(spec.constraint_residual(trace.xs[1], trace.ys[1])) > 1e-3
 
     def test_off_hyperplane_start_decays(self):
         # ... while the high-resolution trajectory pulls back toward it
@@ -206,5 +205,5 @@ class TestDeviation:
         init = ContinuousState(np.ones(spec.d1), np.zeros(spec.d2), np.zeros(spec.m), 0.0)
         assert hyperplane_deviation(init, spec) > 1e-3
         trace = simulate_high_res(spec, config, init)
-        dev = trace.deviations()
+        dev = trace.scalars["deviation"]
         assert dev[-1] < dev[0]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -10,10 +11,7 @@ from admmcert.problems import ProblemSpec, build_basis_pursuit, build_generalize
 from admmcert.prox import (
     FactorizationCache,
     huber_prox,
-    indicator_x_update,
     l1_y_update,
-    proximal_x_update_general,
-    quadratic_x_update,
     soft_threshold,
     x_update,
     y_update,
@@ -77,7 +75,7 @@ class TestXUpdates:
         spec = get_instance("lasso_8x6")
         rng = np.random.default_rng(1)
         y, lam, s = rng.standard_normal(spec.d2), rng.standard_normal(spec.m), 0.7
-        x = quadratic_x_update(spec, y, lam, s)
+        x = x_update(spec, y, lam, s)
         grad = s * spec.f.grad(x) + spec.F.T @ (spec.F @ x + spec.G @ y - spec.h + s * lam)
         assert np.linalg.norm(grad) < 1e-9
 
@@ -85,7 +83,7 @@ class TestXUpdates:
         spec = get_instance("basis_pursuit_10x30")
         rng = np.random.default_rng(2)
         y, lam, s = rng.standard_normal(spec.d2), rng.standard_normal(spec.m), 1.0
-        x = indicator_x_update(spec, y, lam, s)
+        x = x_update(spec, y, lam, s)
         assert np.linalg.norm(spec.f.A @ x - spec.f.b) < 1e-9
         # residual of the subproblem gradient must lie in range(A^T)
         target = -spec.F.T @ (spec.F @ x + spec.G @ y - spec.h + s * lam)
@@ -98,23 +96,37 @@ class TestXUpdates:
 
     def test_general_update_handles_singular_system(self):
         spec = get_instance("rank_deficient_lasso")
-        x = proximal_x_update_general(spec, np.zeros(spec.d1), np.zeros(spec.d2),
-                                      np.zeros(spec.m), 1.0, 2.0 * spec.FtF_norm)
+        x = x_update(spec, np.zeros(spec.d2), np.zeros(spec.m), 1.0,
+                     r=2.0 * spec.FtF_norm, x_k=np.zeros(spec.d1))
         assert np.all(np.isfinite(x))
 
     def test_general_update_requires_r_above_spectrum(self):
         spec = get_instance("scalar_lasso")
         with pytest.raises(ParameterError, match="greater than the maximum eigenvalue"):
-            proximal_x_update_general(spec, np.zeros(1), np.zeros(1), np.zeros(1), 1.0, 0.5)
+            x_update(spec, np.zeros(1), np.zeros(1), 1.0, r=0.5, x_k=np.zeros(1))
 
     def test_general_reduces_to_standard_at_fixed_point(self):
         # when x_k already solves the standard subproblem, both updates agree
         spec = get_instance("lasso_8x6")
         rng = np.random.default_rng(3)
         y, lam, s = rng.standard_normal(spec.d2), rng.standard_normal(spec.m), 1.0
-        x_std = quadratic_x_update(spec, y, lam, s)
-        x_gen = proximal_x_update_general(spec, x_std, y, lam, s, 2.0 * spec.FtF_norm)
+        x_std = x_update(spec, y, lam, s)
+        x_gen = x_update(spec, y, lam, s, r=2.0 * spec.FtF_norm, x_k=x_std)
         np.testing.assert_allclose(x_gen, x_std, atol=1e-10)
+
+    def test_general_indicator_update_checks_constraint(self):
+        # the r-proximal indicator solve gets the standard path's A x = b check
+        spec = get_instance("basis_pursuit_10x30")
+        op = FactorizationCache().get(spec, 1.0, 2.0 * spec.FtF_norm)
+        rng = np.random.default_rng(6)
+        x_k, y, lam = (rng.standard_normal(n) for n in (spec.d1, spec.d2, spec.m))
+        x = op(y, lam, x_k)
+        assert np.linalg.norm(spec.f.A @ x - spec.f.b) <= 1e-10 * (1.0 + np.linalg.norm(spec.f.b))
+        wrong = op.matrix.copy()
+        wrong[spec.d1:, :spec.d1] *= 2.0  # a factor whose solution has 2 A x = b
+        op._factor = scipy.linalg.lu_factor(wrong)
+        with pytest.raises(IllConditionedError, match="left the constraint set"):
+            op(y, lam, x_k)
 
 
 class TestYUpdates:
@@ -144,18 +156,20 @@ class TestFactorizationCache:
         spec = get_instance("lasso_8x6")
         cache = FactorizationCache()
         y, lam = np.zeros(spec.d2), np.zeros(spec.m)
-        quadratic_x_update(spec, y, lam, 1.0, cache)
+        x_update(spec, y, lam, 1.0, cache)
         assert len(cache) == 1
-        quadratic_x_update(spec, y, lam, 1.0, cache)
+        x_update(spec, y, lam, 1.0, cache)
         assert len(cache) == 1  # same s reuses the factorization
-        quadratic_x_update(spec, y, lam, 0.5, cache)
+        x_update(spec, y, lam, 0.5, cache)
         assert len(cache) == 2  # new s gets its own entry
+        x_update(spec, y, lam, 0.5, cache, r=2.0 * spec.FtF_norm, x_k=np.zeros(spec.d1))
+        assert len(cache) == 3  # and so does the r-proximal step
 
     def test_distinct_problems_do_not_collide(self):
         a = build_generalized_lasso([[1.0]], [1.0], [[1.0]], 1.0)
         b = build_generalized_lasso([[2.0]], [1.0], [[1.0]], 1.0)
         cache = FactorizationCache()
-        xa = quadratic_x_update(a, np.zeros(1), np.zeros(1), 1.0, cache)
-        xb = quadratic_x_update(b, np.zeros(1), np.zeros(1), 1.0, cache)
+        xa = x_update(a, np.zeros(1), np.zeros(1), 1.0, cache)
+        xb = x_update(b, np.zeros(1), np.zeros(1), 1.0, cache)
         assert len(cache) == 2
         assert not np.allclose(xa, xb)

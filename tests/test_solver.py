@@ -13,7 +13,6 @@ from admmcert.solver import (
     Trace,
     admm_step,
     default_r,
-    general_admm_step,
     run,
     running_average,
     zero_state,
@@ -63,15 +62,14 @@ class TestAdmmStep:
         spec = get_instance("lasso_8x6")
         sad = get_saddle("lasso_8x6")
         trace = run(spec, SolverConfig(s=1.0, N=2000), saddle=sad)
-        last = trace.states[-1]
-        assert max(kkt_residuals(spec, last.x, last.y, last.lam)) < 1e-8
+        assert max(kkt_residuals(spec, trace.xs[-1], trace.ys[-1], trace.lams[-1])) < 1e-8
 
 
 class TestGeneralStep:
     def test_r_below_spectrum_rejected(self):
         spec = get_instance("scalar_lasso")
         with pytest.raises(ParameterError, match="greater than the maximum eigenvalue"):
-            general_admm_step(zero_state(spec), spec, 1.0, 0.5)
+            admm_step(zero_state(spec), spec, 1.0, r=0.5)
 
     def test_default_r_margin(self):
         spec = get_instance("tv_d50")
@@ -81,8 +79,7 @@ class TestGeneralStep:
         spec = get_instance("rank_deficient_lasso")
         sad = get_saddle("rank_deficient_lasso")
         trace = run(spec, SolverConfig(s=1.0, N=3000, variant=GENERAL), saddle=sad)
-        last = trace.states[-1]
-        assert max(kkt_residuals(spec, last.x, last.y, last.lam)) < 1e-6
+        assert max(kkt_residuals(spec, trace.xs[-1], trace.ys[-1], trace.lams[-1])) < 1e-6
 
 
 class TestRun:
@@ -98,23 +95,25 @@ class TestRun:
         trace = run(spec, SolverConfig(s=1.0, N=10), saddle=sad)
         assert len(trace) == 11
         for col in ("primal_res", "dual_x_res", "dual_y_res", "objective", "lyapunov", "ne"):
-            assert len(trace.diagnostics[col]) == 11
-        assert trace.diagnostics["lyapunov"][0] == pytest.approx(0.625)
-        assert trace.diagnostics["ne"][0] == pytest.approx(2.0 / 9.0)
-        assert np.isnan(trace.diagnostics["ne"][-1])  # no successor state
+            assert len(trace.scalars[col]) == 11
+        assert trace.scalars["lyapunov"][0] == pytest.approx(0.625)
+        assert trace.scalars["ne"][0] == pytest.approx(2.0 / 9.0)
+        assert np.isnan(trace.scalars["ne"][-1])  # no successor state
 
     def test_early_stop(self):
         spec = get_instance("scalar_lasso")
         trace = run(spec, SolverConfig(s=1.0, N=100000, stop_tol=1e-10))
         assert trace.stop_reason.startswith("kkt residuals below")
         assert len(trace) < 100001
+        assert all(len(col) == len(trace) for col in trace.scalars.values())
+        assert trace.axis[-1] == len(trace) - 1
 
     def test_deterministic_rerun(self):
         spec = get_instance("tv_d50")
         a = run(spec, SolverConfig(s=1.0, N=50))
         b = run(spec, SolverConfig(s=1.0, N=50))
-        np.testing.assert_array_equal(a.xs(), b.xs())
-        np.testing.assert_array_equal(a.lams(), b.lams())
+        np.testing.assert_array_equal(a.xs, b.xs)
+        np.testing.assert_array_equal(a.lams, b.lams)
 
 
 class TestTraceSerialization:
@@ -135,7 +134,18 @@ class TestTraceSerialization:
         trace.to_csv(path)
         lines = path.read_text().strip().split("\n")
         row1 = [float(v) for v in lines[2].split(",")]
-        np.testing.assert_array_equal(row1[1:1 + spec.d1], trace.states[1].x)
+        np.testing.assert_array_equal(row1[1:1 + spec.d1], trace.xs[1])
+
+    @pytest.mark.parametrize("resize", [lambda c: c[:-1], lambda c: np.append(c, 0.0)],
+                             ids=["short", "long"])
+    def test_csv_refuses_ragged_scalar_column(self, tmp_path, resize):
+        spec = get_instance("scalar_lasso")
+        trace = run(spec, SolverConfig(s=1.0, N=5))
+        trace.scalars["objective"] = resize(trace.scalars["objective"])
+        path = tmp_path / "trace.csv"
+        with pytest.raises(RuntimeError, match="header's 10 columns"):
+            trace.to_csv(path)
+        assert not path.exists()  # refused before anything is written
 
     def test_json_sorted_and_stable(self, tmp_path):
         spec = get_instance("scalar_lasso")
@@ -154,6 +164,6 @@ class TestRunningAverage:
         spec = get_instance("tv_d50")
         trace = run(spec, SolverConfig(s=1.0, N=20))
         xbar, ybar, lbar = running_average(trace)
-        xs = trace.xs()
+        xs = trace.xs
         for N in (0, 5, 20):
             np.testing.assert_allclose(xbar[N], xs[:N + 1].mean(axis=0), atol=1e-12)
