@@ -76,43 +76,40 @@ def criterion_1():
                         "within_runtime": elapsed <= 5.0})
 
 
-def criterion_2():
-    """Energy decay E(k+1) - E(k) + NE(k) <= 0 on 1000-step runs."""
+def _core_criterion(cid, title, check):
+    """Run check(trace, spec, saddle) -> entries on the 1000-step run of every core
+    instance. The criterion passes when every entry does; an instance's details
+    are the worst slack of its one entry, or a dict of them by theorem."""
     details = {}
     ok = True
     for name in CORE_INSTANCES:
-        trace = _standard_trace(name, 1000)
-        entry = diag.check_convergence1(trace, library.get_saddle(name),
-                                        library.get_instance(name), _S)
-        details[name] = entry.worst_slack
-        ok = ok and entry.passed
-    return _result(2, "per-step energy decay with numerical error (1e-9)", ok, details)
+        entries = check(_standard_trace(name, 1000), library.get_instance(name),
+                        library.get_saddle(name))
+        details[name] = (entries[0].worst_slack if len(entries) == 1
+                         else {e.theorem: e.worst_slack for e in entries})
+        ok = ok and all(e.passed for e in entries)
+    return _result(cid, title, ok, details)
+
+
+def criterion_2():
+    """Energy decay E(k+1) - E(k) + NE(k) <= 0 on 1000-step runs."""
+    return _core_criterion(2, "per-step energy decay with numerical error (1e-9)",
+                           lambda trace, spec, saddle:
+                           [diag.check_convergence1(trace, saddle, spec, _S)])
 
 
 def criterion_3():
     """Average and min rate bounds at every prefix N <= 1000."""
-    details = {}
-    ok = True
-    for name in CORE_INSTANCES:
-        trace = _standard_trace(name, 1000)
-        entry = diag.check_rate_theorem_4_3(trace, library.get_saddle(name),
-                                            library.get_instance(name), _S)
-        details[name] = entry.worst_slack
-        ok = ok and entry.passed
-    return _result(3, "prefix average/min rate bounds", ok, details)
+    return _core_criterion(3, "prefix average/min rate bounds",
+                           lambda trace, spec, saddle:
+                           [diag.check_rate_theorem_4_3(trace, saddle, spec, _S)])
 
 
 def criterion_4():
     """NE monotone (1e-12) and last-iterate bound at every prefix."""
-    details = {}
-    ok = True
-    for name in CORE_INSTANCES:
-        trace = _standard_trace(name, 1000)
-        entries = diag.check_ne_monotone_theorem_5(trace, library.get_instance(name), _S,
-                                                   library.get_saddle(name))
-        details[name] = {e.theorem: e.worst_slack for e in entries[:2]}
-        ok = ok and entries[0].passed and entries[1].passed
-    return _result(4, "numerical-error monotonicity and last-iterate rate", ok, details)
+    return _core_criterion(4, "numerical-error monotonicity and last-iterate rate",
+                           lambda trace, spec, saddle:
+                           diag.check_ne_monotone_theorem_5(trace, spec, _S, saddle)[:2])
 
 
 def criterion_5():

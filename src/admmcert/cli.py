@@ -188,15 +188,15 @@ def cmd_simulate(args):
         low.to_csv(os.path.join(out, "low_res.csv"))
     dev_h, lyap_h = high.scalars["deviation"], high.scalars["lyapunov"]
     dev_l = low.scalars["deviation"] if low is not None else None
-    per = max(1, int(round(s / delta)))
+    dev_d, lyap_d = trace.scalars["primal_res"], trace.scalars["lyapunov"]
+    per = int(round(s / delta))  # a whole number, checked by IntegratorConfig
     for k in range(len(trace)):
         j = k * per
         if j >= len(high):
             break
-        dev_d = float(np.linalg.norm(spec.constraint_residual(trace.xs[k], trace.ys[k])))
         rows.append([high.axis[j], dev_h[j],
                      dev_l[j] if dev_l is not None else float("nan"),
-                     dev_d, lyap_h[j], trace.scalars["lyapunov"][k]])
+                     dev_d[k], lyap_h[j], lyap_d[k]])
     with open(os.path.join(out, "comparison.csv"), "w") as fh:
         fh.write("\n".join(
             ",".join(str(v) if isinstance(v, str) else repr(float(v)) for v in row)

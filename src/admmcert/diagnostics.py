@@ -1,10 +1,10 @@
 """Certificate checks for every per-iteration inequality and rate bound.
 
-Each check walks a recorded trace, evaluates the left- and right-hand side
-of one proved inequality at every index (or every prefix), and reports the
-worst slack lhs - rhs. A check passes when the worst slack stays below its
-tolerance: 1e-9 absolute for per-step inequalities and rate bounds, 1e-12
-for monotonicity deltas.
+Each check evaluates the left- and right-hand side of one proved inequality
+at every index (or every prefix) of a recorded trace, in one array pass over
+its rows, and reports the worst slack lhs - rhs. A check passes when the
+worst slack stays below its tolerance: 1e-9 absolute for per-step
+inequalities and rate bounds, 1e-12 for monotonicity deltas.
 """
 
 from __future__ import annotations
@@ -82,10 +82,15 @@ def _entry(name, slacks, tolerance, constants=None):
     )
 
 
+def _sq(v):
+    """Squared Euclidean norm of a (d,) vector, or of each row of an (n, d) array."""
+    return np.sum(v * v, axis=-1)
+
+
 def _energy(y, lam, ref_y, ref_lam, G, s):
-    dy = G @ (y - ref_y)
-    dl = lam - ref_lam
-    return float(dy @ dy) / (2.0 * s) + s * float(dl @ dl) / 2.0
+    """(1/2s)||G(y - ref_y)||^2 + (s/2)||lam - ref_lam||^2, row by row: the one
+    energy kernel behind every Lyapunov, NE and energy column and certificate."""
+    return _sq((y - ref_y) @ G.T) / (2.0 * s) + s * _sq(lam - ref_lam) / 2.0
 
 
 def discrete_lyapunov(state, ref, spec, s):
@@ -108,21 +113,21 @@ def extended_lyapunov(state, saddle, spec, s, r):
     """Lyapunov function of the r-proximal variant; adds (r||x-x*||^2 - ||F(x-x*)||^2)/(2s)."""
     if not r > spec.FtF_norm:
         raise ParameterError("extended Lyapunov requires r above the spectral norm of F^T F")
-    return _extended_energy(state.x, state.y, state.lam, saddle, spec, s, r)
+    return _extended_energy(state.x, state.y, state.lam,
+                            saddle.x_star, saddle.y_star, saddle.lambda_star, spec, s, r)
 
 
-def _extended_energy(x, y, lam, saddle, spec, s, r):
-    dx = x - saddle.x_star
-    Fdx = spec.F @ dx
-    extra = (r * float(dx @ dx) - float(Fdx @ Fdx)) / (2.0 * s)
-    return extra + _energy(y, lam, saddle.y_star, saddle.lambda_star, spec.G, s)
+def _extended_energy(x, y, lam, ref_x, ref_y, ref_lam, spec, s, r):
+    """_energy plus (r||x - ref_x||^2 - ||F(x - ref_x)||^2)/(2s), row by row."""
+    dx = x - ref_x
+    extra = (r * _sq(dx) - _sq(dx @ spec.F.T)) / (2.0 * s)
+    return extra + _energy(y, lam, ref_y, ref_lam, spec.G, s)
 
 
 def _ne_series(trace, spec, s):
+    """NE(k) for k = 0..len-2: the energy of row k+1 measured from row k."""
     ys, ls = trace.ys, trace.lams
-    dy = (ys[1:] - ys[:-1]) @ spec.G.T
-    dl = ls[1:] - ls[:-1]
-    return np.sum(dy * dy, axis=1) / (2.0 * s) + s * np.sum(dl * dl, axis=1) / 2.0
+    return _energy(ys[1:], ls[1:], ys[:-1], ls[:-1], spec.G, s)
 
 
 def _u_series(trace, spec, s):
@@ -150,6 +155,9 @@ def check_lemma_iterative_inequality(trace, spec, s, saddle, probes=None):
     """Per-step Lyapunov difference inequality for arbitrary probe points."""
     xs, ys, ls = trace.xs, trace.ys, trace.lams
     ne = _ne_series(trace, spec, s)
+    fx, gy = spec.f.value(xs[1:]), spec.g.value(ys[1:])
+    mult = ls[1:] - (ys[1:] - ys[:-1]) @ spec.G.T / s
+    dev = (xs[1:] - saddle.x_star) @ spec.F.T + (ys[1:] - saddle.y_star) @ spec.G.T
     all_probes = canonical_probes(saddle, spec) + list(probes or [])
     slacks = np.full(len(trace) - 1, -np.inf)
     for px, py, plam in all_probes:
@@ -158,34 +166,22 @@ def check_lemma_iterative_inequality(trace, spec, s, saddle, probes=None):
         if not np.isfinite(fp) or not np.isfinite(gp):
             continue  # infinite probe value makes the inequality vacuous
         disp = spec.F @ (px - saddle.x_star) + spec.G @ (py - saddle.y_star)
-        for k in range(len(trace) - 1):
-            lhs = _energy(ys[k + 1], ls[k + 1], py, plam, spec.G, s) \
-                - _energy(ys[k], ls[k], py, plam, spec.G, s)
-            mult = ls[k + 1] - spec.G @ (ys[k + 1] - ys[k]) / s
-            rhs = (fp - spec.f.value(xs[k + 1]) + gp - spec.g.value(ys[k + 1])
-                   + float(mult @ disp)
-                   - float(plam @ (spec.F @ (xs[k + 1] - saddle.x_star)
-                                   + spec.G @ (ys[k + 1] - saddle.y_star)))
-                   - ne[k])
-            slacks[k] = max(slacks[k], lhs - rhs)
+        lhs = np.diff(_energy(ys, ls, py, plam, spec.G, s))
+        rhs = fp - fx + gp - gy + mult @ disp - dev @ plam - ne
+        slacks = np.maximum(slacks, lhs - rhs)
     return _entry("lemma_iterative_inequality", slacks, TOL_STEP,
                   {"probes": len(all_probes), "s": s})
 
 
 def check_convergence1(trace, saddle, spec, s):
     """E(k+1) - E(k) + NE(k) <= 0 with the saddle as reference (energy decay)."""
-    ys, ls = trace.ys, trace.lams
-    ne = _ne_series(trace, spec, s)
-    e = np.array([_energy(ys[k], ls[k], saddle.y_star, saddle.lambda_star, spec.G, s)
-                  for k in range(len(trace))])
-    slacks = np.diff(e) + ne
+    e = _energy(trace.ys, trace.lams, saddle.y_star, saddle.lambda_star, spec.G, s)
+    slacks = np.diff(e) + _ne_series(trace, spec, s)
     return _entry("energy_decay_with_ne", slacks, TOL_STEP, {"E0": e[0], "s": s})
 
 
 def check_lyapunov_monotone(trace, saddle, spec, s):
-    ys, ls = trace.ys, trace.lams
-    e = np.array([_energy(ys[k], ls[k], saddle.y_star, saddle.lambda_star, spec.G, s)
-                  for k in range(len(trace))])
+    e = _energy(trace.ys, trace.lams, saddle.y_star, saddle.lambda_star, spec.G, s)
     return _entry("lyapunov_monotone", np.diff(e), TOL_STEP, {"E0": e[0], "s": s})
 
 
@@ -230,9 +226,10 @@ def check_weak_rate_theorem_4_2(trace, saddle, spec, s, probes=None):
     G(y_{N+1} - y_0)/(s(N+1)).
     """
     xs, ys, ls = trace.xs, trace.ys, trace.lams
-    xbar, ybar, lbar = _prefix_means(xs), _prefix_means(ys), _prefix_means(ls)
     n = np.arange(1, len(trace))
     y0, l0 = ys[0], ls[0]
+    fxbar, gybar = spec.f.value(_prefix_means(xs)), spec.g.value(_prefix_means(ys))
+    mult = _prefix_means(ls) - (ys[1:] - y0) @ spec.G.T / (s * n).reshape(-1, 1)
     all_probes = list(probes) if probes is not None else default_weak_probes(saddle, spec)
     slacks = np.full(len(trace) - 1, -np.inf)
     consts = {"s": s}
@@ -245,14 +242,11 @@ def check_weak_rate_theorem_4_2(trace, saddle, spec, s, probes=None):
         C = float(gy0 @ gy0) + s * s * float(l0 @ l0)
         consts[f"C_probe{i}"] = C
         disp = spec.F @ (px - saddle.x_star) + spec.G @ (py - saddle.y_star)
-        for k in range(len(trace) - 1):
-            mult = lbar[k] - spec.G @ (ys[k + 1] - y0) / (s * n[k])
-            # summing the per-step inequality puts the multiplier term on the
-            # bound side, so it enters the gap with a minus sign
-            lhs = (spec.f.value(xbar[k]) - fp + spec.g.value(ybar[k]) - gp
-                   - float(mult @ disp))
-            rhs = C / (2.0 * s * n[k])
-            slacks[k] = max(slacks[k], lhs - rhs)
+        # summing the per-step inequality puts the multiplier term on the
+        # bound side, so it enters the gap with a minus sign
+        lhs = fxbar - fp + gybar - gp - mult @ disp
+        rhs = C / (2.0 * s * n)
+        slacks = np.maximum(slacks, lhs - rhs)
     return _entry("theorem_4_2_weak_rate", slacks, TOL_RATE, consts)
 
 
@@ -342,13 +336,12 @@ def check_general_rates_theorems_6(trace, saddle, spec, s, r):
     e62 = _entry("theorem_6_2_x_diff_last", dxsq - bound, TOL_RATE,
                  {"C": C, "r": r, "s": s, "FtF_norm": spec.FtF_norm})
 
-    fdx = np.diff(xs, axis=0) @ spec.F.T
-    ext_ne = (r * dxsq - np.sum(fdx * fdx, axis=1)) / (2.0 * s) + _ne_series(trace, spec, s)
+    ext_ne = _extended_energy(xs[1:], ys[1:], ls[1:], xs[:-1], ys[:-1], ls[:-1], spec, s, r)
     mono_ne = _entry("theorem_6_extended_ne_monotone", np.diff(ext_ne), TOL_MONO,
                      {"r": r, "s": s})
 
-    e = np.array([_extended_energy(x, y, lam, saddle, spec, s, r)
-                  for x, y, lam in zip(xs, ys, ls)])
+    e = _extended_energy(xs, ys, ls, saddle.x_star, saddle.y_star, saddle.lambda_star,
+                         spec, s, r)
     mono_e = _entry("theorem_6_extended_lyapunov_monotone", np.diff(e), TOL_STEP,
                     {"E0": e[0], "r": r, "s": s})
     return [e61, e62, mono_ne, mono_e]
@@ -357,15 +350,12 @@ def check_general_rates_theorems_6(trace, saddle, spec, s, r):
 def step_inclusion_residuals(trace, spec, s, r=None):
     """Subgradient-membership residuals of the defining optimality inclusions per step."""
     xs, ys, ls = trace.xs, trace.ys, trace.lams
-    res_x, res_y = [], []
-    for k in range(len(trace) - 1):
-        target = spec.FtG @ (ys[k + 1] - ys[k]) / s - spec.F.T @ ls[k + 1]
-        if r is not None:
-            dx = xs[k + 1] - xs[k]
-            target = target - (r * dx - spec.FtF @ dx) / s
-        res_x.append(spec.f.subgrad_distance(target, xs[k + 1]))
-        res_y.append(spec.g.subgrad_distance(-(spec.G.T @ ls[k + 1]), ys[k + 1]))
-    return np.array(res_x), np.array(res_y)
+    target = (ys[1:] - ys[:-1]) @ spec.FtG.T / s - ls[1:] @ spec.F
+    if r is not None:
+        dx = np.diff(xs, axis=0)
+        target = target - (r * dx - dx @ spec.FtF.T) / s
+    return (spec.f.subgrad_distance(target, xs[1:]),
+            spec.g.subgrad_distance(-(ls[1:] @ spec.G), ys[1:]))
 
 
 def certify_standard(trace, spec, s, saddle, weak_probes=None):

@@ -2,7 +2,9 @@
 
 Each class evaluates its function and measures distances to its
 subdifferential, which is what the dual residuals and every optimality
-inclusion check are built from.
+inclusion check are built from. Every method takes one point as a (d,)
+vector or a whole trace as an (n, d) array, one point per row, and returns
+one value per point.
 """
 
 from __future__ import annotations
@@ -57,14 +59,14 @@ class Quadratic:
         return self._Atb
 
     def value(self, v):
-        r = self.A @ v - self.b
-        return float(r @ r)
+        r = v @ self.A.T - self.b
+        return np.sum(r * r, axis=-1)
 
     def grad(self, v):
-        return 2.0 * (self.A.T @ (self.A @ v - self.b))
+        return 2.0 * ((v @ self.A.T - self.b) @ self.A)
 
     def subgrad_distance(self, target, at):
-        return float(np.linalg.norm(target - self.grad(at)))
+        return np.linalg.norm(target - self.grad(at), axis=-1)
 
     def strong_convexity_modulus(self):
         return 2.0 * float(np.linalg.eigvalsh(self._AtA)[0])
@@ -77,24 +79,20 @@ class ScaledL1:
 
     def __init__(self, w):
         w = float(w)
-        if w <= 0:
-            raise ProblemConstructionError("l1 weight must be positive")
+        if not 0 < w < np.inf:
+            raise ProblemConstructionError(f"l1 weight must be positive and finite (got {w!r})")
         self.w = w
 
     def value(self, v):
-        return self.w * float(np.sum(np.abs(v)))
+        return self.w * np.sum(np.abs(v), axis=-1)
 
     def subgrad_distance(self, target, at):
         # Coordinatewise: [-w, w] at zero, the single point w*sign elsewhere.
+        # d is updated in place, so a whole-trace call holds few (n, d) temporaries.
         at = np.asarray(at, dtype=float)
-        target = np.asarray(target, dtype=float)
-        zero = at == 0.0
-        d = np.where(
-            zero,
-            np.maximum(np.abs(target) - self.w, 0.0),
-            np.abs(target - self.w * np.sign(at)),
-        )
-        return float(np.linalg.norm(d))
+        d = np.abs(np.asarray(target, dtype=float) - self.w * np.sign(at))
+        np.subtract(d, self.w, out=d, where=at == 0.0)
+        return np.linalg.norm(np.maximum(d, 0.0, out=d), axis=-1)
 
 
 class AffineIndicator:
@@ -117,17 +115,16 @@ class AffineIndicator:
         self.b.flags.writeable = False
 
     def feasible(self, v, tol=INDICATOR_FEAS_TOL):
-        return float(np.max(np.abs(self.A @ v - self.b))) <= tol
+        return np.max(np.abs(v @ self.A.T - self.b), axis=-1) <= tol
 
     def value(self, v):
-        return 0.0 if self.feasible(v) else np.inf
+        return np.where(self.feasible(v), 0.0, np.inf)[()]  # [()]: a scalar for one point
 
     def subgrad_distance(self, target, at):
         # Subdifferential on the feasible set is range(A^T); empty off it.
-        if not self.feasible(at):
-            return np.inf
-        nu, *_ = np.linalg.lstsq(self.A.T, target, rcond=None)
-        return float(np.linalg.norm(target - self.A.T @ nu))
+        nu, *_ = np.linalg.lstsq(self.A.T, target.T, rcond=None)
+        dist = np.linalg.norm(target - (self.A.T @ nu).T, axis=-1)
+        return np.where(self.feasible(at), dist, np.inf)[()]
 
 
 class HuberSmoothedL1:
@@ -141,19 +138,20 @@ class HuberSmoothedL1:
     def __init__(self, w, delta):
         w = float(w)
         delta = float(delta)
-        if w <= 0 or delta <= 0:
-            raise ProblemConstructionError("Huber weight and width must be positive")
+        if not (0 < w < np.inf and 0 < delta < np.inf):
+            raise ProblemConstructionError(
+                f"Huber weight and width must be positive and finite (got {w!r}, {delta!r})")
         self.w = w
         self.delta = delta
 
     def value(self, v):
         a = np.abs(np.asarray(v, dtype=float))
         per = np.where(a <= self.delta, a * a / (2.0 * self.delta), a - self.delta / 2.0)
-        return self.w * float(np.sum(per))
+        return self.w * np.sum(per, axis=-1)
 
     def grad(self, v):
         v = np.asarray(v, dtype=float)
         return self.w * np.clip(v / self.delta, -1.0, 1.0)
 
     def subgrad_distance(self, target, at):
-        return float(np.linalg.norm(np.asarray(target, dtype=float) - self.grad(at)))
+        return np.linalg.norm(np.asarray(target, dtype=float) - self.grad(at), axis=-1)

@@ -55,12 +55,16 @@ class IntegratorConfig:
     inner_max: int = 500
 
     def __post_init__(self):
-        if self.s <= 0 or self.delta <= 0 or self.T <= 0:
-            raise ParameterError("s, delta and T must be positive")
+        if not all(0 < v < np.inf for v in (self.s, self.delta, self.T)):
+            raise ParameterError("s, delta and T must be positive and finite")
         if self.delta > self.s:
             raise ParameterError("micro-step delta must not exceed s")
         if self.inner_tol > 1e-10:
             raise ParameterError("inner tolerance must be at most 1e-10")
+        # nodes land on T, and every s/delta-th node on an ADMM step
+        for name, ratio in (("T/delta", self.T / self.delta), ("s/delta", self.s / self.delta)):
+            if abs(ratio - round(ratio)) > 1e-9 * ratio:
+                raise ParameterError(f"{name} = {ratio!r} must be a whole number")
 
 
 def hyperplane_deviation(state, spec):
@@ -74,38 +78,24 @@ def continuous_lyapunov(state, ref, spec, s):
     return _energy(state.Y, state.Lam, np.asarray(ry, float), np.asarray(rl, float), spec.G, s)
 
 
-def continuous_ne_lyapunov(trace, index, spec, s):
-    """(s/2)||G Ydot||^2 + (s^3/2)||Lamdot||^2 at an interior node.
-
-    Lamdot comes from the dual ODE (exact, no differencing); Ydot from a
-    central difference. Reported only: its continuous monotonicity is not
-    certified.
-    """
-    if index <= 0 or index >= len(trace) - 1:
-        raise ParameterError("continuous NE needs an interior node")
-    dt = trace.axis[index + 1] - trace.axis[index - 1]
-    ydot = (trace.ys[index + 1] - trace.ys[index - 1]) / dt
-    gyd = spec.G @ ydot
-    lamdot = (spec.F @ trace.xs[index] + spec.G @ trace.ys[index] - spec.h) / (s * s)
-    return s * float(gyd @ gyd) / 2.0 + s ** 3 * float(lamdot @ lamdot) / 2.0
-
-
 def _continuous_trace(spec, n):
     return Trace(spec, n, axis="t", prefixes=CONT_PREFIXES, scalars=CONT_SCALAR_COLUMNS)
 
 
 def _fill_columns(trace, spec, s, ref):
     """The scalar columns: deviation ||F X + G Y - h||, the Lyapunov energy
-    against ref (NaN without one) and the continuous NE at interior nodes."""
+    against ref (NaN without one) and, at interior nodes, the continuous NE
+    (s/2)||G Ydot||^2 + (s^3/2)||Lamdot||^2, the energy of (s Ydot, s Lamdot).
+    Lamdot comes from the dual ODE (exact), Ydot from a central difference.
+    The NE is reported only: its continuous monotonicity is not certified."""
     cols = trace.scalars
-    r = trace.xs @ spec.F.T + trace.ys @ spec.G.T - spec.h
+    r = spec.constraint_residual(trace.xs, trace.ys)
     cols["deviation"] = np.linalg.norm(r, axis=1)
     if ref is not None:
-        ry, rl = ref
-        cols["lyapunov"] = np.array([_energy(trace.ys[j], trace.lams[j], ry, rl, spec.G, s)
-                                     for j in range(len(trace))])
-    for j in range(1, len(trace) - 1):
-        cols["ne_continuous"][j] = continuous_ne_lyapunov(trace, j, spec, s)
+        cols["lyapunov"] = _energy(trace.ys, trace.lams, ref[0], ref[1], spec.G, s)
+    t = trace.axis
+    ydot = (trace.ys[2:] - trace.ys[:-2]) / (t[2:] - t[:-2]).reshape(-1, 1)
+    cols["ne_continuous"][1:-1] = _energy(s * ydot, r[1:-1] / s, 0.0, 0.0, spec.G, s)
     return trace
 
 
@@ -257,10 +247,12 @@ def simulate_high_res(spec, config, init, ref=None, cache=None):
         trace.xs[j], trace.ys[j], trace.lams[j] = state.X, state.Y, state.Lam
     # the algebraic leg G^T Lam + grad g(Y) = 0 must hold at every node
     if spec.g.smooth:
-        for j in range(1, len(trace)):
-            alg = np.linalg.norm(spec.G.T @ trace.lams[j] + spec.g.grad(trace.ys[j]))
-            if alg > ALGEBRAIC_TOL * (1.0 + np.linalg.norm(trace.lams[j])):
-                raise InnerSolveError(f"algebraic constraint violated at node {j}: {alg:.3e}")
+        ls = trace.lams[1:]
+        alg = np.linalg.norm(ls @ spec.G + spec.g.grad(trace.ys[1:]), axis=1)
+        bad = np.flatnonzero(alg > ALGEBRAIC_TOL * (1.0 + np.linalg.norm(ls, axis=1)))
+        if bad.size:
+            j = bad[0] + 1
+            raise InnerSolveError(f"algebraic constraint violated at node {j}: {alg[j - 1]:.3e}")
     return _fill_columns(trace, spec, config.s, ref)
 
 
@@ -300,10 +292,9 @@ def simulate_low_res(spec, T, delta, init_x, ref=None, s=1.0):
         x = x + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         trace.axis[j + 1] = (j + 1) * delta
         trace.xs[j + 1] = x
-    for j in range(steps + 1):
-        trace.ys[j] = y_of(trace.xs[j])
-        # the algebraic leg defines a multiplier surrogate along the flow
-        trace.lams[j] = -np.linalg.solve(spec.G.T, spec.g.grad(trace.ys[j]))
+    trace.ys[:] = np.linalg.solve(spec.G, (spec.h - trace.xs @ spec.F.T).T).T
+    # the algebraic leg defines a multiplier surrogate along the flow
+    trace.lams[:] = -np.linalg.solve(spec.G.T, spec.g.grad(trace.ys).T).T
     return _fill_columns(trace, spec, s, ref)
 
 
@@ -327,8 +318,7 @@ def _sample_indices(trace, fracs=(0.25, 0.5, 1.0)):
 
 def check_theorem_3_3_monotone(trace, saddle, spec, s, delta):
     """Continuous Lyapunov (saddle reference) nonincreasing along the trajectory."""
-    e = np.array([_energy(trace.ys[j], trace.lams[j], saddle.y_star, saddle.lambda_star,
-                          spec.G, s) for j in range(len(trace))])
+    e = _energy(trace.ys, trace.lams, saddle.y_star, saddle.lambda_star, spec.G, s)
     return _entry("theorem_3_3_lyapunov_monotone", np.diff(e), 10.0 * delta,
                   {"E0": e[0], "s": s, "delta": delta})
 

@@ -70,7 +70,8 @@ class ProblemSpec:
             arr.flags.writeable = False
 
     def constraint_residual(self, x, y):
-        return self.F @ x + self.G @ y - self.h
+        """F x + G y - h for one pair of (d,) vectors or row by row for (n, d) arrays."""
+        return x @ self.F.T + y @ self.G.T - self.h
 
     def objective(self, x, y):
         return self.f.value(x) + self.g.value(y)
@@ -137,10 +138,11 @@ def augmented_lagrangian(spec, x, y, lam, s):
 
 
 def kkt_residuals(spec, x, y, lam):
-    """(primal, dual_x, dual_y): constraint norm and subgradient-membership distances."""
-    primal = float(np.linalg.norm(spec.constraint_residual(x, y)))
-    dual_x = spec.f.subgrad_distance(-(spec.F.T @ lam), x)
-    dual_y = spec.g.subgrad_distance(-(spec.G.T @ lam), y)
+    """(primal, dual_x, dual_y): constraint norm and subgradient-membership distances,
+    for one point or row by row for (n, d) arrays."""
+    primal = np.linalg.norm(spec.constraint_residual(x, y), axis=-1)
+    dual_x = spec.f.subgrad_distance(-(lam @ spec.F), x)
+    dual_y = spec.g.subgrad_distance(-(lam @ spec.G), y)
     return primal, dual_x, dual_y
 
 
@@ -199,13 +201,23 @@ def load_instance(path):
                 sections[current].append(line)
 
     required = ["f.variant", "g.variant", "A", "b", "F", "G", "h"]
-    missing = [k for k in required if k not in sections]
+    missing = [k for k in required if not sections.get(k)]
     if missing:
         raise ProblemConstructionError(f"instance file missing sections {missing}")
 
     def block(name, vector=False):
-        rows = [[float(v) for v in line.split(",")] for line in sections[name]]
+        try:
+            rows = [[float(v) for v in line.split(",")] for line in sections[name]]
+        except ValueError as exc:
+            raise ProblemConstructionError(f"block [{name}] of {path}: {exc}") from None
+        widths = sorted({len(row) for row in rows})
+        if len(widths) != 1 or (vector and widths != [1]):
+            need = "one entry per row" if vector else "rows of equal length"
+            raise ProblemConstructionError(
+                f"block [{name}] of {path} needs {need} (got row lengths {widths})")
         M = np.array(rows, dtype=float)
+        if not np.all(np.isfinite(M)):
+            raise ProblemConstructionError(f"block [{name}] of {path} has non-finite entries")
         return M[:, 0] if vector else M
 
     A = block("A")
@@ -218,12 +230,13 @@ def load_instance(path):
     else:
         raise ProblemConstructionError(f"unknown f variant {f_kind!r}")
 
-    g_parts = sections["g.variant"][0].split(",")
-    if g_parts[0] == "scaled_l1":
-        g = ScaledL1(float(g_parts[1]))
-    elif g_parts[0] == "huber_l1":
-        g = HuberSmoothedL1(float(g_parts[1]), float(g_parts[2]))
-    else:
-        raise ProblemConstructionError(f"unknown g variant {g_parts[0]!r}")
+    g_kind, *g_args = sections["g.variant"][0].split(",")
+    g_class = {"scaled_l1": ScaledL1, "huber_l1": HuberSmoothedL1}.get(g_kind)
+    if g_class is None:
+        raise ProblemConstructionError(f"unknown g variant {g_kind!r}")
+    try:
+        g = g_class(*map(float, g_args))
+    except (TypeError, ValueError) as exc:  # a missing, extra or bad parameter
+        raise ProblemConstructionError(f"block [g.variant] of {path}: {exc}") from None
 
     return ProblemSpec(f, g, block("F"), block("G"), block("h", vector=True))

@@ -3,7 +3,8 @@
 The dual step is lam_{k+1} = lam_k + (F x_{k+1} + G y_{k+1} - h)/s, so
 s*(lam_{k+1} - lam_k) equals the constraint violation at every iterate;
 that identity is what pushes the trajectory off the constraint hyperplane
-and is recorded per step.
+and is recorded per step. The run loop only steps and stores the iterates;
+the per-row columns are computed from them afterwards, in one array pass.
 """
 
 from __future__ import annotations
@@ -43,11 +44,10 @@ class SolverConfig:
     N: int = 100
     variant: str = STANDARD
     r: float | None = None
-    stop_tol: float | None = None  # optional early stop on all KKT residuals
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise ParameterError("step size s must be positive")
+        if not 0 < self.s < np.inf:
+            raise ParameterError("step size s must be positive and finite")
         if self.N < 1:
             raise ParameterError("iteration count N must be at least 1")
         if self.variant not in (STANDARD, GENERAL):
@@ -67,7 +67,6 @@ class Trace:
                  scalars=TRACE_SCALAR_COLUMNS, config=None):
         self.spec = spec
         self.config = config
-        self.stop_reason = "completed"
         self.axis_name = axis
         self.prefixes = prefixes
         self.axis = np.zeros(n, dtype=int if axis == "k" else float)
@@ -78,12 +77,6 @@ class Trace:
 
     def __len__(self):
         return self.axis.shape[0]
-
-    def truncate(self, n):
-        """Keep the first n rows."""
-        self.axis, self.xs, self.ys, self.lams = (
-            self.axis[:n], self.xs[:n], self.ys[:n], self.lams[:n])
-        self.scalars = {name: col[:n] for name, col in self.scalars.items()}
 
     def columns(self):
         (px, py, pl), spec = self.prefixes, self.spec
@@ -118,11 +111,11 @@ class Trace:
                 fh.write(",".join(map(repr, row)) + "\n")
 
     def to_json(self, path):
-        """The CSV's columns and rows plus the stop reason and config of a solver run."""
+        """The CSV's columns and rows plus the config of a solver run (runs always complete)."""
         payload = {
             "columns": self.columns(),
             "rows": list(self._rows()),
-            "stop_reason": self.stop_reason,
+            "stop_reason": "completed",
             "config": {
                 "s": self.config.s,
                 "N": self.config.N,
@@ -153,25 +146,11 @@ def zero_state(spec):
     return IterateState(np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m), 0)
 
 
-def _record(trace, j, state, spec, s, saddle):
-    primal, dual_x, dual_y = kkt_residuals(spec, state.x, state.y, state.lam)
-    trace.axis[j] = state.k
-    trace.xs[j], trace.ys[j], trace.lams[j] = state.x, state.y, state.lam
-    d = trace.scalars
-    d["primal_res"][j], d["dual_x_res"][j], d["dual_y_res"][j] = primal, dual_x, dual_y
-    d["objective"][j] = spec.objective(state.x, state.y)
-    if saddle is not None:
-        d["lyapunov"][j] = diag.discrete_lyapunov(
-            state, (saddle.y_star, saddle.lambda_star), spec, s)
-    # d["ne"][j] stays NaN until the next state exists
-    return primal, dual_x, dual_y
-
-
 def run(spec, config, init=None, saddle=None, cache=None):
-    """Run N steps from init (zeros by default), recording per-step diagnostics.
+    """Run N steps from init (zeros by default); deterministic given its inputs.
 
-    Deterministic given its inputs. When config.stop_tol is set the run stops
-    early once all three KKT residuals fall below it.
+    The per-row columns are computed after the loop from the stored iterates;
+    lyapunov is NaN without a saddle, and ne on the last row, which has no successor.
     """
     state = init if init is not None else zero_state(spec)
     if state.x.shape[0] != spec.d1 or state.y.shape[0] != spec.d2 or state.lam.shape[0] != spec.m:
@@ -183,30 +162,18 @@ def run(spec, config, init=None, saddle=None, cache=None):
         r = None
 
     trace = Trace(spec, config.N + 1, config=config)
-    _record(trace, 0, state, spec, config.s, saddle)
+    trace.axis[:] = np.arange(state.k, state.k + config.N + 1)
+    xs, ys, ls = trace.xs, trace.ys, trace.lams
+    xs[0], ys[0], ls[0] = state.x, state.y, state.lam
     for j in range(1, config.N + 1):
-        prev = state
-        state = admm_step(prev, spec, config.s, cache, r)
-        trace.scalars["ne"][j - 1] = diag.numerical_error(prev, state, spec, config.s)
-        primal, dual_x, dual_y = _record(trace, j, state, spec, config.s, saddle)
-        if config.stop_tol is not None and max(primal, dual_x, dual_y) <= config.stop_tol:
-            trace.stop_reason = f"kkt residuals below {config.stop_tol!r} at k={state.k}"
-            trace.truncate(j + 1)
-            break
+        state = admm_step(state, spec, config.s, cache, r)
+        xs[j], ys[j], ls[j] = state.x, state.y, state.lam
+
+    cols = trace.scalars
+    cols["primal_res"], cols["dual_x_res"], cols["dual_y_res"] = kkt_residuals(spec, xs, ys, ls)
+    cols["objective"] = spec.objective(xs, ys)
+    if saddle is not None:
+        cols["lyapunov"] = diag._energy(ys, ls, saddle.y_star, saddle.lambda_star,
+                                        spec.G, config.s)
+    cols["ne"][:-1] = diag._ne_series(trace, spec, config.s)
     return trace
-
-
-def running_average(trace):
-    """Incremental running averages (x_bar_N, y_bar_N, lam_bar_N) for N = 0..len-1."""
-    if len(trace) == 0:
-        raise ParameterError("cannot average an empty trace")
-    out = []
-    for arr in (trace.xs, trace.ys, trace.lams):
-        avg = np.empty_like(arr)
-        acc = arr[0].copy()
-        avg[0] = acc
-        for k in range(1, arr.shape[0]):
-            acc = acc + (arr[k] - acc) / (k + 1)
-            avg[k] = acc
-        out.append(avg)
-    return tuple(out)

@@ -6,11 +6,13 @@ agreement, 10*delta continuous comparisons); each test asserts the
 criterion's own pass flag and surfaces the numeric details on failure.
 """
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import admmcert
 from admmcert import acceptance
 
 
@@ -70,13 +72,17 @@ def test_criterion_8_oracle_cross_validation(results):
 def test_criterion_9_verify_is_byte_deterministic(results, tmp_path):
     # in-process repetition (part of the suite) ...
     _check(results, 9)
-    # ... and two fresh processes produce byte-identical report JSON
+    # ... and two fresh processes produce byte-identical report JSON; the
+    # children import the package from where this process found it
+    src = os.path.dirname(os.path.dirname(admmcert.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
     reports = []
     for sub in ("v1", "v2"):
         out = tmp_path / sub
         proc = subprocess.run(
             [sys.executable, "-m", "admmcert.cli", "verify", "--out", str(out)],
-            capture_output=True, text=True, timeout=300)
+            capture_output=True, text=True, timeout=300, env=env)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         reports.append((out / "verify_report.json").read_bytes())
     assert reports[0] == reports[1]

@@ -130,3 +130,46 @@ def test_report_flags_failure(tmp_path, capsys):
          "worst_index": 0, "tolerance": 1e-9, "constants": {}}]}))
     assert main(["report", "--spec", str(path)]) == 1
     assert "demo: FAIL" in capsys.readouterr().out
+
+
+def _mutated_instance(tmp_path, block, mutate):
+    """A generated 4x3 lasso instance with the first line of one block rewritten."""
+    path = tmp_path / "inst.txt"
+    assert main(["generate", "lasso", "--dims", "4,3", "--seed", "9", "--out", str(path)]) == 0
+    lines = path.read_text().split("\n")
+    i = lines.index(f"[{block}]") + 1
+    lines[i] = mutate(lines[i])
+    path.write_text("\n".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("block, mutate, message", [
+    ("b", lambda line: "nan", "block [b] of"),
+    ("A", lambda line: line.replace(line.split(",")[0], "inf", 1), "block [A] of"),
+    ("A", lambda line: line.split(",")[0], "block [A] of"),  # a ragged row
+    ("A", lambda line: line + ",", "block [A] of"),  # a truncated row
+    ("b", lambda line: line + ",1.0", "block [b] of"),  # two entries in a vector block
+    ("g.variant", lambda line: "scaled_l1,nan", "block [g.variant] of"),
+    ("g.variant", lambda line: "scaled_l1", "block [g.variant] of"),  # no weight
+    ("f.variant", lambda line: "", "missing sections ['f.variant']"),  # an empty block
+], ids=["nan_b", "inf_A", "ragged_A", "truncated_A", "wide_b", "nan_weight", "no_weight",
+        "empty_f"])
+def test_solve_rejects_bad_instance_data(tmp_path, capsys, block, mutate, message):
+    path = _mutated_instance(tmp_path, block, mutate)
+    capsys.readouterr()
+    rc = main(["solve", "--spec", str(path), "--out", str(tmp_path / "run"), "--N", "10"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta, horizon, message", [
+    ("0.03", "1", "T/delta = "),
+    ("0.3", "3", "s/delta = "),
+    ("nan", "1", "positive and finite"),
+    ("0.01", "inf", "positive and finite"),
+])
+def test_simulate_rejects_bad_steps(tmp_path, capsys, delta, horizon, message):
+    rc = main(["simulate", "--spec", "scalar_lasso", "--out", str(tmp_path / "sim"),
+               "--delta", delta, "--horizon", horizon])
+    assert rc == 2
+    assert message in capsys.readouterr().err

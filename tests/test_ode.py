@@ -11,7 +11,6 @@ from admmcert.ode import (
     check_theorem_3_2_weak,
     check_theorem_3_3_monotone,
     continuous_lyapunov,
-    continuous_ne_lyapunov,
     high_res_implicit_step,
     hyperplane_deviation,
     simulate_high_res,
@@ -184,11 +183,10 @@ class TestContinuousDiagnostics:
             "theorem_3_4_strong_avg"]
 
     def test_ne_interior_only(self, high):
-        trace, spec, _, _ = high
-        with pytest.raises(ParameterError, match="interior"):
-            continuous_ne_lyapunov(trace, 0, spec, 1.0)
-        val = continuous_ne_lyapunov(trace, 5, spec, 1.0)
-        assert np.isfinite(val) and val >= 0.0
+        trace, _, _, _ = high
+        ne = trace.scalars["ne_continuous"]
+        assert np.isnan(ne[0]) and np.isnan(ne[-1])
+        assert np.all(np.isfinite(ne[1:-1])) and np.all(ne[1:-1] >= 0.0)
 
 
 class TestDeviation:

@@ -14,7 +14,6 @@ from admmcert.solver import (
     admm_step,
     default_r,
     run,
-    running_average,
     zero_state,
 )
 
@@ -100,14 +99,6 @@ class TestRun:
         assert trace.scalars["ne"][0] == pytest.approx(2.0 / 9.0)
         assert np.isnan(trace.scalars["ne"][-1])  # no successor state
 
-    def test_early_stop(self):
-        spec = get_instance("scalar_lasso")
-        trace = run(spec, SolverConfig(s=1.0, N=100000, stop_tol=1e-10))
-        assert trace.stop_reason.startswith("kkt residuals below")
-        assert len(trace) < 100001
-        assert all(len(col) == len(trace) for col in trace.scalars.values())
-        assert trace.axis[-1] == len(trace) - 1
-
     def test_deterministic_rerun(self):
         spec = get_instance("tv_d50")
         a = run(spec, SolverConfig(s=1.0, N=50))
@@ -157,13 +148,3 @@ class TestTraceSerialization:
         payload = json.loads(p1.read_text())
         assert payload["columns"][0] == "k"
         assert len(payload["rows"]) == 5
-
-
-class TestRunningAverage:
-    def test_matches_direct_mean(self):
-        spec = get_instance("tv_d50")
-        trace = run(spec, SolverConfig(s=1.0, N=20))
-        xbar, ybar, lbar = running_average(trace)
-        xs = trace.xs
-        for N in (0, 5, 20):
-            np.testing.assert_allclose(xbar[N], xs[:N + 1].mean(axis=0), atol=1e-12)
