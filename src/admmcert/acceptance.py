@@ -238,17 +238,4 @@ def run_all():
 
 def report_bytes(results):
     """Deterministic serialization: float values via repr, keys sorted."""
-    def clean(v):
-        if isinstance(v, dict):
-            return {k: clean(v[k]) for k in sorted(v)}
-        if isinstance(v, list):
-            return [clean(x) for x in v]
-        if isinstance(v, (float, np.floating)):
-            return float(v)
-        if isinstance(v, (bool, np.bool_)):
-            return bool(v)
-        if isinstance(v, (int, np.integer)):
-            return int(v)
-        return v
-
-    return (json.dumps(clean(results), sort_keys=True) + "\n").encode()
+    return (json.dumps(results, sort_keys=True, default=lambda v: v.item()) + "\n").encode()

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import acceptance, library
 from .diagnostics import certify_general, certify_standard
-from .errors import AdmmError
+from .errors import AdmmError, ParameterError
 from .ode import ContinuousState, IntegratorConfig, simulate_high_res, simulate_low_res
 from .oracle import saddle_point_oracle
 from .problems import build_basis_pursuit, build_generalized_lasso, load_instance, save_instance
@@ -128,14 +128,15 @@ def cmd_generate(args):
 def cmd_solve(args):
     cp = _load_manifest(args.manifest) if args.manifest else None
     name, spec = _load_spec(args, cp)
-    out = _outdir(args, cp)
     s = float(_resolve(args, cp, "solver", "s", float, 1.0))
     N = int(_resolve(args, cp, "solver", "N", int, 1000))
     variant = _resolve(args, cp, "solver", "variant", str, "standard")
     r = _resolve(args, cp, "solver", "r", float, None)
     tol = float(_resolve(args, cp, "diagnostics", "tol", float, 1e-8))
-    if r is not None:
-        r = float(r)
+    if r is not None and variant != GENERAL:
+        raise ParameterError(f"r = {r!r} applies only to the r-proximal step: "
+                             "pass --variant general or set [solver] variant = general")
+    out = _outdir(args, cp)
 
     saddle = saddle_point_oracle(spec, tol)
     config = SolverConfig(s=s, N=N, variant=variant, r=r)
@@ -247,28 +248,33 @@ def build_parser():
     p = argparse.ArgumentParser(prog="admmcert",
                                 description="solve, simulate and certify the two-block iteration")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--spec", help="instance file path or built-in instance name")
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--manifest", help="key=value manifest file")
-        sp.add_argument("--s", type=float, dest="s", help="step/penalty parameter")
-        sp.add_argument("--N", type=int, dest="N", help="iteration count")
-        sp.add_argument("--variant", choices=["standard", "general"])
-        sp.add_argument("--r", type=float, help="proximal weight for the general variant")
-        sp.add_argument("--delta", type=float, help="integrator micro-step")
-        sp.add_argument("--horizon", type=float, help="integration horizon T")
-        sp.add_argument("--seed", type=int, default=0, help="generator seed")
-        sp.add_argument("--tol", type=float, help="saddle/certificate tolerance")
-
-    for name, fn in (("generate", cmd_generate), ("solve", cmd_solve),
-                     ("simulate", cmd_simulate), ("verify", cmd_verify),
-                     ("report", cmd_report)):
+    flags = {
+        "kind": dict(choices=["lasso", "tv", "trend", "basis_pursuit"]),
+        "--dims": dict(required=True, help="comma-separated dimensions"),
+        "--spec": dict(help="instance file path or built-in instance name"),
+        "--out": dict(help="output directory"),
+        "--manifest": dict(help="key=value manifest file"),
+        "--s": dict(type=float, help="step/penalty parameter"),
+        "--N": dict(type=int, help="iteration count"),
+        "--variant": dict(choices=["standard", "general"]),
+        "--r": dict(type=float, help="proximal weight; needs the general variant"),
+        "--delta": dict(type=float, help="integrator micro-step"),
+        "--horizon": dict(type=float, help="integration horizon T"),
+        "--seed": dict(type=int, default=0, help="generator seed"),
+        "--tol": dict(type=float, help="saddle tolerance, in [1e-12, inf)"),
+    }
+    # each subcommand declares only the flags it reads
+    for name, fn, names in (
+            ("generate", cmd_generate, ["kind", "--dims", "--seed", "--out"]),
+            ("solve", cmd_solve, ["--spec", "--out", "--manifest", "--s", "--N", "--variant",
+                                  "--r", "--tol"]),
+            ("simulate", cmd_simulate, ["--spec", "--out", "--manifest", "--s", "--delta",
+                                        "--horizon", "--tol"]),
+            ("verify", cmd_verify, ["--out"]),
+            ("report", cmd_report, ["--spec"])):
         sp = sub.add_parser(name)
-        common(sp)
-        if name == "generate":
-            sp.add_argument("kind", choices=["lasso", "tv", "trend", "basis_pursuit"])
-            sp.add_argument("--dims", required=True, help="comma-separated dimensions")
+        for flag in names:
+            sp.add_argument(flag, **flags[flag])
         sp.set_defaults(func=fn)
     return p
 

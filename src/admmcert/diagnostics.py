@@ -135,11 +135,22 @@ def _u_series(trace, spec, s):
     return 2.0 * s * _ne_series(trace, spec, s)
 
 
-def _rate_constant(trace, saddle, spec, s):
-    y0, l0 = trace.ys[0], trace.lams[0]
-    gy = spec.G @ (y0 - saddle.y_star)
-    dl = l0 - saddle.lambda_star
+def _start_constant(y0, lam0, ref_y, ref_lam, spec, s):
+    """C = ||G(y0 - ref_y)||^2 + s^2 ||lam0 - ref_lam||^2, the constant of every rate
+    bound that starts from (y0, lam0); the weak probes measure lam from ref_lam = 0."""
+    gy = spec.G @ (y0 - ref_y)
+    dl = lam0 - ref_lam
     return float(gy @ gy) + s * s * float(dl @ dl)
+
+
+def _rate_constant(trace, saddle, spec, s):
+    return _start_constant(trace.ys[0], trace.lams[0], saddle.y_star, saddle.lambda_star, spec, s)
+
+
+def _prefix_slacks(u, bound):
+    """The worse of avg(u[:N+1]) - bound[N] and min(u[:N+1]) - bound[N], for each prefix N."""
+    n = np.arange(1, u.size + 1)
+    return np.maximum(np.cumsum(u) / n - bound, np.minimum.accumulate(u) - bound)
 
 
 def canonical_probes(saddle, spec):
@@ -189,11 +200,7 @@ def check_rate_theorem_4_3(trace, saddle, spec, s):
     """Average and min of ||G dy||^2 + s^2 ||dlam||^2 over each prefix, against C/(N+1)."""
     u = _u_series(trace, spec, s)
     C = _rate_constant(trace, saddle, spec, s)
-    n = np.arange(1, u.size + 1)
-    bound = C / n
-    avg = np.cumsum(u) / n
-    mn = np.minimum.accumulate(u)
-    slacks = np.maximum(avg - bound, mn - bound)
+    slacks = _prefix_slacks(u, C / np.arange(1, u.size + 1))
     return _entry("theorem_4_3_rate", slacks, TOL_RATE, {"C": C, "s": s})
 
 
@@ -226,31 +233,38 @@ def check_weak_rate_theorem_4_2(trace, saddle, spec, s, probes=None):
     G(y_{N+1} - y_0)/(s(N+1)).
     """
     xs, ys, ls = trace.xs, trace.ys, trace.lams
-    n = np.arange(1, len(trace))
-    y0, l0 = ys[0], ls[0]
-    fxbar, gybar = spec.f.value(_prefix_means(xs)), spec.g.value(_prefix_means(ys))
-    mult = _prefix_means(ls) - (ys[1:] - y0) @ spec.G.T / (s * n).reshape(-1, 1)
-    all_probes = list(probes) if probes is not None else default_weak_probes(saddle, spec)
-    slacks = np.full(len(trace) - 1, -np.inf)
-    consts = {"s": s}
-    for i, (px, py) in enumerate(all_probes):
+    t = s * np.arange(1, len(trace))
+    mbar = _prefix_means(ls) - (ys[1:] - ys[0]) @ spec.G.T / t.reshape(-1, 1)
+    probes = list(probes) if probes is not None else default_weak_probes(saddle, spec)
+    slacks, consts = _weak_gap(spec, saddle, s, probes, _prefix_means(xs), _prefix_means(ys),
+                               mbar, ys[0], ls[0], t)
+    return _entry("theorem_4_2_weak_rate", slacks, TOL_RATE, {"s": s, **consts})
+
+
+def _weak_gap(spec, saddle, s, probes, xbar, ybar, mbar, y0, lam0, t):
+    """Per row of averages (xbar, ybar, mbar) at elapsed time t, the max over probes
+    p = (px, py) of f(xbar) - f(px) + g(ybar) - g(py) - <mbar, F(px - x*) + G(py - y*)>
+    - C_p/(2t), C_p the start constant from (py, 0); and the constants C_probe<i>.
+    Theorem 4.2 feeds prefix means at t = s(N+1), Theorem 3.2 trapezoid time means;
+    a probe where f or g is infinite makes the bound vacuous and is skipped."""
+    fx, gy = spec.f.value(xbar), spec.g.value(ybar)
+    slacks = np.full(len(t), -np.inf)
+    consts = {}
+    for i, (px, py) in enumerate(probes):
         px, py = np.asarray(px, dtype=float), np.asarray(py, dtype=float)
         fp, gp = spec.f.value(px), spec.g.value(py)
         if not np.isfinite(fp) or not np.isfinite(gp):
             continue
-        gy0 = spec.G @ (y0 - py)
-        C = float(gy0 @ gy0) + s * s * float(l0 @ l0)
-        consts[f"C_probe{i}"] = C
+        C = consts[f"C_probe{i}"] = _start_constant(y0, lam0, py, 0.0, spec, s)
         disp = spec.F @ (px - saddle.x_star) + spec.G @ (py - saddle.y_star)
-        # summing the per-step inequality puts the multiplier term on the
-        # bound side, so it enters the gap with a minus sign
-        lhs = fxbar - fp + gybar - gp - mult @ disp
-        rhs = C / (2.0 * s * n)
-        slacks = np.maximum(slacks, lhs - rhs)
-    return _entry("theorem_4_2_weak_rate", slacks, TOL_RATE, consts)
+        # summing (or integrating) the per-step inequality puts the multiplier
+        # term on the bound side, so it enters the gap with a minus sign
+        slacks = np.maximum(slacks, fx - fp + gy - gp - mbar @ disp - C / (2.0 * t))
+    return slacks, consts
 
 
 def strong_convexity_modulus(spec):
+    """mu of a strongly convex f; the one gate of every strong-average certificate."""
     if not isinstance(spec.f, Quadratic):
         raise ParameterError("strong convexity certificate unavailable: f is not quadratic")
     mu = spec.f.strong_convexity_modulus()
@@ -259,30 +273,31 @@ def strong_convexity_modulus(spec):
     return mu
 
 
-def check_strong_avg_theorem_4_4(trace, saddle, spec, s, mu=None):
+def _strong_gap(xbar, trace, saddle, s, mu, t):
+    """||xbar - x*||^2 - C/(mu t) row by row, and C = ||x_0 - x*||^2 + s^2 ||lam_0 - lam*||^2.
+    Theorem 4.4 feeds means of iterates at t = s(N+1), Theorem 3.4 trapezoid time means."""
+    dx0 = trace.xs[0] - saddle.x_star
+    dl0 = trace.lams[0] - saddle.lambda_star
+    C = float(dx0 @ dx0) + s * s * float(dl0 @ dl0)
+    # squaring the temporary lets numpy reuse its buffer: one (n, d) array less
+    return np.sum((xbar - saddle.x_star) ** 2, axis=-1) - C / (mu * t), C
+
+
+def check_strong_avg_theorem_4_4(trace, saddle, spec, s):
     """Printed strong-average bound ||xbar_{N+1} - x*||^2 <= C/(mu s (N+1)).
 
     The literal reading averages x_0..x_{N+1}; the shifted reading (what the
     telescoped derivation yields) averages x_1..x_{N+1}. Both slacks are
     recorded; pass/fail follows the literal printed bound.
     """
-    mu = mu if mu is not None else strong_convexity_modulus(spec)
+    mu = strong_convexity_modulus(spec)
     xs = trace.xs
-    x0, l0 = xs[0], trace.lams[0]
-    dx0 = x0 - saddle.x_star
-    dl0 = l0 - saddle.lambda_star
-    C = float(dx0 @ dx0) + s * s * float(dl0 @ dl0)
     n = np.arange(1, xs.shape[0])
-    bound = C / (mu * s * n)
-
     lit = np.cumsum(xs, axis=0)[1:] / (n + 1).reshape(-1, 1)  # mean of x_0..x_{N+1}
-    shift = _prefix_means(xs)                                 # mean of x_1..x_{N+1}
-    lit_sq = np.sum((lit - saddle.x_star) ** 2, axis=1)
-    shift_sq = np.sum((shift - saddle.x_star) ** 2, axis=1)
-    slacks = lit_sq - bound
+    slacks, C = _strong_gap(lit, trace, saddle, s, mu, s * n)
+    shifted, _ = _strong_gap(_prefix_means(xs), trace, saddle, s, mu, s * n)
     return _entry("theorem_4_4_strong_avg", slacks, TOL_RATE,
-                  {"C": C, "mu": mu, "s": s,
-                   "worst_slack_shifted": float(np.max(shift_sq - bound))})
+                  {"C": C, "mu": mu, "s": s, "worst_slack_shifted": float(np.max(shifted))})
 
 
 def check_ne_telescoping(trace, saddle, spec, s):
@@ -325,13 +340,10 @@ def check_general_rates_theorems_6(trace, saddle, spec, s, r):
         raise ParameterError("r must exceed the spectral norm of F^T F")
     xs, ys, ls = trace.xs, trace.ys, trace.lams
     dx0 = xs[0] - saddle.x_star
-    C = (r * float(dx0 @ dx0) + _rate_constant(trace, saddle, spec, s))
-    denom = r - spec.FtF_norm
+    C = r * float(dx0 @ dx0) + _rate_constant(trace, saddle, spec, s)
     dxsq = np.sum(np.diff(xs, axis=0) ** 2, axis=1)
-    n = np.arange(1, dxsq.size + 1)
-    bound = C / (n * denom)
-    avgmin = np.maximum(np.cumsum(dxsq) / n - bound, np.minimum.accumulate(dxsq) - bound)
-    e61 = _entry("theorem_6_1_x_diff_rate", avgmin, TOL_RATE,
+    bound = C / (np.arange(1, dxsq.size + 1) * (r - spec.FtF_norm))
+    e61 = _entry("theorem_6_1_x_diff_rate", _prefix_slacks(dxsq, bound), TOL_RATE,
                  {"C": C, "r": r, "s": s, "FtF_norm": spec.FtF_norm})
     e62 = _entry("theorem_6_2_x_diff_last", dxsq - bound, TOL_RATE,
                  {"C": C, "r": r, "s": s, "FtF_norm": spec.FtF_norm})
@@ -368,13 +380,14 @@ def certify_standard(trace, spec, s, saddle, weak_probes=None):
     report.entries.append(check_weak_rate_theorem_4_2(trace, saddle, spec, s, weak_probes))
     report.entries.append(check_ne_telescoping(trace, saddle, spec, s))
     report.extend(check_ne_monotone_theorem_5(trace, spec, s, saddle))
-    if isinstance(spec.f, Quadratic) and spec.f.strong_convexity_modulus() > 1e-10:
-        report.entries.append(check_strong_avg_theorem_4_4(trace, saddle, spec, s))
+    try:
+        strong_convexity_modulus(spec)
+    except ParameterError:
+        return report  # Theorem 4.4 needs a strongly convex f
+    report.entries.append(check_strong_avg_theorem_4_4(trace, saddle, spec, s))
     return report
 
 
 def certify_general(trace, spec, s, r, saddle):
     """Certificate bundle for an r-proximal trace."""
-    report = CertificateReport()
-    report.extend(check_general_rates_theorems_6(trace, saddle, spec, s, r))
-    return report
+    return CertificateReport(check_general_rates_theorems_6(trace, saddle, spec, s, r))

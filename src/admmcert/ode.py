@@ -21,13 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import CertificateReport, _energy, _entry
+from .diagnostics import (CertificateReport, _energy, _entry, _strong_gap, _weak_gap,
+                          strong_convexity_modulus)
 from .errors import InnerSolveError, ParameterError, UnsupportedProblemError
-from .functions import AffineIndicator, HuberSmoothedL1, Quadratic
+from .functions import AffineIndicator, HuberSmoothedL1
 from .prox import FactorizationCache, x_update, y_update
 from .solver import Trace
 
 ALGEBRAIC_TOL = 1e-11
+INNER_TOL = 1e-12  # scaled residual an implicit step must reach
+INNER_MAX = 500  # pattern-Newton passes before an implicit step gives up
 
 CONT_PREFIXES = ("X", "Y", "Lambda")
 CONT_SCALAR_COLUMNS = ["deviation", "lyapunov", "ne_continuous"]
@@ -51,16 +54,12 @@ class IntegratorConfig:
     s: float
     delta: float
     T: float
-    inner_tol: float = 1e-12
-    inner_max: int = 500
 
     def __post_init__(self):
         if not all(0 < v < np.inf for v in (self.s, self.delta, self.T)):
             raise ParameterError("s, delta and T must be positive and finite")
         if self.delta > self.s:
             raise ParameterError("micro-step delta must not exceed s")
-        if self.inner_tol > 1e-10:
-            raise ParameterError("inner tolerance must be at most 1e-10")
         # nodes land on T, and every s/delta-th node on an ADMM step
         for name, ratio in (("T/delta", self.T / self.delta), ("s/delta", self.s / self.delta)):
             if abs(ratio - round(ratio)) > 1e-9 * ratio:
@@ -99,11 +98,6 @@ def _fill_columns(trace, spec, s, ref):
     return trace
 
 
-def _gydot(trace, spec):
-    """G * dY/dt estimated by central differences (one-sided at the ends)."""
-    return np.gradient(trace.ys, trace.axis, axis=0) @ spec.G.T
-
-
 # ---------------------------------------------------------------------------
 # implicit Euler for the high-resolution system
 
@@ -130,7 +124,7 @@ def _pattern(Y, g):
     return out
 
 
-def _pattern_newton(spec, s, delta, Y_old, L_old, X, Y, L, inner_tol, inner_max):
+def _pattern_newton(spec, s, delta, Y_old, L_old, X, Y, L):
     """Solve the implicit-Euler step equations exactly for Huber g.
 
     The system is piecewise linear in (X, Y, Lam); each Newton pass fixes
@@ -168,20 +162,19 @@ def _pattern_newton(spec, s, delta, Y_old, L_old, X, Y, L, inner_tol, inner_max)
     base[sl:sl + m, sy:sl] = -delta * spec.G
     base[sl:sl + m, sl:sl + m] = s * s * np.eye(m)
     rhs[sl:sl + m] = s * s * L_old - delta * spec.h
+    base[sy:sl, sl:sl + m] = spec.G.T
 
     pattern = _pattern(Y, g)
     seen = set()
-    for _ in range(inner_max):
+    for _ in range(INNER_MAX):
+        # a Y coordinate in its quadratic region gets w/delta on the diagonal and
+        # right-hand side 0; a saturated one right-hand side -w * sign
+        quad = pattern == 0
         M = base.copy()
+        diag = sy + np.flatnonzero(quad)
+        M[diag, diag] = g.w / g.delta
         v = rhs.copy()
-        for i in range(d2):
-            row = sy + i
-            M[row, sl:sl + m] = spec.G.T[i, :]
-            if pattern[i] == 0:
-                M[row, sy + i] += g.w / g.delta
-                v[row] = 0.0
-            else:
-                v[row] = -g.w * pattern[i]
+        v[sy:sl] = np.where(quad, 0.0, -g.w * pattern)
         try:
             z = np.linalg.solve(M, v)
         except np.linalg.LinAlgError:
@@ -190,21 +183,21 @@ def _pattern_newton(spec, s, delta, Y_old, L_old, X, Y, L, inner_tol, inner_max)
         new_pattern = _pattern(Y, g)
         if np.array_equal(new_pattern, pattern):
             res = _implicit_residual(spec, s, delta, Y_old, L_old, X, Y, L)
-            if res <= inner_tol:
+            if res <= INNER_TOL:
                 return X, Y, L
             raise InnerSolveError(
                 f"implicit step solved its pattern system but residual {res:.3e} "
-                f"exceeds {inner_tol!r}"
+                f"exceeds {INNER_TOL!r}"
             )
         key = tuple(new_pattern)
         if key in seen:
             raise InnerSolveError("implicit step pattern iteration is cycling")
         seen.add(key)
         pattern = new_pattern
-    raise InnerSolveError(f"implicit step did not settle within {inner_max} passes")
+    raise InnerSolveError(f"implicit step did not settle within {INNER_MAX} passes")
 
 
-def high_res_implicit_step(state, spec, s, delta, cache=None, inner_tol=1e-12, inner_max=500):
+def high_res_implicit_step(state, spec, s, delta, cache=None):
     """One implicit-Euler step of the high-resolution system.
 
     With delta = s the first ADMM-shaped sweep already satisfies the step
@@ -214,8 +207,6 @@ def high_res_implicit_step(state, spec, s, delta, cache=None, inner_tol=1e-12, i
         raise ParameterError("need 0 < delta <= s")
     if delta != s and not spec.g.smooth:
         raise ParameterError("delta < s requires a smoothed (differentiable) regularizer")
-    cache = cache if cache is not None else FactorizationCache()
-
     s_eff = s if delta == s else s * s / delta
     X1 = x_update(spec, state.Y, state.Lam, s_eff, cache)
     Y1 = y_update(spec, X1, state.Lam, s_eff)
@@ -225,24 +216,22 @@ def high_res_implicit_step(state, spec, s, delta, cache=None, inner_tol=1e-12, i
     else:
         L1 = state.Lam + (delta / (s * s)) * resid
 
-    if _implicit_residual(spec, s, delta, state.Y, state.Lam, X1, Y1, L1) <= inner_tol:
+    if _implicit_residual(spec, s, delta, state.Y, state.Lam, X1, Y1, L1) <= INNER_TOL:
         return ContinuousState(X1, Y1, L1, state.t + delta)
 
-    X1, Y1, L1 = _pattern_newton(spec, s, delta, state.Y, state.Lam,
-                                 X1, Y1, L1, inner_tol, inner_max)
+    X1, Y1, L1 = _pattern_newton(spec, s, delta, state.Y, state.Lam, X1, Y1, L1)
     return ContinuousState(X1, Y1, L1, state.t + delta)
 
 
-def simulate_high_res(spec, config, init, ref=None, cache=None):
+def simulate_high_res(spec, config, init, ref=None):
     """Integrate the high-resolution system over [0, T] from init."""
-    cache = cache if cache is not None else FactorizationCache()
+    cache = FactorizationCache()
     steps = int(round(config.T / config.delta))
     state = ContinuousState(init.X, init.Y, init.Lam, 0.0)
     trace = _continuous_trace(spec, steps + 1)
     for j in range(steps + 1):
         if j:
-            state = high_res_implicit_step(state, spec, config.s, config.delta, cache,
-                                           config.inner_tol, config.inner_max)
+            state = high_res_implicit_step(state, spec, config.s, config.delta, cache)
         trace.axis[j] = state.t
         trace.xs[j], trace.ys[j], trace.lams[j] = state.X, state.Y, state.Lam
     # the algebraic leg G^T Lam + grad g(Y) = 0 must hold at every node
@@ -302,18 +291,16 @@ def simulate_low_res(spec, T, delta, init_x, ref=None, s=1.0):
 # continuous certificates (tolerance 10*delta: node values carry O(delta) error)
 
 
-def _trapezoid_prefix_mean(values, times, j):
-    if j == 0:
-        raise ParameterError("prefix mean needs t > 0")
-    dt = np.diff(times[:j + 1])
-    v = np.asarray(values[:j + 1])
-    integral = np.sum(0.5 * dt.reshape(-1, 1) * (v[1:] + v[:-1]), axis=0)
-    return integral / (times[j] - times[0])
-
-
-def _sample_indices(trace, fracs=(0.25, 0.5, 1.0)):
+def _sampled_time_means(trace, *series):
+    """Trapezoid time means of each (n, d) series over [0, t] at the nodes nearest
+    1/4, 1/2 and all of the horizon, one row per node, and those elapsed times t."""
     last = len(trace) - 1
-    return sorted({max(1, int(round(f * last))) for f in fracs})
+    idx = sorted({max(1, int(round(f * last))) for f in (0.25, 0.5, 1.0)})
+    t = trace.axis[idx] - trace.axis[0]
+    half_dt = 0.5 * np.diff(trace.axis).reshape(-1, 1)
+    means = [np.array([np.sum(half_dt[:j] * (v[1:j + 1] + v[:j]), axis=0) for j in idx])
+             / t.reshape(-1, 1) for v in series]
+    return means, t
 
 
 def check_theorem_3_3_monotone(trace, saddle, spec, s, delta):
@@ -323,56 +310,35 @@ def check_theorem_3_3_monotone(trace, saddle, spec, s, delta):
                   {"E0": e[0], "s": s, "delta": delta})
 
 
-def check_theorem_3_2_weak(trace, saddle, spec, s, delta, probes=None):
-    """Time-average weak gap at sampled times against C/(2t)."""
-    if probes is None:
-        probes = [(saddle.x_star, saddle.y_star), (np.zeros(spec.d1), np.zeros(spec.d2))]
-    mult_nodes = trace.lams - _gydot(trace, spec)
-    idxs = _sample_indices(trace)
-    slacks = []
-    for px, py in probes:
-        px, py = np.asarray(px, float), np.asarray(py, float)
-        fp, gp = spec.f.value(px), spec.g.value(py)
-        if not np.isfinite(fp) or not np.isfinite(gp):
-            continue
-        gy0 = spec.G @ (trace.ys[0] - py)
-        C = float(gy0 @ gy0) + s * s * float(trace.lams[0] @ trace.lams[0])
-        disp = spec.F @ (px - saddle.x_star) + spec.G @ (py - saddle.y_star)
-        for j in idxs:
-            xbar = _trapezoid_prefix_mean(trace.xs, trace.axis, j)
-            ybar = _trapezoid_prefix_mean(trace.ys, trace.axis, j)
-            mbar = _trapezoid_prefix_mean(mult_nodes, trace.axis, j)
-            # as in the discrete weak-rate check, integrating the derivative
-            # inequality puts the multiplier term on the bound side
-            lhs = spec.f.value(xbar) - fp + spec.g.value(ybar) - gp - float(mbar @ disp)
-            slacks.append(lhs - C / (2.0 * trace.axis[j]))
+def check_theorem_3_2_weak(trace, saddle, spec, s, delta):
+    """Time-average weak gap against C/(2t) at sampled times: the Theorem 4.2 kernel fed
+    trapezoid time means, with the multiplier Lam - G dY/dt, at elapsed time t.
+    dY/dt is estimated by central differences (one-sided at the ends)."""
+    probes = [(saddle.x_star, saddle.y_star), (np.zeros(spec.d1), np.zeros(spec.d2))]
+    mult = trace.lams - np.gradient(trace.ys, trace.axis, axis=0) @ spec.G.T
+    (xbar, ybar, mbar), t = _sampled_time_means(trace, trace.xs, trace.ys, mult)
+    slacks, _ = _weak_gap(spec, saddle, s, probes, xbar, ybar, mbar,
+                          trace.ys[0], trace.lams[0], t)
     return _entry("theorem_3_2_weak_rate", slacks, 10.0 * delta, {"s": s, "delta": delta})
 
 
-def check_continuous_strong_avg(trace, saddle, spec, s, delta, mu=None):
-    """Strong time-average bound ||Xbar - x*||^2 <= C/(mu t) at sampled times."""
-    if mu is None:
-        if not isinstance(spec.f, Quadratic):
-            raise ParameterError("strong continuous certificate needs a quadratic f")
-        mu = spec.f.strong_convexity_modulus()
-    if mu <= 1e-10:
-        raise ParameterError("strong convexity modulus is zero")
-    dx0 = trace.xs[0] - saddle.x_star
-    dl0 = trace.lams[0] - saddle.lambda_star
-    C = float(dx0 @ dx0) + s * s * float(dl0 @ dl0)
-    slacks = []
-    for j in _sample_indices(trace):
-        xbar = _trapezoid_prefix_mean(trace.xs, trace.axis, j)
-        d = xbar - saddle.x_star
-        slacks.append(float(d @ d) - C / (mu * trace.axis[j]))
+def check_continuous_strong_avg(trace, saddle, spec, s, delta):
+    """Strong time-average bound ||Xbar - x*||^2 <= C/(mu t) at sampled times: the
+    Theorem 4.4 kernel fed trapezoid time means at elapsed time t."""
+    mu = strong_convexity_modulus(spec)
+    (xbar,), t = _sampled_time_means(trace, trace.xs)
+    slacks, C = _strong_gap(xbar, trace, saddle, s, mu, t)
     return _entry("theorem_3_4_strong_avg", slacks, 10.0 * delta,
                   {"C": C, "mu": mu, "s": s, "delta": delta})
 
 
-def certify_continuous(trace, saddle, spec, s, delta, strong=True):
+def certify_continuous(trace, saddle, spec, s, delta):
     report = CertificateReport()
     report.entries.append(check_theorem_3_3_monotone(trace, saddle, spec, s, delta))
     report.entries.append(check_theorem_3_2_weak(trace, saddle, spec, s, delta))
-    if strong and isinstance(spec.f, Quadratic) and spec.f.strong_convexity_modulus() > 1e-10:
-        report.entries.append(check_continuous_strong_avg(trace, saddle, spec, s, delta))
+    try:
+        strong_convexity_modulus(spec)
+    except ParameterError:
+        return report  # Theorem 3.4 needs a strongly convex f
+    report.entries.append(check_continuous_strong_avg(trace, saddle, spec, s, delta))
     return report

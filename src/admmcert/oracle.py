@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from .errors import OracleConvergenceError, ParameterError
-from .functions import AffineIndicator, Quadratic, ScaledL1
+from .functions import AffineIndicator, ScaledL1
 from .problems import SaddlePoint, kkt_residuals
 from .prox import FactorizationCache
 from .solver import admm_step, default_r, zero_state
@@ -97,11 +97,11 @@ def sign_pattern_oracle(spec, tol=1e-8):
         f"(best residual {best_res:.3e})", best_res)
 
 
-def long_run_oracle(spec, tol=1e-8, r=None, budget=LONG_RUN_BUDGET, init=None):
-    """Drive the r-proximal iteration until all KKT residuals fall below tol."""
-    r = r if r is not None else default_r(spec)
+def long_run_oracle(spec, tol=1e-8, budget=LONG_RUN_BUDGET):
+    """Drive the r-proximal iteration from zero until all KKT residuals fall below tol."""
+    r = default_r(spec)
     cache = FactorizationCache()
-    state = init if init is not None else zero_state(spec)
+    state = zero_state(spec)
     best_res = np.inf
     for it in range(budget):
         state = admm_step(state, spec, 1.0, cache, r)
@@ -117,8 +117,9 @@ def long_run_oracle(spec, tol=1e-8, r=None, budget=LONG_RUN_BUDGET, init=None):
 
 def saddle_point_oracle(spec, tol=1e-8):
     """Certified saddle point: sign-pattern enumeration when available, long run otherwise."""
-    if tol < 1e-12:
-        raise ParameterError("saddle tolerance below 1e-12 is not certifiable")
+    if not 1e-12 <= tol < np.inf:  # also refuses nan
+        raise ParameterError(f"saddle tolerance tol = {tol!r} is not certifiable: "
+                             "it must lie in [1e-12, inf)")
     if isinstance(spec.g, ScaledL1) and spec.d2 <= SIGN_PATTERN_MAX_DIM:
         return sign_pattern_oracle(spec, tol)
     return long_run_oracle(spec, tol / 10.0)

@@ -111,21 +111,17 @@ class Trace:
                 fh.write(",".join(map(repr, row)) + "\n")
 
     def to_json(self, path):
-        """The CSV's columns and rows plus the config of a solver run (runs always complete)."""
-        payload = {
-            "columns": self.columns(),
-            "rows": list(self._rows()),
-            "stop_reason": "completed",
-            "config": {
-                "s": self.config.s,
-                "N": self.config.N,
-                "variant": self.config.variant,
-                "r": self.config.r,
-            },
-        }
+        """The CSV's columns and rows plus the config of a solver run (runs always complete),
+        under sorted keys and written row by row: no string of the whole table is built."""
+        rows = self._rows()  # the width check runs here, before the file is created
+        config = {"s": self.config.s, "N": self.config.N, "variant": self.config.variant,
+                  "r": self.config.r}
+        head = json.dumps({"columns": self.columns(), "config": config}, sort_keys=True)
         with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(head[:-1] + ', "rows": [')
+            for j, row in enumerate(rows):
+                fh.write((", " if j else "") + json.dumps(row))
+            fh.write('], "stop_reason": "completed"}\n')
 
 
 def admm_step(state, spec, s, cache=None, r=None):
@@ -146,7 +142,7 @@ def zero_state(spec):
     return IterateState(np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m), 0)
 
 
-def run(spec, config, init=None, saddle=None, cache=None):
+def run(spec, config, init=None, saddle=None):
     """Run N steps from init (zeros by default); deterministic given its inputs.
 
     The per-row columns are computed after the loop from the stored iterates;
@@ -155,7 +151,7 @@ def run(spec, config, init=None, saddle=None, cache=None):
     state = init if init is not None else zero_state(spec)
     if state.x.shape[0] != spec.d1 or state.y.shape[0] != spec.d2 or state.lam.shape[0] != spec.m:
         raise ParameterError("initial state dimensions do not match the problem")
-    cache = cache if cache is not None else FactorizationCache()
+    cache = FactorizationCache()
     if config.variant == GENERAL:
         r = config.r if config.r is not None else default_r(spec)
     else:

@@ -173,3 +173,41 @@ def test_simulate_rejects_bad_steps(tmp_path, capsys, delta, horizon, message):
                "--delta", delta, "--horizon", horizon])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])
+def test_solve_rejects_bad_tol(tmp_path, capsys, tol):
+    rc = main(["solve", "--spec", "scalar_lasso", "--out", str(tmp_path / "o"), "--N", "10",
+               f"--tol={tol}"])
+    assert rc == 2
+    assert "tol = " in capsys.readouterr().err
+    assert not (tmp_path / "o" / "certificates.json").exists()
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refuses a flag the subcommand does not declare
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--s", "3", "--N", "5", "--delta", "7"], "unrecognized arguments"),
+    (["report", "--spec", "c.json", "--out", "x"], "unrecognized arguments"),
+    (["generate", "tv", "--dims", "4", "--spec", "scalar_lasso"], "unrecognized arguments"),
+    (["simulate", "--spec", "scalar_lasso", "--N", "5"], "unrecognized arguments"),
+    (["simulate", "--spec", "scalar_lasso", "--r", "2.0"], "unrecognized arguments"),
+    (["solve", "--spec", "scalar_lasso", "--delta", "0.5"], "unrecognized arguments"),
+    (["solve", "--spec", "scalar_lasso", "--seed", "3"], "unrecognized arguments"),
+    (["solve", "--spec", "scalar_lasso", "--r", "2.0"], "--variant general"),
+    (["solve", "--spec", "scalar_lasso", "--r", "2.0", "--variant", "standard"],
+     "--variant general"),
+    (["solve", "--manifest", "m.ini"], "--variant general"),  # r set in the manifest
+], ids=["verify", "report", "generate", "simulate_N", "simulate_r", "solve_delta", "solve_seed",
+        "solve_r", "solve_r_standard", "solve_r_manifest"])
+def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.ini").write_text("[instance]\nspec = scalar_lasso\n[solver]\nr = 2.0\n")
+    assert _exit_code(argv) == 2
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ini"]  # refused before any write

@@ -29,8 +29,6 @@ class TestIntegratorConfig:
             IntegratorConfig(s=1.0, delta=2.0, T=1.0)  # delta > s
         with pytest.raises(ParameterError):
             IntegratorConfig(s=1.0, delta=0.1, T=0.0)
-        with pytest.raises(ParameterError):
-            IntegratorConfig(s=1.0, delta=0.1, T=1.0, inner_tol=1e-6)
 
 
 class TestImplicitStepAtDeltaS:

@@ -1,13 +1,15 @@
 """Every whole-trace array pass equals a per-row reference written from its formula.
 
-The trace columns, the certificate slack series and the continuous NE column
-are array expressions over all rows at once. The references below evaluate
-each documented formula one row at a time, on random small lasso, tv and
-basis-pursuit instances run from a random non-zero (x0, y0, lambda0) with the
-standard or the r-proximal step. The reference point (x*, y*, lambda*) is
-random too: the formulas are identities in it, so no saddle is needed. Values
-agree to 1e-12 relative to the largest term that enters them (a slack is a
-difference of such terms, so it is compared on their scale).
+The trace columns, the certificate slack series, the continuous NE column and
+the continuous weak and strong slacks at their sampled times are array
+expressions over all rows at once. The references below evaluate each
+documented formula one row (or one sampled time) at a time, on random small
+lasso, tv and basis-pursuit instances run from a random non-zero
+(x0, y0, lambda0) with the standard or the r-proximal step. The reference
+point (x*, y*, lambda*) is random too: the formulas are identities in it, so
+no saddle is needed. Values agree to 1e-12 relative to the largest term that
+enters them (a slack is a difference of such terms, so it is compared on
+their scale).
 """
 
 import numpy as np
@@ -16,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from admmcert import diagnostics as diag
 from admmcert.functions import AffineIndicator, Quadratic, ScaledL1
 from admmcert.library import _difference_matrix
-from admmcert.ode import ContinuousState, IntegratorConfig, simulate_high_res
+from admmcert.ode import (ContinuousState, IntegratorConfig, check_continuous_strong_avg,
+                          check_theorem_3_2_weak, simulate_high_res)
 from admmcert.problems import SaddlePoint, build_basis_pursuit, build_generalized_lasso
 from admmcert.solver import GENERAL, STANDARD, IterateState, SolverConfig, default_r, run
 
@@ -192,13 +195,19 @@ def test_weak_rate_slacks(case):
     close(entry.worst_slack, max(slacks), scale)
 
 
+def high_res(spec, trace, ref, s):
+    """The delta = s high-resolution trace from the run's start: every implicit step
+    is one ADMM step, so no pattern-Newton pass can cycle."""
+    init = ContinuousState(trace.xs[0], trace.ys[0], trace.lams[0], 0.0)
+    return simulate_high_res(spec, IntegratorConfig(s=s, delta=s, T=N * s), init,
+                             ref=(ref.y_star, ref.lambda_star))
+
+
 @DERANDOMIZED
 @given(runs())
 def test_continuous_ne_and_lyapunov_columns(case):
     spec, trace, ref, s, _ = case
-    init = ContinuousState(trace.xs[0], trace.ys[0], trace.lams[0], 0.0)
-    high = simulate_high_res(spec, IntegratorConfig(s=s, delta=s, T=N * s), init,
-                             ref=(ref.y_star, ref.lambda_star))
+    high = high_res(spec, trace, ref, s)
     t, xs, ys, ls = high.axis, high.xs, high.ys, high.lams
     ne, scale = [], 0.0
     for j in range(1, N):
@@ -212,3 +221,46 @@ def test_continuous_ne_and_lyapunov_columns(case):
     close(col[1:-1], ne, scale)
     e = [energy(ys[j], ls[j], ref.y_star, ref.lambda_star, spec.G, s) for j in range(N + 1)]
     close(high.scalars["lyapunov"], e, max(e))
+
+
+@DERANDOMIZED
+@given(runs())
+def test_continuous_weak_and_strong_slacks(case):
+    spec, trace, ref, s, _ = case
+    high = high_res(spec, trace, ref, s)
+    t, xs, ys, ls = high.axis, high.xs, high.ys, high.lams
+    nodes = [round(N / 4), round(N / 2), N]  # the nodes nearest 1/4, 1/2 and all of T
+
+    def mean(v, j):
+        """Trapezoid mean of the rows of v over [t_0, t_j]."""
+        return sum((t[i + 1] - t[i]) * (v[i] + v[i + 1]) / 2.0 for i in range(j)) / (t[j] - t[0])
+
+    # multiplier Lam - G dY/dt, dY/dt by central differences (one-sided at the ends)
+    ydot = [(ys[min(j + 1, N)] - ys[max(j - 1, 0)]) / (t[min(j + 1, N)] - t[max(j - 1, 0)])
+            for j in range(N + 1)]
+    mult = np.array([ls[j] - spec.G @ ydot[j] for j in range(N + 1)])
+    slacks, scale = [], 0.0
+    for px, py in [(ref.x_star, ref.y_star), (np.zeros(spec.d1), np.zeros(spec.d2))]:
+        fp, gp = spec.f.value(px), spec.g.value(py)
+        if not np.isfinite(fp) or not np.isfinite(gp):
+            continue  # the check skips such probes too
+        gy0 = spec.G @ (ys[0] - py)
+        C = float(gy0 @ gy0) + s * s * float(ls[0] @ ls[0])
+        disp = spec.F @ (px - ref.x_star) + spec.G @ (py - ref.y_star)
+        for j in nodes:
+            fx, gy = spec.f.value(mean(xs, j)), spec.g.value(mean(ys, j))
+            md, bound = mean(mult, j) @ disp, C / (2.0 * t[j])
+            slacks.append(fx - fp + gy - gp - md - bound)
+            scale = max(scale, *map(abs, (fx, fp, gy, gp, md, bound)))
+    entry = check_theorem_3_2_weak(high, ref, spec, s, s)
+    close(entry.worst_slack, max(slacks), scale)
+
+    if isinstance(spec.f, Quadratic) and spec.f.strong_convexity_modulus() > 1e-10:
+        mu = spec.f.strong_convexity_modulus()
+        dx0, dl0 = xs[0] - ref.x_star, ls[0] - ref.lambda_star
+        C = float(dx0 @ dx0) + s * s * float(dl0 @ dl0)
+        rows = [(float((mean(xs, j) - ref.x_star) @ (mean(xs, j) - ref.x_star)),
+                 C / (mu * t[j])) for j in nodes]
+        entry = check_continuous_strong_avg(high, ref, spec, s, s)
+        close(entry.worst_slack, max(a - b for a, b in rows), max(max(r) for r in rows))
+        assert entry.constants["C"] == C

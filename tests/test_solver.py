@@ -133,10 +133,11 @@ class TestTraceSerialization:
         spec = get_instance("scalar_lasso")
         trace = run(spec, SolverConfig(s=1.0, N=5))
         trace.scalars["objective"] = resize(trace.scalars["objective"])
-        path = tmp_path / "trace.csv"
-        with pytest.raises(RuntimeError, match="header's 10 columns"):
-            trace.to_csv(path)
-        assert not path.exists()  # refused before anything is written
+        for write, path in ((trace.to_csv, tmp_path / "trace.csv"),
+                            (trace.to_json, tmp_path / "trace.json")):
+            with pytest.raises(RuntimeError, match="header's 10 columns"):
+                write(path)
+            assert not path.exists()  # refused before anything is written
 
     def test_json_sorted_and_stable(self, tmp_path):
         spec = get_instance("scalar_lasso")
