@@ -26,7 +26,7 @@ from .ode import (
 )
 from .oracle import long_run_oracle, sign_pattern_oracle
 from .prox import FactorizationCache, x_update
-from .solver import GENERAL, SolverConfig, admm_step, run, zero_state
+from .solver import GENERAL, SolverConfig, run
 
 CORE_INSTANCES = ["scalar_lasso", "lasso_20x50", "tv_d50", "trend_d50", "basis_pursuit_10x30"]
 STRONG_INSTANCES = ["scalar_lasso", "tv_d50", "trend_d50", "lasso_8x6"]
@@ -56,15 +56,15 @@ def criterion_1():
     ok = True
     for name in CORE_INSTANCES:
         spec = library.get_instance(name)
-        d_state = zero_state(spec)
-        c_state = ContinuousState(d_state.x, d_state.y, d_state.lam, 0.0)
-        d_cache, c_cache = FactorizationCache(), FactorizationCache()
+        step = FactorizationCache().get(spec, _S)
+        x, y, lam = np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m)
+        c_state = ContinuousState(x, y, lam, 0.0)
+        c_cache = FactorizationCache()
         worst = 0.0
         for _ in range(100):
-            d_state = admm_step(d_state, spec, _S, d_cache)
+            x, y, lam = step(x, y, lam)
             c_state = high_res_implicit_step(c_state, spec, _S, _S, c_cache)
-            for a, b in ((c_state.X, d_state.x), (c_state.Y, d_state.y),
-                         (c_state.Lam, d_state.lam)):
+            for a, b in ((c_state.X, x), (c_state.Y, y), (c_state.Lam, lam)):
                 rel = float(np.max(np.abs(a - b) / (1.0 + np.abs(b))))
                 worst = max(worst, rel)
         details[name] = worst

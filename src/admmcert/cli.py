@@ -127,19 +127,22 @@ def cmd_generate(args):
 
 def cmd_solve(args):
     cp = _load_manifest(args.manifest) if args.manifest else None
-    name, spec = _load_spec(args, cp)
     s = float(_resolve(args, cp, "solver", "s", float, 1.0))
     N = int(_resolve(args, cp, "solver", "N", int, 1000))
     variant = _resolve(args, cp, "solver", "variant", str, "standard")
     r = _resolve(args, cp, "solver", "r", float, None)
     tol = float(_resolve(args, cp, "diagnostics", "tol", float, 1e-8))
+    if N < 2:
+        raise ParameterError(f"N = {N!r}: solve certifies the run, and its NE checks need "
+                             "N >= 2 steps")
     if r is not None and variant != GENERAL:
         raise ParameterError(f"r = {r!r} applies only to the r-proximal step: "
                              "pass --variant general or set [solver] variant = general")
+    config = SolverConfig(s=s, N=N, variant=variant, r=r)
+    name, spec = _load_spec(args, cp)
     out = _outdir(args, cp)
 
     saddle = saddle_point_oracle(spec, tol)
-    config = SolverConfig(s=s, N=N, variant=variant, r=r)
     trace = run(spec, config, saddle=saddle)
     trace.to_csv(os.path.join(out, "trace.csv"))
     trace.to_json(os.path.join(out, "trace.json"))
@@ -229,9 +232,16 @@ def cmd_report(args):
     if path is None:
         raise FileNotFoundError("report needs --spec pointing at a certificate JSON")
     with open(path) as fh:
-        payload = json.load(fh)
-    entries = payload["certificates"] if isinstance(payload, dict) and "certificates" in payload \
-        else payload
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path} is not JSON: {exc}") from None
+    entries = payload.get("certificates") if isinstance(payload, dict) else payload
+    keys = ("theorem", "pass", "worst_slack", "tolerance")
+    if not (isinstance(entries, list)
+            and all(isinstance(e, dict) and all(k in e for k in keys) for e in entries)):
+        raise ValueError(f"{path} is not a certificate file: it needs a list of entries with "
+                         f"{', '.join(keys)}, or an object holding one under 'certificates'")
     ok = True
     for e in entries:
         status = "pass" if e["pass"] else "FAIL"

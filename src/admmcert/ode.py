@@ -23,9 +23,9 @@ import numpy as np
 
 from .diagnostics import (CertificateReport, _energy, _entry, _strong_gap, _weak_gap,
                           strong_convexity_modulus)
-from .errors import InnerSolveError, ParameterError, UnsupportedProblemError
+from .errors import IllConditionedError, InnerSolveError, ParameterError, UnsupportedProblemError
 from .functions import AffineIndicator, HuberSmoothedL1
-from .prox import FactorizationCache, x_update, y_update
+from .prox import FactorizationCache, _norm
 from .solver import Trace
 
 ALGEBRAIC_TOL = 1e-11
@@ -103,17 +103,19 @@ def _fill_columns(trace, spec, s, ref):
 
 
 def _implicit_residual(spec, s, delta, Y_old, L_old, X1, Y1, L1):
+    """Scaled residual of the three step equations; G = G_sign * I, as for every
+    spec that can step."""
     vx = spec.FtG @ (Y1 - Y_old) / delta - spec.F.T @ L1
     if isinstance(spec.f, AffineIndicator):
         rA = spec.f.subgrad_distance(vx, X1)
         if not np.isfinite(rA):
-            rA = float(np.linalg.norm(spec.f.A @ X1 - spec.f.b))
+            rA = _norm(spec.f.A @ X1 - spec.f.b)
     else:
-        rA = float(np.linalg.norm(vx - spec.f.grad(X1)))
-    rB = spec.g.subgrad_distance(-(spec.G.T @ L1), Y1)
-    rc = s * s * (L1 - L_old) / delta - (spec.F @ X1 + spec.G @ Y1 - spec.h)
-    rC = float(np.linalg.norm(rc))
-    scale = 1.0 + np.linalg.norm(X1) + np.linalg.norm(Y1) + np.linalg.norm(L1)
+        rA = _norm(vx - spec.f.grad(X1))
+    rB = spec.g.subgrad_distance(-(spec.G_sign * L1), Y1)
+    rc = s * s * (L1 - L_old) / delta - (spec.F @ X1 + spec.G_sign * Y1 - spec.h)
+    rC = _norm(rc)
+    scale = 1.0 + _norm(X1) + _norm(Y1) + _norm(L1)
     return max(rA, rB, rC) / scale
 
 
@@ -124,19 +126,11 @@ def _pattern(Y, g):
     return out
 
 
-def _pattern_newton(spec, s, delta, Y_old, L_old, X, Y, L):
-    """Solve the implicit-Euler step equations exactly for Huber g.
-
-    The system is piecewise linear in (X, Y, Lam); each Newton pass fixes
-    the quadratic/saturated region of every Y coordinate, solves the
-    resulting linear system, and repeats until the region pattern is
-    self-consistent.
-    """
-    g = spec.g
-    if not isinstance(g, HuberSmoothedL1):
-        raise UnsupportedProblemError(
-            "implicit micro-steps (delta < s) need the Huber-smoothed regularizer"
-        )
+def _newton_system(spec, s, delta):
+    """The pattern-independent part of the implicit step's linear system, built once
+    per (spec, s, delta): the block matrix, the right-hand side's constant block
+    (b for an indicator f), and the terms 2 delta A^T b and delta h that each step
+    subtracts from its own blocks."""
     f = spec.f
     indicator = isinstance(f, AffineIndicator)
     d1, d2, m = spec.d1, spec.d2, spec.m
@@ -150,19 +144,41 @@ def _pattern_newton(spec, s, delta, Y_old, L_old, X, Y, L):
         base[sx:sy, sy:sl] = spec.FtG
         base[sx:sy, sl:sl + m] = -delta * spec.F.T
         base[sx:sy, sl + m:] = -f.A.T
-        rhs[sx:sy] = spec.FtG @ Y_old
         base[sl + m:, sx:sy] = f.A
         rhs[sl + m:] = f.b
+        gram_term = 0.0
     else:
         base[sx:sy, sx:sy] = -2.0 * delta * f.gram
         base[sx:sy, sy:sl] = spec.FtG
         base[sx:sy, sl:sl + m] = -delta * spec.F.T
-        rhs[sx:sy] = spec.FtG @ Y_old - 2.0 * delta * f.gram_rhs
+        gram_term = 2.0 * delta * f.gram_rhs
     base[sl:sl + m, sx:sy] = -delta * spec.F
     base[sl:sl + m, sy:sl] = -delta * spec.G
     base[sl:sl + m, sl:sl + m] = s * s * np.eye(m)
-    rhs[sl:sl + m] = s * s * L_old - delta * spec.h
     base[sy:sl, sl:sl + m] = spec.G.T
+    return base, rhs, gram_term, delta * spec.h
+
+
+def _pattern_newton(spec, s, delta, Y_old, L_old, X, Y, L, cache):
+    """Solve the implicit-Euler step equations exactly for Huber g.
+
+    The system is piecewise linear in (X, Y, Lam); each Newton pass fixes
+    the quadratic/saturated region of every Y coordinate, solves the
+    resulting linear system, and repeats until the region pattern is
+    self-consistent. The pattern-independent part of the system is kept in cache.
+    """
+    g = spec.g
+    if not isinstance(g, HuberSmoothedL1):
+        raise UnsupportedProblemError(
+            "implicit micro-steps (delta < s) need the Huber-smoothed regularizer"
+        )
+    d1, d2, m = spec.d1, spec.d2, spec.m
+    sx, sy, sl = 0, d1, d1 + d2
+    base, rhs, gram_term, dh = cache.keep(("pattern_newton", spec.tag, s, delta),
+                                          lambda: _newton_system(spec, s, delta))
+    rhs = rhs.copy()
+    rhs[sx:sy] = spec.FtG @ Y_old - gram_term
+    rhs[sl:sl + m] = s * s * L_old - dh
 
     pattern = _pattern(Y, g)
     seen = set()
@@ -197,6 +213,11 @@ def _pattern_newton(spec, s, delta, Y_old, L_old, X, Y, L):
     raise InnerSolveError(f"implicit step did not settle within {INNER_MAX} passes")
 
 
+def _sweep_step(cache, spec, s, delta):
+    """The Step whose x- and y-updates are the implicit step's first sweep."""
+    return cache.get(spec, s if delta == s else s * s / delta)
+
+
 def high_res_implicit_step(state, spec, s, delta, cache=None):
     """One implicit-Euler step of the high-resolution system.
 
@@ -207,10 +228,11 @@ def high_res_implicit_step(state, spec, s, delta, cache=None):
         raise ParameterError("need 0 < delta <= s")
     if delta != s and not spec.g.smooth:
         raise ParameterError("delta < s requires a smoothed (differentiable) regularizer")
-    s_eff = s if delta == s else s * s / delta
-    X1 = x_update(spec, state.Y, state.Lam, s_eff, cache)
-    Y1 = y_update(spec, X1, state.Lam, s_eff)
-    resid = spec.F @ X1 + spec.G @ Y1 - spec.h
+    cache = cache if cache is not None else FactorizationCache()
+    step = _sweep_step(cache, spec, s, delta)
+    X1 = step.x_update(state.Y, state.Lam)
+    Y1 = step.y_update(X1, state.Lam)
+    resid = spec.F @ X1 + step.G_sign * Y1 - spec.h
     if delta == s:
         L1 = state.Lam + resid / s
     else:
@@ -219,21 +241,29 @@ def high_res_implicit_step(state, spec, s, delta, cache=None):
     if _implicit_residual(spec, s, delta, state.Y, state.Lam, X1, Y1, L1) <= INNER_TOL:
         return ContinuousState(X1, Y1, L1, state.t + delta)
 
-    X1, Y1, L1 = _pattern_newton(spec, s, delta, state.Y, state.Lam, X1, Y1, L1)
+    X1, Y1, L1 = _pattern_newton(spec, s, delta, state.Y, state.Lam, X1, Y1, L1, cache)
     return ContinuousState(X1, Y1, L1, state.t + delta)
 
 
 def simulate_high_res(spec, config, init, ref=None):
-    """Integrate the high-resolution system over [0, T] from init."""
+    """Integrate the high-resolution system over [0, T] from init.
+
+    A step that fails (an x-update solve check, or the pattern iteration) raises
+    InnerSolveError naming the node t it was stepping to."""
     cache = FactorizationCache()
+    _sweep_step(cache, spec, config.s, config.delta)  # build errors surface as they are
     steps = int(round(config.T / config.delta))
     state = ContinuousState(init.X, init.Y, init.Lam, 0.0)
     trace = _continuous_trace(spec, steps + 1)
-    for j in range(steps + 1):
-        if j:
-            state = high_res_implicit_step(state, spec, config.s, config.delta, cache)
-        trace.axis[j] = state.t
-        trace.xs[j], trace.ys[j], trace.lams[j] = state.X, state.Y, state.Lam
+    try:
+        for j in range(steps + 1):
+            if j:
+                state = high_res_implicit_step(state, spec, config.s, config.delta, cache)
+            trace.axis[j] = state.t
+            trace.xs[j], trace.ys[j], trace.lams[j] = state.X, state.Y, state.Lam
+    except (IllConditionedError, InnerSolveError) as exc:
+        raise InnerSolveError(f"implicit step to node t = {state.t + config.delta!r}: {exc}") \
+            from None
     # the algebraic leg G^T Lam + grad g(Y) = 0 must hold at every node
     if spec.g.smooth:
         ls = trace.lams[1:]
@@ -241,7 +271,8 @@ def simulate_high_res(spec, config, init, ref=None):
         bad = np.flatnonzero(alg > ALGEBRAIC_TOL * (1.0 + np.linalg.norm(ls, axis=1)))
         if bad.size:
             j = bad[0] + 1
-            raise InnerSolveError(f"algebraic constraint violated at node {j}: {alg[j - 1]:.3e}")
+            raise InnerSolveError(f"algebraic constraint violated at node {j} "
+                                  f"(t = {float(trace.axis[j])!r}): {alg[j - 1]:.3e}")
     return _fill_columns(trace, spec, config.s, ref)
 
 

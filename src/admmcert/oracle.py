@@ -13,11 +13,11 @@ import itertools
 
 import numpy as np
 
-from .errors import OracleConvergenceError, ParameterError
+from .errors import IllConditionedError, OracleConvergenceError, ParameterError
 from .functions import AffineIndicator, ScaledL1
 from .problems import SaddlePoint, kkt_residuals
 from .prox import FactorizationCache
-from .solver import admm_step, default_r, zero_state
+from .solver import default_r
 
 SIGN_PATTERN_MAX_DIM = 12
 LONG_RUN_BUDGET = 10_000_000
@@ -99,17 +99,19 @@ def sign_pattern_oracle(spec, tol=1e-8):
 
 def long_run_oracle(spec, tol=1e-8, budget=LONG_RUN_BUDGET):
     """Drive the r-proximal iteration from zero until all KKT residuals fall below tol."""
-    r = default_r(spec)
-    cache = FactorizationCache()
-    state = zero_state(spec)
+    step = FactorizationCache().get(spec, 1.0, default_r(spec))
+    x, y, lam = np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m)
     best_res = np.inf
-    for it in range(budget):
-        state = admm_step(state, spec, 1.0, cache, r)
-        if (it + 1) % _CHECK_EVERY == 0 or it + 1 == budget:
-            res = max(kkt_residuals(spec, state.x, state.y, state.lam))
-            best_res = min(best_res, res)
-            if res <= tol:
-                return SaddlePoint(state.x, state.y, state.lam, res)
+    try:
+        for it in range(budget):
+            x, y, lam = step(x, y, lam)
+            if (it + 1) % _CHECK_EVERY == 0 or it + 1 == budget:
+                res = max(kkt_residuals(spec, x, y, lam))
+                best_res = min(best_res, res)
+                if res <= tol:
+                    return SaddlePoint(x, y, lam, res)
+    except IllConditionedError as exc:
+        raise IllConditionedError(f"long-run oracle, step k = {it + 1}: {exc}") from None
     raise OracleConvergenceError(
         f"long-run oracle did not reach {tol!r} within {budget} iterations "
         f"(best residual {best_res:.3e})", best_res)

@@ -132,6 +132,27 @@ def test_report_flags_failure(tmp_path, capsys):
     assert "demo: FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("which", ["trace_json", "json_list"])
+def test_report_refuses_a_file_that_is_not_certificates(tmp_path, capsys, which):
+    if which == "trace_json":
+        assert main(["solve", "--spec", "scalar_lasso", "--out", str(tmp_path), "--N", "5"]) == 0
+        path = tmp_path / "trace.json"
+    else:
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+    capsys.readouterr()
+    assert main(["report", "--spec", str(path)]) == 2
+    assert f"{path} is not a certificate file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("N", ["1", "0"])
+def test_solve_rejects_too_few_steps_before_any_write(tmp_path, monkeypatch, capsys, N):
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--spec", "scalar_lasso", "--out", "o", "--N", N]) == 2
+    assert f"N = {N}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _mutated_instance(tmp_path, block, mutate):
     """A generated 4x3 lasso instance with the first line of one block rewritten."""
     path = tmp_path / "inst.txt"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from admmcert.errors import ParameterError
+from admmcert.errors import InnerSolveError, ParameterError
 from admmcert.library import get_instance, get_saddle
 from admmcert.ode import (
     ContinuousState,
@@ -93,6 +93,13 @@ class TestSimulateHighRes:
         for j in range(1, len(trace)):
             alg = np.linalg.norm(spec.G.T @ trace.lams[j] + spec.g.grad(trace.ys[j]))
             assert alg <= 1e-11 * (1.0 + np.linalg.norm(trace.lams[j]))
+
+    def test_failed_step_names_the_node(self):
+        spec = get_instance("lasso_8x6_smoothed")
+        config = IntegratorConfig(s=1.0, delta=0.25, T=1.0)
+        init = ContinuousState(np.zeros(spec.d1), np.full(spec.d2, np.nan), np.zeros(spec.m), 0.0)
+        with pytest.raises(InnerSolveError, match=r"node t = 0\.25: .*condition estimate"):
+            simulate_high_res(spec, config, init)
 
     def test_csv_schema(self, tmp_path):
         spec = get_instance("scalar_lasso_smoothed")

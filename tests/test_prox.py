@@ -11,7 +11,6 @@ from admmcert.problems import ProblemSpec, build_basis_pursuit, build_generalize
 from admmcert.prox import (
     FactorizationCache,
     huber_prox,
-    l1_y_update,
     soft_threshold,
     x_update,
     y_update,
@@ -120,20 +119,20 @@ class TestXUpdates:
         op = FactorizationCache().get(spec, 1.0, 2.0 * spec.FtF_norm)
         rng = np.random.default_rng(6)
         x_k, y, lam = (rng.standard_normal(n) for n in (spec.d1, spec.d2, spec.m))
-        x = op(y, lam, x_k)
+        x = op.x_update(y, lam, x_k)
         assert np.linalg.norm(spec.f.A @ x - spec.f.b) <= 1e-10 * (1.0 + np.linalg.norm(spec.f.b))
         wrong = op.matrix.copy()
         wrong[spec.d1:, :spec.d1] *= 2.0  # a factor whose solution has 2 A x = b
         op._factor = scipy.linalg.lu_factor(wrong)
         with pytest.raises(IllConditionedError, match="left the constraint set"):
-            op(y, lam, x_k)
+            op.x_update(y, lam, x_k)
 
 
 class TestYUpdates:
     def test_l1_update_is_shrink(self):
         spec = get_instance("scalar_lasso")
         # u = G_sign*(h - F x - s lam) = -(0 - x - lam) with s=1
-        y = l1_y_update(spec, np.array([3.0]), np.array([0.0]), 1.0)
+        y = y_update(spec, np.array([3.0]), np.array([0.0]), 1.0)
         assert y[0] == pytest.approx(2.0)
 
     def test_general_g_rejected(self):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from admmcert.errors import ParameterError
+from admmcert.errors import IllConditionedError, ParameterError
 from admmcert.library import get_instance, get_saddle
 from admmcert.problems import kkt_residuals
 from admmcert.solver import (
@@ -98,6 +98,16 @@ class TestRun:
         assert trace.scalars["lyapunov"][0] == pytest.approx(0.625)
         assert trace.scalars["ne"][0] == pytest.approx(2.0 / 9.0)
         assert np.isnan(trace.scalars["ne"][-1])  # no successor state
+
+    @pytest.mark.parametrize("name", ["tv_d50", "basis_pursuit_10x30"])
+    def test_nan_start_names_the_failing_step(self, name):
+        # the per-step solve check catches a non-finite iterate (Cholesky and LU paths)
+        spec = get_instance(name)
+        lam = np.zeros(spec.m)
+        lam[0] = np.nan
+        init = IterateState(np.zeros(spec.d1), np.zeros(spec.d2), lam, 0)
+        with pytest.raises(IllConditionedError, match=r"step k = 1: .*condition estimate"):
+            run(spec, SolverConfig(N=5), init=init)
 
     def test_deterministic_rerun(self):
         spec = get_instance("tv_d50")
