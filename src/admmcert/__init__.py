@@ -35,9 +35,7 @@ from .ode import (
     ContinuousState,
     IntegratorConfig,
     certify_continuous,
-    continuous_lyapunov,
     high_res_implicit_step,
-    hyperplane_deviation,
     simulate_high_res,
     simulate_low_res,
 )
@@ -73,12 +71,10 @@ __all__ = [
     "certify_continuous",
     "certify_general",
     "certify_standard",
-    "continuous_lyapunov",
     "discrete_lyapunov",
     "extended_lyapunov",
     "high_res_implicit_step",
     "huber_prox",
-    "hyperplane_deviation",
     "kkt_residuals",
     "library",
     "load_instance",

@@ -9,7 +9,8 @@ The high-resolution system
 is integrated by implicit Euler only: with step delta = s each implicit
 step coincides with one discrete ADMM step, and for delta < s (with the
 regularizer Huber-smoothed) the coupled piecewise-linear step equations
-are solved exactly by an active-pattern Newton iteration. The
+are solved exactly for their Huber region pattern by prox.settle_pattern,
+warm-started from the previous node's pattern. The
 low-resolution flow eliminates Y through the constraint and therefore
 never leaves the hyperplane F x + G y = h; the deviation columns of the
 two trajectories make the dual-correction effect measurable.
@@ -20,17 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .diagnostics import (CertificateReport, _energy, _entry, _strong_gap, _weak_gap,
                           strong_convexity_modulus)
 from .errors import IllConditionedError, InnerSolveError, ParameterError, UnsupportedProblemError
 from .functions import AffineIndicator, HuberSmoothedL1
-from .prox import FactorizationCache, _norm
+from .prox import FactorizationCache, _norm, settle_pattern
 from .solver import Trace
 
 ALGEBRAIC_TOL = 1e-11
 INNER_TOL = 1e-12  # scaled residual an implicit step must reach
-INNER_MAX = 500  # pattern-Newton passes before an implicit step gives up
 
 CONT_PREFIXES = ("X", "Y", "Lambda")
 CONT_SCALAR_COLUMNS = ["deviation", "lyapunov", "ne_continuous"]
@@ -64,17 +65,6 @@ class IntegratorConfig:
         for name, ratio in (("T/delta", self.T / self.delta), ("s/delta", self.s / self.delta)):
             if abs(ratio - round(ratio)) > 1e-9 * ratio:
                 raise ParameterError(f"{name} = {ratio!r} must be a whole number")
-
-
-def hyperplane_deviation(state, spec):
-    """||F X + G Y - h||: how far the pair (X, Y) sits off the constraint hyperplane."""
-    return float(np.linalg.norm(spec.F @ state.X + spec.G @ state.Y - spec.h))
-
-
-def continuous_lyapunov(state, ref, spec, s):
-    """Same energy as the discrete Lyapunov function, evaluated on a continuous state."""
-    ry, rl = ref
-    return _energy(state.Y, state.Lam, np.asarray(ry, float), np.asarray(rl, float), spec.G, s)
 
 
 def _continuous_trace(spec, n):
@@ -159,13 +149,12 @@ def _newton_system(spec, s, delta):
     return base, rhs, gram_term, delta * spec.h
 
 
-def _pattern_newton(spec, s, delta, Y_old, L_old, X, Y, L, cache):
+def _pattern_newton(spec, s, delta, Y_old, L_old, cache):
     """Solve the implicit-Euler step equations exactly for Huber g.
 
-    The system is piecewise linear in (X, Y, Lam); each Newton pass fixes
-    the quadratic/saturated region of every Y coordinate, solves the
-    resulting linear system, and repeats until the region pattern is
-    self-consistent. The pattern-independent part of the system is kept in cache.
+    The system is linear once the quadratic/saturated region of every Y coordinate
+    is fixed; settle_pattern finds the self-consistent regions, warm-started from
+    those of Y_old. The pattern-independent part of the system is kept in cache.
     """
     g = spec.g
     if not isinstance(g, HuberSmoothedL1):
@@ -180,9 +169,7 @@ def _pattern_newton(spec, s, delta, Y_old, L_old, X, Y, L, cache):
     rhs[sx:sy] = spec.FtG @ Y_old - gram_term
     rhs[sl:sl + m] = s * s * L_old - dh
 
-    pattern = _pattern(Y, g)
-    seen = set()
-    for _ in range(INNER_MAX):
+    def solve(pattern):
         # a Y coordinate in its quadratic region gets w/delta on the diagonal and
         # right-hand side 0; a saturated one right-hand side -w * sign
         quad = pattern == 0
@@ -192,25 +179,17 @@ def _pattern_newton(spec, s, delta, Y_old, L_old, X, Y, L, cache):
         v = rhs.copy()
         v[sy:sl] = np.where(quad, 0.0, -g.w * pattern)
         try:
-            z = np.linalg.solve(M, v)
+            return np.linalg.solve(M, v)
         except np.linalg.LinAlgError:
-            z, *_ = np.linalg.lstsq(M, v, rcond=None)
-        X, Y, L = z[sx:sy], z[sy:sl], z[sl:sl + m]
-        new_pattern = _pattern(Y, g)
-        if np.array_equal(new_pattern, pattern):
-            res = _implicit_residual(spec, s, delta, Y_old, L_old, X, Y, L)
-            if res <= INNER_TOL:
-                return X, Y, L
-            raise InnerSolveError(
-                f"implicit step solved its pattern system but residual {res:.3e} "
-                f"exceeds {INNER_TOL!r}"
-            )
-        key = tuple(new_pattern)
-        if key in seen:
-            raise InnerSolveError("implicit step pattern iteration is cycling")
-        seen.add(key)
-        pattern = new_pattern
-    raise InnerSolveError(f"implicit step did not settle within {INNER_MAX} passes")
+            return np.linalg.lstsq(M, v, rcond=None)[0]
+
+    z = settle_pattern(solve, lambda z: _pattern(z[sy:sl], g), _pattern(Y_old, g))
+    X, Y, L = z[sx:sy], z[sy:sl], z[sl:sl + m]
+    res = _implicit_residual(spec, s, delta, Y_old, L_old, X, Y, L)
+    if res > INNER_TOL:
+        raise InnerSolveError(f"implicit step solved its pattern system but residual "
+                              f"{res:.3e} exceeds {INNER_TOL!r}")
+    return X, Y, L
 
 
 def _sweep_step(cache, spec, s, delta):
@@ -241,7 +220,7 @@ def high_res_implicit_step(state, spec, s, delta, cache=None):
     if _implicit_residual(spec, s, delta, state.Y, state.Lam, X1, Y1, L1) <= INNER_TOL:
         return ContinuousState(X1, Y1, L1, state.t + delta)
 
-    X1, Y1, L1 = _pattern_newton(spec, s, delta, state.Y, state.Lam, X1, Y1, L1, cache)
+    X1, Y1, L1 = _pattern_newton(spec, s, delta, state.Y, state.Lam, cache)
     return ContinuousState(X1, Y1, L1, state.t + delta)
 
 
@@ -293,12 +272,19 @@ def simulate_low_res(spec, T, delta, init_x, ref=None, s=1.0):
     if not np.isfinite(FtF_cond) or FtF_cond > 1e12:
         raise ParameterError("F^T F is numerically singular")
 
-    def y_of(x):
-        return np.linalg.solve(spec.G, spec.h - spec.F @ x)
+    # G and F^T F are factored once; every RK4 stage only back-substitutes
+    getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (spec.FtF,))
+    G_lu, FtF_lu = scipy.linalg.lu_factor(spec.G), scipy.linalg.lu_factor(spec.FtF)
+
+    def lu_solve(lu, b):
+        z, info = getrs(*lu, b)
+        if info:
+            raise IllConditionedError(f"low-resolution flow solve failed (LAPACK info {info})")
+        return z
 
     def field(x):
-        rhs = -spec.f.grad(x) - spec.F.T @ spec.g.grad(y_of(x))
-        return np.linalg.solve(spec.FtF, rhs)
+        y = lu_solve(G_lu, spec.h - spec.F @ x)
+        return lu_solve(FtF_lu, -spec.f.grad(x) - spec.F.T @ spec.g.grad(y))
 
     steps = int(round(T / delta))
     x = np.asarray(init_x, dtype=float)
@@ -312,8 +298,10 @@ def simulate_low_res(spec, T, delta, init_x, ref=None, s=1.0):
         x = x + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         trace.axis[j + 1] = (j + 1) * delta
         trace.xs[j + 1] = x
-    trace.ys[:] = np.linalg.solve(spec.G, (spec.h - trace.xs @ spec.F.T).T).T
-    # the algebraic leg defines a multiplier surrogate along the flow
+    trace.ys[:] = lu_solve(G_lu, (spec.h - trace.xs @ spec.F.T).T).T
+    # the algebraic leg defines a multiplier surrogate along the flow; a transposed
+    # solve with G's factor changes the last bits of lasso_8x6_smoothed, so it
+    # stays a separate solve
     trace.lams[:] = -np.linalg.solve(spec.G.T, spec.g.grad(trace.ys).T).T
     return _fill_columns(trace, spec, s, ref)
 

@@ -1,22 +1,21 @@
 """Reference saddle points, computed two independent ways.
 
-For an l1 regularizer in at most 12 coordinates, every support/sign pattern
-of y is enumerated and its KKT linear system solved; otherwise (or as a
-cross-check) a long r-proximal ADMM run drives the KKT residuals below the
-requested tolerance. Every returned saddle is re-certified by evaluating the
-KKT residuals at it.
+For an l1 regularizer with quadratic f in at most SIGN_PATTERN_MAX_DIM
+coordinates, a primal-dual active-set search (prox.settle_pattern) finds the
+sign pattern of y whose KKT linear system is self-consistent; otherwise (or
+as a cross-check) a long r-proximal ADMM run drives the KKT residuals below
+the requested tolerance. Every returned saddle is re-certified by evaluating
+the KKT residuals at it.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import IllConditionedError, OracleConvergenceError, ParameterError
-from .functions import AffineIndicator, ScaledL1
+from .functions import Quadratic, ScaledL1
 from .problems import SaddlePoint, kkt_residuals
-from .prox import FactorizationCache
+from .prox import FactorizationCache, settle_pattern
 from .solver import default_r
 
 SIGN_PATTERN_MAX_DIM = 12
@@ -25,46 +24,31 @@ _CHECK_EVERY = 100
 
 
 def sign_pattern_oracle(spec, tol=1e-8):
-    """Enumerate support/sign patterns of y and solve each pattern's KKT system."""
+    """Saddle point of an l1 problem with quadratic f by the primal-dual active set
+    (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2002): from the all-zero sign
+    pattern, solve that pattern's KKT system, then take sigma_i = sign(q_i) if
+    |q_i| > w else 0, q = y - G^T lam, until the pattern settles."""
     if not isinstance(spec.g, ScaledL1):
         raise ParameterError("sign-pattern oracle requires g = w||.||_1")
-    if spec.d2 > SIGN_PATTERN_MAX_DIM:
-        raise ParameterError(
-            f"sign-pattern oracle limited to d2 <= {SIGN_PATTERN_MAX_DIM} (got {spec.d2})"
-        )
+    f = spec.f
+    if not isinstance(f, Quadratic):  # inconsistent pattern systems mislead the search
+        raise ParameterError("sign-pattern oracle requires a quadratic f")
     w = spec.g.w
     d1, d2, m = spec.d1, spec.d2, spec.m
-    f = spec.f
-    indicator = isinstance(f, AffineIndicator)
-    m1 = f.A.shape[0] if indicator else 0
 
-    best_res = np.inf
-    for sigma in itertools.product((-1.0, 0.0, 1.0), repeat=d2):
-        sigma = np.array(sigma)
-        P = np.flatnonzero(sigma != 0.0)
+    def solve(sigma):
+        P = np.flatnonzero(sigma != 0)
         p = P.size
-        # unknowns: x, y_P, lam (+ nu for an indicator f)
-        nun = d1 + p + m + m1
+        # unknowns: x, y_P, lam
+        nun = d1 + p + m
         rows = []
         rhs = []
-        if indicator:
-            # stationarity in x: A^T nu + F^T lam = 0; feasibility A x = b
-            blk = np.zeros((d1, nun))
-            blk[:, d1 + p:d1 + p + m] = spec.F.T
-            blk[:, d1 + p + m:] = f.A.T
-            rows.append(blk)
-            rhs.append(np.zeros(d1))
-            blk = np.zeros((m1, nun))
-            blk[:, :d1] = f.A
-            rows.append(blk)
-            rhs.append(f.b)
-        else:
-            # 2 A^T A x + F^T lam = 2 A^T b
-            blk = np.zeros((d1, nun))
-            blk[:, :d1] = 2.0 * f.gram
-            blk[:, d1 + p:d1 + p + m] = spec.F.T
-            rows.append(blk)
-            rhs.append(2.0 * f.gram_rhs)
+        # 2 A^T A x + F^T lam = 2 A^T b
+        blk = np.zeros((d1, nun))
+        blk[:, :d1] = 2.0 * f.gram
+        blk[:, d1 + p:d1 + p + m] = spec.F.T
+        rows.append(blk)
+        rhs.append(2.0 * f.gram_rhs)
         if p:
             # (G^T lam)_P = -w * sigma_P
             blk = np.zeros((p, nun))
@@ -79,22 +63,21 @@ def sign_pattern_oracle(spec, tol=1e-8):
         rows.append(blk)
         rhs.append(spec.h)
 
-        M = np.vstack(rows)
-        v = np.concatenate(rhs)
-        z, *_ = np.linalg.lstsq(M, v, rcond=None)
-        if np.linalg.norm(M @ z - v) > 1e-8 * (1.0 + np.linalg.norm(v)):
-            continue
-        x = z[:d1]
+        z, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
         y = np.zeros(d2)
         y[P] = z[d1:d1 + p]
-        lam = z[d1 + p:d1 + p + m]
-        res = max(kkt_residuals(spec, x, y, lam))
-        best_res = min(best_res, res)
-        if res <= tol:
-            return SaddlePoint(x, y, lam, res)
+        return z[:d1], y, z[d1 + p:]
+
+    def pattern_of(sol):
+        q = sol[1] - spec.G.T @ sol[2]
+        return np.where(np.abs(q) > w, np.sign(q), 0.0).astype(int)
+
+    x, y, lam = settle_pattern(solve, pattern_of, np.zeros(d2, dtype=int))
+    res = max(kkt_residuals(spec, x, y, lam))
+    if res <= tol:
+        return SaddlePoint(x, y, lam, res)
     raise OracleConvergenceError(
-        f"no sign pattern satisfied the KKT conditions within {tol!r} "
-        f"(best residual {best_res:.3e})", best_res)
+        f"the settled sign pattern misses the KKT conditions by {res:.3e} > {tol!r}", res)
 
 
 def long_run_oracle(spec, tol=1e-8, budget=LONG_RUN_BUDGET):
@@ -118,10 +101,12 @@ def long_run_oracle(spec, tol=1e-8, budget=LONG_RUN_BUDGET):
 
 
 def saddle_point_oracle(spec, tol=1e-8):
-    """Certified saddle point: sign-pattern enumeration when available, long run otherwise."""
+    """Certified saddle point: the active set for an l1 g with quadratic f and
+    d2 <= SIGN_PATTERN_MAX_DIM, the long run otherwise."""
     if not 1e-12 <= tol < np.inf:  # also refuses nan
         raise ParameterError(f"saddle tolerance tol = {tol!r} is not certifiable: "
                              "it must lie in [1e-12, inf)")
-    if isinstance(spec.g, ScaledL1) and spec.d2 <= SIGN_PATTERN_MAX_DIM:
+    if (isinstance(spec.g, ScaledL1) and isinstance(spec.f, Quadratic)
+            and spec.d2 <= SIGN_PATTERN_MAX_DIM):
         return sign_pattern_oracle(spec, tol)
     return long_run_oracle(spec, tol / 10.0)

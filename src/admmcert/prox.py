@@ -6,7 +6,8 @@ system. The r-proximal variant replaces F^T F on the left by r*I, which
 stays solvable even when A and F share a null direction. The y-update is a
 componentwise shrink (or Huber prox) and needs G = +I or -I. A Step owns
 the whole iteration of one (problem, s, r): it is built once and cached,
-and each call does only the per-step work.
+and each call does only the per-step work. settle_pattern finds the region
+pattern of a piecewise-linear system for the implicit step and the oracle.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .errors import IllConditionedError, ParameterError, UnsupportedProblemError
+from .errors import IllConditionedError, InnerSolveError, ParameterError, UnsupportedProblemError
 from .functions import AffineIndicator, HuberSmoothedL1, Quadratic, ScaledL1
 
 COND_LIMIT = 1e12
 SOLVE_TOL = 1e-10  # relative residual every x-update solve must reach
+INNER_MAX = 500  # linear solves settle_pattern may spend before it gives up
 
 
 def _norm(v):
@@ -50,6 +52,29 @@ def huber_prox(v, t, w, delta):
         raise ParameterError("prox step must be nonnegative")
     cut = delta + t * w
     return _huber(np.asarray(v, dtype=float), cut, delta / cut, t * w)
+
+
+def settle_pattern(solve, pattern_of, start):
+    """The solution z = solve(p) of a pattern p (an int vector of regions -1, 0, 1)
+    with pattern_of(z) == p, searched from start. Each pass adopts the whole
+    observed pattern until one repeats; from then on it moves only the least-index
+    coordinate that differs, one region toward the observed one (a least-index
+    rule as in Cottle, Pang & Stone, The Linear Complementarity Problem, 1992)."""
+    pattern, seen, block = start, set(), True
+    for _ in range(INNER_MAX):
+        z = solve(pattern)
+        observed = pattern_of(z)
+        if np.array_equal(observed, pattern):
+            return z
+        seen.add(pattern.tobytes())
+        block = block and observed.tobytes() not in seen
+        if block:
+            pattern = observed
+        else:
+            i = np.flatnonzero(observed != pattern)[0]
+            pattern = pattern.copy()
+            pattern[i] += np.sign(observed[i] - pattern[i])
+    raise InnerSolveError(f"pattern search did not settle within {INNER_MAX} passes")
 
 
 class YUpdate:

@@ -1,10 +1,48 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from admmcert.cli import main
 from admmcert.errors import OracleConvergenceError, ParameterError
 from admmcert.library import get_instance
 from admmcert.oracle import long_run_oracle, saddle_point_oracle, sign_pattern_oracle
-from admmcert.problems import build_generalized_lasso, kkt_residuals
+from admmcert.problems import build_generalized_lasso, kkt_residuals, load_instance
+
+
+def enumerated_saddle(spec, tol=1e-8):
+    """Brute-force reference: the first of all 3^d2 sign patterns, in itertools order,
+    whose KKT system (the one sign_pattern_oracle assembles, solved by the same
+    lstsq) is consistent and whose solution meets tol. Returns (x, y, lam)."""
+    assert spec.d2 <= 6, "the reference enumerates 3^d2 patterns"
+    d1, d2, m, w, f = spec.d1, spec.d2, spec.m, spec.g.w, spec.f
+    for sigma in itertools.product((-1.0, 0.0, 1.0), repeat=d2):
+        sigma = np.array(sigma)
+        P = np.flatnonzero(sigma != 0.0)
+        p = P.size
+        M = np.zeros((d1 + p + m, d1 + p + m))
+        M[:d1, :d1] = 2.0 * f.gram
+        M[:d1, d1 + p:] = spec.F.T
+        M[d1:d1 + p, d1 + p:] = spec.G.T[P, :]
+        M[d1 + p:, :d1] = spec.F
+        M[d1 + p:, d1:d1 + p] = spec.G[:, P]
+        v = np.concatenate([2.0 * f.gram_rhs, -w * sigma[P], spec.h])
+        z, *_ = np.linalg.lstsq(M, v, rcond=None)
+        if np.linalg.norm(M @ z - v) > 1e-8 * (1.0 + np.linalg.norm(v)):
+            continue
+        y = np.zeros(d2)
+        y[P] = z[d1:d1 + p]
+        x, lam = z[:d1], z[d1 + p:]
+        if max(kkt_residuals(spec, x, y, lam)) <= tol:
+            return x, y, lam
+    raise AssertionError("no sign pattern satisfies the KKT conditions")
+
+
+def generated(tmp_path, kind, dims, seed):
+    path = tmp_path / f"{kind}.txt"
+    assert main(["generate", kind, "--dims", dims, "--seed", str(seed),
+                 "--out", str(path)]) == 0
+    return load_instance(path)
 
 
 class TestSignPattern:
@@ -22,9 +60,31 @@ class TestSignPattern:
         assert sad.y_star[0] == 0.0
         assert max(kkt_residuals(spec, sad.x_star, sad.y_star, sad.lambda_star)) <= 1e-8
 
-    def test_dimension_cap(self):
-        with pytest.raises(ParameterError, match="d2 <= 12"):
-            sign_pattern_oracle(get_instance("lasso_20x50"))
+    @pytest.mark.parametrize("name", ["scalar_lasso", "rank_deficient_lasso", "lasso_8x6",
+                                      "zero_support"])
+    def test_active_set_matches_enumeration_bitwise(self, name):
+        spec = (build_generalized_lasso([[1.0]], [1.0], [[1.0]], 5.0) if name == "zero_support"
+                else get_instance(name))
+        sad = sign_pattern_oracle(spec)
+        for got, want in zip((sad.x_star, sad.y_star, sad.lambda_star),
+                             enumerated_saddle(spec)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["lasso_20x16_seed0", "lasso_20x50", "tv_d50",
+                                      "trend_d50"])
+    def test_active_set_agrees_with_long_run_past_the_cap(self, tmp_path, name):
+        spec = (generated(tmp_path, "lasso", "20,16", 0) if name == "lasso_20x16_seed0"
+                else get_instance(name))
+        sp = sign_pattern_oracle(spec)
+        lr = long_run_oracle(spec, tol=1e-9)
+        gap = max(np.max(np.abs(sp.y_star - lr.y_star)),
+                  np.max(np.abs(sp.lambda_star - lr.lambda_star)))
+        assert gap <= 1e-7
+        assert sp.kkt_residual <= 1e-8
+
+    def test_affine_indicator_f_rejected(self):
+        with pytest.raises(ParameterError, match="quadratic f"):
+            sign_pattern_oracle(get_instance("basis_pursuit_10x30"))
 
     def test_indicator_instance_rejected_without_l1(self):
         spec = get_instance("scalar_lasso").smoothed(1e-3)
@@ -63,6 +123,16 @@ class TestDispatcher:
     def test_routes_small_l1_to_sign_pattern(self):
         sad = saddle_point_oracle(get_instance("rank_deficient_lasso"))
         assert sad.kkt_residual <= 1e-8
+
+    @pytest.mark.parametrize("case", ["past_the_cap", "indicator_f"])
+    def test_routes_to_long_run(self, tmp_path, case):
+        spec = (get_instance("lasso_20x50") if case == "past_the_cap"
+                else generated(tmp_path, "basis_pursuit", "4,9", 0))  # d2 = 9, under the cap
+        sad = saddle_point_oracle(spec, tol=1e-8)
+        lr = long_run_oracle(spec, tol=1e-9)
+        for got, want in zip((sad.x_star, sad.y_star, sad.lambda_star),
+                             (lr.x_star, lr.y_star, lr.lambda_star)):
+            assert np.array_equal(got, want)
 
     def test_routes_smoothed_to_long_run(self):
         sad = saddle_point_oracle(get_instance("scalar_lasso_smoothed"))

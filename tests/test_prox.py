@@ -4,13 +4,16 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from admmcert.errors import IllConditionedError, ParameterError, UnsupportedProblemError
+from admmcert.errors import (IllConditionedError, InnerSolveError, ParameterError,
+                             UnsupportedProblemError)
 from admmcert.functions import Quadratic, ScaledL1
 from admmcert.library import get_instance
 from admmcert.problems import ProblemSpec, build_basis_pursuit, build_generalized_lasso
 from admmcert.prox import (
     FactorizationCache,
+    INNER_MAX,
     huber_prox,
+    settle_pattern,
     soft_threshold,
     x_update,
     y_update,
@@ -18,6 +21,46 @@ from admmcert.prox import (
 
 finite_vec = arrays(np.float64, st.integers(1, 8),
                     elements=st.floats(-1e6, 1e6, allow_nan=False))
+
+
+class TestSettlePattern:
+    @staticmethod
+    def _search(table, start):
+        """settle_pattern over a lookup table pattern -> observed pattern, logging
+        every pattern it solves."""
+        solved = []
+
+        def solve(pattern):
+            solved.append(tuple(pattern))
+            return np.array(table[tuple(pattern)])
+
+        return settle_pattern(solve, lambda z: z, np.array(start)), solved
+
+    def test_block_update_takes_the_whole_observed_pattern(self):
+        z, solved = self._search({(0, 0): (1, -1), (1, -1): (1, -1)}, (0, 0))
+        assert solved == [(0, 0), (1, -1)]
+        np.testing.assert_array_equal(z, [1, -1])
+
+    def test_repeat_falls_back_to_one_region_on_the_least_index(self):
+        # block updates 2-cycle between (-1, 1) and (1, -1); at the repeat the
+        # fallback moves coordinate 0 of (1, -1) one region, to 0, and not
+        # straight to the observed -1
+        table = {(-1, 1): (1, -1), (1, -1): (-1, 1), (0, -1): (0, -1)}
+        z, solved = self._search(table, (-1, 1))
+        assert solved == [(-1, 1), (1, -1), (0, -1)]
+        np.testing.assert_array_equal(z, [0, -1])
+
+    def test_budget_names_the_pass_count(self):
+        # the observed region always lies on the far side of the current one
+        calls = []
+
+        def solve(pattern):
+            calls.append(1)
+            return pattern
+
+        with pytest.raises(InnerSolveError, match=f"within {INNER_MAX} passes"):
+            settle_pattern(solve, lambda p: np.where(p > 0, -1, 1), np.array([1]))
+        assert len(calls) == INNER_MAX
 
 
 class TestSoftThreshold:
