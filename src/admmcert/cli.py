@@ -27,7 +27,7 @@ from .errors import AdmmError, ParameterError
 from .ode import ContinuousState, IntegratorConfig, simulate_high_res, simulate_low_res
 from .oracle import saddle_point_oracle
 from .problems import build_basis_pursuit, build_generalized_lasso, load_instance, save_instance
-from .solver import GENERAL, SolverConfig, default_r, run
+from .solver import GENERAL, TRACE_CSV, SolverConfig, default_r, run, write_csv
 
 EXIT_PASS = 0
 EXIT_CERT_FAIL = 1
@@ -144,7 +144,7 @@ def cmd_solve(args):
 
     saddle = saddle_point_oracle(spec, tol)
     trace = run(spec, config, saddle=saddle)
-    trace.to_csv(os.path.join(out, "trace.csv"))
+    trace.to_csv(os.path.join(out, TRACE_CSV))
     trace.to_json(os.path.join(out, "trace.json"))
     if variant == GENERAL:
         report = certify_general(trace, spec, s, r if r is not None else default_r(spec), saddle)
@@ -184,27 +184,21 @@ def cmd_simulate(args):
     trace = run(spec, solver_cfg, saddle=saddle)
     trace.to_csv(os.path.join(out, "discrete.csv"))
 
-    rows = [["t", "deviation_high_res", "deviation_low_res", "deviation_discrete",
-             "lyapunov_high_res", "lyapunov_discrete"]]
     low = None
     if spec.f.smooth and spec.g.smooth and spec.d2 == spec.m:
         low = simulate_low_res(spec, T, delta, np.zeros(spec.d1), ref=ref, s=s)
         low.to_csv(os.path.join(out, "low_res.csv"))
-    dev_h, lyap_h = high.scalars["deviation"], high.scalars["lyapunov"]
-    dev_l = low.scalars["deviation"] if low is not None else None
-    dev_d, lyap_d = trace.scalars["primal_res"], trace.scalars["lyapunov"]
     per = int(round(s / delta))  # a whole number, checked by IntegratorConfig
-    for k in range(len(trace)):
-        j = k * per
-        if j >= len(high):
-            break
-        rows.append([high.axis[j], dev_h[j],
-                     dev_l[j] if dev_l is not None else float("nan"),
-                     dev_d[k], lyap_h[j], lyap_d[k]])
-    with open(os.path.join(out, "comparison.csv"), "w") as fh:
-        fh.write("\n".join(
-            ",".join(str(v) if isinstance(v, str) else repr(float(v)) for v in row)
-            for row in rows) + "\n")
+    ks = np.arange(len(trace))
+    ks = ks[ks * per < len(high)]  # discrete steps k with a high-resolution node at k*s
+    js = ks * per
+    dev_l = low.scalars["deviation"][js] if low is not None else np.full(len(ks), np.nan)
+    table = np.column_stack([high.axis[js], high.scalars["deviation"][js], dev_l,
+                             trace.scalars["primal_res"][ks], high.scalars["lyapunov"][js],
+                             trace.scalars["lyapunov"][ks]])
+    write_csv(os.path.join(out, "comparison.csv"),
+              ["t", "deviation_high_res", "deviation_low_res", "deviation_discrete",
+               "lyapunov_high_res", "lyapunov_discrete"], table.tolist())
     _write_sidecar(out, f"simulate {name} s={s!r} delta={delta!r} T={T!r}")
     print(f"wrote {out}/high_res.csv, {out}/discrete.csv, {out}/comparison.csv")
     return EXIT_PASS

@@ -1,7 +1,7 @@
 """Constrained problem model: min f(x) + g(y) subject to F x + G y = h.
 
 Holds the problem container, the canonical builders (generalized lasso,
-basis pursuit), Lagrangians, KKT residuals, and the instance file format.
+basis pursuit), KKT residuals, and the instance file format.
 """
 
 from __future__ import annotations
@@ -114,27 +114,6 @@ def build_basis_pursuit(A, b):
     f = AffineIndicator(A, b)
     d = f.dim
     return ProblemSpec(f, ScaledL1(1.0), np.eye(d), -np.eye(d), np.zeros(d))
-
-
-def lagrangian(spec, x, y, lam):
-    """Unaugmented Lagrangian f(x) + g(y) + <lam, Fx + Gy - h>."""
-    base = spec.f.value(x) + spec.g.value(y)
-    if not np.isfinite(base):
-        return np.inf
-    return base + float(lam @ spec.constraint_residual(x, y))
-
-
-def augmented_lagrangian(spec, x, y, lam, s):
-    """Lagrangian plus the (1/2s)||Fx + Gy - h||^2 penalty."""
-    from .errors import ParameterError
-
-    if s <= 0:
-        raise ParameterError("penalty parameter s must be positive")
-    base = lagrangian(spec, x, y, lam)
-    if not np.isfinite(base):
-        return np.inf
-    r = spec.constraint_residual(x, y)
-    return base + float(r @ r) / (2.0 * s)
 
 
 def kkt_residuals(spec, x, y, lam):

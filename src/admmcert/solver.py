@@ -5,6 +5,9 @@ s*(lam_{k+1} - lam_k) equals the constraint violation at every iterate;
 that identity is what pushes the trajectory off the constraint hyperplane
 and is recorded per step. The run loop only steps and stores the iterates;
 the per-row columns are computed from them afterwards, in one array pass.
+A solver run's rows are serialized once, to trace.csv; trace.json holds only
+its head (columns, config, stop reason) and names that CSV. One writer,
+write_csv, writes every table.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .prox import FactorizationCache
 STANDARD = "standard"
 GENERAL = "general"
 
+TRACE_CSV = "trace.csv"  # the rows of a solver run; trace.json names it
 TRACE_SCALAR_COLUMNS = ["primal_res", "dual_x_res", "dual_y_res", "objective", "lyapunov", "ne"]
 
 
@@ -87,41 +91,38 @@ class Trace:
         cols += list(self.scalars)
         return cols
 
-    def _rows(self):
-        """The rows as lists of Python numbers, produced one at a time.
-
-        Raises RuntimeError at once, before any row, unless every column has
-        one entry per row, that is, unless every row has the header's width.
-        """
-        n, width = len(self), len(self.columns())
+    def to_csv(self, path):
+        """Write the header and the rows. Raises RuntimeError before the file is created
+        unless every column has one entry per row, that is, unless every row has the
+        header's width."""
+        columns = self.columns()
+        n, width = len(self), len(columns)
         blocks = [self.xs, self.ys, self.lams]
         blocks += [np.reshape(col, (-1, 1)) for col in self.scalars.values()]
         if any(b.shape[0] != n for b in blocks) or 1 + sum(b.shape[1] for b in blocks) != width:
             raise RuntimeError(f"trace rows do not all have the header's {width} columns")
         axis = self.axis.tolist()
         table = np.hstack([np.empty((n, 0))] + blocks[3:])  # the (n, c) scalar columns
-        return ([axis[j]] + self.xs[j].tolist() + self.ys[j].tolist()
-                + self.lams[j].tolist() + table[j].tolist() for j in range(n))
-
-    def to_csv(self, path):
-        rows = self._rows()  # the width check runs here, before the file is created
-        with open(path, "w") as fh:
-            fh.write(",".join(self.columns()) + "\n")
-            for row in rows:
-                fh.write(",".join(map(repr, row)) + "\n")
+        write_csv(path, columns, ([axis[j]] + self.xs[j].tolist() + self.ys[j].tolist()
+                                  + self.lams[j].tolist() + table[j].tolist() for j in range(n)))
 
     def to_json(self, path):
-        """The CSV's columns and rows plus the config of a solver run (runs always complete),
-        under sorted keys and written row by row: no string of the whole table is built."""
-        rows = self._rows()  # the width check runs here, before the file is created
+        """The head of a solver run (runs always complete): what its CSV, written to
+        TRACE_CSV beside it, lacks. The rows are only in the CSV."""
         config = {"s": self.config.s, "N": self.config.N, "variant": self.config.variant,
                   "r": self.config.r}
-        head = json.dumps({"columns": self.columns(), "config": config}, sort_keys=True)
+        head = {"columns": self.columns(), "config": config, "rows_file": TRACE_CSV,
+                "stop_reason": "completed"}
         with open(path, "w") as fh:
-            fh.write(head[:-1] + ', "rows": [')
-            for j, row in enumerate(rows):
-                fh.write((", " if j else "") + json.dumps(row))
-            fh.write('], "stop_reason": "completed"}\n')
+            fh.write(json.dumps(head, sort_keys=True) + "\n")
+
+
+def write_csv(path, columns, rows):
+    """The one table writer: a header line, then each row's Python numbers by repr."""
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def admm_step(state, spec, s, cache=None, r=None):

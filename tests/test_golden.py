@@ -1,4 +1,4 @@
-"""Golden bytes: the artifacts of three small CLI runs, pinned by sha256.
+"""Golden bytes: the artifacts of four small CLI runs, pinned by sha256.
 
 The instances are one-dimensional (d1 = d2 = m = 1), so every product is a
 scalar multiply and the hashes do not depend on the BLAS build. Any change in
@@ -18,7 +18,7 @@ GOLDEN = {
         {
             "certificates.json": "875407ea52791f418892a032165d2c267bf0b2484ab10643c1efeb30c5d758c5",
             "trace.csv": "ad8f08224200ff943afe9cc1142da676b6c432e1551a1cac148a4762e915b801",
-            "trace.json": "6ae92bf4588d1c02718f098d3b5fc4d47b9f1db34a3a6b2f555730c8122b7e72",
+            "trace.json": "2af47f8536f165ef042c8d63b5d614e9790bf037229ab6f8845ab0178650b389",
         },
     ),
     "solve_general": (
@@ -26,7 +26,18 @@ GOLDEN = {
         {
             "certificates.json": "9ebfcbee91f40b4e3ace8327c7c529460eaabbc9aa87ce9ab058c7bfee4d78f0",
             "trace.csv": "a41d2cc058842f42497fae9158efbc868114e5ddcfef52ed673e14c241593292",
-            "trace.json": "54e6df8379243394725080f0669806ef7848e232f16b68f314d358b6ea9387d4",
+            "trace.json": "d62bf6bbc7f72e0baf4758643920934ff26962672230b82b414aac26d304860e",
+        },
+    ),
+    # at T = 20 the implicit step accepts its ADMM-shaped first sweep on 337 of
+    # 2000 steps; at T <= 10 it accepts none, so only this case reaches that path
+    "simulate_accepted_sweep": (
+        ["simulate", "--spec", "scalar_lasso_smoothed", "--delta", "0.01", "--horizon", "20"],
+        {
+            "comparison.csv": "fc979d6d242548fa7a73cd3b026603965663202d37c72f8b2caf65653bbc100f",
+            "discrete.csv": "f2f8af2186a2a07f95c71b3f9cec607a038b929cf8d4394b05523704f52801d9",
+            "high_res.csv": "48f90fb7da8771e18ce30657d3322269454046faf4f91e5acdd54fa351c76dcd",
+            "low_res.csv": "d1adf2a92d5bf7faa1a64d17948a092f99c117fe8866f5865bc56550c60eb89d",
         },
     ),
     "simulate": (

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from admmcert.errors import ParameterError, ProblemConstructionError
+from admmcert.errors import ProblemConstructionError
 from admmcert.functions import AffineIndicator, HuberSmoothedL1, Quadratic, ScaledL1
 from admmcert.problems import (
     ProblemSpec,
-    augmented_lagrangian,
     build_basis_pursuit,
     build_generalized_lasso,
     kkt_residuals,
-    lagrangian,
     load_instance,
     save_instance,
 )
@@ -126,25 +124,6 @@ class TestProblemSpec:
         sm = scalar_spec().smoothed(1e-3)
         assert isinstance(sm.g, HuberSmoothedL1)
         assert sm.g.delta == 1e-3
-
-
-class TestLagrangians:
-    def test_augmented_needs_positive_s(self):
-        spec = scalar_spec()
-        with pytest.raises(ParameterError):
-            augmented_lagrangian(spec, np.zeros(1), np.zeros(1), np.zeros(1), 0.0)
-
-    def test_augmented_reduces_to_lagrangian_on_hyperplane(self):
-        spec = scalar_spec()
-        x = np.array([0.3])
-        y = np.array([0.3])
-        lam = np.array([2.0])
-        assert augmented_lagrangian(spec, x, y, lam, 1.0) == pytest.approx(
-            lagrangian(spec, x, y, lam))
-
-    def test_infinite_value_propagates(self):
-        spec = build_basis_pursuit(np.array([[1.0, 0.0]]), np.array([1.0]))
-        assert lagrangian(spec, np.array([0.0, 0.0]), np.zeros(2), np.zeros(1)) == np.inf
 
 
 class TestKKTResiduals:

@@ -143,11 +143,10 @@ class TestTraceSerialization:
         spec = get_instance("scalar_lasso")
         trace = run(spec, SolverConfig(s=1.0, N=5))
         trace.scalars["objective"] = resize(trace.scalars["objective"])
-        for write, path in ((trace.to_csv, tmp_path / "trace.csv"),
-                            (trace.to_json, tmp_path / "trace.json")):
-            with pytest.raises(RuntimeError, match="header's 10 columns"):
-                write(path)
-            assert not path.exists()  # refused before anything is written
+        path = tmp_path / "trace.csv"
+        with pytest.raises(RuntimeError, match="header's 10 columns"):
+            trace.to_csv(path)
+        assert not path.exists()  # refused before anything is written
 
     def test_json_sorted_and_stable(self, tmp_path):
         spec = get_instance("scalar_lasso")
@@ -157,5 +156,9 @@ class TestTraceSerialization:
         trace.to_json(p2)
         assert p1.read_bytes() == p2.read_bytes()
         payload = json.loads(p1.read_text())
-        assert payload["columns"][0] == "k"
-        assert len(payload["rows"]) == 5
+        assert "rows" not in payload  # the rows are only in the CSV
+        assert payload["rows_file"] == "trace.csv"
+        csv = tmp_path / payload["rows_file"]
+        trace.to_csv(csv)
+        assert payload["columns"] == csv.read_text().split("\n", 1)[0].split(",")
+        assert SolverConfig(**payload["config"]) == trace.config
