@@ -26,9 +26,6 @@ from .diagnostics import (
     CertificateReport,
     certify_general,
     certify_standard,
-    discrete_lyapunov,
-    extended_lyapunov,
-    numerical_error,
 )
 from .oracle import long_run_oracle, saddle_point_oracle, sign_pattern_oracle
 from .ode import (
@@ -71,15 +68,12 @@ __all__ = [
     "certify_continuous",
     "certify_general",
     "certify_standard",
-    "discrete_lyapunov",
-    "extended_lyapunov",
     "high_res_implicit_step",
     "huber_prox",
     "kkt_residuals",
     "library",
     "load_instance",
     "long_run_oracle",
-    "numerical_error",
     "run",
     "saddle_point_oracle",
     "save_instance",

@@ -77,14 +77,13 @@ def criterion_1():
 
 
 def _core_criterion(cid, title, check):
-    """Run check(trace, spec, saddle) -> entries on the 1000-step run of every core
+    """Run check(trace, saddle) -> entries on the 1000-step run of every core
     instance. The criterion passes when every entry does; an instance's details
     are the worst slack of its one entry, or a dict of them by theorem."""
     details = {}
     ok = True
     for name in CORE_INSTANCES:
-        entries = check(_standard_trace(name, 1000), library.get_instance(name),
-                        library.get_saddle(name))
+        entries = check(_standard_trace(name, 1000), library.get_saddle(name))
         details[name] = (entries[0].worst_slack if len(entries) == 1
                          else {e.theorem: e.worst_slack for e in entries})
         ok = ok and all(e.passed for e in entries)
@@ -94,22 +93,20 @@ def _core_criterion(cid, title, check):
 def criterion_2():
     """Energy decay E(k+1) - E(k) + NE(k) <= 0 on 1000-step runs."""
     return _core_criterion(2, "per-step energy decay with numerical error (1e-9)",
-                           lambda trace, spec, saddle:
-                           [diag.check_convergence1(trace, saddle, spec, _S)])
+                           lambda trace, saddle: [diag.check_convergence1(trace, saddle)])
 
 
 def criterion_3():
     """Average and min rate bounds at every prefix N <= 1000."""
     return _core_criterion(3, "prefix average/min rate bounds",
-                           lambda trace, spec, saddle:
-                           [diag.check_rate_theorem_4_3(trace, saddle, spec, _S)])
+                           lambda trace, saddle: [diag.check_rate_theorem_4_3(trace, saddle)])
 
 
 def criterion_4():
     """NE monotone (1e-12) and last-iterate bound at every prefix."""
     return _core_criterion(4, "numerical-error monotonicity and last-iterate rate",
-                           lambda trace, spec, saddle:
-                           diag.check_ne_monotone_theorem_5(trace, spec, _S, saddle)[:2])
+                           lambda trace, saddle:
+                           diag.check_ne_monotone_theorem_5(trace, saddle)[:2])
 
 
 def criterion_5():
@@ -117,11 +114,10 @@ def criterion_5():
     details = {}
     ok = True
     for name in STRONG_INSTANCES:
-        spec = library.get_instance(name)
         saddle = library.get_saddle(name)
         trace = _standard_trace(name, 10_000)
-        strong = diag.check_strong_avg_theorem_4_4(trace, saddle, spec, _S)
-        tele = diag.check_ne_telescoping(trace, saddle, spec, _S)
+        strong = diag.check_strong_avg_theorem_4_4(trace, saddle)
+        tele = diag.check_ne_telescoping(trace, saddle)
         details[name] = {"strong_avg": strong.worst_slack, "ne_telescoping": tele.worst_slack,
                          "mu": strong.constants["mu"]}
         ok = ok and strong.passed and tele.passed
@@ -141,7 +137,7 @@ def criterion_6():
         for factor in (1.1, 2.0, 10.0):
             r = factor * spec.FtF_norm
             trace = run(spec, SolverConfig(s=_S, N=1000, variant=GENERAL, r=r), saddle=saddle)
-            entries = diag.check_general_rates_theorems_6(trace, saddle, spec, _S, r)
+            entries = diag.check_general_rates_theorems_6(trace, saddle)
             per[f"r={factor}x"] = max(e.worst_slack for e in entries)
             ok = ok and all(e.passed for e in entries)
         details[name] = per
@@ -169,9 +165,9 @@ def criterion_7():
         ref = (saddle.y_star, saddle.lambda_star)
         init = ContinuousState(np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m), 0.0)
         high = simulate_high_res(spec, config, init, ref=ref)
-        report = certify_continuous(high, saddle, spec, _S, config.delta)
+        report = certify_continuous(high, saddle)
 
-        low = simulate_low_res(spec, config.T, config.delta, np.zeros(spec.d1), ref=ref, s=_S)
+        low = simulate_low_res(spec, config, np.zeros(spec.d1), ref=ref)
         low_dev = float(np.max(low.scalars["deviation"]))
 
         off = ContinuousState(np.ones(spec.d1), np.zeros(spec.d2), np.zeros(spec.m), 0.0)
@@ -219,7 +215,7 @@ def criterion_9():
         spec = library.get_instance("scalar_lasso")
         saddle = library.get_saddle("scalar_lasso")
         trace = run(spec, SolverConfig(s=_S, N=500), saddle=saddle)
-        return diag.certify_standard(trace, spec, _S, saddle).to_json_bytes()
+        return diag.certify_standard(trace, saddle).to_json_bytes()
 
     first, second = one_pass(), one_pass()
     # the full aggregate report is compared across processes by the test suite

@@ -27,7 +27,7 @@ from .errors import AdmmError, ParameterError
 from .ode import ContinuousState, IntegratorConfig, simulate_high_res, simulate_low_res
 from .oracle import saddle_point_oracle
 from .problems import build_basis_pursuit, build_generalized_lasso, load_instance, save_instance
-from .solver import GENERAL, TRACE_CSV, SolverConfig, default_r, run, write_csv
+from .solver import GENERAL, TRACE_CSV, SolverConfig, run, write_csv
 
 EXIT_PASS = 0
 EXIT_CERT_FAIL = 1
@@ -146,10 +146,7 @@ def cmd_solve(args):
     trace = run(spec, config, saddle=saddle)
     trace.to_csv(os.path.join(out, TRACE_CSV))
     trace.to_json(os.path.join(out, "trace.json"))
-    if variant == GENERAL:
-        report = certify_general(trace, spec, s, r if r is not None else default_r(spec), saddle)
-    else:
-        report = certify_standard(trace, spec, s, saddle)
+    report = (certify_general if variant == GENERAL else certify_standard)(trace, saddle)
     report.save(os.path.join(out, "certificates.json"))
     _write_sidecar(out, f"solve {name} variant={variant} s={s!r} N={N}")
     for entry in report.entries:
@@ -164,30 +161,36 @@ def cmd_solve(args):
 def cmd_simulate(args):
     cp = _load_manifest(args.manifest) if args.manifest else None
     name, spec = _load_spec(args, cp)
-    out = _outdir(args, cp)
     s = float(_resolve(args, cp, "solver", "s", float, 1.0))
     delta = float(_resolve(args, cp, "simulate", "delta", float, s / 100.0))
     T = float(_resolve(args, cp, "simulate", "horizon", float, 20.0 * s))
     tol = float(_resolve(args, cp, "diagnostics", "tol", float, 1e-8))
+    config = IntegratorConfig(s=s, delta=delta, T=T)  # refused steps exit before any write
+    out = _outdir(args, cp)
 
     if delta < s and not spec.g.smooth:
         spec = spec.smoothed(library.HUBER_DELTA)
     saddle = saddle_point_oracle(spec, tol)
     ref = (saddle.y_star, saddle.lambda_star)
 
-    config = IntegratorConfig(s=s, delta=delta, T=T)
     init = ContinuousState(np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m), 0.0)
     high = simulate_high_res(spec, config, init, ref=ref)
-    high.to_csv(os.path.join(out, "high_res.csv"))
+    written = []
+
+    def path(fname):  # every table goes through here, so the closing line names it
+        written.append(fname)
+        return os.path.join(out, fname)
+
+    high.to_csv(path("high_res.csv"))
 
     solver_cfg = SolverConfig(s=s, N=max(1, int(round(T / s))))
     trace = run(spec, solver_cfg, saddle=saddle)
-    trace.to_csv(os.path.join(out, "discrete.csv"))
+    trace.to_csv(path("discrete.csv"))
 
     low = None
     if spec.f.smooth and spec.g.smooth and spec.d2 == spec.m:
-        low = simulate_low_res(spec, T, delta, np.zeros(spec.d1), ref=ref, s=s)
-        low.to_csv(os.path.join(out, "low_res.csv"))
+        low = simulate_low_res(spec, config, np.zeros(spec.d1), ref=ref)
+        low.to_csv(path("low_res.csv"))
     per = int(round(s / delta))  # a whole number, checked by IntegratorConfig
     ks = np.arange(len(trace))
     ks = ks[ks * per < len(high)]  # discrete steps k with a high-resolution node at k*s
@@ -196,11 +199,11 @@ def cmd_simulate(args):
     table = np.column_stack([high.axis[js], high.scalars["deviation"][js], dev_l,
                              trace.scalars["primal_res"][ks], high.scalars["lyapunov"][js],
                              trace.scalars["lyapunov"][ks]])
-    write_csv(os.path.join(out, "comparison.csv"),
+    write_csv(path("comparison.csv"),
               ["t", "deviation_high_res", "deviation_low_res", "deviation_discrete",
                "lyapunov_high_res", "lyapunov_discrete"], table.tolist())
     _write_sidecar(out, f"simulate {name} s={s!r} delta={delta!r} T={T!r}")
-    print(f"wrote {out}/high_res.csv, {out}/discrete.csv, {out}/comparison.csv")
+    print("wrote " + ", ".join(f"{out}/{fname}" for fname in written))
     return EXIT_PASS
 
 

@@ -5,6 +5,10 @@ at every index (or every prefix) of a recorded trace, in one array pass over
 its rows, and reports the worst slack lhs - rhs. A check passes when the
 worst slack stays below its tolerance: 1e-9 absolute for per-step
 inequalities and rate bounds, 1e-12 for monotonicity deltas.
+
+Every check and bundle is called as (trace, saddle): the problem, the step s
+and the r of an r-proximal run come from the trace, and the NE checks read
+its ne column, the series solver.run computed once.
 """
 
 from __future__ import annotations
@@ -53,9 +57,6 @@ class CertificateReport:
     def all_pass(self):
         return all(e.passed for e in self.entries)
 
-    def extend(self, entries):
-        self.entries.extend(entries)
-
     def failing(self):
         return [e.theorem for e in self.entries if not e.passed]
 
@@ -93,46 +94,11 @@ def _energy(y, lam, ref_y, ref_lam, G, s):
     return _sq((y - ref_y) @ G.T) / (2.0 * s) + s * _sq(lam - ref_lam) / 2.0
 
 
-def discrete_lyapunov(state, ref, spec, s):
-    """E(k) = (1/2s)||G(y_k - y)||^2 + (s/2)||lam_k - lam||^2 for a reference (y, lam)."""
-    if s <= 0:
-        raise ParameterError("s must be positive")
-    ref_y, ref_lam = ref
-    return _energy(state.y, state.lam, np.asarray(ref_y, dtype=float),
-                   np.asarray(ref_lam, dtype=float), spec.G, s)
-
-
-def numerical_error(state_k, state_k1, spec, s):
-    """Implicit-scheme error NE(k) = (1/2s)||G dy||^2 + (s/2)||dlam||^2 between steps k, k+1."""
-    if state_k1.k != state_k.k + 1:
-        raise ParameterError("numerical_error needs consecutive states")
-    return _energy(state_k1.y, state_k1.lam, state_k.y, state_k.lam, spec.G, s)
-
-
-def extended_lyapunov(state, saddle, spec, s, r):
-    """Lyapunov function of the r-proximal variant; adds (r||x-x*||^2 - ||F(x-x*)||^2)/(2s)."""
-    if not r > spec.FtF_norm:
-        raise ParameterError("extended Lyapunov requires r above the spectral norm of F^T F")
-    return _extended_energy(state.x, state.y, state.lam,
-                            saddle.x_star, saddle.y_star, saddle.lambda_star, spec, s, r)
-
-
 def _extended_energy(x, y, lam, ref_x, ref_y, ref_lam, spec, s, r):
     """_energy plus (r||x - ref_x||^2 - ||F(x - ref_x)||^2)/(2s), row by row."""
     dx = x - ref_x
     extra = (r * _sq(dx) - _sq(dx @ spec.F.T)) / (2.0 * s)
     return extra + _energy(y, lam, ref_y, ref_lam, spec.G, s)
-
-
-def _ne_series(trace, spec, s):
-    """NE(k) for k = 0..len-2: the energy of row k+1 measured from row k."""
-    ys, ls = trace.ys, trace.lams
-    return _energy(ys[1:], ls[1:], ys[:-1], ls[:-1], spec.G, s)
-
-
-def _u_series(trace, spec, s):
-    """||G(y_{k+1}-y_k)||^2 + s^2 ||lam_{k+1}-lam_k||^2, i.e. 2s * NE(k)."""
-    return 2.0 * s * _ne_series(trace, spec, s)
 
 
 def _start_constant(y0, lam0, ref_y, ref_lam, spec, s):
@@ -143,8 +109,20 @@ def _start_constant(y0, lam0, ref_y, ref_lam, spec, s):
     return float(gy @ gy) + s * s * float(dl @ dl)
 
 
-def _rate_constant(trace, saddle, spec, s):
-    return _start_constant(trace.ys[0], trace.lams[0], saddle.y_star, saddle.lambda_star, spec, s)
+def _rate_constant(trace, saddle):
+    return _start_constant(trace.ys[0], trace.lams[0], saddle.y_star, saddle.lambda_star,
+                           trace.spec, trace.config.s)
+
+
+def _lyapunov(trace, saddle):
+    """E(k) with the saddle as reference, for every row of the trace."""
+    return _energy(trace.ys, trace.lams, saddle.y_star, saddle.lambda_star,
+                   trace.spec.G, trace.config.s)
+
+
+def _u_series(trace):
+    """||G(y_{k+1}-y_k)||^2 + s^2 ||lam_{k+1}-lam_k||^2, i.e. 2s * NE(k) from the ne column."""
+    return 2.0 * trace.config.s * trace.scalars["ne"][:-1]
 
 
 def _prefix_slacks(u, bound):
@@ -162,10 +140,11 @@ def canonical_probes(saddle, spec):
     ]
 
 
-def check_lemma_iterative_inequality(trace, spec, s, saddle, probes=None):
+def check_lemma_iterative_inequality(trace, saddle, probes=None):
     """Per-step Lyapunov difference inequality for arbitrary probe points."""
+    spec, s = trace.spec, trace.config.s
     xs, ys, ls = trace.xs, trace.ys, trace.lams
-    ne = _ne_series(trace, spec, s)
+    ne = trace.scalars["ne"][:-1]
     fx, gy = spec.f.value(xs[1:]), spec.g.value(ys[1:])
     mult = ls[1:] - (ys[1:] - ys[:-1]) @ spec.G.T / s
     dev = (xs[1:] - saddle.x_star) @ spec.F.T + (ys[1:] - saddle.y_star) @ spec.G.T
@@ -184,24 +163,24 @@ def check_lemma_iterative_inequality(trace, spec, s, saddle, probes=None):
                   {"probes": len(all_probes), "s": s})
 
 
-def check_convergence1(trace, saddle, spec, s):
+def check_convergence1(trace, saddle):
     """E(k+1) - E(k) + NE(k) <= 0 with the saddle as reference (energy decay)."""
-    e = _energy(trace.ys, trace.lams, saddle.y_star, saddle.lambda_star, spec.G, s)
-    slacks = np.diff(e) + _ne_series(trace, spec, s)
-    return _entry("energy_decay_with_ne", slacks, TOL_STEP, {"E0": e[0], "s": s})
+    e = _lyapunov(trace, saddle)
+    slacks = np.diff(e) + trace.scalars["ne"][:-1]
+    return _entry("energy_decay_with_ne", slacks, TOL_STEP, {"E0": e[0], "s": trace.config.s})
 
 
-def check_lyapunov_monotone(trace, saddle, spec, s):
-    e = _energy(trace.ys, trace.lams, saddle.y_star, saddle.lambda_star, spec.G, s)
-    return _entry("lyapunov_monotone", np.diff(e), TOL_STEP, {"E0": e[0], "s": s})
+def check_lyapunov_monotone(trace, saddle):
+    e = _lyapunov(trace, saddle)
+    return _entry("lyapunov_monotone", np.diff(e), TOL_STEP, {"E0": e[0], "s": trace.config.s})
 
 
-def check_rate_theorem_4_3(trace, saddle, spec, s):
+def check_rate_theorem_4_3(trace, saddle):
     """Average and min of ||G dy||^2 + s^2 ||dlam||^2 over each prefix, against C/(N+1)."""
-    u = _u_series(trace, spec, s)
-    C = _rate_constant(trace, saddle, spec, s)
+    u = _u_series(trace)
+    C = _rate_constant(trace, saddle)
     slacks = _prefix_slacks(u, C / np.arange(1, u.size + 1))
-    return _entry("theorem_4_3_rate", slacks, TOL_RATE, {"C": C, "s": s})
+    return _entry("theorem_4_3_rate", slacks, TOL_RATE, {"C": C, "s": trace.config.s})
 
 
 def _prefix_means(arr):
@@ -225,28 +204,30 @@ def default_weak_probes(saddle, spec):
     ]
 
 
-def check_weak_rate_theorem_4_2(trace, saddle, spec, s, probes=None):
+def check_weak_rate_theorem_4_2(trace, saddle, probes=None):
     """Duality-gap-like quantity at averaged iterates, bounded by C_probe/(2s(N+1)).
 
     Averages run over iterates 1..N+1, matching the telescoped derivation;
     the averaged-difference multiplier term telescopes to
     G(y_{N+1} - y_0)/(s(N+1)).
     """
+    spec, s = trace.spec, trace.config.s
     xs, ys, ls = trace.xs, trace.ys, trace.lams
     t = s * np.arange(1, len(trace))
     mbar = _prefix_means(ls) - (ys[1:] - ys[0]) @ spec.G.T / t.reshape(-1, 1)
     probes = list(probes) if probes is not None else default_weak_probes(saddle, spec)
-    slacks, consts = _weak_gap(spec, saddle, s, probes, _prefix_means(xs), _prefix_means(ys),
-                               mbar, ys[0], ls[0], t)
+    slacks, consts = _weak_gap(trace, saddle, probes, _prefix_means(xs), _prefix_means(ys),
+                               mbar, t)
     return _entry("theorem_4_2_weak_rate", slacks, TOL_RATE, {"s": s, **consts})
 
 
-def _weak_gap(spec, saddle, s, probes, xbar, ybar, mbar, y0, lam0, t):
+def _weak_gap(trace, saddle, probes, xbar, ybar, mbar, t):
     """Per row of averages (xbar, ybar, mbar) at elapsed time t, the max over probes
     p = (px, py) of f(xbar) - f(px) + g(ybar) - g(py) - <mbar, F(px - x*) + G(py - y*)>
-    - C_p/(2t), C_p the start constant from (py, 0); and the constants C_probe<i>.
-    Theorem 4.2 feeds prefix means at t = s(N+1), Theorem 3.2 trapezoid time means;
-    a probe where f or g is infinite makes the bound vacuous and is skipped."""
+    - C_p/(2t), C_p the start constant of the trace from (py, 0); and the constants
+    C_probe<i>. Theorem 4.2 feeds prefix means at t = s(N+1), Theorem 3.2 trapezoid
+    time means; a probe where f or g is infinite makes the bound vacuous and is skipped."""
+    spec, s = trace.spec, trace.config.s
     fx, gy = spec.f.value(xbar), spec.g.value(ybar)
     slacks = np.full(len(t), -np.inf)
     consts = {}
@@ -255,7 +236,7 @@ def _weak_gap(spec, saddle, s, probes, xbar, ybar, mbar, y0, lam0, t):
         fp, gp = spec.f.value(px), spec.g.value(py)
         if not np.isfinite(fp) or not np.isfinite(gp):
             continue
-        C = consts[f"C_probe{i}"] = _start_constant(y0, lam0, py, 0.0, spec, s)
+        C = consts[f"C_probe{i}"] = _start_constant(trace.ys[0], trace.lams[0], py, 0.0, spec, s)
         disp = spec.F @ (px - saddle.x_star) + spec.G @ (py - saddle.y_star)
         # summing (or integrating) the per-step inequality puts the multiplier
         # term on the bound side, so it enters the gap with a minus sign
@@ -273,9 +254,10 @@ def strong_convexity_modulus(spec):
     return mu
 
 
-def _strong_gap(xbar, trace, saddle, s, mu, t):
+def _strong_gap(xbar, trace, saddle, mu, t):
     """||xbar - x*||^2 - C/(mu t) row by row, and C = ||x_0 - x*||^2 + s^2 ||lam_0 - lam*||^2.
     Theorem 4.4 feeds means of iterates at t = s(N+1), Theorem 3.4 trapezoid time means."""
+    s = trace.config.s
     dx0 = trace.xs[0] - saddle.x_star
     dl0 = trace.lams[0] - saddle.lambda_star
     C = float(dx0 @ dx0) + s * s * float(dl0 @ dl0)
@@ -283,42 +265,44 @@ def _strong_gap(xbar, trace, saddle, s, mu, t):
     return np.sum((xbar - saddle.x_star) ** 2, axis=-1) - C / (mu * t), C
 
 
-def check_strong_avg_theorem_4_4(trace, saddle, spec, s):
+def check_strong_avg_theorem_4_4(trace, saddle):
     """Printed strong-average bound ||xbar_{N+1} - x*||^2 <= C/(mu s (N+1)).
 
     The literal reading averages x_0..x_{N+1}; the shifted reading (what the
     telescoped derivation yields) averages x_1..x_{N+1}. Both slacks are
-    recorded; pass/fail follows the literal printed bound.
+    recorded; pass/fail follows the literal printed bound. Raises ParameterError
+    unless f is strongly convex.
     """
-    mu = strong_convexity_modulus(spec)
-    xs = trace.xs
+    mu = strong_convexity_modulus(trace.spec)
+    s, xs = trace.config.s, trace.xs
     n = np.arange(1, xs.shape[0])
     lit = np.cumsum(xs, axis=0)[1:] / (n + 1).reshape(-1, 1)  # mean of x_0..x_{N+1}
-    slacks, C = _strong_gap(lit, trace, saddle, s, mu, s * n)
-    shifted, _ = _strong_gap(_prefix_means(xs), trace, saddle, s, mu, s * n)
+    slacks, C = _strong_gap(lit, trace, saddle, mu, s * n)
+    shifted, _ = _strong_gap(_prefix_means(xs), trace, saddle, mu, s * n)
     return _entry("theorem_4_4_strong_avg", slacks, TOL_RATE,
                   {"C": C, "mu": mu, "s": s, "worst_slack_shifted": float(np.max(shifted))})
 
 
-def check_ne_telescoping(trace, saddle, spec, s):
+def check_ne_telescoping(trace, saddle):
     """Telescoped numerical error: sum_{k<=N} NE(k) <= E(0) for every prefix."""
-    ne = _ne_series(trace, spec, s)
+    s = trace.config.s
     e0 = _energy(trace.ys[0], trace.lams[0],
-                 saddle.y_star, saddle.lambda_star, spec.G, s)
-    slacks = np.cumsum(ne) - e0
+                 saddle.y_star, saddle.lambda_star, trace.spec.G, s)
+    slacks = np.cumsum(trace.scalars["ne"][:-1]) - e0
     return _entry("ne_telescoping", slacks, TOL_STEP, {"E0": e0, "s": s})
 
 
-def check_ne_monotone_theorem_5(trace, spec, s, saddle):
+def check_ne_monotone_theorem_5(trace, saddle):
     """NE monotonicity, the last-iterate rate bound, and the supporting triple inequality."""
     if len(trace) < 3:
         raise ParameterError("NE monotonicity needs a trace of length >= 3")
+    spec, s = trace.spec, trace.config.s
     xs, ys, ls = trace.xs, trace.ys, trace.lams
-    ne = _ne_series(trace, spec, s)
-    mono = _entry("theorem_5_1_ne_monotone", np.diff(ne), TOL_MONO, {"s": s})
+    mono = _entry("theorem_5_1_ne_monotone", np.diff(trace.scalars["ne"][:-1]), TOL_MONO,
+                  {"s": s})
 
-    u = _u_series(trace, spec, s)
-    C = _rate_constant(trace, saddle, spec, s)
+    u = _u_series(trace)
+    C = _rate_constant(trace, saddle)
     n = np.arange(1, u.size + 1)
     last = _entry("theorem_5_1_last_iterate", u - C / n, TOL_RATE, {"C": C, "s": s})
 
@@ -332,15 +316,17 @@ def check_ne_monotone_theorem_5(trace, spec, s, saddle):
     return [mono, last, triple]
 
 
-def check_general_rates_theorems_6(trace, saddle, spec, s, r):
-    """x-difference rate bounds and extended Lyapunov/NE monotonicity (r-proximal runs)."""
+def check_general_rates_theorems_6(trace, saddle):
+    """x-difference rate bounds and extended Lyapunov/NE monotonicity (r-proximal runs),
+    at the r the run stepped with."""
     if trace.config.variant != "general":
         raise ParameterError("general-rate certificates require an r-proximal trace")
+    spec, s, r = trace.spec, trace.config.s, trace.r
     if not r > spec.FtF_norm:
         raise ParameterError("r must exceed the spectral norm of F^T F")
     xs, ys, ls = trace.xs, trace.ys, trace.lams
     dx0 = xs[0] - saddle.x_star
-    C = r * float(dx0 @ dx0) + _rate_constant(trace, saddle, spec, s)
+    C = r * float(dx0 @ dx0) + _rate_constant(trace, saddle)
     dxsq = np.sum(np.diff(xs, axis=0) ** 2, axis=1)
     bound = C / (np.arange(1, dxsq.size + 1) * (r - spec.FtF_norm))
     e61 = _entry("theorem_6_1_x_diff_rate", _prefix_slacks(dxsq, bound), TOL_RATE,
@@ -359,8 +345,10 @@ def check_general_rates_theorems_6(trace, saddle, spec, s, r):
     return [e61, e62, mono_ne, mono_e]
 
 
-def step_inclusion_residuals(trace, spec, s, r=None):
-    """Subgradient-membership residuals of the defining optimality inclusions per step."""
+def step_inclusion_residuals(trace):
+    """Subgradient-membership residuals of the defining optimality inclusions per step,
+    of the r-proximal x-update when the run stepped with an r. Reads no saddle."""
+    spec, s, r = trace.spec, trace.config.s, trace.r
     xs, ys, ls = trace.xs, trace.ys, trace.lams
     target = (ys[1:] - ys[:-1]) @ spec.FtG.T / s - ls[1:] @ spec.F
     if r is not None:
@@ -370,24 +358,21 @@ def step_inclusion_residuals(trace, spec, s, r=None):
             spec.g.subgrad_distance(-(ls[1:] @ spec.G), ys[1:]))
 
 
-def certify_standard(trace, spec, s, saddle, weak_probes=None):
-    """Full certificate bundle for a standard-ADMM trace."""
-    report = CertificateReport()
-    report.entries.append(check_convergence1(trace, saddle, spec, s))
-    report.entries.append(check_lyapunov_monotone(trace, saddle, spec, s))
-    report.entries.append(check_lemma_iterative_inequality(trace, spec, s, saddle))
-    report.entries.append(check_rate_theorem_4_3(trace, saddle, spec, s))
-    report.entries.append(check_weak_rate_theorem_4_2(trace, saddle, spec, s, weak_probes))
-    report.entries.append(check_ne_telescoping(trace, saddle, spec, s))
-    report.extend(check_ne_monotone_theorem_5(trace, spec, s, saddle))
+def certify_standard(trace, saddle):
+    """Full certificate bundle for a standard-ADMM trace; Theorem 4.4 joins it when f
+    is strongly convex. The check tuple is built at each call, so the module's
+    current checks run, wrapped ones included."""
+    entries = [check(trace, saddle) for check in (
+        check_convergence1, check_lyapunov_monotone, check_lemma_iterative_inequality,
+        check_rate_theorem_4_3, check_weak_rate_theorem_4_2, check_ne_telescoping)]
+    entries += check_ne_monotone_theorem_5(trace, saddle)
     try:
-        strong_convexity_modulus(spec)
+        entries.append(check_strong_avg_theorem_4_4(trace, saddle))
     except ParameterError:
-        return report  # Theorem 4.4 needs a strongly convex f
-    report.entries.append(check_strong_avg_theorem_4_4(trace, saddle, spec, s))
-    return report
+        pass  # Theorem 4.4 needs a strongly convex f
+    return CertificateReport(entries)
 
 
-def certify_general(trace, spec, s, r, saddle):
+def certify_general(trace, saddle):
     """Certificate bundle for an r-proximal trace."""
-    return CertificateReport(check_general_rates_theorems_6(trace, saddle, spec, s, r))
+    return CertificateReport(check_general_rates_theorems_6(trace, saddle))

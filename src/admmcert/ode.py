@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .diagnostics import (CertificateReport, _energy, _entry, _strong_gap, _weak_gap,
-                          strong_convexity_modulus)
+from .diagnostics import (CertificateReport, _energy, _entry, _lyapunov, _strong_gap,
+                          _weak_gap, strong_convexity_modulus)
 from .errors import IllConditionedError, InnerSolveError, ParameterError, UnsupportedProblemError
 from .functions import AffineIndicator, HuberSmoothedL1
 from .prox import FactorizationCache, _norm, settle_pattern
@@ -65,19 +65,26 @@ class IntegratorConfig:
         for name, ratio in (("T/delta", self.T / self.delta), ("s/delta", self.s / self.delta)):
             if abs(ratio - round(ratio)) > 1e-9 * ratio:
                 raise ParameterError(f"{name} = {ratio!r} must be a whole number")
+        # delta != s selects micro-steps (and a smoothed g in simulate); a delta whose
+        # step ratio rounds to 1 is s up to rounding, not a micro-step
+        if self.delta != self.s and round(self.s / self.delta) == 1:
+            raise ParameterError(f"delta = {self.delta!r} differs from s = {self.s!r} but "
+                                 "s/delta rounds to 1: pass delta equal to s, or at most s/2")
 
 
-def _continuous_trace(spec, n):
-    return Trace(spec, n, axis="t", prefixes=CONT_PREFIXES, scalars=CONT_SCALAR_COLUMNS)
+def _continuous_trace(spec, config):
+    """The trace of one integration over [0, T], one row per node, carrying config."""
+    return Trace(spec, int(round(config.T / config.delta)) + 1, axis="t",
+                 prefixes=CONT_PREFIXES, scalars=CONT_SCALAR_COLUMNS, config=config)
 
 
-def _fill_columns(trace, spec, s, ref):
+def _fill_columns(trace, ref):
     """The scalar columns: deviation ||F X + G Y - h||, the Lyapunov energy
     against ref (NaN without one) and, at interior nodes, the continuous NE
     (s/2)||G Ydot||^2 + (s^3/2)||Lamdot||^2, the energy of (s Ydot, s Lamdot).
     Lamdot comes from the dual ODE (exact), Ydot from a central difference.
     The NE is reported only: its continuous monotonicity is not certified."""
-    cols = trace.scalars
+    spec, s, cols = trace.spec, trace.config.s, trace.scalars
     r = spec.constraint_residual(trace.xs, trace.ys)
     cols["deviation"] = np.linalg.norm(r, axis=1)
     if ref is not None:
@@ -231,11 +238,10 @@ def simulate_high_res(spec, config, init, ref=None):
     InnerSolveError naming the node t it was stepping to."""
     cache = FactorizationCache()
     _sweep_step(cache, spec, config.s, config.delta)  # build errors surface as they are
-    steps = int(round(config.T / config.delta))
     state = ContinuousState(init.X, init.Y, init.Lam, 0.0)
-    trace = _continuous_trace(spec, steps + 1)
+    trace = _continuous_trace(spec, config)
     try:
-        for j in range(steps + 1):
+        for j in range(len(trace)):
             if j:
                 state = high_res_implicit_step(state, spec, config.s, config.delta, cache)
             trace.axis[j] = state.t
@@ -252,11 +258,12 @@ def simulate_high_res(spec, config, init, ref=None):
             j = bad[0] + 1
             raise InnerSolveError(f"algebraic constraint violated at node {j} "
                                   f"(t = {float(trace.axis[j])!r}): {alg[j - 1]:.3e}")
-    return _fill_columns(trace, spec, config.s, ref)
+    return _fill_columns(trace, ref)
 
 
-def simulate_low_res(spec, T, delta, init_x, ref=None, s=1.0):
-    """Classical RK4 for the continuous-limit flow, confined to the hyperplane.
+def simulate_low_res(spec, config, init_x, ref=None):
+    """Classical RK4 with step delta over [0, T] for the continuous-limit flow,
+    confined to the hyperplane; s enters only the energy columns.
 
     Y is eliminated through the constraint (G must be square and
     invertible), so the deviation is zero by construction at every node.
@@ -286,11 +293,11 @@ def simulate_low_res(spec, T, delta, init_x, ref=None, s=1.0):
         y = lu_solve(G_lu, spec.h - spec.F @ x)
         return lu_solve(FtF_lu, -spec.f.grad(x) - spec.F.T @ spec.g.grad(y))
 
-    steps = int(round(T / delta))
+    delta = config.delta
     x = np.asarray(init_x, dtype=float)
-    trace = _continuous_trace(spec, steps + 1)
+    trace = _continuous_trace(spec, config)
     trace.xs[0] = x
-    for j in range(steps):
+    for j in range(len(trace) - 1):
         k1 = field(x)
         k2 = field(x + 0.5 * delta * k1)
         k3 = field(x + 0.5 * delta * k2)
@@ -303,7 +310,7 @@ def simulate_low_res(spec, T, delta, init_x, ref=None, s=1.0):
     # solve with G's factor changes the last bits of lasso_8x6_smoothed, so it
     # stays a separate solve
     trace.lams[:] = -np.linalg.solve(spec.G.T, spec.g.grad(trace.ys).T).T
-    return _fill_columns(trace, spec, s, ref)
+    return _fill_columns(trace, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -322,42 +329,45 @@ def _sampled_time_means(trace, *series):
     return means, t
 
 
-def check_theorem_3_3_monotone(trace, saddle, spec, s, delta):
+def check_theorem_3_3_monotone(trace, saddle):
     """Continuous Lyapunov (saddle reference) nonincreasing along the trajectory."""
-    e = _energy(trace.ys, trace.lams, saddle.y_star, saddle.lambda_star, spec.G, s)
+    s, delta = trace.config.s, trace.config.delta
+    e = _lyapunov(trace, saddle)
     return _entry("theorem_3_3_lyapunov_monotone", np.diff(e), 10.0 * delta,
                   {"E0": e[0], "s": s, "delta": delta})
 
 
-def check_theorem_3_2_weak(trace, saddle, spec, s, delta):
+def check_theorem_3_2_weak(trace, saddle):
     """Time-average weak gap against C/(2t) at sampled times: the Theorem 4.2 kernel fed
     trapezoid time means, with the multiplier Lam - G dY/dt, at elapsed time t.
     dY/dt is estimated by central differences (one-sided at the ends)."""
+    spec, s, delta = trace.spec, trace.config.s, trace.config.delta
     probes = [(saddle.x_star, saddle.y_star), (np.zeros(spec.d1), np.zeros(spec.d2))]
     mult = trace.lams - np.gradient(trace.ys, trace.axis, axis=0) @ spec.G.T
     (xbar, ybar, mbar), t = _sampled_time_means(trace, trace.xs, trace.ys, mult)
-    slacks, _ = _weak_gap(spec, saddle, s, probes, xbar, ybar, mbar,
-                          trace.ys[0], trace.lams[0], t)
+    slacks, _ = _weak_gap(trace, saddle, probes, xbar, ybar, mbar, t)
     return _entry("theorem_3_2_weak_rate", slacks, 10.0 * delta, {"s": s, "delta": delta})
 
 
-def check_continuous_strong_avg(trace, saddle, spec, s, delta):
+def check_continuous_strong_avg(trace, saddle):
     """Strong time-average bound ||Xbar - x*||^2 <= C/(mu t) at sampled times: the
-    Theorem 4.4 kernel fed trapezoid time means at elapsed time t."""
-    mu = strong_convexity_modulus(spec)
+    Theorem 4.4 kernel fed trapezoid time means at elapsed time t. Raises
+    ParameterError unless f is strongly convex."""
+    s, delta = trace.config.s, trace.config.delta
+    mu = strong_convexity_modulus(trace.spec)
     (xbar,), t = _sampled_time_means(trace, trace.xs)
-    slacks, C = _strong_gap(xbar, trace, saddle, s, mu, t)
+    slacks, C = _strong_gap(xbar, trace, saddle, mu, t)
     return _entry("theorem_3_4_strong_avg", slacks, 10.0 * delta,
                   {"C": C, "mu": mu, "s": s, "delta": delta})
 
 
-def certify_continuous(trace, saddle, spec, s, delta):
-    report = CertificateReport()
-    report.entries.append(check_theorem_3_3_monotone(trace, saddle, spec, s, delta))
-    report.entries.append(check_theorem_3_2_weak(trace, saddle, spec, s, delta))
+def certify_continuous(trace, saddle):
+    """Certificate bundle for a high-resolution trace; Theorem 3.4 joins it when f is
+    strongly convex."""
+    report = CertificateReport([check_theorem_3_3_monotone(trace, saddle),
+                                check_theorem_3_2_weak(trace, saddle)])
     try:
-        strong_convexity_modulus(spec)
+        report.entries.append(check_continuous_strong_avg(trace, saddle))
     except ParameterError:
-        return report  # Theorem 3.4 needs a strongly convex f
-    report.entries.append(check_continuous_strong_avg(trace, saddle, spec, s, delta))
+        pass  # Theorem 3.4 needs a strongly convex f
     return report

@@ -64,13 +64,16 @@ class Trace:
     Row j holds the axis value (step k or time t), x_j, y_j and lambda_j as rows
     of the preallocated (n, d) arrays xs, ys and lams, and one value of each
     named per-row scalar column. The axis name and the x/y/lambda column
-    prefixes are data, so one writer serves every trace.
+    prefixes are data, so one writer serves every trace. The trace fixes what its
+    certificates read: the problem (spec), the step s (and delta) from config, a
+    SolverConfig or IntegratorConfig, and the r an r-proximal run stepped with.
     """
 
     def __init__(self, spec, n, axis="k", prefixes=("x", "y", "lambda"),
-                 scalars=TRACE_SCALAR_COLUMNS, config=None):
+                 scalars=TRACE_SCALAR_COLUMNS, config=None, r=None):
         self.spec = spec
         self.config = config
+        self.r = r
         self.axis_name = axis
         self.prefixes = prefixes
         self.axis = np.zeros(n, dtype=int if axis == "k" else float)
@@ -156,7 +159,7 @@ def run(spec, config, init=None, saddle=None):
     else:
         r = None
 
-    trace = Trace(spec, config.N + 1, config=config)
+    trace = Trace(spec, config.N + 1, config=config, r=r)
     # built after the trace is allocated: the other order changed how the heap
     # reused freed blocks and raised the certificate checks' peak RSS by 1 MB at d = 600
     step = FactorizationCache().get(spec, config.s, r)
@@ -175,7 +178,7 @@ def run(spec, config, init=None, saddle=None):
     cols["primal_res"], cols["dual_x_res"], cols["dual_y_res"] = kkt_residuals(spec, xs, ys, ls)
     cols["objective"] = spec.objective(xs, ys)
     if saddle is not None:
-        cols["lyapunov"] = diag._energy(ys, ls, saddle.y_star, saddle.lambda_star,
-                                        spec.G, config.s)
-    cols["ne"][:-1] = diag._ne_series(trace, spec, config.s)
+        cols["lyapunov"] = diag._lyapunov(trace, saddle)
+    # NE(k), the energy of row k+1 measured from row k: the series the NE checks read
+    cols["ne"][:-1] = diag._energy(ys[1:], ls[1:], ys[:-1], ls[:-1], spec.G, config.s)
     return trace

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from admmcert.cli import main
+from admmcert.library import get_instance
 from admmcert.problems import load_instance
+from admmcert.solver import default_r
 
 
 def test_generate_tv_first_difference(tmp_path):
@@ -55,6 +57,16 @@ def test_solve_bad_r_cites_precondition(tmp_path, capsys):
     assert "greater than the maximum eigenvalue" in capsys.readouterr().err
 
 
+def test_solve_general_without_r_certifies_at_default_r(tmp_path):
+    out = tmp_path / "run"
+    assert main(["solve", "--spec", "rank_deficient_lasso", "--variant", "general",
+                 "--N", "50", "--out", str(out)]) == 0
+    entries = json.loads((out / "certificates.json").read_text())["certificates"]
+    assert len(entries) == 4 and all(e["theorem"].startswith("theorem_6") for e in entries)
+    r = default_r(get_instance("rank_deficient_lasso"))
+    assert all(e["constants"]["r"] == r for e in entries)
+
+
 def test_solve_rerun_identical_artifacts(tmp_path):
     o1, o2 = tmp_path / "r1", tmp_path / "r2"
     for o in (o1, o2):
@@ -102,12 +114,15 @@ def test_simulate_outputs_and_identity(tmp_path):
         assert vals[i_hi] == pytest.approx(vals[i_dis], abs=1e-12)
 
 
-def test_simulate_smooths_for_micro_steps(tmp_path):
+def test_simulate_smooths_for_micro_steps(tmp_path, capsys):
     out = tmp_path / "sim2"
     rc = main(["simulate", "--spec", "scalar_lasso", "--out", str(out),
                "--delta", "0.05", "--horizon", "2.0"])
     assert rc == 0
     assert (out / "low_res.csv").exists()
+    # the closing line names every table written, low_res.csv included
+    named = capsys.readouterr().out.strip().removeprefix("wrote ").split(", ")
+    assert sorted(named) == sorted(f"{out}/{p.name}" for p in out.glob("*.csv"))
     low = np.loadtxt(out / "low_res.csv", delimiter=",", skiprows=1)
     dev_col = low[:, 4]  # t, X0, Y0, Lambda0, deviation, ...
     assert np.max(dev_col) <= 1e-10
@@ -188,12 +203,15 @@ def test_solve_rejects_bad_instance_data(tmp_path, capsys, block, mutate, messag
     ("0.3", "3", "s/delta = "),
     ("nan", "1", "positive and finite"),
     ("0.01", "inf", "positive and finite"),
+    # s/delta = 1.0000000000000002 passes the whole-ratio check but is no micro-step
+    ("0.9999999999999999", "1", "delta = 0.9999999999999999 differs from s = 1.0"),
 ])
 def test_simulate_rejects_bad_steps(tmp_path, capsys, delta, horizon, message):
     rc = main(["simulate", "--spec", "scalar_lasso", "--out", str(tmp_path / "sim"),
                "--delta", delta, "--horizon", horizon])
     assert rc == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()  # refused before the output directory is made
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])
@@ -266,6 +284,5 @@ def test_simulate_generated_lasso_settles_and_certifies(tmp_path, monkeypatch,
                  "--out", str(inst)]) == 0
     assert main(["simulate", "--spec", str(inst), "--delta", delta, "--horizon", horizon,
                  "--out", str(tmp_path / "sim")]) == 0
-    (spec, config, _), trace = seen["high"]
-    report = certify_continuous(trace, seen["saddle"][1], spec, config.s, config.delta)
+    report = certify_continuous(seen["high"][1], seen["saddle"][1])
     assert report.all_pass, report.failing()

@@ -112,19 +112,22 @@ class TestSimulateHighRes:
 
 
 class TestLowRes:
+    UNIT = IntegratorConfig(s=1.0, delta=0.1, T=1.0)
+
     def test_deviation_identically_zero(self):
         spec = get_instance("lasso_8x6_smoothed")
-        trace = simulate_low_res(spec, T=5.0, delta=0.01, init_x=np.zeros(spec.d1))
+        config = IntegratorConfig(s=1.0, delta=0.01, T=5.0)
+        trace = simulate_low_res(spec, config, np.zeros(spec.d1))
         assert float(np.max(trace.scalars["deviation"])) <= 1e-10
 
     def test_requires_smooth_terms(self):
         with pytest.raises(ParameterError, match="differentiable"):
-            simulate_low_res(get_instance("scalar_lasso"), 1.0, 0.1, np.zeros(1))
+            simulate_low_res(get_instance("scalar_lasso"), self.UNIT, np.zeros(1))
 
     def test_requires_invertible_FtF(self):
         # the first-difference F has a null direction, so the flow matrix is singular
         with pytest.raises(ParameterError, match="singular"):
-            simulate_low_res(get_instance("tv_d50").smoothed(1e-3), 1.0, 0.1, np.zeros(50))
+            simulate_low_res(get_instance("tv_d50").smoothed(1e-3), self.UNIT, np.zeros(50))
 
     def test_requires_square_G(self):
         from admmcert.functions import HuberSmoothedL1, Quadratic
@@ -132,11 +135,12 @@ class TestLowRes:
         spec = ProblemSpec(Quadratic([[1.0]], [1.0]), HuberSmoothedL1(1.0, 1e-3),
                            [[1.0], [0.0]], [[1.0], [1.0]], [0.0, 0.0])
         with pytest.raises(ParameterError, match="square"):
-            simulate_low_res(spec, 1.0, 0.1, np.zeros(1))
+            simulate_low_res(spec, self.UNIT, np.zeros(1))
 
     def test_flow_decreases_objective(self):
         spec = get_instance("lasso_8x6_smoothed")
-        trace = simulate_low_res(spec, T=5.0, delta=0.01, init_x=np.zeros(spec.d1))
+        config = IntegratorConfig(s=1.0, delta=0.01, T=5.0)
+        trace = simulate_low_res(spec, config, np.zeros(spec.d1))
         obj = [spec.f.value(trace.xs[j]) + spec.g.value(trace.ys[j])
                for j in (0, len(trace) - 1)]
         assert obj[1] < obj[0]
@@ -162,23 +166,23 @@ class TestContinuousDiagnostics:
 
     def test_monotone_certificate(self, high):
         trace, spec, sad, config = high
-        entry = check_theorem_3_3_monotone(trace, sad, spec, 1.0, config.delta)
+        entry = check_theorem_3_3_monotone(trace, sad)
         assert entry.passed, entry.worst_slack
         assert entry.tolerance == pytest.approx(10 * config.delta)
 
     def test_weak_rate_certificate(self, high):
         trace, spec, sad, config = high
-        entry = check_theorem_3_2_weak(trace, sad, spec, 1.0, config.delta)
+        entry = check_theorem_3_2_weak(trace, sad)
         assert entry.passed, entry.worst_slack
 
     def test_strong_avg_certificate(self, high):
         trace, spec, sad, config = high
-        entry = check_continuous_strong_avg(trace, sad, spec, 1.0, config.delta)
+        entry = check_continuous_strong_avg(trace, sad)
         assert entry.passed, entry.worst_slack
 
     def test_bundle(self, high):
         trace, spec, sad, config = high
-        report = certify_continuous(trace, sad, spec, 1.0, config.delta)
+        report = certify_continuous(trace, sad)
         assert report.all_pass
         assert [e.theorem for e in report.entries] == [
             "theorem_3_3_lyapunov_monotone", "theorem_3_2_weak_rate",

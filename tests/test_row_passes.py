@@ -137,7 +137,7 @@ def test_step_inclusion_residuals(case):
         res_x.append(subgrad_distance(spec.f, target, xs[k + 1]))
         res_y.append(subgrad_distance(spec.g, -(spec.G.T @ ls[k + 1]), ys[k + 1]))
         scale = max(scale, np.max(np.abs(target)), np.max(np.abs(spec.G.T @ ls[k + 1])))
-    vec_x, vec_y = diag.step_inclusion_residuals(trace, spec, s, r)
+    vec_x, vec_y = diag.step_inclusion_residuals(trace)
     close(vec_x, res_x, scale)
     close(vec_y, res_y, scale)
 
@@ -168,7 +168,7 @@ def test_lemma_slacks(case):
             md, pd = mult @ disp, plam @ dev
             slacks.append(e1 - e0 - (fp - fx + gp - gy + md - pd - ne))
             scale = max(scale, *map(abs, (e1, e0, fp, fx, gp, gy, md, pd, ne)))
-    entry = diag.check_lemma_iterative_inequality(trace, spec, s, ref, probes=[extra])
+    entry = diag.check_lemma_iterative_inequality(trace, ref, probes=[extra])
     close(entry.worst_slack, max(slacks), scale)
 
 
@@ -191,7 +191,7 @@ def test_weak_rate_slacks(case):
             md, bound = mult @ disp, C / (2.0 * s * n)
             slacks.append(fx - fp + gy - gp - md - bound)
             scale = max(scale, *map(abs, (fx, fp, gy, gp, md, bound)))
-    entry = diag.check_weak_rate_theorem_4_2(trace, ref, spec, s)
+    entry = diag.check_weak_rate_theorem_4_2(trace, ref)
     close(entry.worst_slack, max(slacks), scale)
 
 
@@ -252,7 +252,7 @@ def test_continuous_weak_and_strong_slacks(case):
             md, bound = mean(mult, j) @ disp, C / (2.0 * t[j])
             slacks.append(fx - fp + gy - gp - md - bound)
             scale = max(scale, *map(abs, (fx, fp, gy, gp, md, bound)))
-    entry = check_theorem_3_2_weak(high, ref, spec, s, s)
+    entry = check_theorem_3_2_weak(high, ref)
     close(entry.worst_slack, max(slacks), scale)
 
     if isinstance(spec.f, Quadratic) and spec.f.strong_convexity_modulus() > 1e-10:
@@ -261,6 +261,6 @@ def test_continuous_weak_and_strong_slacks(case):
         C = float(dx0 @ dx0) + s * s * float(dl0 @ dl0)
         rows = [(float((mean(xs, j) - ref.x_star) @ (mean(xs, j) - ref.x_star)),
                  C / (mu * t[j])) for j in nodes]
-        entry = check_continuous_strong_avg(high, ref, spec, s, s)
+        entry = check_continuous_strong_avg(high, ref)
         close(entry.worst_slack, max(a - b for a, b in rows), max(max(r) for r in rows))
         assert entry.constants["C"] == C
