@@ -196,12 +196,12 @@ def cmd_simulate(args):
     ks = ks[ks * per < len(high)]  # discrete steps k with a high-resolution node at k*s
     js = ks * per
     dev_l = low.scalars["deviation"][js] if low is not None else np.full(len(ks), np.nan)
-    table = np.column_stack([high.axis[js], high.scalars["deviation"][js], dev_l,
+    table = np.column_stack([high.scalars["deviation"][js], dev_l,
                              trace.scalars["primal_res"][ks], high.scalars["lyapunov"][js],
                              trace.scalars["lyapunov"][ks]])
     write_csv(path("comparison.csv"),
               ["t", "deviation_high_res", "deviation_low_res", "deviation_discrete",
-               "lyapunov_high_res", "lyapunov_discrete"], table.tolist())
+               "lyapunov_high_res", "lyapunov_discrete"], high.axis[js].tolist(), table)
     _write_sidecar(out, f"simulate {name} s={s!r} delta={delta!r} T={T!r}")
     print("wrote " + ", ".join(f"{out}/{fname}" for fname in written))
     return EXIT_PASS

@@ -50,6 +50,14 @@ class ContinuousState:
         self.Lam = np.asarray(self.Lam, dtype=float)
 
 
+def _refuse_rounded_s(s, delta):
+    """delta != s selects micro-steps (and a smoothed g in simulate); a delta whose
+    step ratio rounds to 1 is s up to rounding, not a micro-step, and is refused."""
+    if delta != s and round(s / delta) == 1:
+        raise ParameterError(f"delta = {delta!r} differs from s = {s!r} but "
+                             "s/delta rounds to 1: pass delta equal to s, or at most s/2")
+
+
 @dataclass
 class IntegratorConfig:
     s: float
@@ -65,11 +73,7 @@ class IntegratorConfig:
         for name, ratio in (("T/delta", self.T / self.delta), ("s/delta", self.s / self.delta)):
             if abs(ratio - round(ratio)) > 1e-9 * ratio:
                 raise ParameterError(f"{name} = {ratio!r} must be a whole number")
-        # delta != s selects micro-steps (and a smoothed g in simulate); a delta whose
-        # step ratio rounds to 1 is s up to rounding, not a micro-step
-        if self.delta != self.s and round(self.s / self.delta) == 1:
-            raise ParameterError(f"delta = {self.delta!r} differs from s = {self.s!r} but "
-                                 "s/delta rounds to 1: pass delta equal to s, or at most s/2")
+        _refuse_rounded_s(self.s, self.delta)
 
 
 def _continuous_trace(spec, config):
@@ -212,13 +216,15 @@ def high_res_implicit_step(state, spec, s, delta, cache=None):
     """
     if delta <= 0 or delta > s:
         raise ParameterError("need 0 < delta <= s")
+    _refuse_rounded_s(s, delta)
     if delta != s and not spec.g.smooth:
         raise ParameterError("delta < s requires a smoothed (differentiable) regularizer")
     cache = cache if cache is not None else FactorizationCache()
     step = _sweep_step(cache, spec, s, delta)
     X1 = step.x_update(state.Y, state.Lam)
-    Y1 = step.y_update(X1, state.Lam)
-    resid = spec.F @ X1 + step.G_sign * Y1 - spec.h
+    FX = spec.F @ X1
+    Y1 = step.y_update.from_Fx(FX, state.Lam)
+    resid = FX + step.G_sign * Y1 - spec.h
     if delta == s:
         L1 = state.Lam + resid / s
     else:

@@ -43,20 +43,8 @@ class ProblemSpec:
         if getattr(self.g, "dim", self.d2) != self.d2:
             raise ProblemConstructionError("g acts on a space of the wrong dimension")
 
-        stacked = np.hstack([self.F, self.G])
-        z, *_ = np.linalg.lstsq(stacked, self.h, rcond=None)
-        feas = float(np.linalg.norm(stacked @ z - self.h))
-        if feas > FEASIBILITY_TOL:
-            raise ProblemConstructionError(
-                f"constraint F x + G y = h is infeasible (least-squares residual {feas:.3e})"
-            )
-
-        self.FtF = self.F.T @ self.F
-        self.FtG = self.F.T @ self.G
-        sv = np.linalg.svd(self.F, compute_uv=False)
-        self.FtF_norm = float(sv[0] ** 2)
-
-        # G = c*I with c in {+1, -1} enables the closed-form y-update.
+        # G = c*I with c in {+1, -1} enables the closed-form y-update, and makes the
+        # constraint feasible by construction: y = c (h - F x) solves it for every x
         self.G_sign = None
         if self.d2 == self.m:
             eye = np.eye(self.m)
@@ -64,6 +52,20 @@ class ProblemSpec:
                 self.G_sign = 1.0
             elif np.array_equal(self.G, -eye):
                 self.G_sign = -1.0
+
+        if self.G_sign is None:
+            stacked = np.hstack([self.F, self.G])
+            z, *_ = np.linalg.lstsq(stacked, self.h, rcond=None)
+            feas = float(np.linalg.norm(stacked @ z - self.h))
+            if feas > FEASIBILITY_TOL:
+                raise ProblemConstructionError(
+                    f"constraint F x + G y = h is infeasible (least-squares residual {feas:.3e})"
+                )
+
+        self.FtF = self.F.T @ self.F
+        self.FtG = self.F.T @ self.G
+        sv = np.linalg.svd(self.F, compute_uv=False)
+        self.FtF_norm = float(sv[0] ** 2)
 
         self.tag = next(_tag_counter)
         for arr in (self.F, self.G, self.h):
@@ -126,7 +128,9 @@ def kkt_residuals(spec, x, y, lam):
 
 
 # ---------------------------------------------------------------------------
-# Instance file format: named CSV blocks, row-major, decimal floats.
+# Instance file format: named CSV blocks, row-major, decimal floats. numpy's loadtxt
+# parses the blocks; it reads what float() reads, to the same bits, but refuses the
+# '_' digit separators and non-ASCII digits that float() accepts.
 
 _VARIANT_NAMES = {
     Quadratic: "quadratic",
@@ -185,16 +189,19 @@ def load_instance(path):
         raise ProblemConstructionError(f"instance file missing sections {missing}")
 
     def block(name, vector=False):
+        lines = sections[name]
         try:
-            rows = [[float(v) for v in line.split(",")] for line in sections[name]]
+            M = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
         except ValueError as exc:
-            raise ProblemConstructionError(f"block [{name}] of {path}: {exc}") from None
-        widths = sorted({len(row) for row in rows})
+            widths = sorted({line.count(",") + 1 for line in lines})
+            if len(widths) == 1:
+                raise ProblemConstructionError(f"block [{name}] of {path}: {exc}") from None
+        else:
+            widths = [M.shape[1]]
         if len(widths) != 1 or (vector and widths != [1]):
             need = "one entry per row" if vector else "rows of equal length"
             raise ProblemConstructionError(
                 f"block [{name}] of {path} needs {need} (got row lengths {widths})")
-        M = np.array(rows, dtype=float)
         if not np.all(np.isfinite(M)):
             raise ProblemConstructionError(f"block [{name}] of {path} has non-finite entries")
         return M[:, 0] if vector else M

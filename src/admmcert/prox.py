@@ -98,7 +98,11 @@ class YUpdate:
         self.G_sign, self._h, self._F, self._s = spec.G_sign, spec.h, spec.F, s
 
     def __call__(self, x_next, lambda_k):
-        u = self.G_sign * (self._h - self._F @ x_next - self._s * lambda_k)
+        return self.from_Fx(self._F @ x_next, lambda_k)
+
+    def from_Fx(self, Fx, lambda_k):
+        """The y-update from F x_{k+1}, for a caller that needs F x_{k+1} again."""
+        u = self.G_sign * (self._h - Fx - self._s * lambda_k)
         return self._prox(u, *self._params)
 
 
@@ -144,7 +148,7 @@ class Step:
                 f"{what} has condition estimate {cond:.3e} > {COND_LIMIT:.0e}{hint}"
             )
         self.spec, self.s, self.r, self.matrix, self.cond = spec, s, r, M, cond
-        self.G_sign, self._Ft = spec.G_sign, spec.F.T
+        self.G_sign, self._F, self._Ft = spec.G_sign, spec.F, spec.F.T
         if self.quadratic:
             self._factor = scipy.linalg.cho_factor(M, lower=True)
             self._lapack, = scipy.linalg.get_lapack_funcs(("potrs",), (M,))
@@ -179,10 +183,12 @@ class Step:
         return x
 
     def __call__(self, x_k, y_k, lambda_k):
-        """(x, y, lam)_{k+1}: x-minimization, y-minimization, dual ascent."""
+        """(x, y, lam)_{k+1}: x-minimization, y-minimization, dual ascent; F x_{k+1}
+        is computed once, for the y-update and the dual step."""
         x1 = self.x_update(y_k, lambda_k, x_k)
-        y1 = self.y_update(x1, lambda_k)
-        return x1, y1, lambda_k + (x1 @ self._Ft + self.G_sign * y1 - self.spec.h) / self.s
+        Fx = self._F @ x1
+        y1 = self.y_update.from_Fx(Fx, lambda_k)
+        return x1, y1, lambda_k + (Fx + self.G_sign * y1 - self.spec.h) / self.s
 
 
 class FactorizationCache:

@@ -7,7 +7,10 @@ and is recorded per step. The run loop only steps and stores the iterates;
 the per-row columns are computed from them afterwards, in one array pass.
 A solver run's rows are serialized once, to trace.csv; trace.json holds only
 its head (columns, config, stop reason) and names that CSV. One writer,
-write_csv, writes every table.
+write_csv, writes every table: each cell is the Python repr of its float, and
+a cell whose bits equal the cell above reuses that cell's text, so only the
+cells that changed are formatted (an l1 run freezes most coordinates once it
+has found its active set).
 """
 
 from __future__ import annotations
@@ -104,10 +107,7 @@ class Trace:
         blocks += [np.reshape(col, (-1, 1)) for col in self.scalars.values()]
         if any(b.shape[0] != n for b in blocks) or 1 + sum(b.shape[1] for b in blocks) != width:
             raise RuntimeError(f"trace rows do not all have the header's {width} columns")
-        axis = self.axis.tolist()
-        table = np.hstack([np.empty((n, 0))] + blocks[3:])  # the (n, c) scalar columns
-        write_csv(path, columns, ([axis[j]] + self.xs[j].tolist() + self.ys[j].tolist()
-                                  + self.lams[j].tolist() + table[j].tolist() for j in range(n)))
+        write_csv(path, columns, self.axis.tolist(), np.hstack(blocks))
 
     def to_json(self, path):
         """The head of a solver run (runs always complete): what its CSV, written to
@@ -120,12 +120,25 @@ class Trace:
             fh.write(json.dumps(head, sort_keys=True) + "\n")
 
 
-def write_csv(path, columns, rows):
-    """The one table writer: a header line, then each row's Python numbers by repr."""
+def write_csv(path, columns, axis, table):
+    """The one table writer: a header line, then per row the axis value (an int k or a
+    float t) and the row of the (n, c) float table, each by Python repr. A cell whose
+    bits equal those of the cell above (so 0.0 and -0.0 differ, and NaN payloads are
+    compared as bits) keeps the text of the row above; only changed cells are formatted."""
+    table = np.ascontiguousarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[0] != len(axis):
+        raise RuntimeError(f"a table of shape {table.shape} does not have one row per "
+                           f"axis value ({len(axis)})")
+    bits = table.view(np.int64)
+    changed = np.ones(table.shape, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=changed[1:])
+    cells = np.empty(table.shape[1], dtype=object)  # the text of the row above
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(map(repr, row)) + "\n")
+        for j, a in enumerate(axis):
+            idx = np.flatnonzero(changed[j])
+            cells[idx] = list(map(repr, table[j, idx].tolist()))
+            fh.write(",".join([repr(a), *cells.tolist()]) + "\n")
 
 
 def admm_step(state, spec, s, cache=None, r=None):

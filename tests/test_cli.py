@@ -188,8 +188,12 @@ def _mutated_instance(tmp_path, block, mutate):
     ("g.variant", lambda line: "scaled_l1,nan", "block [g.variant] of"),
     ("g.variant", lambda line: "scaled_l1", "block [g.variant] of"),  # no weight
     ("f.variant", lambda line: "", "missing sections ['f.variant']"),  # an empty block
+    ("A", lambda line: "1#" + line, "block [A] of"),  # '#' is no comment marker
+    ("A", lambda line: "1,," + line.split(",", 2)[2], "block [A] of"),  # an empty field
+    # float() reads '1_0' as 10.0; the block parser refuses digit separators
+    ("A", lambda line: "1_0," + line.split(",", 1)[1], "block [A] of"),
 ], ids=["nan_b", "inf_A", "ragged_A", "truncated_A", "wide_b", "nan_weight", "no_weight",
-        "empty_f"])
+        "empty_f", "hash_in_cell_A", "empty_field_A", "digit_separator_A"])
 def test_solve_rejects_bad_instance_data(tmp_path, capsys, block, mutate, message):
     path = _mutated_instance(tmp_path, block, mutate)
     capsys.readouterr()

@@ -48,6 +48,18 @@ class TestImplicitStepAtDeltaS:
         with pytest.raises(ParameterError, match="smoothed"):
             high_res_implicit_step(zero_cont(spec), spec, 1.0, 0.5)
 
+    @pytest.mark.parametrize("name", ["scalar_lasso", "scalar_lasso_smoothed"])
+    def test_delta_equal_to_s_up_to_rounding_refused(self, name):
+        # s/delta = 1.0000000000000002 rounds to 1: s up to rounding, not a micro-step,
+        # refused with IntegratorConfig's message whether or not g is smooth
+        spec, delta = get_instance(name), 0.9999999999999999
+        with pytest.raises(ParameterError) as config_exc:
+            IntegratorConfig(s=1.0, delta=delta, T=1.0)
+        with pytest.raises(ParameterError) as step_exc:
+            high_res_implicit_step(zero_cont(spec), spec, 1.0, delta)
+        assert str(step_exc.value) == str(config_exc.value)
+        assert "delta = 0.9999999999999999 differs from s = 1.0" in str(step_exc.value)
+
 
 class TestImplicitMicroSteps:
     def test_residual_certified_each_step(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from admmcert.cli import main
 from admmcert.errors import ProblemConstructionError
 from admmcert.functions import AffineIndicator, HuberSmoothedL1, Quadratic, ScaledL1
 from admmcert.problems import (
@@ -11,6 +12,24 @@ from admmcert.problems import (
     load_instance,
     save_instance,
 )
+
+
+def same_bits(actual, expected):
+    """Equal arrays, bit for bit: 0.0 and -0.0 differ."""
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+def float_blocks(path):
+    """Every numeric block of an instance file, parsed cell by cell with float()."""
+    blocks, name = {}, None
+    for line in path.read_text().split("\n"):
+        if line.startswith("["):
+            name = line[1:-1]
+            blocks[name] = []
+        elif line and name not in ("f.variant", "g.variant"):
+            blocks[name].append([float(v) for v in line.split(",")])
+    return {k: np.array(v) for k, v in blocks.items() if v}
 
 
 def scalar_spec():
@@ -105,6 +124,24 @@ class TestProblemSpec:
             ProblemSpec(Quadratic([[1.0]], [1.0]), ScaledL1(1.0),
                         [[0.0]], [[0.0]], [1.0])
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_g_plus_minus_identity_is_feasible_without_lstsq(self, monkeypatch, sign):
+        # y = G (h - F x) solves F x + G y = h for every x when G = +/-I: the
+        # least-squares feasibility solve is skipped
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("lstsq ran for G = +/-I")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        rng = np.random.default_rng(11)
+        F, h = 1e3 * rng.standard_normal((6, 4)), rng.standard_normal(6)
+        spec = ProblemSpec(Quadratic(rng.standard_normal((5, 4)), np.ones(5)), ScaledL1(1.0),
+                           F, sign * np.eye(6), h)
+        assert spec.G_sign == sign
+        x = rng.standard_normal(4)
+        y = spec.G @ (h - F @ x)
+        scale = np.abs(F @ x).max() + np.abs(h).max()
+        assert np.abs(spec.constraint_residual(x, y)).max() <= 4 * np.finfo(float).eps * scale
+
     def test_g_sign_detection(self):
         spec = scalar_spec()
         assert spec.G_sign == -1.0
@@ -169,6 +206,52 @@ class TestInstanceFile:
         save_instance(spec, path)
         loaded = load_instance(path)
         assert isinstance(loaded.f, AffineIndicator)
+
+    @pytest.mark.parametrize("kind, dims", [("tv", "30"), ("lasso", "12,9"),
+                                            ("basis_pursuit", "5,11")])
+    def test_blocks_parse_to_the_bits_of_float(self, tmp_path, kind, dims):
+        path = tmp_path / "inst.txt"
+        assert main(["generate", kind, "--dims", dims, "--seed", "4", "--out", str(path)]) == 0
+        spec = load_instance(path)
+        expected = float_blocks(path)
+        for name, got in (("A", spec.f.A), ("b", spec.f.b), ("F", spec.F), ("G", spec.G),
+                          ("h", spec.h)):
+            same_bits(got, expected[name].reshape(got.shape))
+
+    def test_stress_values_parse_to_the_bits_of_float(self, tmp_path):
+        # 20 000 cells of A, from subnormal to 1e150 (A^T A stays finite), in the
+        # generator's repr and in other notations float() reads
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal(20_000) * 10.0 ** rng.integers(-330, 150, 20_000)
+        v[:8] = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e150, 0.1, 1 / 3]
+        forms = ["{!r}", "{:.17e}", "{:.6g}", "{:+.3E}", "{:.0f}", " {!r} "]
+        cells = [forms[i % len(forms)].format(x) for i, x in enumerate(v.tolist())]
+        rows = [",".join(cells[i:i + 100]) for i in range(0, len(cells), 100)]
+        spec = ProblemSpec(Quadratic(np.eye(200, 100), np.zeros(200)), ScaledL1(1.0),
+                           np.eye(100), -np.eye(100), np.zeros(100))
+        path = tmp_path / "inst.txt"
+        save_instance(spec, path)
+        text = path.read_text().split("\n")
+        i = text.index("[A]")
+        path.write_text("\n".join(text[:i + 1] + rows + text[i + 201:]))
+        A = load_instance(path).f.A
+        same_bits(A, np.array([[float(c) for c in row.split(",")] for row in rows]))
+
+    def test_save_load_roundtrip_is_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((4, 3))
+        A[0] = [-0.0, 5e-324, -1e150]  # A^T A stays finite
+        b = np.array([-0.0, 0.1, 1e-310, 3e300])
+        h = np.array([-0.0, 2.0**-1074, 1 / 3])
+        F = rng.standard_normal((3, 3))
+        spec = ProblemSpec(Quadratic(A, b), ScaledL1(0.3), F, -np.eye(3), h)
+        path = tmp_path / "inst.txt"
+        save_instance(spec, path)
+        loaded = load_instance(path)
+        for got, want in ((loaded.f.A, A), (loaded.f.b, b), (loaded.F, F),
+                          (loaded.G, spec.G), (loaded.h, h)):
+            same_bits(got, want)
+        assert loaded.g.w == 0.3
 
     def test_missing_section_rejected(self, tmp_path):
         path = tmp_path / "broken.txt"

@@ -1,7 +1,10 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from admmcert.errors import IllConditionedError, ParameterError
 from admmcert.library import get_instance, get_saddle
@@ -14,8 +17,40 @@ from admmcert.solver import (
     admm_step,
     default_r,
     run,
+    write_csv,
     zero_state,
 )
+from test_row_passes import DERANDOMIZED
+
+# cells whose text or bits are easy to get wrong: signed zeros, NaNs with other sign
+# bits and payloads (all written "nan"), infinities, subnormals and the extremes
+QUIET_NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0]
+SPECIAL_CELLS = [0.0, -0.0, np.nan, -np.nan, QUIET_NAN_PAYLOAD, np.inf, -np.inf, 5e-324,
+                 -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0, -2.5]
+
+
+@st.composite
+def tables(draw):
+    """(axis, (n, c) table): rows that repeat the row above, cells that repeat the cell
+    above or flip its sign (0.0 <-> -0.0), and fresh cells, with an int or a float axis."""
+    n, c = draw(st.integers(0, 8)), draw(st.integers(0, 5))
+    cell = st.one_of(st.sampled_from(SPECIAL_CELLS), st.floats(allow_subnormal=True))
+    table = np.empty((n, c))
+    for j in range(n):
+        repeat = j > 0 and draw(st.booleans())  # a run of equal rows
+        for i in range(c):
+            move = "new" if j == 0 else "keep" if repeat else draw(
+                st.sampled_from(["keep", "negate", "new"]))
+            if move == "new":
+                table[j, i] = draw(cell)
+            else:
+                table[j, i] = table[j - 1, i] if move == "keep" else -table[j - 1, i]
+    if draw(st.booleans()):
+        k0 = draw(st.integers(0, 10**6))
+        axis = list(range(k0, k0 + n))
+    else:
+        axis = [draw(st.floats(allow_subnormal=True)) for _ in range(n)]
+    return axis, table
 
 
 class TestConfig:
@@ -147,6 +182,26 @@ class TestTraceSerialization:
         with pytest.raises(RuntimeError, match="header's 10 columns"):
             trace.to_csv(path)
         assert not path.exists()  # refused before anything is written
+
+    @DERANDOMIZED
+    @given(tables())
+    def test_write_csv_equals_repr_of_every_cell(self, drawn):
+        axis, table = drawn
+        columns = ["a"] + [f"c{i}" for i in range(table.shape[1])]
+        expected = "".join(",".join(map(repr, [a] + row)) + "\n"
+                           for a, row in zip(axis, table.tolist()))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            write_csv(path, columns, axis, table)
+            with open(path, "rb") as fh:
+                written = fh.read()
+        assert written == (",".join(columns) + "\n" + expected).encode()
+
+    def test_write_csv_refuses_rows_that_do_not_match_the_axis(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(RuntimeError, match="one row per axis value"):
+            write_csv(path, ["k", "v"], [0, 1, 2], np.zeros((2, 1)))
+        assert not path.exists()
 
     def test_json_sorted_and_stable(self, tmp_path):
         spec = get_instance("scalar_lasso")
