@@ -31,6 +31,10 @@ class OracleConvergenceError(AdmmError, RuntimeError):
         super().__init__(message)
         self.best_residual = float(best_residual)
 
+    def __reduce__(self):
+        # the default rebuilds from self.args, which lack best_residual
+        return type(self), (str(self), self.best_residual)
+
 
 class InnerSolveError(AdmmError, RuntimeError):
     """Raised when the implicit-step inner solver fails to reach tolerance."""

@@ -6,20 +6,33 @@ agreement, 10*delta continuous comparisons); each test asserts the
 criterion's own pass flag and surfaces the numeric details on failure.
 """
 
+import inspect
 import os
+import pickle
+import signal
 import subprocess
 import sys
+import textwrap
+import time
 
 import pytest
 
 import admmcert
-from admmcert import acceptance
+from admmcert import acceptance, cli, errors
+from admmcert.errors import ParameterError
 
 
 @pytest.fixture(scope="module")
 def results():
     out = acceptance.run_all()
     return {c["id"]: c for c in out["criteria"]}
+
+
+def _child_env():
+    """The environment of a child that imports the package from where this process found it."""
+    src = os.path.dirname(os.path.dirname(admmcert.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def _check(results, cid):
@@ -72,11 +85,8 @@ def test_criterion_8_oracle_cross_validation(results):
 def test_criterion_9_verify_is_byte_deterministic(results, tmp_path):
     # in-process repetition (part of the suite) ...
     _check(results, 9)
-    # ... and two fresh processes produce byte-identical report JSON; the
-    # children import the package from where this process found it
-    src = os.path.dirname(os.path.dirname(admmcert.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path)
+    # ... and two fresh processes produce byte-identical report JSON
+    env = _child_env()
     reports = []
     for sub in ("v1", "v2"):
         out = tmp_path / sub
@@ -86,3 +96,132 @@ def test_criterion_9_verify_is_byte_deterministic(results, tmp_path):
         assert proc.returncode == 0, proc.stdout + proc.stderr
         reports.append((out / "verify_report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+# ---------------------------------------------------------------------------
+# run_all's split: the entries at positions 1, 7 and 9 run in a forked worker.
+# Stand-ins replace the criteria before the fork, so the worker sees them.
+
+
+def _stand_in(cid):
+    return lambda: {"id": cid, "title": f"stand-in {cid}", "pass": cid % 2 == 1,
+                    "details": {"value": cid / 7.0}}
+
+
+@pytest.fixture
+def stand_ins(monkeypatch):
+    entries = [_stand_in(cid) for cid in range(1, 10)]
+    monkeypatch.setattr(acceptance, "CRITERIA", entries)
+    return entries
+
+
+def test_run_all_returns_the_criteria_in_order(stand_ins):
+    assert acceptance.run_all() == {"criteria": [fn() for fn in stand_ins]}
+
+
+def test_run_all_runs_each_wrapped_entry_once(stand_ins, tmp_path):
+    # wrapped in place, as perfbench/traced.py wraps the criteria
+    log = tmp_path / "calls"
+
+    def logged(fn, cid):
+        def call():
+            with open(log, "a") as fh:
+                fh.write(f"{cid} {os.getpid()}\n")
+            return fn()
+        return call
+
+    acceptance.CRITERIA[:] = [logged(fn, cid) for cid, fn in enumerate(acceptance.CRITERIA, 1)]
+    out = acceptance.run_all()
+    assert [c["id"] for c in out["criteria"]] == list(range(1, 10))
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(int(cid) for cid, _ in calls) == list(range(1, 10))
+    away = {int(cid) for cid, pid in calls if int(pid) != os.getpid()}
+    assert away == {i + 1 for i in acceptance.WORKER_POSITIONS} == {1, 7, 9}
+
+
+def test_worker_exception_reaches_the_caller(stand_ins, tmp_path, capsys):
+    def bad():
+        raise ParameterError("stand-in 7 refuses its r")
+
+    acceptance.CRITERIA[6] = bad
+    with pytest.raises(ParameterError, match="^stand-in 7 refuses its r$"):
+        acceptance.run_all()
+    assert cli.main(["verify", "--out", str(tmp_path / "v")]) == cli.EXIT_USAGE
+    assert "error: stand-in 7 refuses its r" in capsys.readouterr().err
+
+
+def test_dead_worker_exits_2(tmp_path):
+    # in a child process, so that a hang fails on the timeout instead of stalling the suite
+    script = textwrap.dedent("""
+        import os, sys
+        from admmcert import acceptance, cli
+        acceptance.CRITERIA[:] = [lambda cid=cid: {"id": cid, "title": "", "pass": True,
+                                                   "details": {}} for cid in range(1, 10)]
+        acceptance.CRITERIA[0] = lambda: os._exit(1)
+        sys.exit(cli.main(["verify", "--out", sys.argv[1]]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "v")],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert proc.returncode == cli.EXIT_USAGE, proc.stdout + proc.stderr
+    assert "criteria 1, 7 and 9" in proc.stderr
+    assert not (tmp_path / "v" / "verify_report.json").exists()
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+def test_worker_exits_when_verify_is_killed(tmp_path):
+    pid_file = tmp_path / "worker.pid"
+    script = textwrap.dedent("""
+        import os, sys, time
+        from admmcert import acceptance, cli
+        def first():
+            with open(sys.argv[1], "w") as fh:
+                fh.write(str(os.getpid()))
+            time.sleep(60)
+        acceptance.CRITERIA[0] = first
+        acceptance.CRITERIA[1] = lambda: time.sleep(60)
+        cli.main(["verify", "--out", sys.argv[2]])
+    """)
+    proc = subprocess.Popen([sys.executable, "-c", script, str(pid_file), str(tmp_path / "v")],
+                            env=_child_env())
+    pid = None
+    try:
+        deadline = time.monotonic() + 30
+        while not pid_file.exists() or not pid_file.read_text():
+            assert time.monotonic() < deadline and proc.poll() is None, "no worker started"
+            time.sleep(0.05)
+        pid = int(pid_file.read_text())
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(pid), "the worker outlived the killed verify"
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        if pid is not None and _running(pid):
+            os.kill(pid, signal.SIGKILL)
+
+
+def _error_classes():
+    return [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+            if issubclass(cls, errors.AdmmError)]
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_errors_survive_pickling(cls):
+    # a worker's exception reaches the caller pickled
+    args = ("no saddle", 1e-3) if cls is errors.OracleConvergenceError else ("no saddle",)
+    exc = cls(*args)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert str(back) == str(exc) == "no saddle"
+    assert getattr(back, "best_residual", None) == getattr(exc, "best_residual", None)
