@@ -9,7 +9,6 @@ byte-identical JSON across runs.
 from __future__ import annotations
 
 import json
-import os
 import time
 
 import numpy as np
@@ -241,45 +240,49 @@ def _run_positions(positions):
     return [CRITERIA[i]() for i in positions]
 
 
-def _exit_when_orphaned(parent):
-    """Worker initializer: exit once the forking process is gone. A forked worker
-    holds both ends of the pool's pipes, so it never sees EOF and would otherwise
-    wait forever after a caller killed by a signal."""
-    import threading
-
-    def watch():
-        while os.getppid() == parent:
-            time.sleep(0.2)
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
+def _work(reader, writer):
+    # without the read end here, a send to a caller that is gone fails instead of blocking
+    reader.close()
+    try:
+        out = ("ok", _run_positions(WORKER_POSITIONS))
+    except Exception as exc:
+        out = ("err", exc)
+    writer.send(out)
 
 
 def run_all():
     """Every criterion's result, in CRITERIA order.
 
-    The entries at WORKER_POSITIONS run in one worker while this process runs
-    the rest. The worker is forked, so it inherits the imported package and the
-    entries of CRITERIA as they are now. A criterion's exception in the worker
-    re-raises here with its type and message; a worker that dies raises
-    AdmmError naming its criteria.
+    The entries at WORKER_POSITIONS run in one forked process while this
+    process runs the rest. The fork inherits the imported package and the
+    entries of CRITERIA as they are now, and exits once it has sent its
+    results. A criterion's exception there re-raises here with its type and
+    message; a worker that dies raises AdmmError naming its criteria.
     """
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
 
+    fork = multiprocessing.get_context("fork")
+    reader, writer = fork.Pipe(duplex=False)
+    worker = fork.Process(target=_work, args=(reader, writer))
+    worker.start()
+    writer.close()  # so that recv() sees EOF once the worker is gone
     here = [i for i in range(len(CRITERIA)) if i not in WORKER_POSITIONS]
-    with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_exit_when_orphaned,
-                             initargs=(os.getpid(),)) as pool:
-        away = pool.submit(_run_positions, WORKER_POSITIONS)
+    try:
         results = dict(zip(here, _run_positions(here)))
-        try:
-            results.update(zip(WORKER_POSITIONS, away.result()))
-        except BrokenProcessPool as exc:
-            ids = [str(i + 1) for i in WORKER_POSITIONS]
-            raise AdmmError(f"the worker process running criteria {', '.join(ids[:-1])} and "
-                            f"{ids[-1]} died before it returned: {exc}") from exc
+        status, away = reader.recv()
+    except EOFError:
+        worker.join()
+        raise AdmmError("the worker process running criteria 1, 7 and 9 died before it "
+                        f"returned (exit code {worker.exitcode})") from None
+    except BaseException:
+        worker.kill()
+        raise
+    finally:
+        reader.close()
+        worker.join()
+    if status == "err":
+        raise away
+    results.update(zip(WORKER_POSITIONS, away))
     return {"criteria": [results[i] for i in range(len(CRITERIA))]}
 
 

@@ -9,11 +9,9 @@ criterion's own pass flag and surfaces the numeric details on failure.
 import inspect
 import os
 import pickle
-import signal
 import subprocess
 import sys
 import textwrap
-import time
 
 import pytest
 
@@ -165,50 +163,6 @@ def test_dead_worker_exits_2(tmp_path):
     assert proc.returncode == cli.EXIT_USAGE, proc.stdout + proc.stderr
     assert "criteria 1, 7 and 9" in proc.stderr
     assert not (tmp_path / "v" / "verify_report.json").exists()
-
-
-def _running(pid):
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
-    except FileNotFoundError:
-        return False
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
-def test_worker_exits_when_verify_is_killed(tmp_path):
-    pid_file = tmp_path / "worker.pid"
-    script = textwrap.dedent("""
-        import os, sys, time
-        from admmcert import acceptance, cli
-        def first():
-            with open(sys.argv[1], "w") as fh:
-                fh.write(str(os.getpid()))
-            time.sleep(60)
-        acceptance.CRITERIA[0] = first
-        acceptance.CRITERIA[1] = lambda: time.sleep(60)
-        cli.main(["verify", "--out", sys.argv[2]])
-    """)
-    proc = subprocess.Popen([sys.executable, "-c", script, str(pid_file), str(tmp_path / "v")],
-                            env=_child_env())
-    pid = None
-    try:
-        deadline = time.monotonic() + 30
-        while not pid_file.exists() or not pid_file.read_text():
-            assert time.monotonic() < deadline and proc.poll() is None, "no worker started"
-            time.sleep(0.05)
-        pid = int(pid_file.read_text())
-        proc.kill()
-        proc.wait(timeout=10)
-        deadline = time.monotonic() + 10
-        while _running(pid) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not _running(pid), "the worker outlived the killed verify"
-    finally:
-        proc.kill()
-        proc.wait(timeout=10)
-        if pid is not None and _running(pid):
-            os.kill(pid, signal.SIGKILL)
 
 
 def _error_classes():
