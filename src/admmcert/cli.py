@@ -188,7 +188,7 @@ def cmd_simulate(args):
     trace.to_csv(path("discrete.csv"))
 
     low = None
-    if spec.f.smooth and spec.g.smooth and spec.d2 == spec.m:
+    if spec.f.smooth and spec.g.smooth:
         low = simulate_low_res(spec, config, np.zeros(spec.d1), ref=ref)
         low.to_csv(path("low_res.csv"))
     per = int(round(s / delta))  # a whole number, checked by IntegratorConfig

@@ -88,25 +88,25 @@ def _sq(v):
     return np.sum(v * v, axis=-1)
 
 
-def _energy(y, lam, ref_y, ref_lam, G, s):
+def _energy(y, lam, ref_y, ref_lam, s):
     """(1/2s)||G(y - ref_y)||^2 + (s/2)||lam - ref_lam||^2, row by row: the one
-    energy kernel behind every Lyapunov, NE and energy column and certificate."""
-    return _sq((y - ref_y) @ G.T) / (2.0 * s) + s * _sq(lam - ref_lam) / 2.0
+    energy kernel behind every Lyapunov, NE and energy column and certificate.
+    G = +/-I, and ||-v||^2 has the same bits as ||v||^2, so G drops out."""
+    return _sq(y - ref_y) / (2.0 * s) + s * _sq(lam - ref_lam) / 2.0
 
 
 def _extended_energy(x, y, lam, ref_x, ref_y, ref_lam, spec, s, r):
     """_energy plus (r||x - ref_x||^2 - ||F(x - ref_x)||^2)/(2s), row by row."""
     dx = x - ref_x
     extra = (r * _sq(dx) - _sq(dx @ spec.F.T)) / (2.0 * s)
-    return extra + _energy(y, lam, ref_y, ref_lam, spec.G, s)
+    return extra + _energy(y, lam, ref_y, ref_lam, s)
 
 
 def _start_constant(y0, lam0, ref_y, ref_lam, spec, s):
     """C = ||G(y0 - ref_y)||^2 + s^2 ||lam0 - ref_lam||^2, the constant of every rate
     bound that starts from (y0, lam0); the weak probes measure lam from ref_lam = 0."""
-    gy = spec.G @ (y0 - ref_y)
-    dl = lam0 - ref_lam
-    return float(gy @ gy) + s * s * float(dl @ dl)
+    dy, dl = y0 - ref_y, lam0 - ref_lam
+    return float(dy @ dy) + s * s * float(dl @ dl)
 
 
 def _rate_constant(trace, saddle):
@@ -116,8 +116,7 @@ def _rate_constant(trace, saddle):
 
 def _lyapunov(trace, saddle):
     """E(k) with the saddle as reference, for every row of the trace."""
-    return _energy(trace.ys, trace.lams, saddle.y_star, saddle.lambda_star,
-                   trace.spec.G, trace.config.s)
+    return _energy(trace.ys, trace.lams, saddle.y_star, saddle.lambda_star, trace.config.s)
 
 
 def _u_series(trace):
@@ -146,8 +145,8 @@ def check_lemma_iterative_inequality(trace, saddle, probes=None):
     xs, ys, ls = trace.xs, trace.ys, trace.lams
     ne = trace.scalars["ne"][:-1]
     fx, gy = spec.f.value(xs[1:]), spec.g.value(ys[1:])
-    mult = ls[1:] - (ys[1:] - ys[:-1]) @ spec.G.T / s
-    dev = (xs[1:] - saddle.x_star) @ spec.F.T + (ys[1:] - saddle.y_star) @ spec.G.T
+    mult = ls[1:] - spec.G_sign * (ys[1:] - ys[:-1]) / s
+    dev = (xs[1:] - saddle.x_star) @ spec.F.T + spec.G_sign * (ys[1:] - saddle.y_star)
     all_probes = canonical_probes(saddle, spec) + list(probes or [])
     slacks = np.full(len(trace) - 1, -np.inf)
     for px, py, plam in all_probes:
@@ -155,8 +154,8 @@ def check_lemma_iterative_inequality(trace, saddle, probes=None):
         fp, gp = spec.f.value(px), spec.g.value(py)
         if not np.isfinite(fp) or not np.isfinite(gp):
             continue  # infinite probe value makes the inequality vacuous
-        disp = spec.F @ (px - saddle.x_star) + spec.G @ (py - saddle.y_star)
-        lhs = np.diff(_energy(ys, ls, py, plam, spec.G, s))
+        disp = spec.F @ (px - saddle.x_star) + spec.G_sign * (py - saddle.y_star)
+        lhs = np.diff(_energy(ys, ls, py, plam, s))
         rhs = fp - fx + gp - gy + mult @ disp - dev @ plam - ne
         slacks = np.maximum(slacks, lhs - rhs)
     return _entry("lemma_iterative_inequality", slacks, TOL_STEP,
@@ -214,7 +213,7 @@ def check_weak_rate_theorem_4_2(trace, saddle, probes=None):
     spec, s = trace.spec, trace.config.s
     xs, ys, ls = trace.xs, trace.ys, trace.lams
     t = s * np.arange(1, len(trace))
-    mbar = _prefix_means(ls) - (ys[1:] - ys[0]) @ spec.G.T / t.reshape(-1, 1)
+    mbar = _prefix_means(ls) - spec.G_sign * (ys[1:] - ys[0]) / t.reshape(-1, 1)
     probes = list(probes) if probes is not None else default_weak_probes(saddle, spec)
     slacks, consts = _weak_gap(trace, saddle, probes, _prefix_means(xs), _prefix_means(ys),
                                mbar, t)
@@ -237,7 +236,7 @@ def _weak_gap(trace, saddle, probes, xbar, ybar, mbar, t):
         if not np.isfinite(fp) or not np.isfinite(gp):
             continue
         C = consts[f"C_probe{i}"] = _start_constant(trace.ys[0], trace.lams[0], py, 0.0, spec, s)
-        disp = spec.F @ (px - saddle.x_star) + spec.G @ (py - saddle.y_star)
+        disp = spec.F @ (px - saddle.x_star) + spec.G_sign * (py - saddle.y_star)
         # summing (or integrating) the per-step inequality puts the multiplier
         # term on the bound side, so it enters the gap with a minus sign
         slacks = np.maximum(slacks, fx - fp + gy - gp - mbar @ disp - C / (2.0 * t))
@@ -286,8 +285,7 @@ def check_strong_avg_theorem_4_4(trace, saddle):
 def check_ne_telescoping(trace, saddle):
     """Telescoped numerical error: sum_{k<=N} NE(k) <= E(0) for every prefix."""
     s = trace.config.s
-    e0 = _energy(trace.ys[0], trace.lams[0],
-                 saddle.y_star, saddle.lambda_star, trace.spec.G, s)
+    e0 = _energy(trace.ys[0], trace.lams[0], saddle.y_star, saddle.lambda_star, s)
     slacks = np.cumsum(trace.scalars["ne"][:-1]) - e0
     return _entry("ne_telescoping", slacks, TOL_STEP, {"E0": e0, "s": s})
 
@@ -307,7 +305,7 @@ def check_ne_monotone_theorem_5(trace, saddle):
     last = _entry("theorem_5_1_last_iterate", u - C / n, TOL_RATE, {"C": C, "s": s})
 
     # triple inequality: <G ddy, F dx_{k+2}> >= s^2 <dlam_{k+1}, dlam_{k+1} - dlam_k>
-    gdy = (ys[1:] - ys[:-1]) @ spec.G.T
+    gdy = spec.G_sign * (ys[1:] - ys[:-1])
     fdx = (xs[1:] - xs[:-1]) @ spec.F.T
     dl = ls[1:] - ls[:-1]
     lhs = np.sum((gdy[1:] - gdy[:-1]) * fdx[1:], axis=1)
@@ -350,12 +348,12 @@ def step_inclusion_residuals(trace):
     of the r-proximal x-update when the run stepped with an r. Reads no saddle."""
     spec, s, r = trace.spec, trace.config.s, trace.r
     xs, ys, ls = trace.xs, trace.ys, trace.lams
-    target = (ys[1:] - ys[:-1]) @ spec.FtG.T / s - ls[1:] @ spec.F
+    target = spec.G_sign * ((ys[1:] - ys[:-1]) @ spec.F) / s - ls[1:] @ spec.F
     if r is not None:
         dx = np.diff(xs, axis=0)
         target = target - (r * dx - dx @ spec.FtF.T) / s
     return (spec.f.subgrad_distance(target, xs[1:]),
-            spec.g.subgrad_distance(-(ls[1:] @ spec.G), ys[1:]))
+            spec.g.subgrad_distance(-(spec.G_sign * ls[1:]), ys[1:]))
 
 
 def certify_standard(trace, saddle):

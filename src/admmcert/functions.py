@@ -16,6 +16,7 @@ from .errors import ProblemConstructionError
 # Membership tolerance for the affine indicator: points produced by the
 # equality-constrained x-update satisfy their constraint to ~1e-10.
 INDICATOR_FEAS_TOL = 1e-8
+INDICATOR_RANK_TOL = 1e-10  # A is rank-deficient when sigma_min <= this * sigma_max
 
 
 def _as_matrix(M, name):
@@ -100,7 +101,7 @@ class AffineIndicator:
 
     smooth = False
 
-    def __init__(self, A, b, rank_tol=1e-10):
+    def __init__(self, A, b):
         self.A = _as_matrix(A, "A")
         self.b = _as_vector(b, "b")
         if self.A.shape[0] != self.b.shape[0]:
@@ -108,14 +109,14 @@ class AffineIndicator:
                 f"rows of A ({self.A.shape[0]}) do not match length of b ({self.b.shape[0]})"
             )
         sv = np.linalg.svd(self.A, compute_uv=False)
-        if sv[-1] <= rank_tol * sv[0] or self.A.shape[0] > self.A.shape[1]:
+        if sv[-1] <= INDICATOR_RANK_TOL * sv[0] or self.A.shape[0] > self.A.shape[1]:
             raise ProblemConstructionError("indicator set ill-posed: A is rank-deficient")
         self.dim = self.A.shape[1]
         self.A.flags.writeable = False
         self.b.flags.writeable = False
 
-    def feasible(self, v, tol=INDICATOR_FEAS_TOL):
-        return np.max(np.abs(v @ self.A.T - self.b), axis=-1) <= tol
+    def feasible(self, v):
+        return np.max(np.abs(v @ self.A.T - self.b), axis=-1) <= INDICATOR_FEAS_TOL
 
     def value(self, v):
         return np.where(self.feasible(v), 0.0, np.inf)[()]  # [()]: a scalar for one point

@@ -92,10 +92,10 @@ def _fill_columns(trace, ref):
     r = spec.constraint_residual(trace.xs, trace.ys)
     cols["deviation"] = np.linalg.norm(r, axis=1)
     if ref is not None:
-        cols["lyapunov"] = _energy(trace.ys, trace.lams, ref[0], ref[1], spec.G, s)
+        cols["lyapunov"] = _energy(trace.ys, trace.lams, ref[0], ref[1], s)
     t = trace.axis
     ydot = (trace.ys[2:] - trace.ys[:-2]) / (t[2:] - t[:-2]).reshape(-1, 1)
-    cols["ne_continuous"][1:-1] = _energy(s * ydot, r[1:-1] / s, 0.0, 0.0, spec.G, s)
+    cols["ne_continuous"][1:-1] = _energy(s * ydot, r[1:-1] / s, 0.0, 0.0, s)
     return trace
 
 
@@ -104,9 +104,8 @@ def _fill_columns(trace, ref):
 
 
 def _implicit_residual(spec, s, delta, Y_old, L_old, X1, Y1, L1):
-    """Scaled residual of the three step equations; G = G_sign * I, as for every
-    spec that can step."""
-    vx = spec.FtG @ (Y1 - Y_old) / delta - spec.F.T @ L1
+    """Scaled residual of the three step equations, with G = G_sign * I."""
+    vx = spec.G_sign * (spec.F.T @ (Y1 - Y_old)) / delta - spec.F.T @ L1
     if isinstance(spec.f, AffineIndicator):
         rA = spec.f.subgrad_distance(vx, X1)
         if not np.isfinite(rA):
@@ -142,7 +141,7 @@ def _newton_system(spec, s, delta):
     base = np.zeros((n, n))
     rhs = np.zeros(n)
     if indicator:
-        base[sx:sy, sy:sl] = spec.FtG
+        base[sx:sy, sy:sl] = spec.G_sign * spec.F.T
         base[sx:sy, sl:sl + m] = -delta * spec.F.T
         base[sx:sy, sl + m:] = -f.A.T
         base[sl + m:, sx:sy] = f.A
@@ -150,7 +149,7 @@ def _newton_system(spec, s, delta):
         gram_term = 0.0
     else:
         base[sx:sy, sx:sy] = -2.0 * delta * f.gram
-        base[sx:sy, sy:sl] = spec.FtG
+        base[sx:sy, sy:sl] = spec.G_sign * spec.F.T
         base[sx:sy, sl:sl + m] = -delta * spec.F.T
         gram_term = 2.0 * delta * f.gram_rhs
     base[sl:sl + m, sx:sy] = -delta * spec.F
@@ -177,7 +176,7 @@ def _pattern_newton(spec, s, delta, Y_old, L_old, cache):
     base, rhs, gram_term, dh = cache.keep(("pattern_newton", spec.tag, s, delta),
                                           lambda: _newton_system(spec, s, delta))
     rhs = rhs.copy()
-    rhs[sx:sy] = spec.FtG @ Y_old - gram_term
+    rhs[sx:sy] = spec.G_sign * (spec.F.T @ Y_old) - gram_term
     rhs[sl:sl + m] = s * s * L_old - dh
 
     def solve(pattern):
@@ -258,7 +257,7 @@ def simulate_high_res(spec, config, init, ref=None):
     # the algebraic leg G^T Lam + grad g(Y) = 0 must hold at every node
     if spec.g.smooth:
         ls = trace.lams[1:]
-        alg = np.linalg.norm(ls @ spec.G + spec.g.grad(trace.ys[1:]), axis=1)
+        alg = np.linalg.norm(spec.G_sign * ls + spec.g.grad(trace.ys[1:]), axis=1)
         bad = np.flatnonzero(alg > ALGEBRAIC_TOL * (1.0 + np.linalg.norm(ls, axis=1)))
         if bad.size:
             j = bad[0] + 1
@@ -271,33 +270,25 @@ def simulate_low_res(spec, config, init_x, ref=None):
     """Classical RK4 with step delta over [0, T] for the continuous-limit flow,
     confined to the hyperplane; s enters only the energy columns.
 
-    Y is eliminated through the constraint (G must be square and
-    invertible), so the deviation is zero by construction at every node.
+    Y = G_sign (h - F X) eliminates Y through the constraint (G = +/-I), so the
+    deviation is zero by construction at every node.
     """
-    if spec.d2 != spec.m:
-        raise ParameterError("low-resolution flow needs a square, invertible G")
     if not (spec.f.smooth and spec.g.smooth):
         raise ParameterError("low-resolution flow needs differentiable f and g")
-    Ginv_cond = np.linalg.cond(spec.G)
-    if not np.isfinite(Ginv_cond) or Ginv_cond > 1e12:
-        raise ParameterError("G is numerically singular")
     FtF_cond = np.linalg.cond(spec.FtF)
     if not np.isfinite(FtF_cond) or FtF_cond > 1e12:
         raise ParameterError("F^T F is numerically singular")
 
-    # G and F^T F are factored once; every RK4 stage only back-substitutes
+    # F^T F is factored once; every RK4 stage only back-substitutes
     getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (spec.FtF,))
-    G_lu, FtF_lu = scipy.linalg.lu_factor(spec.G), scipy.linalg.lu_factor(spec.FtF)
+    FtF_lu = scipy.linalg.lu_factor(spec.FtF)
 
-    def lu_solve(lu, b):
-        z, info = getrs(*lu, b)
+    def field(x):
+        y = spec.G_sign * (spec.h - spec.F @ x)
+        z, info = getrs(*FtF_lu, -spec.f.grad(x) - spec.F.T @ spec.g.grad(y))
         if info:
             raise IllConditionedError(f"low-resolution flow solve failed (LAPACK info {info})")
         return z
-
-    def field(x):
-        y = lu_solve(G_lu, spec.h - spec.F @ x)
-        return lu_solve(FtF_lu, -spec.f.grad(x) - spec.F.T @ spec.g.grad(y))
 
     delta = config.delta
     x = np.asarray(init_x, dtype=float)
@@ -311,10 +302,10 @@ def simulate_low_res(spec, config, init_x, ref=None):
         x = x + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         trace.axis[j + 1] = (j + 1) * delta
         trace.xs[j + 1] = x
-    trace.ys[:] = lu_solve(G_lu, (spec.h - trace.xs @ spec.F.T).T).T
-    # the algebraic leg defines a multiplier surrogate along the flow; a transposed
-    # solve with G's factor changes the last bits of lasso_8x6_smoothed, so it
-    # stays a separate solve
+    trace.ys[:] = spec.G_sign * (spec.h - trace.xs @ spec.F.T)
+    # the algebraic leg G^T Lam + grad g(Y) = 0 defines a multiplier surrogate along
+    # the flow. It stays a solve with G^T: -(G_sign * grad) has the same values but
+    # turns row 0's 0.0 cells into -0.0, which changes the bytes of low_res.csv
     trace.lams[:] = -np.linalg.solve(spec.G.T, spec.g.grad(trace.ys).T).T
     return _fill_columns(trace, ref)
 
@@ -349,7 +340,7 @@ def check_theorem_3_2_weak(trace, saddle):
     dY/dt is estimated by central differences (one-sided at the ends)."""
     spec, s, delta = trace.spec, trace.config.s, trace.config.delta
     probes = [(saddle.x_star, saddle.y_star), (np.zeros(spec.d1), np.zeros(spec.d2))]
-    mult = trace.lams - np.gradient(trace.ys, trace.axis, axis=0) @ spec.G.T
+    mult = trace.lams - spec.G_sign * np.gradient(trace.ys, trace.axis, axis=0)
     (xbar, ybar, mbar), t = _sampled_time_means(trace, trace.xs, trace.ys, mult)
     slacks, _ = _weak_gap(trace, saddle, probes, xbar, ybar, mbar, t)
     return _entry("theorem_3_2_weak_rate", slacks, 10.0 * delta, {"s": s, "delta": delta})

@@ -1,4 +1,4 @@
-"""Constrained problem model: min f(x) + g(y) subject to F x + G y = h.
+"""Constrained problem model: min f(x) + g(y) subject to F x + G y = h, G = +I or -I.
 
 Holds the problem container, the canonical builders (generalized lasso,
 basis pursuit), KKT residuals, and the instance file format.
@@ -13,13 +13,11 @@ import numpy as np
 from .errors import ProblemConstructionError
 from .functions import AffineIndicator, HuberSmoothedL1, Quadratic, ScaledL1
 
-FEASIBILITY_TOL = 1e-10
-
 _tag_counter = itertools.count()
 
 
 class ProblemSpec:
-    """Immutable problem instance (f, g, F, G, h)."""
+    """Immutable problem instance (f, g, F, G, h); G must be +I or -I."""
 
     def __init__(self, f, g, F, G, h):
         self.f = f
@@ -43,27 +41,18 @@ class ProblemSpec:
         if getattr(self.g, "dim", self.d2) != self.d2:
             raise ProblemConstructionError("g acts on a space of the wrong dimension")
 
-        # G = c*I with c in {+1, -1} enables the closed-form y-update, and makes the
-        # constraint feasible by construction: y = c (h - F x) solves it for every x
-        self.G_sign = None
-        if self.d2 == self.m:
-            eye = np.eye(self.m)
-            if np.array_equal(self.G, eye):
-                self.G_sign = 1.0
-            elif np.array_equal(self.G, -eye):
-                self.G_sign = -1.0
-
-        if self.G_sign is None:
-            stacked = np.hstack([self.F, self.G])
-            z, *_ = np.linalg.lstsq(stacked, self.h, rcond=None)
-            feas = float(np.linalg.norm(stacked @ z - self.h))
-            if feas > FEASIBILITY_TOL:
-                raise ProblemConstructionError(
-                    f"constraint F x + G y = h is infeasible (least-squares residual {feas:.3e})"
-                )
+        # the y-update needs G = c*I with c in {+1, -1}, so every kernel reads G y as
+        # G_sign * y; y = c (h - F x) solves the constraint for every x
+        eye = np.eye(self.m)
+        if self.d2 == self.m and np.array_equal(self.G, eye):
+            self.G_sign = 1.0
+        elif self.d2 == self.m and np.array_equal(self.G, -eye):
+            self.G_sign = -1.0
+        else:
+            raise ProblemConstructionError(
+                f"G ({self.m}x{self.d2}) is not +I or -I; the y-update step needs G = +I or -I")
 
         self.FtF = self.F.T @ self.F
-        self.FtG = self.F.T @ self.G
         sv = np.linalg.svd(self.F, compute_uv=False)
         self.FtF_norm = float(sv[0] ** 2)
 
@@ -73,12 +62,12 @@ class ProblemSpec:
 
     def constraint_residual(self, x, y):
         """F x + G y - h for one pair of (d,) vectors or row by row for (n, d) arrays."""
-        return x @ self.F.T + y @ self.G.T - self.h
+        return x @ self.F.T + self.G_sign * y - self.h
 
     def objective(self, x, y):
         return self.f.value(x) + self.g.value(y)
 
-    def smoothed(self, huber_delta=1e-3):
+    def smoothed(self, huber_delta):
         """Replace an l1 regularizer by its Huber smoothing (for continuous runs)."""
         if isinstance(self.g, HuberSmoothedL1):
             return self
@@ -123,7 +112,7 @@ def kkt_residuals(spec, x, y, lam):
     for one point or row by row for (n, d) arrays."""
     primal = np.linalg.norm(spec.constraint_residual(x, y), axis=-1)
     dual_x = spec.f.subgrad_distance(-(lam @ spec.F), x)
-    dual_y = spec.g.subgrad_distance(-(lam @ spec.G), y)
+    dual_y = spec.g.subgrad_distance(-(spec.G_sign * lam), y)
     return primal, dual_x, dual_y
 
 

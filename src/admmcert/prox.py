@@ -83,8 +83,6 @@ class YUpdate:
     and its parameters are chosen and validated once, when the update is built."""
 
     def __init__(self, spec, s):
-        if spec.G_sign is None:
-            raise UnsupportedProblemError("general G y-update unsupported; need G = +I or -I")
         if not s >= 0:  # the weight w is positive, so this also bounds the threshold s*w
             raise ParameterError(f"prox step s = {s!r} must be nonnegative")
         g = spec.g

@@ -193,5 +193,5 @@ def run(spec, config, init=None, saddle=None):
     if saddle is not None:
         cols["lyapunov"] = diag._lyapunov(trace, saddle)
     # NE(k), the energy of row k+1 measured from row k: the series the NE checks read
-    cols["ne"][:-1] = diag._energy(ys[1:], ls[1:], ys[:-1], ls[:-1], spec.G, config.s)
+    cols["ne"][:-1] = diag._energy(ys[1:], ls[1:], ys[:-1], ls[:-1], config.s)
     return trace

@@ -71,7 +71,7 @@ class TestImplicitMicroSteps:
         # re-verify the step equations at the final state independently
         prev = state
         nxt = high_res_implicit_step(prev, spec, s, delta)
-        rA = spec.FtG @ (nxt.Y - prev.Y) / delta - spec.F.T @ nxt.Lam - spec.f.grad(nxt.X)
+        rA = spec.F.T @ spec.G @ (nxt.Y - prev.Y) / delta - spec.F.T @ nxt.Lam - spec.f.grad(nxt.X)
         rB = spec.G.T @ nxt.Lam + spec.g.grad(nxt.Y)
         rC = s * s * (nxt.Lam - prev.Lam) / delta - (
             spec.F @ nxt.X + spec.G @ nxt.Y - spec.h)
@@ -140,14 +140,6 @@ class TestLowRes:
         # the first-difference F has a null direction, so the flow matrix is singular
         with pytest.raises(ParameterError, match="singular"):
             simulate_low_res(get_instance("tv_d50").smoothed(1e-3), self.UNIT, np.zeros(50))
-
-    def test_requires_square_G(self):
-        from admmcert.functions import HuberSmoothedL1, Quadratic
-        from admmcert.problems import ProblemSpec
-        spec = ProblemSpec(Quadratic([[1.0]], [1.0]), HuberSmoothedL1(1.0, 1e-3),
-                           [[1.0], [0.0]], [[1.0], [1.0]], [0.0, 0.0])
-        with pytest.raises(ParameterError, match="square"):
-            simulate_low_res(spec, self.UNIT, np.zeros(1))
 
     def test_flow_decreases_objective(self):
         spec = get_instance("lasso_8x6_smoothed")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -118,16 +120,10 @@ class TestProblemSpec:
             ProblemSpec(Quadratic([[1.0]], [1.0]), ScaledL1(1.0),
                         [[1.0]], [[1.0], [1.0]], [0.0])
 
-    def test_infeasible_constraint_rejected(self):
-        # F = G = 0 rows cannot reach h != 0
-        with pytest.raises(ProblemConstructionError, match="infeasible"):
-            ProblemSpec(Quadratic([[1.0]], [1.0]), ScaledL1(1.0),
-                        [[0.0]], [[0.0]], [1.0])
-
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_g_plus_minus_identity_is_feasible_without_lstsq(self, monkeypatch, sign):
-        # y = G (h - F x) solves F x + G y = h for every x when G = +/-I: the
-        # least-squares feasibility solve is skipped
+        # y = G (h - F x) solves F x + G y = h for every x when G = +/-I: building
+        # the problem runs no least-squares feasibility solve
         def no_lstsq(*args, **kwargs):
             raise AssertionError("lstsq ran for G = +/-I")
 
@@ -148,9 +144,31 @@ class TestProblemSpec:
         spec2 = ProblemSpec(Quadratic([[1.0]], [1.0]), ScaledL1(1.0),
                             [[1.0]], [[1.0]], [0.0])
         assert spec2.G_sign == 1.0
-        spec3 = ProblemSpec(Quadratic([[1.0]], [1.0]), ScaledL1(1.0),
-                            [[1.0]], [[2.0]], [0.0])
-        assert spec3.G_sign is None
+
+    @pytest.mark.parametrize("G", [2.0 * np.eye(2), np.eye(2)[::-1], np.eye(2, 3),
+                                   np.zeros((2, 2))],
+                             ids=["2I", "permuted_I", "non_square", "zero"])
+    def test_g_other_than_plus_minus_identity_refused(self, tmp_path, capsys, G):
+        # the step reads G y as G_sign * y, so any other G is refused when the problem
+        # is built, and a file holding one exits 2 before the oracle runs
+        A, b = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0, 3.0])
+        F, h = np.eye(2), np.zeros(2)
+        shape = f"G ({G.shape[0]}x{G.shape[1]}) is not +I or -I"
+        with pytest.raises(ProblemConstructionError, match=re.escape(shape)):
+            ProblemSpec(Quadratic(A, b), ScaledL1(0.5), F, G, h)
+
+        def block(M):
+            return "\n".join(",".join(repr(float(v)) for v in row) for row in np.atleast_2d(M))
+
+        path = tmp_path / "inst.txt"
+        path.write_text("\n".join([
+            "[f.variant]", "quadratic", "[g.variant]", "scaled_l1,0.5",
+            "[A]", block(A), "[b]", block(b.reshape(-1, 1)), "[F]", block(F),
+            "[G]", block(G), "[h]", block(h.reshape(-1, 1))]) + "\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--spec", str(path), "--out", str(out)]) == 2
+        assert shape in capsys.readouterr().err
+        assert not out.exists()
 
     def test_arrays_frozen(self):
         spec = scalar_spec()

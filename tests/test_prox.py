@@ -4,11 +4,9 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from admmcert.errors import (IllConditionedError, InnerSolveError, ParameterError,
-                             UnsupportedProblemError)
-from admmcert.functions import Quadratic, ScaledL1
+from admmcert.errors import IllConditionedError, InnerSolveError, ParameterError
 from admmcert.library import get_instance
-from admmcert.problems import ProblemSpec, build_basis_pursuit, build_generalized_lasso
+from admmcert.problems import build_basis_pursuit, build_generalized_lasso
 from admmcert.prox import (
     FactorizationCache,
     INNER_MAX,
@@ -177,12 +175,6 @@ class TestYUpdates:
         # u = G_sign*(h - F x - s lam) = -(0 - x - lam) with s=1
         y = y_update(spec, np.array([3.0]), np.array([0.0]), 1.0)
         assert y[0] == pytest.approx(2.0)
-
-    def test_general_g_rejected(self):
-        spec = ProblemSpec(Quadratic([[1.0]], [1.0]), ScaledL1(1.0),
-                           [[1.0]], [[2.0]], [0.0])
-        with pytest.raises(UnsupportedProblemError, match="need G = \\+I or -I"):
-            y_update(spec, np.zeros(1), np.zeros(1), 1.0)
 
     def test_huber_update_stationarity(self):
         spec = get_instance("lasso_8x6").smoothed(1e-3)

@@ -130,7 +130,7 @@ def test_step_inclusion_residuals(case):
     xs, ys, ls = trace.xs, trace.ys, trace.lams
     res_x, res_y, scale = [], [], 0.0
     for k in range(N):
-        target = spec.FtG @ (ys[k + 1] - ys[k]) / s - spec.F.T @ ls[k + 1]
+        target = spec.F.T @ spec.G @ (ys[k + 1] - ys[k]) / s - spec.F.T @ ls[k + 1]
         if r is not None:
             dx = xs[k + 1] - xs[k]
             target = target - (r * dx - spec.FtF @ dx) / s

@@ -4,17 +4,19 @@ The reference loop below writes each step out with dense G products, scipy's
 checked solves, the public prox functions and ProblemSpec.constraint_residual.
 `run` (and the implicit-Euler step at delta = s) must reproduce its iterates
 exactly, on the Cholesky and the LU paths, standard and r-proximal, for
-G = -I and G = +I, from non-zero starts.
+G = -I and G = +I, from non-zero starts. The energy columns and residuals, which
+read G y as G_sign * y, must equal their dense @ G.T forms.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from admmcert import diagnostics as diag
 from admmcert.functions import Quadratic, ScaledL1
-from admmcert.library import get_instance
+from admmcert.library import get_instance, get_saddle
 from admmcert.ode import ContinuousState, high_res_implicit_step
-from admmcert.problems import ProblemSpec
+from admmcert.problems import ProblemSpec, SaddlePoint, kkt_residuals
 from admmcert.prox import FactorizationCache, huber_prox, soft_threshold
 from admmcert.solver import GENERAL, STANDARD, IterateState, SolverConfig, default_r, run
 
@@ -104,3 +106,36 @@ def test_implicit_step_at_delta_s_matches_reference_loop(name):
         assert np.array_equal(state.X, xs[j])
         assert np.array_equal(state.Y, ys[j])
         assert np.array_equal(state.Lam, lams[j])
+
+
+def dense_energy(y, lam, ref_y, ref_lam, G, s):
+    """The textbook energy (1/2s)||G(y - ref_y)||^2 + (s/2)||lam - ref_lam||^2."""
+    return diag._sq((y - ref_y) @ G.T) / (2.0 * s) + s * diag._sq(lam - ref_lam) / 2.0
+
+
+@pytest.mark.parametrize("name", ["tv_d50", "plus_identity"])
+@pytest.mark.parametrize("from_zero", [True, False], ids=["zero_start", "random_start"])
+def test_sign_flip_matches_dense_g(name, from_zero):
+    spec, s = instance(name), 0.9
+    if name == "tv_d50":
+        ref = get_saddle(name)
+    else:
+        ref = SaddlePoint(*start(spec, 5), 0.0)
+    init = None if from_zero else IterateState(*start(spec, 6), 0)
+    trace = run(spec, SolverConfig(s=s, N=STEPS), init=init, saddle=ref)
+    xs, ys, ls, G = trace.xs, trace.ys, trace.lams, spec.G
+    if from_zero:  # the shrink leaves signed zeros, the case a sign flip could get wrong
+        assert np.signbit(ys[ys == 0.0]).any() and not np.signbit(ys[ys == 0.0]).all()
+
+    lyap = dense_energy(ys, ls, ref.y_star, ref.lambda_star, G, s)
+    ne = dense_energy(ys[1:], ls[1:], ys[:-1], ls[:-1], G, s)
+    for got, want in ((diag._lyapunov(trace, ref), lyap), (trace.scalars["lyapunov"], lyap),
+                      (trace.scalars["ne"][:-1], ne)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    residual = xs @ spec.F.T + ys @ G.T - spec.h
+    assert np.array_equal(spec.constraint_residual(xs, ys), residual)
+    want = (np.linalg.norm(residual, axis=-1), spec.f.subgrad_distance(-(ls @ spec.F), xs),
+            spec.g.subgrad_distance(-(ls @ G), ys))
+    for got, expected in zip(kkt_residuals(spec, xs, ys, ls), want):
+        assert np.array_equal(got, expected)
