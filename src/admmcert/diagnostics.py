@@ -184,8 +184,9 @@ def check_rate_theorem_4_3(trace, saddle):
 
 def _prefix_means(arr):
     """Means of arr[1..N+1] for each prefix N = 0..len-2 (the derivation indexing)."""
-    n = np.arange(1, arr.shape[0]).reshape(-1, 1)
-    return np.cumsum(arr[1:], axis=0) / n
+    means = np.cumsum(arr[1:], axis=0)
+    means /= np.arange(1, arr.shape[0]).reshape(-1, 1)
+    return means
 
 
 def default_weak_probes(saddle, spec):
@@ -275,8 +276,10 @@ def check_strong_avg_theorem_4_4(trace, saddle):
     mu = strong_convexity_modulus(trace.spec)
     s, xs = trace.config.s, trace.xs
     n = np.arange(1, xs.shape[0])
-    lit = np.cumsum(xs, axis=0)[1:] / (n + 1).reshape(-1, 1)  # mean of x_0..x_{N+1}
+    lit = np.cumsum(xs, axis=0)[1:]
+    lit /= (n + 1).reshape(-1, 1)  # mean of x_0..x_{N+1}, divided in place
     slacks, C = _strong_gap(lit, trace, saddle, mu, s * n)
+    del lit  # one (n, d) array fewer while the shifted means are built
     shifted, _ = _strong_gap(_prefix_means(xs), trace, saddle, mu, s * n)
     return _entry("theorem_4_4_strong_avg", slacks, TOL_RATE,
                   {"C": C, "mu": mu, "s": s, "worst_slack_shifted": float(np.max(shifted))})

@@ -21,13 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .diagnostics import (CertificateReport, _energy, _entry, _lyapunov, _strong_gap,
                           _weak_gap, strong_convexity_modulus)
 from .errors import IllConditionedError, InnerSolveError, ParameterError, UnsupportedProblemError
 from .functions import AffineIndicator, HuberSmoothedL1
-from .prox import FactorizationCache, _norm, settle_pattern
+from .prox import (COND_LIMIT, FactorizationCache, _flapack, _norm, lapack_factor,
+                   settle_pattern, sym_cond)
 from .solver import Trace
 
 ALGEBRAIC_TOL = 1e-11
@@ -275,19 +275,19 @@ def simulate_low_res(spec, config, init_x, ref=None):
     """
     if not (spec.f.smooth and spec.g.smooth):
         raise ParameterError("low-resolution flow needs differentiable f and g")
-    FtF_cond = np.linalg.cond(spec.FtF)
-    if not np.isfinite(FtF_cond) or FtF_cond > 1e12:
+    if not sym_cond(spec.FtF) <= COND_LIMIT:
         raise ParameterError("F^T F is numerically singular")
 
-    # F^T F is factored once; every RK4 stage only back-substitutes
-    getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (spec.FtF,))
-    FtF_lu = scipy.linalg.lu_factor(spec.FtF)
+    # F^T F is factored once (scipy.linalg.lu_factor's dgetrf); every RK4 stage
+    # only back-substitutes
+    FtF_lu = lapack_factor("dgetrf", spec.FtF)
 
     def field(x):
         y = spec.G_sign * (spec.h - spec.F @ x)
-        z, info = getrs(*FtF_lu, -spec.f.grad(x) - spec.F.T @ spec.g.grad(y))
+        z, info = _flapack.dgetrs(*FtF_lu, -spec.f.grad(x) - spec.F.T @ spec.g.grad(y))
         if info:
-            raise IllConditionedError(f"low-resolution flow solve failed (LAPACK info {info})")
+            raise IllConditionedError(
+                f"low-resolution flow solve failed (LAPACK dgetrs info {info})")
         return z
 
     delta = config.delta

@@ -12,10 +12,13 @@ pattern of a piecewise-linear system for the implicit step and the oracle.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IllConditionedError, InnerSolveError, ParameterError, UnsupportedProblemError
 from .functions import AffineIndicator, HuberSmoothedL1, Quadratic, ScaledL1
@@ -23,6 +26,58 @@ from .functions import AffineIndicator, HuberSmoothedL1, Quadratic, ScaledL1
 COND_LIMIT = 1e12
 SOLVE_TOL = 1e-10  # relative residual every x-update solve must reach
 INNER_MAX = 500  # linear solves settle_pattern may spend before it gives up
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, scipy/linalg/_flapack, loaded from its file.
+
+    scipy.linalg hands back these same routines for float64 data, so every factor
+    and solve has the bits it would have through scipy.linalg, without that
+    package's import (about 0.3 s and 18 MB at start-up). The module is entered in
+    sys.modules, where a later `import scipy.linalg` finds and reuses it.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    scipy_spec = importlib.util.find_spec("scipy")  # locates the package, runs none of it
+    if scipy_spec is None:
+        raise ImportError("scipy is not installed; its LAPACK module scipy/linalg/_flapack "
+                          "is required")
+    base = os.path.join(scipy_spec.submodule_search_locations[0], "linalg", "_flapack")
+    paths = [base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK module is missing: no {paths[0]}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
+
+
+def lapack_factor(name, M, **options):
+    """The outputs of the LAPACK factorization `name` ("dpotrf" or "dgetrf") of M but
+    its info; a non-zero info raises IllConditionedError naming the routine."""
+    *factor, info = getattr(_flapack, name)(M, **options)
+    if info:
+        raise IllConditionedError(
+            f"LAPACK {name} failed on the {M.shape[0]}x{M.shape[1]} matrix (info {info})")
+    return tuple(factor)
+
+
+def sym_cond(M):
+    """The 2-norm condition number of a symmetric M, max|lambda| / min|lambda| over its
+    eigenvalues: what np.linalg.cond(M) gets from a full SVD, at a fraction of the
+    cost. inf when M is singular or not finite."""
+    if not np.isfinite(M).all():
+        return math.inf
+    ev = np.abs(np.linalg.eigvalsh(M))
+    lo = float(ev.min())
+    return float(ev.max()) / lo if lo > 0.0 else math.inf
 
 
 def _norm(v):
@@ -140,20 +195,21 @@ class Step:
             what, hint = "KKT system", ""
         else:
             raise UnsupportedProblemError(f"no closed-form x-update for {type(f).__name__}")
-        cond = float(np.linalg.cond(M))
-        if not np.isfinite(cond) or cond > COND_LIMIT:
+        cond = sym_cond(M)
+        if not cond <= COND_LIMIT:
             raise IllConditionedError(
                 f"{what} has condition estimate {cond:.3e} > {COND_LIMIT:.0e}{hint}"
             )
         self.spec, self.s, self.r, self.matrix, self.cond = spec, s, r, M, cond
         self.G_sign, self._F, self._Ft = spec.G_sign, spec.F, spec.F.T
+        # the routines and options of scipy.linalg's cho_factor(M, lower=True) and
+        # lu_factor(M), and the layouts they return: (c, lower) and (lu, piv)
         if self.quadratic:
-            self._factor = scipy.linalg.cho_factor(M, lower=True)
-            self._lapack, = scipy.linalg.get_lapack_funcs(("potrs",), (M,))
+            c, = lapack_factor("dpotrf", M, lower=1, clean=0)
+            self._factor, self._lapack = (c, True), _flapack.dpotrs
             self._rhs0 = 2.0 * s * f.gram_rhs
         else:
-            self._factor = scipy.linalg.lu_factor(M)
-            self._lapack, = scipy.linalg.get_lapack_funcs(("getrs",), (M,))
+            self._factor, self._lapack = lapack_factor("dgetrf", M), _flapack.dgetrs
             self._tol = SOLVE_TOL * (1.0 + np.linalg.norm(f.b))
 
     def x_update(self, y_k, lambda_k, x_k=None):
@@ -169,14 +225,14 @@ class Step:
             if info or not res <= SOLVE_TOL * (1.0 + _norm(rhs)):
                 raise IllConditionedError(
                     f"x-update solve residual {res:.3e} exceeds {SOLVE_TOL:.0e} * (1 + ||rhs||) "
-                    f"(LAPACK info {info}; condition estimate {self.cond:.3e})")
+                    f"(LAPACK dpotrs info {info}; condition estimate {self.cond:.3e})")
             return x
         f = spec.f
         z, info = self._lapack(*self._factor, np.concatenate([drive, f.b]))
         x = z[: spec.d1]
         if info or not _norm(f.A @ x - f.b) <= self._tol:
             raise IllConditionedError(
-                f"indicator x-update left the constraint set (LAPACK info {info}; "
+                f"indicator x-update left the constraint set (LAPACK dgetrs info {info}; "
                 f"condition estimate {self.cond:.3e})")
         return x
 

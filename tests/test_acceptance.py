@@ -165,6 +165,31 @@ def test_dead_worker_exits_2(tmp_path):
     assert not (tmp_path / "v" / "verify_report.json").exists()
 
 
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # a fresh interpreter: this process has scipy.linalg loaded by other tests
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import admmcert.cli
+        from admmcert import library, prox
+        assert "scipy.linalg" not in sys.modules, "admmcert.cli imported scipy.linalg"
+        chol = prox.FactorizationCache().get(library.get_instance("lasso_8x6"), 1.0)
+        kkt = prox.FactorizationCache().get(library.get_instance("basis_pursuit_10x30"), 1.0)
+        assert "scipy.linalg" not in sys.modules, "building a Step imported scipy.linalg"
+        import scipy.linalg
+        assert sys.modules["scipy.linalg._flapack"] is prox._flapack
+        assert chol._lapack is scipy.linalg.lapack.dpotrs
+        assert kkt._lapack is scipy.linalg.lapack.dgetrs
+        for step, solve in ((chol, scipy.linalg.cho_solve), (kkt, scipy.linalg.lu_solve)):
+            b = np.arange(1.0, step.matrix.shape[0] + 1.0)
+            x = solve(step._factor, b)
+            assert np.linalg.norm(step.matrix @ x - b) <= 1e-9 * np.linalg.norm(b)
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=_child_env())
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def _error_classes():
     return [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
             if issubclass(cls, errors.AdmmError)]

@@ -1,3 +1,6 @@
+import importlib.machinery
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,14 +8,18 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from admmcert.errors import IllConditionedError, InnerSolveError, ParameterError
-from admmcert.library import get_instance
+from admmcert import prox
+from admmcert.library import get_instance, instance_names
 from admmcert.problems import build_basis_pursuit, build_generalized_lasso
 from admmcert.prox import (
+    COND_LIMIT,
     FactorizationCache,
     INNER_MAX,
     huber_prox,
+    lapack_factor,
     settle_pattern,
     soft_threshold,
+    sym_cond,
     x_update,
     y_update,
 )
@@ -167,6 +174,73 @@ class TestXUpdates:
         op._factor = scipy.linalg.lu_factor(wrong)
         with pytest.raises(IllConditionedError, match="left the constraint set"):
             op.x_update(y, lam, x_k)
+
+
+class TestLapack:
+    def test_loader_returns_the_registered_module(self):
+        assert prox._load_flapack() is sys.modules["scipy.linalg._flapack"] is prox._flapack
+
+    def test_missing_module_names_its_path(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+        with pytest.raises(ImportError, match=r"scipy.linalg._flapack\.missing\.so"):
+            prox._load_flapack()
+
+    def test_indefinite_matrix_refused_by_dpotrf(self):
+        with pytest.raises(IllConditionedError, match=r"LAPACK dpotrf .*\(info 2\)"):
+            lapack_factor("dpotrf", np.array([[1.0, 0.0], [0.0, -1.0]]), lower=1, clean=0)
+
+    def test_singular_matrix_refused_by_dgetrf(self):
+        with pytest.raises(IllConditionedError, match=r"LAPACK dgetrf .*\(info 2\)"):
+            lapack_factor("dgetrf", np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+    @pytest.mark.parametrize("name", ["lasso_8x6", "basis_pursuit_10x30"])
+    def test_factor_matches_scipy_linalg(self, name):
+        step = FactorizationCache().get(get_instance(name), 1.0)
+        if step.quadratic:
+            expected = scipy.linalg.cho_factor(step.matrix, lower=True)
+        else:
+            expected = scipy.linalg.lu_factor(step.matrix)
+        assert len(step._factor) == len(expected)
+        for got, want in zip(step._factor, expected):
+            np.testing.assert_array_equal(got, want)
+
+
+def _x_systems():
+    """(label, M) for every built-in x-system or KKT matrix a Step builds, at three s
+    and, for the r-proximal step, three r; and every F^T F."""
+    for name in instance_names():
+        spec = get_instance(name)
+        yield f"{name}/FtF", spec.FtF
+        for s in (0.1, 1.0, 10.0):
+            for r in (None, 1.1 * spec.FtF_norm, 2.0 * spec.FtF_norm, 10.0 * spec.FtF_norm):
+                try:
+                    yield f"{name}/s={s}/r={r}", prox.Step(spec, s, r).matrix
+                except IllConditionedError:
+                    assert name == "rank_deficient_lasso" and r is None
+
+
+class TestSymCond:
+    def test_matches_svd_condition_number(self):
+        checked = 0
+        for label, M in _x_systems():
+            want = np.linalg.cond(M)
+            if want < 1e6:
+                assert sym_cond(M) == pytest.approx(want, rel=1e-8), label
+                checked += 1
+        assert checked >= 9 * 3
+
+    def test_rank_deficient_system_exceeds_the_limit(self):
+        spec = get_instance("rank_deficient_lasso")
+        assert sym_cond(2.0 * spec.f.gram + spec.FtF) > COND_LIMIT
+        with pytest.raises(IllConditionedError, match="condition estimate .* > 1e\\+12"):
+            prox.Step(spec, 1.0)
+
+    @pytest.mark.parametrize("M", [np.zeros((3, 3)), np.diag([1.0, 0.0]),
+                                   np.array([[np.inf, 0.0], [0.0, 1.0]]),
+                                   np.array([[np.nan, 0.0], [0.0, 1.0]])])
+    def test_singular_or_non_finite_is_inf_without_warning(self, M):
+        assert sym_cond(M) == np.inf  # filterwarnings = error turns a warning into a failure
 
 
 class TestYUpdates:
