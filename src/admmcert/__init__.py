@@ -29,10 +29,9 @@ from .diagnostics import (
 )
 from .oracle import long_run_oracle, saddle_point_oracle, sign_pattern_oracle
 from .ode import (
-    ContinuousState,
+    ImplicitStep,
     IntegratorConfig,
     certify_continuous,
-    high_res_implicit_step,
     simulate_high_res,
     simulate_low_res,
 )
@@ -45,10 +44,10 @@ __all__ = [
     "AffineIndicator",
     "CertificateEntry",
     "CertificateReport",
-    "ContinuousState",
     "FactorizationCache",
     "HuberSmoothedL1",
     "IllConditionedError",
+    "ImplicitStep",
     "InnerSolveError",
     "IntegratorConfig",
     "IterateState",
@@ -68,7 +67,6 @@ __all__ = [
     "certify_continuous",
     "certify_general",
     "certify_standard",
-    "high_res_implicit_step",
     "huber_prox",
     "kkt_residuals",
     "library",

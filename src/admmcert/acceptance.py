@@ -17,15 +17,14 @@ from . import diagnostics as diag
 from . import library
 from .errors import AdmmError, IllConditionedError
 from .ode import (
-    ContinuousState,
+    ImplicitStep,
     IntegratorConfig,
     certify_continuous,
-    high_res_implicit_step,
     simulate_high_res,
     simulate_low_res,
 )
 from .oracle import long_run_oracle, sign_pattern_oracle
-from .prox import FactorizationCache
+from .prox import Step
 from .solver import GENERAL, SolverConfig, run
 
 CORE_INSTANCES = ["scalar_lasso", "lasso_20x50", "tv_d50", "trend_d50", "basis_pursuit_10x30"]
@@ -56,15 +55,14 @@ def criterion_1():
     ok = True
     for name in CORE_INSTANCES:
         spec = library.get_instance(name)
-        step = FactorizationCache().get(spec, _S)
+        step, implicit = Step(spec, _S), ImplicitStep(spec, _S, _S)
         x, y, lam = np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m)
-        c_state = ContinuousState(x, y, lam, 0.0)
-        c_cache = FactorizationCache()
+        Y, Lam = y, lam
         worst = 0.0
         for _ in range(100):
             x, y, lam = step(x, y, lam)
-            c_state = high_res_implicit_step(c_state, spec, _S, _S, c_cache)
-            for a, b in ((c_state.X, x), (c_state.Y, y), (c_state.Lam, lam)):
+            X, Y, Lam = implicit(Y, Lam)
+            for a, b in ((X, x), (Y, y), (Lam, lam)):
                 rel = float(np.max(np.abs(a - b) / (1.0 + np.abs(b))))
                 worst = max(worst, rel)
         details[name] = worst
@@ -144,7 +142,7 @@ def criterion_6():
 
     spec = library.get_instance("rank_deficient_lasso")
     try:
-        FactorizationCache().get(spec, _S)  # the standard step's x-system is refused
+        Step(spec, _S)  # the standard step's x-system is refused
         rejected = False
     except IllConditionedError:
         rejected = True
@@ -163,14 +161,14 @@ def criterion_7():
         spec = library.get_instance(name)
         saddle = library.get_saddle(name)
         ref = (saddle.y_star, saddle.lambda_star)
-        init = ContinuousState(np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m), 0.0)
-        high = simulate_high_res(spec, config, init, ref=ref)
+        zeros = (np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m))
+        high = simulate_high_res(spec, config, zeros, ref=ref)
         report = certify_continuous(high, saddle)
 
         low = simulate_low_res(spec, config, np.zeros(spec.d1), ref=ref)
         low_dev = float(np.max(low.scalars["deviation"]))
 
-        off = ContinuousState(np.ones(spec.d1), np.zeros(spec.d2), np.zeros(spec.m), 0.0)
+        off = (np.ones(spec.d1), np.zeros(spec.d2), np.zeros(spec.m))
         off_trace = simulate_high_res(spec, config, off, ref=ref)
         dev = off_trace.scalars["deviation"]
         dev_ok = dev[0] > 1e-3 and dev[-1] < dev[0]

@@ -24,7 +24,7 @@ import numpy as np
 from . import acceptance, library
 from .diagnostics import certify_general, certify_standard
 from .errors import AdmmError, ParameterError
-from .ode import ContinuousState, IntegratorConfig, simulate_high_res, simulate_low_res
+from .ode import IntegratorConfig, simulate_high_res, simulate_low_res
 from .oracle import saddle_point_oracle
 from .problems import build_basis_pursuit, build_generalized_lasso, load_instance, save_instance
 from .solver import GENERAL, TRACE_CSV, SolverConfig, run, write_csv
@@ -173,7 +173,7 @@ def cmd_simulate(args):
     saddle = saddle_point_oracle(spec, tol)
     ref = (saddle.y_star, saddle.lambda_star)
 
-    init = ContinuousState(np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m), 0.0)
+    init = (np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m))
     high = simulate_high_res(spec, config, init, ref=ref)
     written = []
 

@@ -26,28 +26,14 @@ from .diagnostics import (CertificateReport, _energy, _entry, _lyapunov, _strong
                           _weak_gap, strong_convexity_modulus)
 from .errors import IllConditionedError, InnerSolveError, ParameterError, UnsupportedProblemError
 from .functions import AffineIndicator, HuberSmoothedL1
-from .prox import (COND_LIMIT, FactorizationCache, _flapack, _norm, lapack_factor,
-                   settle_pattern, sym_cond)
-from .solver import Trace
+from .prox import COND_LIMIT, Step, _flapack, _norm, lapack_factor, settle_pattern, sym_cond
+from .solver import Trace, check_start
 
 ALGEBRAIC_TOL = 1e-11
 INNER_TOL = 1e-12  # scaled residual an implicit step must reach
 
 CONT_PREFIXES = ("X", "Y", "Lambda")
 CONT_SCALAR_COLUMNS = ["deviation", "lyapunov", "ne_continuous"]
-
-
-@dataclass
-class ContinuousState:
-    X: np.ndarray
-    Y: np.ndarray
-    Lam: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
-        self.Y = np.asarray(self.Y, dtype=float)
-        self.Lam = np.asarray(self.Lam, dtype=float)
 
 
 def _refuse_rounded_s(s, delta):
@@ -130,7 +116,8 @@ def _newton_system(spec, s, delta):
     """The pattern-independent part of the implicit step's linear system, built once
     per (spec, s, delta): the block matrix, the right-hand side's constant block
     (b for an indicator f), and the terms 2 delta A^T b and delta h that each step
-    subtracts from its own blocks."""
+    subtracts from its own blocks. G = G_sign * I puts G_sign on the diagonals of
+    its two blocks."""
     f = spec.f
     indicator = isinstance(f, AffineIndicator)
     d1, d2, m = spec.d1, spec.d2, spec.m
@@ -153,106 +140,111 @@ def _newton_system(spec, s, delta):
         base[sx:sy, sl:sl + m] = -delta * spec.F.T
         gram_term = 2.0 * delta * f.gram_rhs
     base[sl:sl + m, sx:sy] = -delta * spec.F
-    base[sl:sl + m, sy:sl] = -delta * spec.G
+    diag = np.arange(m)
+    base[sl + diag, sy + diag] = -delta * spec.G_sign
     base[sl:sl + m, sl:sl + m] = s * s * np.eye(m)
-    base[sy:sl, sl:sl + m] = spec.G.T
+    base[sy + diag, sl + diag] = spec.G_sign
     return base, rhs, gram_term, delta * spec.h
 
 
-def _pattern_newton(spec, s, delta, Y_old, L_old, cache):
-    """Solve the implicit-Euler step equations exactly for Huber g.
+class ImplicitStep:
+    """One implicit-Euler step of the high-resolution system for one (problem, s,
+    delta), the counterpart of prox.Step: validated and built once, then called once
+    per step with (Y, Lam), returning (X, Y, Lam) at the next node.
 
-    The system is linear once the quadratic/saturated region of every Y coordinate
-    is fixed; settle_pattern finds the self-consistent regions, warm-started from
-    those of Y_old. The pattern-independent part of the system is kept in cache.
+    The first sweep is the ADMM-shaped x- and y-update of Step(spec, s) for
+    delta = s, where it already satisfies the step equations, so a call is exactly
+    one ADMM step; for delta < s it is that of Step(spec, s^2/delta). A sweep that
+    misses the step equations is replaced by their exact solution for Huber g
+    (_pattern_newton), whose pattern-independent system is built at the first miss.
     """
-    g = spec.g
-    if not isinstance(g, HuberSmoothedL1):
-        raise UnsupportedProblemError(
-            "implicit micro-steps (delta < s) need the Huber-smoothed regularizer"
-        )
-    d1, d2, m = spec.d1, spec.d2, spec.m
-    sx, sy, sl = 0, d1, d1 + d2
-    base, rhs, gram_term, dh = cache.keep(("pattern_newton", spec.tag, s, delta),
-                                          lambda: _newton_system(spec, s, delta))
-    rhs = rhs.copy()
-    rhs[sx:sy] = spec.G_sign * (spec.F.T @ Y_old) - gram_term
-    rhs[sl:sl + m] = s * s * L_old - dh
 
-    def solve(pattern):
-        # a Y coordinate in its quadratic region gets w/delta on the diagonal and
-        # right-hand side 0; a saturated one right-hand side -w * sign
-        quad = pattern == 0
-        M = base.copy()
-        diag = sy + np.flatnonzero(quad)
-        M[diag, diag] = g.w / g.delta
-        v = rhs.copy()
-        v[sy:sl] = np.where(quad, 0.0, -g.w * pattern)
-        try:
-            return np.linalg.solve(M, v)
-        except np.linalg.LinAlgError:
-            return np.linalg.lstsq(M, v, rcond=None)[0]
+    def __init__(self, spec, s, delta):
+        if not 0 < delta <= s:  # also refuses nan
+            raise ParameterError("need 0 < delta <= s")
+        _refuse_rounded_s(s, delta)
+        if delta != s and not spec.g.smooth:
+            raise ParameterError("delta < s requires a smoothed (differentiable) regularizer")
+        self.spec, self.s, self.delta = spec, s, delta
+        self.sweep = Step(spec, s if delta == s else s * s / delta)
+        self._system = None
 
-    z = settle_pattern(solve, lambda z: _pattern(z[sy:sl], g), _pattern(Y_old, g))
-    X, Y, L = z[sx:sy], z[sy:sl], z[sl:sl + m]
-    res = _implicit_residual(spec, s, delta, Y_old, L_old, X, Y, L)
-    if res > INNER_TOL:
-        raise InnerSolveError(f"implicit step solved its pattern system but residual "
-                              f"{res:.3e} exceeds {INNER_TOL!r}")
-    return X, Y, L
+    def __call__(self, Y, Lam):
+        spec, s, delta, step = self.spec, self.s, self.delta, self.sweep
+        X1 = step.x_update(Y, Lam)
+        FX = spec.F @ X1
+        Y1 = step.y_update.from_Fx(FX, Lam)
+        resid = FX + step.G_sign * Y1 - spec.h
+        if delta == s:
+            L1 = Lam + resid / s
+        else:
+            L1 = Lam + (delta / (s * s)) * resid
+        if _implicit_residual(spec, s, delta, Y, Lam, X1, Y1, L1) <= INNER_TOL:
+            return X1, Y1, L1
+        return self._pattern_newton(Y, Lam)
 
+    def _pattern_newton(self, Y_old, L_old):
+        """Solve the implicit-Euler step equations exactly for Huber g.
 
-def _sweep_step(cache, spec, s, delta):
-    """The Step whose x- and y-updates are the implicit step's first sweep."""
-    return cache.get(spec, s if delta == s else s * s / delta)
+        The system is linear once the quadratic/saturated region of every Y coordinate
+        is fixed; settle_pattern finds the self-consistent regions, warm-started from
+        those of Y_old.
+        """
+        spec, s, delta, g = self.spec, self.s, self.delta, self.spec.g
+        if not isinstance(g, HuberSmoothedL1):
+            raise UnsupportedProblemError(
+                "implicit micro-steps (delta < s) need the Huber-smoothed regularizer"
+            )
+        d1, d2, m = spec.d1, spec.d2, spec.m
+        sx, sy, sl = 0, d1, d1 + d2
+        if self._system is None:
+            self._system = _newton_system(spec, s, delta)
+        base, rhs, gram_term, dh = self._system
+        rhs = rhs.copy()
+        rhs[sx:sy] = spec.G_sign * (spec.F.T @ Y_old) - gram_term
+        rhs[sl:sl + m] = s * s * L_old - dh
 
+        def solve(pattern):
+            # a Y coordinate in its quadratic region gets w/delta on the diagonal and
+            # right-hand side 0; a saturated one right-hand side -w * sign
+            quad = pattern == 0
+            M = base.copy()
+            diag = sy + np.flatnonzero(quad)
+            M[diag, diag] = g.w / g.delta
+            v = rhs.copy()
+            v[sy:sl] = np.where(quad, 0.0, -g.w * pattern)
+            try:
+                return np.linalg.solve(M, v)
+            except np.linalg.LinAlgError:
+                return np.linalg.lstsq(M, v, rcond=None)[0]
 
-def high_res_implicit_step(state, spec, s, delta, cache=None):
-    """One implicit-Euler step of the high-resolution system.
-
-    With delta = s the first ADMM-shaped sweep already satisfies the step
-    equations, so the output is exactly one ADMM step from (Y, Lam).
-    """
-    if delta <= 0 or delta > s:
-        raise ParameterError("need 0 < delta <= s")
-    _refuse_rounded_s(s, delta)
-    if delta != s and not spec.g.smooth:
-        raise ParameterError("delta < s requires a smoothed (differentiable) regularizer")
-    cache = cache if cache is not None else FactorizationCache()
-    step = _sweep_step(cache, spec, s, delta)
-    X1 = step.x_update(state.Y, state.Lam)
-    FX = spec.F @ X1
-    Y1 = step.y_update.from_Fx(FX, state.Lam)
-    resid = FX + step.G_sign * Y1 - spec.h
-    if delta == s:
-        L1 = state.Lam + resid / s
-    else:
-        L1 = state.Lam + (delta / (s * s)) * resid
-
-    if _implicit_residual(spec, s, delta, state.Y, state.Lam, X1, Y1, L1) <= INNER_TOL:
-        return ContinuousState(X1, Y1, L1, state.t + delta)
-
-    X1, Y1, L1 = _pattern_newton(spec, s, delta, state.Y, state.Lam, cache)
-    return ContinuousState(X1, Y1, L1, state.t + delta)
+        z = settle_pattern(solve, lambda z: _pattern(z[sy:sl], g), _pattern(Y_old, g))
+        X, Y, L = z[sx:sy], z[sy:sl], z[sl:sl + m]
+        res = _implicit_residual(spec, s, delta, Y_old, L_old, X, Y, L)
+        if res > INNER_TOL:
+            raise InnerSolveError(f"implicit step solved its pattern system but residual "
+                                  f"{res:.3e} exceeds {INNER_TOL!r}")
+        return X, Y, L
 
 
 def simulate_high_res(spec, config, init, ref=None):
-    """Integrate the high-resolution system over [0, T] from init.
+    """Integrate the high-resolution system over [0, T] from init = (X, Y, Lam).
 
     A step that fails (an x-update solve check, or the pattern iteration) raises
     InnerSolveError naming the node t it was stepping to."""
-    cache = FactorizationCache()
-    _sweep_step(cache, spec, config.s, config.delta)  # build errors surface as they are
-    state = ContinuousState(init.X, init.Y, init.Lam, 0.0)
+    X, Y, Lam = check_start(spec, init)
+    step = ImplicitStep(spec, config.s, config.delta)
     trace = _continuous_trace(spec, config)
+    t = 0.0
     try:
         for j in range(len(trace)):
             if j:
-                state = high_res_implicit_step(state, spec, config.s, config.delta, cache)
-            trace.axis[j] = state.t
-            trace.xs[j], trace.ys[j], trace.lams[j] = state.X, state.Y, state.Lam
+                X, Y, Lam = step(Y, Lam)
+                t = t + config.delta
+            trace.axis[j] = t
+            trace.xs[j], trace.ys[j], trace.lams[j] = X, Y, Lam
     except (IllConditionedError, InnerSolveError) as exc:
-        raise InnerSolveError(f"implicit step to node t = {state.t + config.delta!r}: {exc}") \
+        raise InnerSolveError(f"implicit step to node t = {t + config.delta!r}: {exc}") \
             from None
     # the algebraic leg G^T Lam + grad g(Y) = 0 must hold at every node
     if spec.g.smooth:
@@ -273,6 +265,7 @@ def simulate_low_res(spec, config, init_x, ref=None):
     Y = G_sign (h - F X) eliminates Y through the constraint (G = +/-I), so the
     deviation is zero by construction at every node.
     """
+    x, = check_start(spec, (init_x,))
     if not (spec.f.smooth and spec.g.smooth):
         raise ParameterError("low-resolution flow needs differentiable f and g")
     if not sym_cond(spec.FtF) <= COND_LIMIT:
@@ -291,7 +284,6 @@ def simulate_low_res(spec, config, init_x, ref=None):
         return z
 
     delta = config.delta
-    x = np.asarray(init_x, dtype=float)
     trace = _continuous_trace(spec, config)
     trace.xs[0] = x
     for j in range(len(trace) - 1):

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import IllConditionedError, OracleConvergenceError, ParameterError
 from .functions import Quadratic, ScaledL1
 from .problems import SaddlePoint, kkt_residuals
-from .prox import FactorizationCache, settle_pattern
+from .prox import Step, settle_pattern
 from .solver import default_r
 
 SIGN_PATTERN_MAX_DIM = 12
@@ -50,16 +50,16 @@ def sign_pattern_oracle(spec, tol=1e-8):
         rows.append(blk)
         rhs.append(2.0 * f.gram_rhs)
         if p:
-            # (G^T lam)_P = -w * sigma_P
+            # (G^T lam)_P = -w * sigma_P, with G = G_sign * I
             blk = np.zeros((p, nun))
-            blk[:, d1 + p:d1 + p + m] = spec.G.T[P, :]
+            blk[np.arange(p), d1 + p + P] = spec.G_sign
             rows.append(blk)
             rhs.append(-w * sigma[P])
         # F x + G_P y_P = h
         blk = np.zeros((m, nun))
         blk[:, :d1] = spec.F
         if p:
-            blk[:, d1:d1 + p] = spec.G[:, P]
+            blk[P, d1 + np.arange(p)] = spec.G_sign
         rows.append(blk)
         rhs.append(spec.h)
 
@@ -69,7 +69,7 @@ def sign_pattern_oracle(spec, tol=1e-8):
         return z[:d1], y, z[d1 + p:]
 
     def pattern_of(sol):
-        q = sol[1] - spec.G.T @ sol[2]
+        q = sol[1] - spec.G_sign * sol[2]
         return np.where(np.abs(q) > w, np.sign(q), 0.0).astype(int)
 
     x, y, lam = settle_pattern(solve, pattern_of, np.zeros(d2, dtype=int))
@@ -82,7 +82,7 @@ def sign_pattern_oracle(spec, tol=1e-8):
 
 def long_run_oracle(spec, tol=1e-8, budget=LONG_RUN_BUDGET):
     """Drive the r-proximal iteration from zero until all KKT residuals fall below tol."""
-    step = FactorizationCache().get(spec, 1.0, default_r(spec))
+    step = Step(spec, 1.0, default_r(spec))
     x, y, lam = np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m)
     best_res = np.inf
     try:

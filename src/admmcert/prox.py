@@ -5,8 +5,8 @@ affine indicator it solves the equality-constrained least-squares KKT
 system. The r-proximal variant replaces F^T F on the left by r*I, which
 stays solvable even when A and F share a null direction. The y-update is a
 componentwise shrink (or Huber prox) and needs G = +I or -I. A Step owns
-the whole iteration of one (problem, s, r): it is built once and cached,
-and each call does only the per-step work. settle_pattern finds the region
+the whole iteration of one (problem, s, r): the loop that runs it builds it
+once, and each call does only the per-step work. settle_pattern finds the region
 pattern of a piecewise-linear system for the implicit step and the oracle.
 """
 
@@ -138,8 +138,8 @@ class YUpdate:
     and its parameters are chosen and validated once, when the update is built."""
 
     def __init__(self, spec, s):
-        if not s >= 0:  # the weight w is positive, so this also bounds the threshold s*w
-            raise ParameterError(f"prox step s = {s!r} must be nonnegative")
+        if not 0 < s < math.inf:  # also refuses nan; the dual step divides by s
+            raise ParameterError(f"step size s = {s!r} must be positive and finite")
         g = spec.g
         if isinstance(g, ScaledL1):
             self._prox, self._params = _shrink, (s * g.w,)
@@ -246,22 +246,17 @@ class Step:
 
 
 class FactorizationCache:
-    """Values built once and reused: one Step per (problem tag, s, r), and whatever
-    else a caller keeps under its own key."""
+    """One Step per (problem tag, s, r), built on first use and reused."""
 
     def __init__(self):
         self._store = {}
 
     def get(self, spec, s, r=None):
         key = (spec.tag, float(s), None if r is None else float(r))
-        return self.keep(key, lambda: Step(spec, s, r))
-
-    def keep(self, key, build):
-        """The value stored under key, from build() on first use."""
-        value = self._store.get(key)
-        if value is None:
-            value = self._store[key] = build()
-        return value
+        step = self._store.get(key)
+        if step is None:
+            step = self._store[key] = Step(spec, s, r)
+        return step
 
     def __len__(self):
         return len(self._store)

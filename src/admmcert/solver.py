@@ -23,7 +23,7 @@ import numpy as np
 from . import diagnostics as diag
 from .errors import IllConditionedError, ParameterError
 from .problems import kkt_residuals
-from .prox import FactorizationCache
+from .prox import FactorizationCache, Step
 
 STANDARD = "standard"
 GENERAL = "general"
@@ -158,15 +158,25 @@ def zero_state(spec):
     return IterateState(np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m), 0)
 
 
+def check_start(spec, init):
+    """The start (x, y, lam), or (x,) alone, as float arrays. Raises ParameterError
+    unless each block has its problem's length: d1, d2 and m."""
+    blocks = [np.asarray(v, dtype=float) for v in init]
+    if any(v.shape != (d,) for v, d in zip(blocks, (spec.d1, spec.d2, spec.m))):
+        raise ParameterError("initial state dimensions do not match the problem")
+    return blocks
+
+
 def run(spec, config, init=None, saddle=None):
-    """Run N steps from init (zeros by default); deterministic given its inputs.
+    """Run N steps from init = (x, y, lam) (zeros by default); deterministic given
+    its inputs.
 
     The per-row columns are computed after the loop from the stored iterates;
     lyapunov is NaN without a saddle, and ne on the last row, which has no successor.
     """
-    state = init if init is not None else zero_state(spec)
-    if state.x.shape[0] != spec.d1 or state.y.shape[0] != spec.d2 or state.lam.shape[0] != spec.m:
-        raise ParameterError("initial state dimensions do not match the problem")
+    if init is None:
+        init = (np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m))
+    x, y, lam = check_start(spec, init)
     if config.variant == GENERAL:
         r = config.r if config.r is not None else default_r(spec)
     else:
@@ -175,17 +185,16 @@ def run(spec, config, init=None, saddle=None):
     trace = Trace(spec, config.N + 1, config=config, r=r)
     # built after the trace is allocated: the other order changed how the heap
     # reused freed blocks and raised the certificate checks' peak RSS by 1 MB at d = 600
-    step = FactorizationCache().get(spec, config.s, r)
-    trace.axis[:] = np.arange(state.k, state.k + config.N + 1)
+    step = Step(spec, config.s, r)
+    trace.axis[:] = np.arange(config.N + 1)
     xs, ys, ls = trace.xs, trace.ys, trace.lams
-    x, y, lam = state.x, state.y, state.lam
     xs[0], ys[0], ls[0] = x, y, lam
     try:
         for j in range(1, config.N + 1):
             x, y, lam = step(x, y, lam)
             xs[j], ys[j], ls[j] = x, y, lam
     except IllConditionedError as exc:
-        raise IllConditionedError(f"step k = {state.k + j}: {exc}") from None
+        raise IllConditionedError(f"step k = {j}: {exc}") from None
 
     cols = trace.scalars
     cols["primal_res"], cols["dual_x_res"], cols["dual_y_res"] = kkt_residuals(spec, xs, ys, ls)

@@ -6,7 +6,7 @@ import pytest
 from admmcert import diagnostics as diag
 from admmcert.errors import ParameterError
 from admmcert.library import get_instance, get_saddle
-from admmcert.solver import GENERAL, IterateState, SolverConfig, run
+from admmcert.solver import GENERAL, SolverConfig, run
 
 
 def scalar_run(N=200):
@@ -60,7 +60,7 @@ class TestStandardChecks:
     def test_rate_4_3_start_at_saddle(self):
         spec = get_instance("scalar_lasso")
         sad = get_saddle("scalar_lasso")
-        init = IterateState(sad.x_star, sad.y_star, sad.lambda_star, 0)
+        init = (sad.x_star, sad.y_star, sad.lambda_star)
         trace = run(spec, SolverConfig(s=1.0, N=10), init=init, saddle=sad)
         entry = diag.check_rate_theorem_4_3(trace, sad)
         assert entry.passed

@@ -1,24 +1,27 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from admmcert import ode
 from admmcert.errors import InnerSolveError, ParameterError
 from admmcert.library import get_instance, get_saddle
 from admmcert.ode import (
-    ContinuousState,
+    ImplicitStep,
     IntegratorConfig,
     certify_continuous,
     check_continuous_strong_avg,
     check_theorem_3_2_weak,
     check_theorem_3_3_monotone,
-    high_res_implicit_step,
     simulate_high_res,
     simulate_low_res,
 )
-from admmcert.solver import SolverConfig, admm_step, run, zero_state
+from admmcert.prox import Step
+from admmcert.solver import SolverConfig, run
 
 
 def zero_cont(spec):
-    return ContinuousState(np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m), 0.0)
+    return np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m)
 
 
 class TestIntegratorConfig:
@@ -34,19 +37,25 @@ class TestImplicitStepAtDeltaS:
                                       "trend_d50", "basis_pursuit_10x30"])
     def test_matches_discrete_step_bitwise(self, name):
         spec = get_instance(name)
-        d = zero_state(spec)
-        c = zero_cont(spec)
+        step, implicit = Step(spec, 1.0), ImplicitStep(spec, 1.0, 1.0)
+        x, y, lam = zero_cont(spec)
+        Y, Lam = y, lam
         for _ in range(20):
-            d = admm_step(d, spec, 1.0)
-            c = high_res_implicit_step(c, spec, 1.0, 1.0)
-            np.testing.assert_array_equal(c.X, d.x)
-            np.testing.assert_array_equal(c.Y, d.y)
-            np.testing.assert_array_equal(c.Lam, d.lam)
+            x, y, lam = step(x, y, lam)
+            X, Y, Lam = implicit(Y, Lam)
+            np.testing.assert_array_equal(X, x)
+            np.testing.assert_array_equal(Y, y)
+            np.testing.assert_array_equal(Lam, lam)
 
     def test_nonsmooth_needs_delta_equal_s(self):
         spec = get_instance("scalar_lasso")
         with pytest.raises(ParameterError, match="smoothed"):
-            high_res_implicit_step(zero_cont(spec), spec, 1.0, 0.5)
+            ImplicitStep(spec, 1.0, 0.5)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.5, 2.0, np.nan])
+    def test_delta_outside_0_s_refused(self, delta):
+        with pytest.raises(ParameterError, match=r"^need 0 < delta <= s$"):
+            ImplicitStep(get_instance("scalar_lasso_smoothed"), 1.0, delta)
 
     @pytest.mark.parametrize("name", ["scalar_lasso", "scalar_lasso_smoothed"])
     def test_delta_equal_to_s_up_to_rounding_refused(self, name):
@@ -56,7 +65,7 @@ class TestImplicitStepAtDeltaS:
         with pytest.raises(ParameterError) as config_exc:
             IntegratorConfig(s=1.0, delta=delta, T=1.0)
         with pytest.raises(ParameterError) as step_exc:
-            high_res_implicit_step(zero_cont(spec), spec, 1.0, delta)
+            ImplicitStep(spec, 1.0, delta)
         assert str(step_exc.value) == str(config_exc.value)
         assert "delta = 0.9999999999999999 differs from s = 1.0" in str(step_exc.value)
 
@@ -64,28 +73,28 @@ class TestImplicitStepAtDeltaS:
 class TestImplicitMicroSteps:
     def test_residual_certified_each_step(self):
         spec = get_instance("lasso_8x6_smoothed")
-        state = zero_cont(spec)
         s, delta = 1.0, 0.01
+        step = ImplicitStep(spec, s, delta)
+        _, Y, Lam = zero_cont(spec)
         for _ in range(30):
-            state = high_res_implicit_step(state, spec, s, delta)
+            _, Y, Lam = step(Y, Lam)
         # re-verify the step equations at the final state independently
-        prev = state
-        nxt = high_res_implicit_step(prev, spec, s, delta)
-        rA = spec.F.T @ spec.G @ (nxt.Y - prev.Y) / delta - spec.F.T @ nxt.Lam - spec.f.grad(nxt.X)
-        rB = spec.G.T @ nxt.Lam + spec.g.grad(nxt.Y)
-        rC = s * s * (nxt.Lam - prev.Lam) / delta - (
-            spec.F @ nxt.X + spec.G @ nxt.Y - spec.h)
-        scale = 1.0 + np.linalg.norm(nxt.X) + np.linalg.norm(nxt.Y) + np.linalg.norm(nxt.Lam)
+        X1, Y1, L1 = step(Y, Lam)
+        rA = spec.F.T @ spec.G @ (Y1 - Y) / delta - spec.F.T @ L1 - spec.f.grad(X1)
+        rB = spec.G.T @ L1 + spec.g.grad(Y1)
+        rC = s * s * (L1 - Lam) / delta - (spec.F @ X1 + spec.G @ Y1 - spec.h)
+        scale = 1.0 + np.linalg.norm(X1) + np.linalg.norm(Y1) + np.linalg.norm(L1)
         assert max(np.linalg.norm(rA), np.linalg.norm(rB), np.linalg.norm(rC)) <= 1e-12 * scale
 
     def test_two_half_steps_approximate_one(self):
         # first-order scheme: refining the step changes the state only O(delta)
         spec = get_instance("scalar_lasso_smoothed")
         s = 1.0
-        coarse = high_res_implicit_step(zero_cont(spec), spec, s, 0.1)
-        fine = high_res_implicit_step(
-            high_res_implicit_step(zero_cont(spec), spec, s, 0.05), spec, s, 0.05)
-        assert abs(coarse.X[0] - fine.X[0]) < 0.05
+        _, Y, Lam = zero_cont(spec)
+        coarse, _, _ = ImplicitStep(spec, s, 0.1)(Y, Lam)
+        half = ImplicitStep(spec, s, 0.05)
+        fine, _, _ = half(*half(Y, Lam)[1:])
+        assert abs(coarse[0] - fine[0]) < 0.05
 
 
 class TestSimulateHighRes:
@@ -107,9 +116,29 @@ class TestSimulateHighRes:
     def test_failed_step_names_the_node(self):
         spec = get_instance("lasso_8x6_smoothed")
         config = IntegratorConfig(s=1.0, delta=0.25, T=1.0)
-        init = ContinuousState(np.zeros(spec.d1), np.full(spec.d2, np.nan), np.zeros(spec.m), 0.0)
+        init = (np.zeros(spec.d1), np.full(spec.d2, np.nan), np.zeros(spec.m))
         with pytest.raises(InnerSolveError, match=r"node t = 0\.25: .*condition estimate"):
             simulate_high_res(spec, config, init)
+
+    @pytest.mark.parametrize("name, delta", [("scalar_lasso_smoothed", 2.0),
+                                             ("scalar_lasso_smoothed", 0.9999999999999999),
+                                             ("scalar_lasso", 0.5)])
+    def test_delta_refused_before_any_step(self, monkeypatch, name, delta):
+        # a config that skipped IntegratorConfig's checks meets ImplicitStep's refusals,
+        # with their messages, before a Step is built or an implicit step taken
+        spec = get_instance(name)
+        with pytest.raises(ParameterError) as step_exc:
+            ImplicitStep(spec, 1.0, delta)
+
+        def no_build(*args):
+            raise AssertionError("a Step was built")
+
+        monkeypatch.setattr(ode, "Step", no_build)
+        monkeypatch.setattr(ImplicitStep, "__call__", no_build)
+        config = SimpleNamespace(s=1.0, delta=delta, T=2.0)
+        with pytest.raises(ParameterError) as sim_exc:
+            simulate_high_res(spec, config, zero_cont(spec))
+        assert str(sim_exc.value) == str(step_exc.value)
 
     def test_csv_schema(self, tmp_path):
         spec = get_instance("scalar_lasso_smoothed")
@@ -210,8 +239,27 @@ class TestDeviation:
         # ... while the high-resolution trajectory pulls back toward it
         spec = get_instance("scalar_lasso_smoothed")
         config = IntegratorConfig(s=1.0, delta=0.01, T=20.0)
-        init = ContinuousState(np.ones(spec.d1), np.zeros(spec.d2), np.zeros(spec.m), 0.0)
+        init = (np.ones(spec.d1), np.zeros(spec.d2), np.zeros(spec.m))
         trace = simulate_high_res(spec, config, init)
         dev = trace.scalars["deviation"]
         assert dev[0] > 1e-3
         assert dev[-1] < dev[0]
+
+
+START_CALLS = {
+    "run": lambda spec, one: run(spec, SolverConfig(N=2), init=(one, one, one)),
+    "high_res_delta_s": lambda spec, one: simulate_high_res(
+        spec, IntegratorConfig(s=1.0, delta=1.0, T=3.0), (one, one, one)),
+    "high_res_micro": lambda spec, one: simulate_high_res(
+        spec, IntegratorConfig(s=1.0, delta=0.1, T=3.0), (one, one, one)),
+    "low_res": lambda spec, one: simulate_low_res(
+        spec, IntegratorConfig(s=1.0, delta=0.1, T=1.0), one),
+}
+
+
+@pytest.mark.parametrize("call", START_CALLS.values(), ids=START_CALLS.keys())
+def test_start_of_wrong_length_refused(call):
+    # a length-1 start on a d = 6 problem is refused, not broadcast across row 0
+    with pytest.raises(ParameterError,
+                       match=r"^initial state dimensions do not match the problem$"):
+        call(get_instance("lasso_8x6_smoothed"), np.ones(1))

@@ -259,6 +259,19 @@ class TestYUpdates:
         assert np.linalg.norm(grad) < 1e-10
 
 
+class TestStepSize:
+    # the dual step divides by s, so no step is built for s outside (0, inf)
+    @pytest.mark.parametrize("name", ["lasso_8x6", "basis_pursuit_10x30"],
+                             ids=["cholesky", "kkt"])
+    @pytest.mark.parametrize("s", [np.inf, 0.0, np.nan])
+    def test_step_refuses_s(self, name, s):
+        spec = get_instance(name)
+        with pytest.raises(ParameterError, match=rf"^step size s = {s!r} must be positive"):
+            prox.Step(spec, s)
+        with pytest.raises(ParameterError, match="step size s"):
+            FactorizationCache().get(spec, s)
+
+
 class TestFactorizationCache:
     def test_reuse_and_keying(self):
         spec = get_instance("lasso_8x6")

@@ -18,10 +18,10 @@ from hypothesis import given, settings, strategies as st
 from admmcert import diagnostics as diag
 from admmcert.functions import AffineIndicator, Quadratic, ScaledL1
 from admmcert.library import _difference_matrix
-from admmcert.ode import (ContinuousState, IntegratorConfig, check_continuous_strong_avg,
-                          check_theorem_3_2_weak, simulate_high_res)
+from admmcert.ode import (IntegratorConfig, check_continuous_strong_avg, check_theorem_3_2_weak,
+                          simulate_high_res)
 from admmcert.problems import SaddlePoint, build_basis_pursuit, build_generalized_lasso
-from admmcert.solver import GENERAL, STANDARD, IterateState, SolverConfig, default_r, run
+from admmcert.solver import GENERAL, STANDARD, SolverConfig, default_r, run
 
 # derandomized, so that the suite draws the same examples on every run
 DERANDOMIZED = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -57,7 +57,7 @@ def runs(draw):
     if isinstance(spec.f, AffineIndicator):  # the x reference must be feasible
         x_ref = np.linalg.lstsq(spec.f.A, spec.f.b, rcond=None)[0]
     ref = SaddlePoint(x_ref, point(spec.d2), point(spec.m), 0.0)
-    start = IterateState(point(spec.d1), point(spec.d2), point(spec.m), 0)
+    start = (point(spec.d1), point(spec.d2), point(spec.m))
     r = default_r(spec) if variant == GENERAL else None
     trace = run(spec, SolverConfig(s=s, N=N, variant=variant, r=r), init=start, saddle=ref)
     return spec, trace, ref, s, r
@@ -198,7 +198,7 @@ def test_weak_rate_slacks(case):
 def high_res(spec, trace, ref, s):
     """The delta = s high-resolution trace from the run's start: every implicit step
     is one ADMM step, so no pattern-Newton pass can cycle."""
-    init = ContinuousState(trace.xs[0], trace.ys[0], trace.lams[0], 0.0)
+    init = (trace.xs[0], trace.ys[0], trace.lams[0])
     return simulate_high_res(spec, IntegratorConfig(s=s, delta=s, T=N * s), init,
                              ref=(ref.y_star, ref.lambda_star))
 

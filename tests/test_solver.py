@@ -119,7 +119,7 @@ class TestGeneralStep:
 class TestRun:
     def test_dimension_check(self):
         spec = get_instance("scalar_lasso")
-        bad = IterateState(np.zeros(2), np.zeros(1), np.zeros(1), 0)
+        bad = (np.zeros(2), np.zeros(1), np.zeros(1))
         with pytest.raises(ParameterError, match="dimensions"):
             run(spec, SolverConfig(N=2), init=bad)
 
@@ -140,7 +140,7 @@ class TestRun:
         spec = get_instance(name)
         lam = np.zeros(spec.m)
         lam[0] = np.nan
-        init = IterateState(np.zeros(spec.d1), np.zeros(spec.d2), lam, 0)
+        init = (np.zeros(spec.d1), np.zeros(spec.d2), lam)
         with pytest.raises(IllConditionedError, match=r"step k = 1: .*condition estimate"):
             run(spec, SolverConfig(N=5), init=init)
 

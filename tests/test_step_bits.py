@@ -1,4 +1,4 @@
-"""The cached step operator gives the same bits as the plain textbook loop.
+"""The step operator gives the same bits as the plain textbook loop.
 
 The reference loop below writes each step out with dense G products, scipy's
 checked solves, the public prox functions and ProblemSpec.constraint_residual.
@@ -15,10 +15,10 @@ import scipy.linalg
 from admmcert import diagnostics as diag
 from admmcert.functions import Quadratic, ScaledL1
 from admmcert.library import get_instance, get_saddle
-from admmcert.ode import ContinuousState, high_res_implicit_step
+from admmcert.ode import ImplicitStep
 from admmcert.problems import ProblemSpec, SaddlePoint, kkt_residuals
-from admmcert.prox import FactorizationCache, huber_prox, soft_threshold
-from admmcert.solver import GENERAL, STANDARD, IterateState, SolverConfig, default_r, run
+from admmcert.prox import huber_prox, soft_threshold
+from admmcert.solver import GENERAL, STANDARD, SolverConfig, default_r, run
 
 STEPS = 50
 
@@ -87,8 +87,7 @@ def test_run_matches_reference_loop(name, variant, s):
     spec = instance(name)
     x0, y0, lam0 = start(spec, 3)
     r = default_r(spec) if variant == GENERAL else None
-    trace = run(spec, SolverConfig(s=s, N=STEPS, variant=variant),
-                init=IterateState(x0, y0, lam0, 0))
+    trace = run(spec, SolverConfig(s=s, N=STEPS, variant=variant), init=(x0, y0, lam0))
     xs, ys, lams = reference_rows(spec, s, r, x0, y0, lam0)
     assert np.array_equal(trace.xs[1:], xs)
     assert np.array_equal(trace.ys[1:], ys)
@@ -100,12 +99,12 @@ def test_implicit_step_at_delta_s_matches_reference_loop(name):
     spec, s = instance(name), 1.0
     x0, y0, lam0 = start(spec, 4)
     xs, ys, lams = reference_rows(spec, s, None, x0, y0, lam0)
-    state, cache = ContinuousState(x0, y0, lam0, 0.0), FactorizationCache()
+    step, Y, Lam = ImplicitStep(spec, s, s), y0, lam0
     for j in range(STEPS):
-        state = high_res_implicit_step(state, spec, s, s, cache)
-        assert np.array_equal(state.X, xs[j])
-        assert np.array_equal(state.Y, ys[j])
-        assert np.array_equal(state.Lam, lams[j])
+        X, Y, Lam = step(Y, Lam)
+        assert np.array_equal(X, xs[j])
+        assert np.array_equal(Y, ys[j])
+        assert np.array_equal(Lam, lams[j])
 
 
 def dense_energy(y, lam, ref_y, ref_lam, G, s):
@@ -121,7 +120,7 @@ def test_sign_flip_matches_dense_g(name, from_zero):
         ref = get_saddle(name)
     else:
         ref = SaddlePoint(*start(spec, 5), 0.0)
-    init = None if from_zero else IterateState(*start(spec, 6), 0)
+    init = None if from_zero else start(spec, 6)
     trace = run(spec, SolverConfig(s=s, N=STEPS), init=init, saddle=ref)
     xs, ys, ls, G = trace.xs, trace.ys, trace.lams, spec.G
     if from_zero:  # the shrink leaves signed zeros, the case a sign flip could get wrong
