@@ -24,17 +24,12 @@ from .solver import IterateState, SolverConfig, Trace, admm_step, run
 from .diagnostics import (
     CertificateEntry,
     CertificateReport,
+    certify_continuous,
     certify_general,
     certify_standard,
 )
 from .oracle import long_run_oracle, saddle_point_oracle, sign_pattern_oracle
-from .ode import (
-    ImplicitStep,
-    IntegratorConfig,
-    certify_continuous,
-    simulate_high_res,
-    simulate_low_res,
-)
+from .ode import ImplicitStep, IntegratorConfig, simulate_high_res, simulate_low_res
 from . import library
 
 __version__ = "0.1.0"

@@ -16,13 +16,7 @@ import numpy as np
 from . import diagnostics as diag
 from . import library
 from .errors import AdmmError, IllConditionedError
-from .ode import (
-    ImplicitStep,
-    IntegratorConfig,
-    certify_continuous,
-    simulate_high_res,
-    simulate_low_res,
-)
+from .ode import IntegratorConfig, simulate_high_res, simulate_low_res
 from .oracle import long_run_oracle, sign_pattern_oracle
 from .prox import Step
 from .solver import GENERAL, SolverConfig, run
@@ -55,16 +49,11 @@ def criterion_1():
     ok = True
     for name in CORE_INSTANCES:
         spec = library.get_instance(name)
-        step, implicit = Step(spec, _S), ImplicitStep(spec, _S, _S)
-        x, y, lam = np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m)
-        Y, Lam = y, lam
-        worst = 0.0
-        for _ in range(100):
-            x, y, lam = step(x, y, lam)
-            X, Y, Lam = implicit(Y, Lam)
-            for a, b in ((X, x), (Y, y), (Lam, lam)):
-                rel = float(np.max(np.abs(a - b) / (1.0 + np.abs(b))))
-                worst = max(worst, rel)
+        trace = run(spec, SolverConfig(s=_S, N=100))
+        high = simulate_high_res(spec, IntegratorConfig(s=_S, delta=_S, T=100 * _S))
+        worst = max(float(np.max(np.abs(a - b) / (1.0 + np.abs(b))))
+                    for a, b in ((high.xs, trace.xs), (high.ys, trace.ys),
+                                 (high.lams, trace.lams)))
         details[name] = worst
         ok = ok and worst <= 1e-12
     elapsed = time.perf_counter() - t0
@@ -160,16 +149,14 @@ def criterion_7():
     for name in SMOOTH_INSTANCES:
         spec = library.get_instance(name)
         saddle = library.get_saddle(name)
-        ref = (saddle.y_star, saddle.lambda_star)
-        zeros = (np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m))
-        high = simulate_high_res(spec, config, zeros, ref=ref)
-        report = certify_continuous(high, saddle)
+        high = simulate_high_res(spec, config, saddle=saddle)
+        report = diag.certify_continuous(high, saddle)
 
-        low = simulate_low_res(spec, config, np.zeros(spec.d1), ref=ref)
+        low = simulate_low_res(spec, config, saddle=saddle)
         low_dev = float(np.max(low.scalars["deviation"]))
 
         off = (np.ones(spec.d1), np.zeros(spec.d2), np.zeros(spec.m))
-        off_trace = simulate_high_res(spec, config, off, ref=ref)
+        off_trace = simulate_high_res(spec, config, off, saddle=saddle)
         dev = off_trace.scalars["deviation"]
         dev_ok = dev[0] > 1e-3 and dev[-1] < dev[0]
 

@@ -171,10 +171,7 @@ def cmd_simulate(args):
     if delta < s and not spec.g.smooth:
         spec = spec.smoothed(library.HUBER_DELTA)
     saddle = saddle_point_oracle(spec, tol)
-    ref = (saddle.y_star, saddle.lambda_star)
-
-    init = (np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m))
-    high = simulate_high_res(spec, config, init, ref=ref)
+    high = simulate_high_res(spec, config, saddle=saddle)
     written = []
 
     def path(fname):  # every table goes through here, so the closing line names it
@@ -189,7 +186,7 @@ def cmd_simulate(args):
 
     low = None
     if spec.f.smooth and spec.g.smooth:
-        low = simulate_low_res(spec, config, np.zeros(spec.d1), ref=ref)
+        low = simulate_low_res(spec, config, saddle=saddle)
         low.to_csv(path("low_res.csv"))
     per = int(round(s / delta))  # a whole number, checked by IntegratorConfig
     ks = np.arange(len(trace))

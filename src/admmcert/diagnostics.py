@@ -1,14 +1,17 @@
-"""Certificate checks for every per-iteration inequality and rate bound.
+"""Certificate checks for every inequality and rate bound, discrete and continuous.
 
 Each check evaluates the left- and right-hand side of one proved inequality
 at every index (or every prefix) of a recorded trace, in one array pass over
 its rows, and reports the worst slack lhs - rhs. A check passes when the
 worst slack stays below its tolerance: 1e-9 absolute for per-step
-inequalities and rate bounds, 1e-12 for monotonicity deltas.
+inequalities and rate bounds, 1e-12 for monotonicity deltas, and 10*delta for
+the continuous checks of a high-resolution trace, whose node values carry
+O(delta) error. A continuous check is the discrete kernel (energy, weak gap,
+strong gap) read at elapsed time t, fed trapezoid time means.
 
 Every check and bundle is called as (trace, saddle): the problem, the step s
-and the r of an r-proximal run come from the trace, and the NE checks read
-its ne column, the series solver.run computed once.
+(and delta), and the r of an r-proximal run come from the trace, and the NE
+checks read its ne column, the series solver.run computed once.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ def _extended_energy(x, y, lam, ref_x, ref_y, ref_lam, spec, s, r):
     return extra + _energy(y, lam, ref_y, ref_lam, s)
 
 
-def _start_constant(y0, lam0, ref_y, ref_lam, spec, s):
+def _start_constant(y0, lam0, ref_y, ref_lam, s):
     """C = ||G(y0 - ref_y)||^2 + s^2 ||lam0 - ref_lam||^2, the constant of every rate
     bound that starts from (y0, lam0); the weak probes measure lam from ref_lam = 0."""
     dy, dl = y0 - ref_y, lam0 - ref_lam
@@ -111,7 +114,7 @@ def _start_constant(y0, lam0, ref_y, ref_lam, spec, s):
 
 def _rate_constant(trace, saddle):
     return _start_constant(trace.ys[0], trace.lams[0], saddle.y_star, saddle.lambda_star,
-                           trace.spec, trace.config.s)
+                           trace.config.s)
 
 
 def _lyapunov(trace, saddle):
@@ -236,7 +239,7 @@ def _weak_gap(trace, saddle, probes, xbar, ybar, mbar, t):
         fp, gp = spec.f.value(px), spec.g.value(py)
         if not np.isfinite(fp) or not np.isfinite(gp):
             continue
-        C = consts[f"C_probe{i}"] = _start_constant(trace.ys[0], trace.lams[0], py, 0.0, spec, s)
+        C = consts[f"C_probe{i}"] = _start_constant(trace.ys[0], trace.lams[0], py, 0.0, s)
         disp = spec.F @ (px - saddle.x_star) + spec.G_sign * (py - saddle.y_star)
         # summing (or integrating) the per-step inequality puts the multiplier
         # term on the bound side, so it enters the gap with a minus sign
@@ -359,21 +362,91 @@ def step_inclusion_residuals(trace):
             spec.g.subgrad_distance(-(spec.G_sign * ls[1:]), ys[1:]))
 
 
+# ---------------------------------------------------------------------------
+# continuous certificates: the discrete kernels read at elapsed time t, with
+# tolerance 10*delta (node values carry O(delta) error)
+
+
+def _sampled_time_means(trace, *series):
+    """Trapezoid time means of each (n, d) series over [0, t] at the nodes nearest
+    1/4, 1/2 and all of the horizon, one row per node, and those elapsed times t."""
+    last = len(trace) - 1
+    idx = sorted({max(1, int(round(f * last))) for f in (0.25, 0.5, 1.0)})
+    t = trace.axis[idx] - trace.axis[0]
+    half_dt = 0.5 * np.diff(trace.axis).reshape(-1, 1)
+    means = [np.array([np.sum(half_dt[:j] * (v[1:j + 1] + v[:j]), axis=0) for j in idx])
+             / t.reshape(-1, 1) for v in series]
+    return means, t
+
+
+def check_theorem_3_3_monotone(trace, saddle):
+    """Continuous Lyapunov (saddle reference) nonincreasing along the trajectory."""
+    s, delta = trace.config.s, trace.config.delta
+    e = _lyapunov(trace, saddle)
+    return _entry("theorem_3_3_lyapunov_monotone", np.diff(e), 10.0 * delta,
+                  {"E0": e[0], "s": s, "delta": delta})
+
+
+def check_theorem_3_2_weak(trace, saddle):
+    """Time-average weak gap against C/(2t) at sampled times: the Theorem 4.2 kernel fed
+    trapezoid time means, with the multiplier Lam - G dY/dt, at elapsed time t.
+    dY/dt is estimated by central differences (one-sided at the ends)."""
+    spec, s, delta = trace.spec, trace.config.s, trace.config.delta
+    probes = [(saddle.x_star, saddle.y_star), (np.zeros(spec.d1), np.zeros(spec.d2))]
+    mult = trace.lams - spec.G_sign * np.gradient(trace.ys, trace.axis, axis=0)
+    (xbar, ybar, mbar), t = _sampled_time_means(trace, trace.xs, trace.ys, mult)
+    slacks, _ = _weak_gap(trace, saddle, probes, xbar, ybar, mbar, t)
+    return _entry("theorem_3_2_weak_rate", slacks, 10.0 * delta, {"s": s, "delta": delta})
+
+
+def check_continuous_strong_avg(trace, saddle):
+    """Strong time-average bound ||Xbar - x*||^2 <= C/(mu t) at sampled times: the
+    Theorem 4.4 kernel fed trapezoid time means at elapsed time t. Raises
+    ParameterError unless f is strongly convex."""
+    s, delta = trace.config.s, trace.config.delta
+    mu = strong_convexity_modulus(trace.spec)
+    (xbar,), t = _sampled_time_means(trace, trace.xs)
+    slacks, C = _strong_gap(xbar, trace, saddle, mu, t)
+    return _entry("theorem_3_4_strong_avg", slacks, 10.0 * delta,
+                  {"C": C, "mu": mu, "s": s, "delta": delta})
+
+
+# ---------------------------------------------------------------------------
+# bundles
+
+
+def _bundle(trace, saddle, checks, strong_avg):
+    """Every entry of checks, in order (a check may return a list of them), then that
+    of strong_avg unless its gate refuses a not strongly convex f. The bundles pass
+    their checks in at each call, so the module's current checks run, wrapped ones
+    included."""
+    entries = []
+    for check in checks:
+        out = check(trace, saddle)
+        entries += out if isinstance(out, list) else [out]
+    try:
+        entries.append(strong_avg(trace, saddle))
+    except ParameterError:
+        pass  # the strong-average bound needs a strongly convex f
+    return CertificateReport(entries)
+
+
 def certify_standard(trace, saddle):
     """Full certificate bundle for a standard-ADMM trace; Theorem 4.4 joins it when f
-    is strongly convex. The check tuple is built at each call, so the module's
-    current checks run, wrapped ones included."""
-    entries = [check(trace, saddle) for check in (
+    is strongly convex."""
+    return _bundle(trace, saddle, (
         check_convergence1, check_lyapunov_monotone, check_lemma_iterative_inequality,
-        check_rate_theorem_4_3, check_weak_rate_theorem_4_2, check_ne_telescoping)]
-    entries += check_ne_monotone_theorem_5(trace, saddle)
-    try:
-        entries.append(check_strong_avg_theorem_4_4(trace, saddle))
-    except ParameterError:
-        pass  # Theorem 4.4 needs a strongly convex f
-    return CertificateReport(entries)
+        check_rate_theorem_4_3, check_weak_rate_theorem_4_2, check_ne_telescoping,
+        check_ne_monotone_theorem_5), check_strong_avg_theorem_4_4)
 
 
 def certify_general(trace, saddle):
     """Certificate bundle for an r-proximal trace."""
     return CertificateReport(check_general_rates_theorems_6(trace, saddle))
+
+
+def certify_continuous(trace, saddle):
+    """Certificate bundle for a high-resolution trace; Theorem 3.4 joins it when f is
+    strongly convex."""
+    return _bundle(trace, saddle, (check_theorem_3_3_monotone, check_theorem_3_2_weak),
+                   check_continuous_strong_avg)

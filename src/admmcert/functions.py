@@ -46,18 +46,10 @@ class Quadratic:
                 f"rows of A ({self.A.shape[0]}) do not match length of b ({self.b.shape[0]})"
             )
         self.dim = self.A.shape[1]
-        self._AtA = self.A.T @ self.A
-        self._Atb = self.A.T @ self.b
+        self.gram = self.A.T @ self.A
+        self.gram_rhs = self.A.T @ self.b
         self.A.flags.writeable = False
         self.b.flags.writeable = False
-
-    @property
-    def gram(self):
-        return self._AtA
-
-    @property
-    def gram_rhs(self):
-        return self._Atb
 
     def value(self, v):
         r = v @ self.A.T - self.b
@@ -70,7 +62,7 @@ class Quadratic:
         return np.linalg.norm(target - self.grad(at), axis=-1)
 
     def strong_convexity_modulus(self):
-        return 2.0 * float(np.linalg.eigvalsh(self._AtA)[0])
+        return 2.0 * float(np.linalg.eigvalsh(self.gram)[0])
 
 
 class ScaledL1:

@@ -2,7 +2,7 @@
 
 All randomness goes through numpy's default generator (PCG64) with a fixed
 per-instance seed, so every builder is reproducible bit for bit. Saddle
-points are computed once per (name, tolerance) and memoized.
+points are computed once per name, to tolerance 1e-8, and memoized.
 """
 
 from __future__ import annotations
@@ -124,8 +124,7 @@ def get_instance(name):
     return _spec_cache[name]
 
 
-def get_saddle(name, tol=1e-8):
-    key = (name, float(tol))
-    if key not in _saddle_cache:
-        _saddle_cache[key] = saddle_point_oracle(get_instance(name), tol)
-    return _saddle_cache[key]
+def get_saddle(name):
+    if name not in _saddle_cache:
+        _saddle_cache[name] = saddle_point_oracle(get_instance(name), 1e-8)
+    return _saddle_cache[name]

@@ -14,6 +14,13 @@ warm-started from the previous node's pattern. The
 low-resolution flow eliminates Y through the constraint and therefore
 never leaves the hyperplane F x + G y = h; the deviation columns of the
 two trajectories make the dual-correction effect measurable.
+
+This module only integrates. Both integrators are called like solver.run, as
+(spec, config, init=None, saddle=None), where simulate_low_res's start is x
+alone (init_x): they start from zeros by default and fill the lyapunov
+column against the saddle when one is given. The continuous
+certificates (Theorems 3.2-3.4) and their bundle, certify_continuous, live in
+diagnostics with the discrete ones.
 """
 
 from __future__ import annotations
@@ -22,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import (CertificateReport, _energy, _entry, _lyapunov, _strong_gap,
-                          _weak_gap, strong_convexity_modulus)
+from .diagnostics import _energy, _lyapunov
 from .errors import IllConditionedError, InnerSolveError, ParameterError, UnsupportedProblemError
 from .functions import AffineIndicator, HuberSmoothedL1
 from .prox import COND_LIMIT, Step, _flapack, _norm, lapack_factor, settle_pattern, sym_cond
@@ -68,17 +74,17 @@ def _continuous_trace(spec, config):
                  prefixes=CONT_PREFIXES, scalars=CONT_SCALAR_COLUMNS, config=config)
 
 
-def _fill_columns(trace, ref):
+def _fill_columns(trace, saddle):
     """The scalar columns: deviation ||F X + G Y - h||, the Lyapunov energy
-    against ref (NaN without one) and, at interior nodes, the continuous NE
+    against the saddle (NaN without one) and, at interior nodes, the continuous NE
     (s/2)||G Ydot||^2 + (s^3/2)||Lamdot||^2, the energy of (s Ydot, s Lamdot).
     Lamdot comes from the dual ODE (exact), Ydot from a central difference.
     The NE is reported only: its continuous monotonicity is not certified."""
     spec, s, cols = trace.spec, trace.config.s, trace.scalars
     r = spec.constraint_residual(trace.xs, trace.ys)
     cols["deviation"] = np.linalg.norm(r, axis=1)
-    if ref is not None:
-        cols["lyapunov"] = _energy(trace.ys, trace.lams, ref[0], ref[1], s)
+    if saddle is not None:
+        cols["lyapunov"] = _lyapunov(trace, saddle)
     t = trace.axis
     ydot = (trace.ys[2:] - trace.ys[:-2]) / (t[2:] - t[:-2]).reshape(-1, 1)
     cols["ne_continuous"][1:-1] = _energy(s * ydot, r[1:-1] / s, 0.0, 0.0, s)
@@ -227,8 +233,9 @@ class ImplicitStep:
         return X, Y, L
 
 
-def simulate_high_res(spec, config, init, ref=None):
-    """Integrate the high-resolution system over [0, T] from init = (X, Y, Lam).
+def simulate_high_res(spec, config, init=None, saddle=None):
+    """Integrate the high-resolution system over [0, T] from init = (X, Y, Lam)
+    (zeros by default); the lyapunov column is NaN without a saddle.
 
     A step that fails (an x-update solve check, or the pattern iteration) raises
     InnerSolveError naming the node t it was stepping to."""
@@ -255,17 +262,18 @@ def simulate_high_res(spec, config, init, ref=None):
             j = bad[0] + 1
             raise InnerSolveError(f"algebraic constraint violated at node {j} "
                                   f"(t = {float(trace.axis[j])!r}): {alg[j - 1]:.3e}")
-    return _fill_columns(trace, ref)
+    return _fill_columns(trace, saddle)
 
 
-def simulate_low_res(spec, config, init_x, ref=None):
-    """Classical RK4 with step delta over [0, T] for the continuous-limit flow,
-    confined to the hyperplane; s enters only the energy columns.
+def simulate_low_res(spec, config, init_x=None, saddle=None):
+    """Classical RK4 with step delta over [0, T] for the continuous-limit flow from
+    init_x (zeros by default), confined to the hyperplane; s enters only the energy
+    columns.
 
     Y = G_sign (h - F X) eliminates Y through the constraint (G = +/-I), so the
     deviation is zero by construction at every node.
     """
-    x, = check_start(spec, (init_x,))
+    x = check_start(spec, None if init_x is None else (init_x,))[0]
     if not (spec.f.smooth and spec.g.smooth):
         raise ParameterError("low-resolution flow needs differentiable f and g")
     if not sym_cond(spec.FtF) <= COND_LIMIT:
@@ -299,64 +307,4 @@ def simulate_low_res(spec, config, init_x, ref=None):
     # the flow. It stays a solve with G^T: -(G_sign * grad) has the same values but
     # turns row 0's 0.0 cells into -0.0, which changes the bytes of low_res.csv
     trace.lams[:] = -np.linalg.solve(spec.G.T, spec.g.grad(trace.ys).T).T
-    return _fill_columns(trace, ref)
-
-
-# ---------------------------------------------------------------------------
-# continuous certificates (tolerance 10*delta: node values carry O(delta) error)
-
-
-def _sampled_time_means(trace, *series):
-    """Trapezoid time means of each (n, d) series over [0, t] at the nodes nearest
-    1/4, 1/2 and all of the horizon, one row per node, and those elapsed times t."""
-    last = len(trace) - 1
-    idx = sorted({max(1, int(round(f * last))) for f in (0.25, 0.5, 1.0)})
-    t = trace.axis[idx] - trace.axis[0]
-    half_dt = 0.5 * np.diff(trace.axis).reshape(-1, 1)
-    means = [np.array([np.sum(half_dt[:j] * (v[1:j + 1] + v[:j]), axis=0) for j in idx])
-             / t.reshape(-1, 1) for v in series]
-    return means, t
-
-
-def check_theorem_3_3_monotone(trace, saddle):
-    """Continuous Lyapunov (saddle reference) nonincreasing along the trajectory."""
-    s, delta = trace.config.s, trace.config.delta
-    e = _lyapunov(trace, saddle)
-    return _entry("theorem_3_3_lyapunov_monotone", np.diff(e), 10.0 * delta,
-                  {"E0": e[0], "s": s, "delta": delta})
-
-
-def check_theorem_3_2_weak(trace, saddle):
-    """Time-average weak gap against C/(2t) at sampled times: the Theorem 4.2 kernel fed
-    trapezoid time means, with the multiplier Lam - G dY/dt, at elapsed time t.
-    dY/dt is estimated by central differences (one-sided at the ends)."""
-    spec, s, delta = trace.spec, trace.config.s, trace.config.delta
-    probes = [(saddle.x_star, saddle.y_star), (np.zeros(spec.d1), np.zeros(spec.d2))]
-    mult = trace.lams - spec.G_sign * np.gradient(trace.ys, trace.axis, axis=0)
-    (xbar, ybar, mbar), t = _sampled_time_means(trace, trace.xs, trace.ys, mult)
-    slacks, _ = _weak_gap(trace, saddle, probes, xbar, ybar, mbar, t)
-    return _entry("theorem_3_2_weak_rate", slacks, 10.0 * delta, {"s": s, "delta": delta})
-
-
-def check_continuous_strong_avg(trace, saddle):
-    """Strong time-average bound ||Xbar - x*||^2 <= C/(mu t) at sampled times: the
-    Theorem 4.4 kernel fed trapezoid time means at elapsed time t. Raises
-    ParameterError unless f is strongly convex."""
-    s, delta = trace.config.s, trace.config.delta
-    mu = strong_convexity_modulus(trace.spec)
-    (xbar,), t = _sampled_time_means(trace, trace.xs)
-    slacks, C = _strong_gap(xbar, trace, saddle, mu, t)
-    return _entry("theorem_3_4_strong_avg", slacks, 10.0 * delta,
-                  {"C": C, "mu": mu, "s": s, "delta": delta})
-
-
-def certify_continuous(trace, saddle):
-    """Certificate bundle for a high-resolution trace; Theorem 3.4 joins it when f is
-    strongly convex."""
-    report = CertificateReport([check_theorem_3_3_monotone(trace, saddle),
-                                check_theorem_3_2_weak(trace, saddle)])
-    try:
-        report.entries.append(check_continuous_strong_avg(trace, saddle))
-    except ParameterError:
-        pass  # Theorem 3.4 needs a strongly convex f
-    return report
+    return _fill_columns(trace, saddle)

@@ -159,11 +159,17 @@ def zero_state(spec):
 
 
 def check_start(spec, init):
-    """The start (x, y, lam), or (x,) alone, as float arrays. Raises ParameterError
-    unless each block has its problem's length: d1, d2 and m."""
+    """The start (x, y, lam), or (x,) alone, as float arrays; init None is the zero
+    start (x, y, lam). Raises ParameterError unless each block has its problem's
+    length (d1, d2 and m), or naming the first block that is not finite."""
+    if init is None:
+        init = (np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m))
     blocks = [np.asarray(v, dtype=float) for v in init]
     if any(v.shape != (d,) for v, d in zip(blocks, (spec.d1, spec.d2, spec.m))):
         raise ParameterError("initial state dimensions do not match the problem")
+    for v, name in zip(blocks, ("x", "y", "lambda")):
+        if not np.all(np.isfinite(v)):
+            raise ParameterError(f"initial {name} is not finite")
     return blocks
 
 
@@ -174,8 +180,6 @@ def run(spec, config, init=None, saddle=None):
     The per-row columns are computed after the loop from the stored iterates;
     lyapunov is NaN without a saddle, and ne on the last row, which has no successor.
     """
-    if init is None:
-        init = (np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m))
     x, y, lam = check_start(spec, init)
     if config.variant == GENERAL:
         r = config.r if config.r is not None else default_r(spec)

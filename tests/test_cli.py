@@ -271,7 +271,7 @@ CYCLING_SIMULATE_CASES = (
 def test_simulate_generated_lasso_settles_and_certifies(tmp_path, monkeypatch,
                                                         dims, seed, delta, horizon):
     import admmcert.cli as cli
-    from admmcert.ode import certify_continuous
+    from admmcert.diagnostics import certify_continuous
 
     seen = {}
 

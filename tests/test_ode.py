@@ -4,24 +4,13 @@ import numpy as np
 import pytest
 
 from admmcert import ode
+from admmcert.diagnostics import (certify_continuous, check_continuous_strong_avg,
+                                  check_theorem_3_2_weak, check_theorem_3_3_monotone)
 from admmcert.errors import InnerSolveError, ParameterError
 from admmcert.library import get_instance, get_saddle
-from admmcert.ode import (
-    ImplicitStep,
-    IntegratorConfig,
-    certify_continuous,
-    check_continuous_strong_avg,
-    check_theorem_3_2_weak,
-    check_theorem_3_3_monotone,
-    simulate_high_res,
-    simulate_low_res,
-)
+from admmcert.ode import ImplicitStep, IntegratorConfig, simulate_high_res, simulate_low_res
 from admmcert.prox import Step
-from admmcert.solver import SolverConfig, run
-
-
-def zero_cont(spec):
-    return np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m)
+from admmcert.solver import SolverConfig, check_start, run
 
 
 class TestIntegratorConfig:
@@ -38,7 +27,7 @@ class TestImplicitStepAtDeltaS:
     def test_matches_discrete_step_bitwise(self, name):
         spec = get_instance(name)
         step, implicit = Step(spec, 1.0), ImplicitStep(spec, 1.0, 1.0)
-        x, y, lam = zero_cont(spec)
+        x, y, lam = check_start(spec, None)
         Y, Lam = y, lam
         for _ in range(20):
             x, y, lam = step(x, y, lam)
@@ -75,7 +64,7 @@ class TestImplicitMicroSteps:
         spec = get_instance("lasso_8x6_smoothed")
         s, delta = 1.0, 0.01
         step = ImplicitStep(spec, s, delta)
-        _, Y, Lam = zero_cont(spec)
+        _, Y, Lam = check_start(spec, None)
         for _ in range(30):
             _, Y, Lam = step(Y, Lam)
         # re-verify the step equations at the final state independently
@@ -90,7 +79,7 @@ class TestImplicitMicroSteps:
         # first-order scheme: refining the step changes the state only O(delta)
         spec = get_instance("scalar_lasso_smoothed")
         s = 1.0
-        _, Y, Lam = zero_cont(spec)
+        _, Y, Lam = check_start(spec, None)
         coarse, _, _ = ImplicitStep(spec, s, 0.1)(Y, Lam)
         half = ImplicitStep(spec, s, 0.05)
         fine, _, _ = half(*half(Y, Lam)[1:])
@@ -101,14 +90,14 @@ class TestSimulateHighRes:
     def test_node_count_and_times(self):
         spec = get_instance("scalar_lasso_smoothed")
         config = IntegratorConfig(s=1.0, delta=0.1, T=1.0)
-        trace = simulate_high_res(spec, config, zero_cont(spec))
+        trace = simulate_high_res(spec, config)
         assert len(trace) == 11
         assert trace.axis[-1] == pytest.approx(1.0)
 
     def test_algebraic_constraint_on_nodes(self):
         spec = get_instance("lasso_8x6_smoothed")
         config = IntegratorConfig(s=1.0, delta=0.05, T=2.0)
-        trace = simulate_high_res(spec, config, zero_cont(spec))
+        trace = simulate_high_res(spec, config)
         for j in range(1, len(trace)):
             alg = np.linalg.norm(spec.G.T @ trace.lams[j] + spec.g.grad(trace.ys[j]))
             assert alg <= 1e-11 * (1.0 + np.linalg.norm(trace.lams[j]))
@@ -116,8 +105,11 @@ class TestSimulateHighRes:
     def test_failed_step_names_the_node(self):
         spec = get_instance("lasso_8x6_smoothed")
         config = IntegratorConfig(s=1.0, delta=0.25, T=1.0)
-        init = (np.zeros(spec.d1), np.full(spec.d2, np.nan), np.zeros(spec.m))
-        with pytest.raises(InnerSolveError, match=r"node t = 0\.25: .*condition estimate"):
+        # a NaN start is refused before any step; this finite one overflows in the first
+        # step's x-update, whose solve check then fails (the overflow is the point here)
+        init = (np.zeros(spec.d1), np.full(spec.d2, np.finfo(float).max), np.zeros(spec.m))
+        with pytest.raises(InnerSolveError, match=r"node t = 0\.25: .*condition estimate"), \
+                np.errstate(over="ignore", invalid="ignore"):
             simulate_high_res(spec, config, init)
 
     @pytest.mark.parametrize("name, delta", [("scalar_lasso_smoothed", 2.0),
@@ -137,15 +129,14 @@ class TestSimulateHighRes:
         monkeypatch.setattr(ImplicitStep, "__call__", no_build)
         config = SimpleNamespace(s=1.0, delta=delta, T=2.0)
         with pytest.raises(ParameterError) as sim_exc:
-            simulate_high_res(spec, config, zero_cont(spec))
+            simulate_high_res(spec, config)
         assert str(sim_exc.value) == str(step_exc.value)
 
     def test_csv_schema(self, tmp_path):
         spec = get_instance("scalar_lasso_smoothed")
         sad = get_saddle("scalar_lasso_smoothed")
         config = IntegratorConfig(s=1.0, delta=0.5, T=2.0)
-        trace = simulate_high_res(spec, config, zero_cont(spec),
-                                  ref=(sad.y_star, sad.lambda_star))
+        trace = simulate_high_res(spec, config, saddle=sad)
         path = tmp_path / "cont.csv"
         trace.to_csv(path)
         header = path.read_text().split("\n", 1)[0]
@@ -158,22 +149,22 @@ class TestLowRes:
     def test_deviation_identically_zero(self):
         spec = get_instance("lasso_8x6_smoothed")
         config = IntegratorConfig(s=1.0, delta=0.01, T=5.0)
-        trace = simulate_low_res(spec, config, np.zeros(spec.d1))
+        trace = simulate_low_res(spec, config)
         assert float(np.max(trace.scalars["deviation"])) <= 1e-10
 
     def test_requires_smooth_terms(self):
         with pytest.raises(ParameterError, match="differentiable"):
-            simulate_low_res(get_instance("scalar_lasso"), self.UNIT, np.zeros(1))
+            simulate_low_res(get_instance("scalar_lasso"), self.UNIT)
 
     def test_requires_invertible_FtF(self):
         # the first-difference F has a null direction, so the flow matrix is singular
         with pytest.raises(ParameterError, match="singular"):
-            simulate_low_res(get_instance("tv_d50").smoothed(1e-3), self.UNIT, np.zeros(50))
+            simulate_low_res(get_instance("tv_d50").smoothed(1e-3), self.UNIT)
 
     def test_flow_decreases_objective(self):
         spec = get_instance("lasso_8x6_smoothed")
         config = IntegratorConfig(s=1.0, delta=0.01, T=5.0)
-        trace = simulate_low_res(spec, config, np.zeros(spec.d1))
+        trace = simulate_low_res(spec, config)
         obj = [spec.f.value(trace.xs[j]) + spec.g.value(trace.ys[j])
                for j in (0, len(trace) - 1)]
         assert obj[1] < obj[0]
@@ -184,8 +175,7 @@ def high():
     spec = get_instance("lasso_8x6_smoothed")
     sad = get_saddle("lasso_8x6_smoothed")
     config = IntegratorConfig(s=1.0, delta=0.01, T=10.0)
-    trace = simulate_high_res(spec, config, zero_cont(spec),
-                              ref=(sad.y_star, sad.lambda_star))
+    trace = simulate_high_res(spec, config, saddle=sad)
     return trace, spec, sad, config
 
 
@@ -246,20 +236,41 @@ class TestDeviation:
         assert dev[-1] < dev[0]
 
 
+def _start(block, value):
+    """The zero start of lasso_8x6_smoothed (d1 = d2 = m = 6) with one block set to value."""
+    init = [np.zeros(6) for _ in range(3)]
+    init[block][:] = value
+    return tuple(init)
+
+
+RUN = lambda spec, init: run(spec, SolverConfig(N=2), init=init)
+HIGH_DELTA_S = lambda spec, init: simulate_high_res(
+    spec, IntegratorConfig(s=1.0, delta=1.0, T=3.0), init)
+HIGH_MICRO = lambda spec, init: simulate_high_res(
+    spec, IntegratorConfig(s=1.0, delta=0.1, T=3.0), init)
+LOW = lambda spec, init: simulate_low_res(spec, IntegratorConfig(s=1.0, delta=0.1, T=1.0), init[0])
+SHORT = (np.ones(1),) * 3
+WRONG_LENGTH = r"^initial state dimensions do not match the problem$"
+
 START_CALLS = {
-    "run": lambda spec, one: run(spec, SolverConfig(N=2), init=(one, one, one)),
-    "high_res_delta_s": lambda spec, one: simulate_high_res(
-        spec, IntegratorConfig(s=1.0, delta=1.0, T=3.0), (one, one, one)),
-    "high_res_micro": lambda spec, one: simulate_high_res(
-        spec, IntegratorConfig(s=1.0, delta=0.1, T=3.0), (one, one, one)),
-    "low_res": lambda spec, one: simulate_low_res(
-        spec, IntegratorConfig(s=1.0, delta=0.1, T=1.0), one),
+    "run": (RUN, SHORT, WRONG_LENGTH),
+    "high_res_delta_s": (HIGH_DELTA_S, SHORT, WRONG_LENGTH),
+    "high_res_micro": (HIGH_MICRO, SHORT, WRONG_LENGTH),
+    "low_res": (LOW, SHORT, WRONG_LENGTH),
+    "run_nan_x": (RUN, _start(0, np.nan), r"^initial x is not finite$"),
+    "run_inf_y": (RUN, _start(1, np.inf), r"^initial y is not finite$"),
+    "run_nan_lambda": (RUN, _start(2, np.nan), r"^initial lambda is not finite$"),
+    "high_res_delta_s_inf_lambda": (HIGH_DELTA_S, _start(2, -np.inf),
+                                    r"^initial lambda is not finite$"),
+    "high_res_micro_nan_y": (HIGH_MICRO, _start(1, np.nan), r"^initial y is not finite$"),
+    "low_res_nan_x": (LOW, _start(0, np.nan), r"^initial x is not finite$"),
+    "low_res_inf_x": (LOW, _start(0, np.inf), r"^initial x is not finite$"),
 }
 
 
-@pytest.mark.parametrize("call", START_CALLS.values(), ids=START_CALLS.keys())
-def test_start_of_wrong_length_refused(call):
-    # a length-1 start on a d = 6 problem is refused, not broadcast across row 0
-    with pytest.raises(ParameterError,
-                       match=r"^initial state dimensions do not match the problem$"):
-        call(get_instance("lasso_8x6_smoothed"), np.ones(1))
+@pytest.mark.parametrize("call, init, message", START_CALLS.values(), ids=START_CALLS.keys())
+def test_start_of_wrong_length_refused(call, init, message):
+    # a length-1 start on a d = 6 problem is refused, not broadcast across row 0, and a
+    # non-finite block is refused by name, not written into row 0
+    with pytest.raises(ParameterError, match=message):
+        call(get_instance("lasso_8x6_smoothed"), init)

@@ -18,8 +18,7 @@ from hypothesis import given, settings, strategies as st
 from admmcert import diagnostics as diag
 from admmcert.functions import AffineIndicator, Quadratic, ScaledL1
 from admmcert.library import _difference_matrix
-from admmcert.ode import (IntegratorConfig, check_continuous_strong_avg, check_theorem_3_2_weak,
-                          simulate_high_res)
+from admmcert.ode import IntegratorConfig, simulate_high_res
 from admmcert.problems import SaddlePoint, build_basis_pursuit, build_generalized_lasso
 from admmcert.solver import GENERAL, STANDARD, SolverConfig, default_r, run
 
@@ -199,8 +198,7 @@ def high_res(spec, trace, ref, s):
     """The delta = s high-resolution trace from the run's start: every implicit step
     is one ADMM step, so no pattern-Newton pass can cycle."""
     init = (trace.xs[0], trace.ys[0], trace.lams[0])
-    return simulate_high_res(spec, IntegratorConfig(s=s, delta=s, T=N * s), init,
-                             ref=(ref.y_star, ref.lambda_star))
+    return simulate_high_res(spec, IntegratorConfig(s=s, delta=s, T=N * s), init, saddle=ref)
 
 
 @DERANDOMIZED
@@ -252,7 +250,7 @@ def test_continuous_weak_and_strong_slacks(case):
             md, bound = mean(mult, j) @ disp, C / (2.0 * t[j])
             slacks.append(fx - fp + gy - gp - md - bound)
             scale = max(scale, *map(abs, (fx, fp, gy, gp, md, bound)))
-    entry = check_theorem_3_2_weak(high, ref)
+    entry = diag.check_theorem_3_2_weak(high, ref)
     close(entry.worst_slack, max(slacks), scale)
 
     if isinstance(spec.f, Quadratic) and spec.f.strong_convexity_modulus() > 1e-10:
@@ -261,6 +259,6 @@ def test_continuous_weak_and_strong_slacks(case):
         C = float(dx0 @ dx0) + s * s * float(dl0 @ dl0)
         rows = [(float((mean(xs, j) - ref.x_star) @ (mean(xs, j) - ref.x_star)),
                  C / (mu * t[j])) for j in nodes]
-        entry = check_continuous_strong_avg(high, ref)
+        entry = diag.check_continuous_strong_avg(high, ref)
         close(entry.worst_slack, max(a - b for a, b in rows), max(max(r) for r in rows))
         assert entry.constants["C"] == C
