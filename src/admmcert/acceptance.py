@@ -80,13 +80,12 @@ def _core_criterion(cid, title, check):
 def criterion_2():
     """Energy decay E(k+1) - E(k) + NE(k) <= 0 on 1000-step runs."""
     return _core_criterion(2, "per-step energy decay with numerical error (1e-9)",
-                           lambda trace, saddle: [diag.check_convergence1(trace, saddle)])
+                           diag.check_convergence1)
 
 
 def criterion_3():
     """Average and min rate bounds at every prefix N <= 1000."""
-    return _core_criterion(3, "prefix average/min rate bounds",
-                           lambda trace, saddle: [diag.check_rate_theorem_4_3(trace, saddle)])
+    return _core_criterion(3, "prefix average/min rate bounds", diag.check_rate_theorem_4_3)
 
 
 def criterion_4():
@@ -103,8 +102,8 @@ def criterion_5():
     for name in STRONG_INSTANCES:
         saddle = library.get_saddle(name)
         trace = _standard_trace(name, 10_000)
-        strong = diag.check_strong_avg_theorem_4_4(trace, saddle)
-        tele = diag.check_ne_telescoping(trace, saddle)
+        strong, = diag.check_strong_avg_theorem_4_4(trace, saddle)
+        tele, = diag.check_ne_telescoping(trace, saddle)
         details[name] = {"strong_avg": strong.worst_slack, "ne_telescoping": tele.worst_slack,
                          "mu": strong.constants["mu"]}
         ok = ok and strong.passed and tele.passed

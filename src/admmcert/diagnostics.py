@@ -2,16 +2,18 @@
 
 Each check evaluates the left- and right-hand side of one proved inequality
 at every index (or every prefix) of a recorded trace, in one array pass over
-its rows, and reports the worst slack lhs - rhs. A check passes when the
-worst slack stays below its tolerance: 1e-9 absolute for per-step
-inequalities and rate bounds, 1e-12 for monotonicity deltas, and 10*delta for
-the continuous checks of a high-resolution trace, whose node values carry
-O(delta) error. A continuous check is the discrete kernel (energy, weak gap,
-strong gap) read at elapsed time t, fed trapezoid time means.
+its rows, and returns its entries, each with its worst slack lhs - rhs.
+CERTIFICATES lists every certificate in report order with its tolerance rule,
+and _entry, the only code that decides a pass, applies it: 1e-9 absolute for
+per-step inequalities (step) and rate bounds (rate), 1e-12 for monotonicity
+deltas (mono), and 10*delta for a high-resolution trace (continuous), whose
+node values carry O(delta) error. A continuous check is the discrete kernel
+(energy, weak gap, strong gap) read at elapsed time t, fed trapezoid time means.
 
 Every check and bundle is called as (trace, saddle): the problem, the step s
-(and delta), and the r of an r-proximal run come from the trace, and the NE
-checks read its ne column, the series solver.run computed once.
+(and delta), and the r of an r-proximal run come from the trace, _entry adds
+them to each entry's constants, and the NE checks read its ne column, the
+series solver.run computed once.
 """
 
 from __future__ import annotations
@@ -27,6 +29,27 @@ from .functions import AffineIndicator, Quadratic
 TOL_STEP = 1e-9
 TOL_RATE = 1e-9
 TOL_MONO = 1e-12
+
+# every certificate, in report order: standard, r-proximal, continuous bundle
+CERTIFICATES = {
+    "energy_decay_with_ne": "step",
+    "lyapunov_monotone": "step",
+    "lemma_iterative_inequality": "step",
+    "theorem_4_3_rate": "rate",
+    "theorem_4_2_weak_rate": "rate",
+    "ne_telescoping": "step",
+    "theorem_5_1_ne_monotone": "mono",
+    "theorem_5_1_last_iterate": "rate",
+    "supporting_triple_inequality": "step",
+    "theorem_4_4_strong_avg": "rate",
+    "theorem_6_1_x_diff_rate": "rate",
+    "theorem_6_2_x_diff_last": "rate",
+    "theorem_6_extended_ne_monotone": "mono",
+    "theorem_6_extended_lyapunov_monotone": "step",
+    "theorem_3_3_lyapunov_monotone": "continuous",
+    "theorem_3_2_weak_rate": "continuous",
+    "theorem_3_4_strong_avg": "continuous",
+}
 
 _PROBE_SEED = 12345
 
@@ -75,15 +98,20 @@ class CertificateReport:
             fh.write(self.to_json_bytes())
 
 
-def _entry(name, slacks, tolerance, constants=None):
+def _entry(theorem, trace, slacks, **constants):
+    """The entry of theorem: its worst slack against the tolerance of its CERTIFICATES
+    rule, with constants and the trace's s, and its delta or r when it has one."""
+    own = {"s": trace.config.s, "delta": getattr(trace.config, "delta", None), "r": trace.r}
+    constants.update((k, v) for k, v in own.items() if v is not None)
+    rule = CERTIFICATES[theorem]
+    tolerance = (10.0 * own["delta"] if rule == "continuous"
+                 else {"step": TOL_STEP, "rate": TOL_RATE, "mono": TOL_MONO}[rule])
     slacks = np.asarray(slacks, dtype=float)
     if slacks.size == 0:
-        return CertificateEntry(name, True, float("-inf"), -1, tolerance, constants or {})
+        return CertificateEntry(theorem, True, float("-inf"), -1, tolerance, constants)
     worst = int(np.argmax(slacks))
-    return CertificateEntry(
-        name, bool(slacks[worst] <= tolerance), float(slacks[worst]), worst,
-        tolerance, constants or {},
-    )
+    return CertificateEntry(theorem, bool(slacks[worst] <= tolerance), float(slacks[worst]),
+                            worst, tolerance, constants)
 
 
 def _sq(v):
@@ -133,27 +161,18 @@ def _prefix_slacks(u, bound):
     return np.maximum(np.cumsum(u) / n - bound, np.minimum.accumulate(u) - bound)
 
 
-def canonical_probes(saddle, spec):
-    """The two probe points used by the theorem derivations: (x*, y*, 0) and (x*, y*, lam*)."""
-    zero = np.zeros(spec.m)
-    return [
-        (saddle.x_star, saddle.y_star, zero),
-        (saddle.x_star, saddle.y_star, saddle.lambda_star),
-    ]
-
-
-def check_lemma_iterative_inequality(trace, saddle, probes=None):
-    """Per-step Lyapunov difference inequality for arbitrary probe points."""
+def check_lemma_iterative_inequality(trace, saddle):
+    """Per-step Lyapunov difference inequality at the two probe points of the theorem
+    derivations, (x*, y*, 0) and (x*, y*, lam*)."""
     spec, s = trace.spec, trace.config.s
     xs, ys, ls = trace.xs, trace.ys, trace.lams
     ne = trace.scalars["ne"][:-1]
     fx, gy = spec.f.value(xs[1:]), spec.g.value(ys[1:])
     mult = ls[1:] - spec.G_sign * (ys[1:] - ys[:-1]) / s
     dev = (xs[1:] - saddle.x_star) @ spec.F.T + spec.G_sign * (ys[1:] - saddle.y_star)
-    all_probes = canonical_probes(saddle, spec) + list(probes or [])
     slacks = np.full(len(trace) - 1, -np.inf)
-    for px, py, plam in all_probes:
-        px, py, plam = (np.asarray(v, dtype=float) for v in (px, py, plam))
+    for px, py, plam in ((saddle.x_star, saddle.y_star, np.zeros(spec.m)),
+                         (saddle.x_star, saddle.y_star, saddle.lambda_star)):
         fp, gp = spec.f.value(px), spec.g.value(py)
         if not np.isfinite(fp) or not np.isfinite(gp):
             continue  # infinite probe value makes the inequality vacuous
@@ -161,20 +180,19 @@ def check_lemma_iterative_inequality(trace, saddle, probes=None):
         lhs = np.diff(_energy(ys, ls, py, plam, s))
         rhs = fp - fx + gp - gy + mult @ disp - dev @ plam - ne
         slacks = np.maximum(slacks, lhs - rhs)
-    return _entry("lemma_iterative_inequality", slacks, TOL_STEP,
-                  {"probes": len(all_probes), "s": s})
+    return [_entry("lemma_iterative_inequality", trace, slacks, probes=2)]
 
 
 def check_convergence1(trace, saddle):
     """E(k+1) - E(k) + NE(k) <= 0 with the saddle as reference (energy decay)."""
     e = _lyapunov(trace, saddle)
     slacks = np.diff(e) + trace.scalars["ne"][:-1]
-    return _entry("energy_decay_with_ne", slacks, TOL_STEP, {"E0": e[0], "s": trace.config.s})
+    return [_entry("energy_decay_with_ne", trace, slacks, E0=e[0])]
 
 
 def check_lyapunov_monotone(trace, saddle):
     e = _lyapunov(trace, saddle)
-    return _entry("lyapunov_monotone", np.diff(e), TOL_STEP, {"E0": e[0], "s": trace.config.s})
+    return [_entry("lyapunov_monotone", trace, np.diff(e), E0=e[0])]
 
 
 def check_rate_theorem_4_3(trace, saddle):
@@ -182,7 +200,7 @@ def check_rate_theorem_4_3(trace, saddle):
     u = _u_series(trace)
     C = _rate_constant(trace, saddle)
     slacks = _prefix_slacks(u, C / np.arange(1, u.size + 1))
-    return _entry("theorem_4_3_rate", slacks, TOL_RATE, {"C": C, "s": trace.config.s})
+    return [_entry("theorem_4_3_rate", trace, slacks, C=C)]
 
 
 def _prefix_means(arr):
@@ -192,7 +210,8 @@ def _prefix_means(arr):
     return means
 
 
-def default_weak_probes(saddle, spec):
+def _weak_probes(saddle, spec):
+    """(x*, y*), zero and a seeded random point; x stays at x* when f is an indicator."""
     rng = np.random.default_rng(_PROBE_SEED)
     if isinstance(spec.f, AffineIndicator):
         # zeros/random x would leave the indicator set; probe at x* instead
@@ -207,7 +226,7 @@ def default_weak_probes(saddle, spec):
     ]
 
 
-def check_weak_rate_theorem_4_2(trace, saddle, probes=None):
+def check_weak_rate_theorem_4_2(trace, saddle):
     """Duality-gap-like quantity at averaged iterates, bounded by C_probe/(2s(N+1)).
 
     Averages run over iterates 1..N+1, matching the telescoped derivation;
@@ -218,10 +237,9 @@ def check_weak_rate_theorem_4_2(trace, saddle, probes=None):
     xs, ys, ls = trace.xs, trace.ys, trace.lams
     t = s * np.arange(1, len(trace))
     mbar = _prefix_means(ls) - spec.G_sign * (ys[1:] - ys[0]) / t.reshape(-1, 1)
-    probes = list(probes) if probes is not None else default_weak_probes(saddle, spec)
-    slacks, consts = _weak_gap(trace, saddle, probes, _prefix_means(xs), _prefix_means(ys),
-                               mbar, t)
-    return _entry("theorem_4_2_weak_rate", slacks, TOL_RATE, {"s": s, **consts})
+    slacks, consts = _weak_gap(trace, saddle, _weak_probes(saddle, spec), _prefix_means(xs),
+                               _prefix_means(ys), mbar, t)
+    return [_entry("theorem_4_2_weak_rate", trace, slacks, **consts)]
 
 
 def _weak_gap(trace, saddle, probes, xbar, ybar, mbar, t):
@@ -284,8 +302,8 @@ def check_strong_avg_theorem_4_4(trace, saddle):
     slacks, C = _strong_gap(lit, trace, saddle, mu, s * n)
     del lit  # one (n, d) array fewer while the shifted means are built
     shifted, _ = _strong_gap(_prefix_means(xs), trace, saddle, mu, s * n)
-    return _entry("theorem_4_4_strong_avg", slacks, TOL_RATE,
-                  {"C": C, "mu": mu, "s": s, "worst_slack_shifted": float(np.max(shifted))})
+    return [_entry("theorem_4_4_strong_avg", trace, slacks, C=C, mu=mu,
+                   worst_slack_shifted=float(np.max(shifted)))]
 
 
 def check_ne_telescoping(trace, saddle):
@@ -293,7 +311,7 @@ def check_ne_telescoping(trace, saddle):
     s = trace.config.s
     e0 = _energy(trace.ys[0], trace.lams[0], saddle.y_star, saddle.lambda_star, s)
     slacks = np.cumsum(trace.scalars["ne"][:-1]) - e0
-    return _entry("ne_telescoping", slacks, TOL_STEP, {"E0": e0, "s": s})
+    return [_entry("ne_telescoping", trace, slacks, E0=e0)]
 
 
 def check_ne_monotone_theorem_5(trace, saddle):
@@ -302,13 +320,12 @@ def check_ne_monotone_theorem_5(trace, saddle):
         raise ParameterError("NE monotonicity needs a trace of length >= 3")
     spec, s = trace.spec, trace.config.s
     xs, ys, ls = trace.xs, trace.ys, trace.lams
-    mono = _entry("theorem_5_1_ne_monotone", np.diff(trace.scalars["ne"][:-1]), TOL_MONO,
-                  {"s": s})
+    mono = _entry("theorem_5_1_ne_monotone", trace, np.diff(trace.scalars["ne"][:-1]))
 
     u = _u_series(trace)
     C = _rate_constant(trace, saddle)
     n = np.arange(1, u.size + 1)
-    last = _entry("theorem_5_1_last_iterate", u - C / n, TOL_RATE, {"C": C, "s": s})
+    last = _entry("theorem_5_1_last_iterate", trace, u - C / n, C=C)
 
     # triple inequality: <G ddy, F dx_{k+2}> >= s^2 <dlam_{k+1}, dlam_{k+1} - dlam_k>
     gdy = spec.G_sign * (ys[1:] - ys[:-1])
@@ -316,7 +333,7 @@ def check_ne_monotone_theorem_5(trace, saddle):
     dl = ls[1:] - ls[:-1]
     lhs = np.sum((gdy[1:] - gdy[:-1]) * fdx[1:], axis=1)
     rhs = s * s * np.sum(dl[1:] * (dl[1:] - dl[:-1]), axis=1)
-    triple = _entry("supporting_triple_inequality", rhs - lhs, TOL_STEP, {"s": s})
+    triple = _entry("supporting_triple_inequality", trace, rhs - lhs)
     return [mono, last, triple]
 
 
@@ -333,38 +350,21 @@ def check_general_rates_theorems_6(trace, saddle):
     C = r * float(dx0 @ dx0) + _rate_constant(trace, saddle)
     dxsq = np.sum(np.diff(xs, axis=0) ** 2, axis=1)
     bound = C / (np.arange(1, dxsq.size + 1) * (r - spec.FtF_norm))
-    e61 = _entry("theorem_6_1_x_diff_rate", _prefix_slacks(dxsq, bound), TOL_RATE,
-                 {"C": C, "r": r, "s": s, "FtF_norm": spec.FtF_norm})
-    e62 = _entry("theorem_6_2_x_diff_last", dxsq - bound, TOL_RATE,
-                 {"C": C, "r": r, "s": s, "FtF_norm": spec.FtF_norm})
+    e61 = _entry("theorem_6_1_x_diff_rate", trace, _prefix_slacks(dxsq, bound), C=C,
+                 FtF_norm=spec.FtF_norm)
+    e62 = _entry("theorem_6_2_x_diff_last", trace, dxsq - bound, C=C, FtF_norm=spec.FtF_norm)
 
     ext_ne = _extended_energy(xs[1:], ys[1:], ls[1:], xs[:-1], ys[:-1], ls[:-1], spec, s, r)
-    mono_ne = _entry("theorem_6_extended_ne_monotone", np.diff(ext_ne), TOL_MONO,
-                     {"r": r, "s": s})
+    mono_ne = _entry("theorem_6_extended_ne_monotone", trace, np.diff(ext_ne))
 
     e = _extended_energy(xs, ys, ls, saddle.x_star, saddle.y_star, saddle.lambda_star,
                          spec, s, r)
-    mono_e = _entry("theorem_6_extended_lyapunov_monotone", np.diff(e), TOL_STEP,
-                    {"E0": e[0], "r": r, "s": s})
+    mono_e = _entry("theorem_6_extended_lyapunov_monotone", trace, np.diff(e), E0=e[0])
     return [e61, e62, mono_ne, mono_e]
 
 
-def step_inclusion_residuals(trace):
-    """Subgradient-membership residuals of the defining optimality inclusions per step,
-    of the r-proximal x-update when the run stepped with an r. Reads no saddle."""
-    spec, s, r = trace.spec, trace.config.s, trace.r
-    xs, ys, ls = trace.xs, trace.ys, trace.lams
-    target = spec.G_sign * ((ys[1:] - ys[:-1]) @ spec.F) / s - ls[1:] @ spec.F
-    if r is not None:
-        dx = np.diff(xs, axis=0)
-        target = target - (r * dx - dx @ spec.FtF.T) / s
-    return (spec.f.subgrad_distance(target, xs[1:]),
-            spec.g.subgrad_distance(-(spec.G_sign * ls[1:]), ys[1:]))
-
-
 # ---------------------------------------------------------------------------
-# continuous certificates: the discrete kernels read at elapsed time t, with
-# tolerance 10*delta (node values carry O(delta) error)
+# continuous certificates: the discrete kernels read at elapsed time t
 
 
 def _sampled_time_means(trace, *series):
@@ -381,53 +381,48 @@ def _sampled_time_means(trace, *series):
 
 def check_theorem_3_3_monotone(trace, saddle):
     """Continuous Lyapunov (saddle reference) nonincreasing along the trajectory."""
-    s, delta = trace.config.s, trace.config.delta
     e = _lyapunov(trace, saddle)
-    return _entry("theorem_3_3_lyapunov_monotone", np.diff(e), 10.0 * delta,
-                  {"E0": e[0], "s": s, "delta": delta})
+    return [_entry("theorem_3_3_lyapunov_monotone", trace, np.diff(e), E0=e[0])]
 
 
 def check_theorem_3_2_weak(trace, saddle):
     """Time-average weak gap against C/(2t) at sampled times: the Theorem 4.2 kernel fed
     trapezoid time means, with the multiplier Lam - G dY/dt, at elapsed time t.
     dY/dt is estimated by central differences (one-sided at the ends)."""
-    spec, s, delta = trace.spec, trace.config.s, trace.config.delta
+    spec = trace.spec
     probes = [(saddle.x_star, saddle.y_star), (np.zeros(spec.d1), np.zeros(spec.d2))]
     mult = trace.lams - spec.G_sign * np.gradient(trace.ys, trace.axis, axis=0)
     (xbar, ybar, mbar), t = _sampled_time_means(trace, trace.xs, trace.ys, mult)
     slacks, _ = _weak_gap(trace, saddle, probes, xbar, ybar, mbar, t)
-    return _entry("theorem_3_2_weak_rate", slacks, 10.0 * delta, {"s": s, "delta": delta})
+    return [_entry("theorem_3_2_weak_rate", trace, slacks)]
 
 
 def check_continuous_strong_avg(trace, saddle):
     """Strong time-average bound ||Xbar - x*||^2 <= C/(mu t) at sampled times: the
     Theorem 4.4 kernel fed trapezoid time means at elapsed time t. Raises
     ParameterError unless f is strongly convex."""
-    s, delta = trace.config.s, trace.config.delta
     mu = strong_convexity_modulus(trace.spec)
     (xbar,), t = _sampled_time_means(trace, trace.xs)
     slacks, C = _strong_gap(xbar, trace, saddle, mu, t)
-    return _entry("theorem_3_4_strong_avg", slacks, 10.0 * delta,
-                  {"C": C, "mu": mu, "s": s, "delta": delta})
+    return [_entry("theorem_3_4_strong_avg", trace, slacks, C=C, mu=mu)]
 
 
 # ---------------------------------------------------------------------------
 # bundles
 
 
-def _bundle(trace, saddle, checks, strong_avg):
-    """Every entry of checks, in order (a check may return a list of them), then that
-    of strong_avg unless its gate refuses a not strongly convex f. The bundles pass
-    their checks in at each call, so the module's current checks run, wrapped ones
-    included."""
+def _bundle(trace, saddle, checks, strong_avg=None):
+    """Every entry of checks, in order, then those of strong_avg unless its gate refuses
+    a not strongly convex f. The bundles pass their checks in at each call, so the
+    module's current checks run, wrapped ones included."""
     entries = []
     for check in checks:
-        out = check(trace, saddle)
-        entries += out if isinstance(out, list) else [out]
-    try:
-        entries.append(strong_avg(trace, saddle))
-    except ParameterError:
-        pass  # the strong-average bound needs a strongly convex f
+        entries += check(trace, saddle)
+    if strong_avg is not None:
+        try:
+            entries += strong_avg(trace, saddle)
+        except ParameterError:
+            pass  # the strong-average bound needs a strongly convex f
     return CertificateReport(entries)
 
 
@@ -442,7 +437,7 @@ def certify_standard(trace, saddle):
 
 def certify_general(trace, saddle):
     """Certificate bundle for an r-proximal trace."""
-    return CertificateReport(check_general_rates_theorems_6(trace, saddle))
+    return _bundle(trace, saddle, (check_general_rates_theorems_6,))
 
 
 def certify_continuous(trace, saddle):

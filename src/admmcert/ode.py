@@ -273,7 +273,8 @@ def simulate_low_res(spec, config, init_x=None, saddle=None):
     Y = G_sign (h - F X) eliminates Y through the constraint (G = +/-I), so the
     deviation is zero by construction at every node.
     """
-    x = check_start(spec, None if init_x is None else (init_x,))[0]
+    x = check_start(spec, None if init_x is None
+                    else (init_x, np.zeros(spec.d2), np.zeros(spec.m)))[0]
     if not (spec.f.smooth and spec.g.smooth):
         raise ParameterError("low-resolution flow needs differentiable f and g")
     if not sym_cond(spec.FtF) <= COND_LIMIT:

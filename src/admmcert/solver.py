@@ -159,11 +159,13 @@ def zero_state(spec):
 
 
 def check_start(spec, init):
-    """The start (x, y, lam), or (x,) alone, as float arrays; init None is the zero
-    start (x, y, lam). Raises ParameterError unless each block has its problem's
-    length (d1, d2 and m), or naming the first block that is not finite."""
+    """The start (x, y, lam) as float arrays; init None is the zero start. Raises
+    ParameterError unless init has three blocks (naming its count), each of its
+    problem's length (d1, d2 and m) and finite (naming the first that is not)."""
     if init is None:
         init = (np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m))
+    if len(init) != 3:
+        raise ParameterError(f"initial state has {len(init)} blocks, expected 3 (x, y, lambda)")
     blocks = [np.asarray(v, dtype=float) for v in init]
     if any(v.shape != (d,) for v, d in zip(blocks, (spec.d1, spec.d2, spec.m))):
         raise ParameterError("initial state dimensions do not match the problem")

@@ -6,7 +6,9 @@ import pytest
 from admmcert import diagnostics as diag
 from admmcert.errors import ParameterError
 from admmcert.library import get_instance, get_saddle
+from admmcert.ode import IntegratorConfig, simulate_high_res
 from admmcert.solver import GENERAL, SolverConfig, run
+from test_row_passes import inclusion_residuals, lemma_slacks
 
 
 def scalar_run(N=200):
@@ -46,7 +48,7 @@ def runs():
 class TestStandardChecks:
     def test_convergence1_all_instances(self, runs):
         for trace, spec, sad in runs.values():
-            entry = diag.check_convergence1(trace, sad)
+            entry, = diag.check_convergence1(trace, sad)
             assert entry.passed, entry.worst_slack
 
     def test_lemma_inequality_with_extra_probe(self, runs):
@@ -54,28 +56,28 @@ class TestStandardChecks:
         rng = np.random.default_rng(11)
         probe = (rng.standard_normal(spec.d1), rng.standard_normal(spec.d2),
                  rng.standard_normal(spec.m))
-        entry = diag.check_lemma_iterative_inequality(trace, sad, probes=[probe])
-        assert entry.passed, entry.worst_slack
+        slacks, _ = lemma_slacks(spec, trace, sad, 1.0, probe)
+        assert max(slacks) <= diag.TOL_STEP
 
     def test_rate_4_3_start_at_saddle(self):
         spec = get_instance("scalar_lasso")
         sad = get_saddle("scalar_lasso")
         init = (sad.x_star, sad.y_star, sad.lambda_star)
         trace = run(spec, SolverConfig(s=1.0, N=10), init=init, saddle=sad)
-        entry = diag.check_rate_theorem_4_3(trace, sad)
+        entry, = diag.check_rate_theorem_4_3(trace, sad)
         assert entry.passed
         assert entry.constants["C"] == pytest.approx(0.0, abs=1e-20)
 
     def test_weak_rate_all_instances(self, runs):
         for trace, spec, sad in runs.values():
-            entry = diag.check_weak_rate_theorem_4_2(trace, sad)
+            entry, = diag.check_weak_rate_theorem_4_2(trace, sad)
             assert entry.passed, (entry.theorem, entry.worst_slack)
 
-    def test_weak_rate_zero_bound_probe(self):
+    def test_weak_rate_zero_bound_probe(self, monkeypatch):
         # probe y = y0 and lam0 = 0 makes the bound exactly 0 at every prefix
         trace, spec, sad = scalar_run(50)
-        probe = [(sad.x_star, trace.ys[0])]
-        entry = diag.check_weak_rate_theorem_4_2(trace, sad, probes=probe)
+        monkeypatch.setattr(diag, "_weak_probes", lambda *_: [(sad.x_star, trace.ys[0])])
+        entry, = diag.check_weak_rate_theorem_4_2(trace, sad)
         assert entry.passed
         assert entry.constants["C_probe0"] == 0.0
         assert entry.worst_slack <= 0.0  # LHS <= 0 under a zero bound
@@ -87,7 +89,7 @@ class TestStandardChecks:
 
     def test_strong_avg_scalar(self):
         trace, spec, sad = scalar_run(500)
-        entry = diag.check_strong_avg_theorem_4_4(trace, sad)
+        entry, = diag.check_strong_avg_theorem_4_4(trace, sad)
         assert entry.passed
         assert entry.constants["mu"] == pytest.approx(2.0)
         assert "worst_slack_shifted" in entry.constants
@@ -100,8 +102,8 @@ class TestStandardChecks:
             assert triple.passed
 
     def test_step_inclusion_residuals_near_zero(self, runs):
-        trace, _, _ = runs["tv_d50"]
-        rx, ry = diag.step_inclusion_residuals(trace)
+        trace, spec, _ = runs["tv_d50"]
+        rx, ry, _ = inclusion_residuals(spec, trace, 1.0, None)
         assert np.max(rx) < 1e-8
         assert np.max(ry) < 1e-8
 
@@ -129,9 +131,58 @@ class TestGeneralChecks:
         sad = get_saddle("lasso_8x6")
         r = 1.1 * spec.FtF_norm
         trace = run(spec, SolverConfig(s=1.0, N=50, variant=GENERAL, r=r), saddle=sad)
-        rx, ry = diag.step_inclusion_residuals(trace)
+        rx, ry, _ = inclusion_residuals(spec, trace, 1.0, r)
         assert np.max(rx) < 1e-8
         assert np.max(ry) < 1e-8
+
+
+class TestCertificateTable:
+    @pytest.fixture(scope="class")
+    def traces(self):
+        """Each bundle with a trace it certifies; between them they report every row."""
+        spec, sad = get_instance("scalar_lasso"), get_saddle("scalar_lasso")
+        general = SolverConfig(s=1.0, N=50, variant=GENERAL, r=2.0 * spec.FtF_norm)
+        smooth, smooth_sad = get_instance("lasso_8x6_smoothed"), get_saddle("lasso_8x6_smoothed")
+        high = simulate_high_res(smooth, IntegratorConfig(s=1.0, delta=0.25, T=5.0),
+                                 saddle=smooth_sad)
+        return [(diag.certify_standard, run(spec, SolverConfig(s=1.0, N=50), saddle=sad), sad),
+                (diag.certify_general, run(spec, general, saddle=sad), sad),
+                (diag.certify_continuous, high, smooth_sad)]
+
+    def test_bundles_report_every_row_once_in_table_order(self, traces):
+        reported = []
+        for bundle, trace, sad in traces:
+            names = [e.theorem for e in bundle(trace, sad).entries]
+            assert names == [name for name in diag.CERTIFICATES if name in names]
+            reported += names
+        assert reported == list(diag.CERTIFICATES)
+
+    def test_every_check_returns_a_list_of_entries(self, traces, monkeypatch):
+        # what perfbench's tracer counts: it wraps each diagnostics.check_* and reads
+        # .passed on every entry it returns
+        names = [n for n in vars(diag) if n.startswith("check_")]
+        returned = {}
+        for name in names:
+            def wrapped(*args, _check=getattr(diag, name), _name=name):
+                returned[_name] = _check(*args)
+                return returned[_name]
+            monkeypatch.setattr(diag, name, wrapped)
+        for bundle, trace, sad in traces:
+            bundle(trace, sad)
+        assert sorted(returned) == sorted(names)  # every check runs in some bundle
+        for out in returned.values():
+            assert isinstance(out, list) and out
+            assert all(isinstance(e, diag.CertificateEntry) for e in out)
+
+    def test_entry_reads_tolerance_and_constants_from_table_and_trace(self, traces):
+        for bundle, trace, sad in traces:
+            for e in bundle(trace, sad).entries:
+                rule = diag.CERTIFICATES[e.theorem]
+                assert e.tolerance == (10.0 * trace.config.delta if rule == "continuous" else
+                                       {"step": 1e-9, "rate": 1e-9, "mono": 1e-12}[rule])
+                assert e.constants["s"] == 1.0
+                assert e.constants.get("r") == trace.r
+                assert e.constants.get("delta") == getattr(trace.config, "delta", None)
 
 
 class TestReportSerialization:

@@ -189,18 +189,18 @@ class TestContinuousDiagnostics:
 
     def test_monotone_certificate(self, high):
         trace, spec, sad, config = high
-        entry = check_theorem_3_3_monotone(trace, sad)
+        entry, = check_theorem_3_3_monotone(trace, sad)
         assert entry.passed, entry.worst_slack
         assert entry.tolerance == pytest.approx(10 * config.delta)
 
     def test_weak_rate_certificate(self, high):
         trace, spec, sad, config = high
-        entry = check_theorem_3_2_weak(trace, sad)
+        entry, = check_theorem_3_2_weak(trace, sad)
         assert entry.passed, entry.worst_slack
 
     def test_strong_avg_certificate(self, high):
         trace, spec, sad, config = high
-        entry = check_continuous_strong_avg(trace, sad)
+        entry, = check_continuous_strong_avg(trace, sad)
         assert entry.passed, entry.worst_slack
 
     def test_bundle(self, high):
@@ -251,12 +251,17 @@ HIGH_MICRO = lambda spec, init: simulate_high_res(
 LOW = lambda spec, init: simulate_low_res(spec, IntegratorConfig(s=1.0, delta=0.1, T=1.0), init[0])
 SHORT = (np.ones(1),) * 3
 WRONG_LENGTH = r"^initial state dimensions do not match the problem$"
+TWO_BLOCKS = (np.zeros(6), np.zeros(6))
+WRONG_COUNT = r"^initial state has 2 blocks, expected 3 \(x, y, lambda\)$"
 
 START_CALLS = {
     "run": (RUN, SHORT, WRONG_LENGTH),
     "high_res_delta_s": (HIGH_DELTA_S, SHORT, WRONG_LENGTH),
     "high_res_micro": (HIGH_MICRO, SHORT, WRONG_LENGTH),
     "low_res": (LOW, SHORT, WRONG_LENGTH),
+    "run_two_blocks": (RUN, TWO_BLOCKS, WRONG_COUNT),
+    "high_res_delta_s_two_blocks": (HIGH_DELTA_S, TWO_BLOCKS, WRONG_COUNT),
+    "high_res_micro_two_blocks": (HIGH_MICRO, TWO_BLOCKS, WRONG_COUNT),
     "run_nan_x": (RUN, _start(0, np.nan), r"^initial x is not finite$"),
     "run_inf_y": (RUN, _start(1, np.inf), r"^initial y is not finite$"),
     "run_nan_lambda": (RUN, _start(2, np.nan), r"^initial lambda is not finite$"),
@@ -270,7 +275,8 @@ START_CALLS = {
 
 @pytest.mark.parametrize("call, init, message", START_CALLS.values(), ids=START_CALLS.keys())
 def test_start_of_wrong_length_refused(call, init, message):
-    # a length-1 start on a d = 6 problem is refused, not broadcast across row 0, and a
-    # non-finite block is refused by name, not written into row 0
+    # a length-1 start on a d = 6 problem is refused, not broadcast across row 0, a
+    # start without three blocks by its count, and a non-finite block by name, not
+    # written into row 0
     with pytest.raises(ParameterError, match=message):
         call(get_instance("lasso_8x6_smoothed"), init)
