@@ -42,31 +42,26 @@ def _write_sidecar(outdir, note):
 
 
 def _load_manifest(path):
+    """The manifest's settings; an empty ConfigParser, whose every lookup falls back,
+    when no manifest is given."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
+    if path and not cp.read(path):
         raise FileNotFoundError(f"manifest {path!r} not found")
     return cp
-
-
-def _manifest_get(cp, section, key, fallback=None):
-    if cp is None:
-        return fallback
-    return cp.get(section, key, fallback=fallback)
 
 
 def _resolve(args, cp, section, key, cast, fallback):
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    raw = _manifest_get(cp, section, key, None)
+    raw = cp.get(section, key, fallback=None)
     if raw is None:
         return fallback
     return cast(raw)
 
 
 def _load_spec(args, cp):
-    spec_path = args.spec or _manifest_get(cp, "instance", "spec")
+    spec_path = args.spec or cp.get("instance", "spec", fallback=None)
     if spec_path is None:
         raise FileNotFoundError("no instance given: pass --spec or set [instance] spec")
     if spec_path in library.INSTANCES:
@@ -75,7 +70,7 @@ def _load_spec(args, cp):
 
 
 def _outdir(args, cp):
-    out = args.out or _manifest_get(cp, "output", "dir") or "out"
+    out = args.out or cp.get("output", "dir", fallback=None) or "out"
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -126,12 +121,12 @@ def cmd_generate(args):
 
 
 def cmd_solve(args):
-    cp = _load_manifest(args.manifest) if args.manifest else None
-    s = float(_resolve(args, cp, "solver", "s", float, 1.0))
-    N = int(_resolve(args, cp, "solver", "N", int, 1000))
+    cp = _load_manifest(args.manifest)
+    s = _resolve(args, cp, "solver", "s", float, 1.0)
+    N = _resolve(args, cp, "solver", "N", int, 1000)
     variant = _resolve(args, cp, "solver", "variant", str, "standard")
     r = _resolve(args, cp, "solver", "r", float, None)
-    tol = float(_resolve(args, cp, "diagnostics", "tol", float, 1e-8))
+    tol = _resolve(args, cp, "diagnostics", "tol", float, 1e-8)
     if N < 2:
         raise ParameterError(f"N = {N!r}: solve certifies the run, and its NE checks need "
                              "N >= 2 steps")
@@ -159,12 +154,12 @@ def cmd_solve(args):
 
 
 def cmd_simulate(args):
-    cp = _load_manifest(args.manifest) if args.manifest else None
+    cp = _load_manifest(args.manifest)
     name, spec = _load_spec(args, cp)
-    s = float(_resolve(args, cp, "solver", "s", float, 1.0))
-    delta = float(_resolve(args, cp, "simulate", "delta", float, s / 100.0))
-    T = float(_resolve(args, cp, "simulate", "horizon", float, 20.0 * s))
-    tol = float(_resolve(args, cp, "diagnostics", "tol", float, 1e-8))
+    s = _resolve(args, cp, "solver", "s", float, 1.0)
+    delta = _resolve(args, cp, "simulate", "delta", float, s / 100.0)
+    T = _resolve(args, cp, "simulate", "horizon", float, 20.0 * s)
+    tol = _resolve(args, cp, "diagnostics", "tol", float, 1e-8)
     config = IntegratorConfig(s=s, delta=delta, T=T)  # refused steps exit before any write
     out = _outdir(args, cp)
 

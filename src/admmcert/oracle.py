@@ -21,6 +21,7 @@ from .solver import default_r
 SIGN_PATTERN_MAX_DIM = 12
 LONG_RUN_BUDGET = 10_000_000
 _CHECK_EVERY = 100
+STALL_CHECKS = 500  # checks in a row without a new best residual that end a long run
 
 
 def sign_pattern_oracle(spec, tol=1e-8):
@@ -81,18 +82,29 @@ def sign_pattern_oracle(spec, tol=1e-8):
 
 
 def long_run_oracle(spec, tol=1e-8, budget=LONG_RUN_BUDGET):
-    """Drive the r-proximal iteration from zero until all KKT residuals fall below tol."""
+    """Drive the r-proximal iteration from zero until all KKT residuals fall below tol.
+
+    The run gives up early, with OracleConvergenceError, once STALL_CHECKS checks in a
+    row have not improved on the best residual: it has stalled above tol."""
     step = Step(spec, 1.0, default_r(spec))
     x, y, lam = np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m)
-    best_res = np.inf
+    best_res, stalled = np.inf, 0
     try:
         for it in range(budget):
             x, y, lam = step(x, y, lam)
             if (it + 1) % _CHECK_EVERY == 0 or it + 1 == budget:
                 res = max(kkt_residuals(spec, x, y, lam))
-                best_res = min(best_res, res)
                 if res <= tol:
                     return SaddlePoint(x, y, lam, res)
+                if res < best_res:
+                    best_res, stalled = res, 0
+                else:
+                    stalled += 1
+                    if stalled == STALL_CHECKS:
+                        raise OracleConvergenceError(
+                            f"long-run oracle stalled at iteration {it + 1}: its best residual "
+                            f"{best_res:.3e} misses {tol!r} and did not improve in the last "
+                            f"{STALL_CHECKS} checks", best_res)
     except IllConditionedError as exc:
         raise IllConditionedError(f"long-run oracle, step k = {it + 1}: {exc}") from None
     raise OracleConvergenceError(

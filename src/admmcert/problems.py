@@ -6,32 +6,29 @@ basis pursuit), KKT residuals, and the instance file format.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import ProblemConstructionError
 from .functions import AffineIndicator, HuberSmoothedL1, Quadratic, ScaledL1
 
-_tag_counter = itertools.count()
-
 
 class ProblemSpec:
-    """Immutable problem instance (f, g, F, G, h); G must be +I or -I."""
+    """Immutable problem instance (f, g, F, G, h). G must be +I or -I; the spec keeps
+    only its sign, G_sign, and builds the matrix G_sign * I when spec.G is read."""
 
     def __init__(self, f, g, F, G, h):
         self.f = f
         self.g = g
         self.F = np.atleast_2d(np.asarray(F, dtype=float))
-        self.G = np.atleast_2d(np.asarray(G, dtype=float))
+        G = np.atleast_2d(np.asarray(G, dtype=float))
         self.h = np.atleast_1d(np.asarray(h, dtype=float))
 
         self.m, self.d1 = self.F.shape
-        if self.G.shape[0] != self.m:
+        if G.shape[0] != self.m:
             raise ProblemConstructionError(
-                f"rows of G ({self.G.shape[0]}) do not match rows of F ({self.m})"
+                f"rows of G ({G.shape[0]}) do not match rows of F ({self.m})"
             )
-        self.d2 = self.G.shape[1]
+        self.d2 = G.shape[1]
         if self.h.shape[0] != self.m:
             raise ProblemConstructionError(
                 f"length of h ({self.h.shape[0]}) does not match rows of F ({self.m})"
@@ -44,9 +41,9 @@ class ProblemSpec:
         # the y-update needs G = c*I with c in {+1, -1}, so every kernel reads G y as
         # G_sign * y; y = c (h - F x) solves the constraint for every x
         eye = np.eye(self.m)
-        if self.d2 == self.m and np.array_equal(self.G, eye):
+        if self.d2 == self.m and np.array_equal(G, eye):
             self.G_sign = 1.0
-        elif self.d2 == self.m and np.array_equal(self.G, -eye):
+        elif self.d2 == self.m and np.array_equal(G, -eye):
             self.G_sign = -1.0
         else:
             raise ProblemConstructionError(
@@ -56,9 +53,15 @@ class ProblemSpec:
         sv = np.linalg.svd(self.F, compute_uv=False)
         self.FtF_norm = float(sv[0] ** 2)
 
-        self.tag = next(_tag_counter)
-        for arr in (self.F, self.G, self.h):
+        for arr in (self.F, self.h):
             arr.flags.writeable = False
+
+    @property
+    def G(self):
+        """The read-only m x m matrix G_sign * I, built anew at each read."""
+        G = self.G_sign * np.eye(self.m)
+        G.flags.writeable = False
+        return G
 
     def constraint_residual(self, x, y):
         """F x + G y - h for one pair of (d,) vectors or row by row for (n, d) arrays."""

@@ -246,13 +246,14 @@ class Step:
 
 
 class FactorizationCache:
-    """One Step per (problem tag, s, r), built on first use and reused."""
+    """One Step per (problem, s, r), built on first use and reused. The key holds the
+    spec object itself, which the cache keeps alive, so no later spec can share it."""
 
     def __init__(self):
         self._store = {}
 
     def get(self, spec, s, r=None):
-        key = (spec.tag, float(s), None if r is None else float(r))
+        key = (spec, float(s), None if r is None else float(r))
         step = self._store.get(key)
         if step is None:
             step = self._store[key] = Step(spec, s, r)

@@ -161,6 +161,16 @@ class TestLowRes:
         with pytest.raises(ParameterError, match="singular"):
             simulate_low_res(get_instance("tv_d50").smoothed(1e-3), self.UNIT)
 
+    @pytest.mark.parametrize("start", [None, 1.0, -1.0], ids=["zero", "plus_one", "minus_one"])
+    @pytest.mark.parametrize("name", ["scalar_lasso_smoothed", "lasso_8x6_smoothed"])
+    def test_algebraic_leg_exact_on_nodes(self, name, start):
+        # the multiplier is -(G_sign * grad g(Y)), so G^T Lam + grad g(Y) is exactly 0
+        spec = get_instance(name)
+        init_x = None if start is None else np.full(spec.d1, start)
+        trace = simulate_low_res(spec, self.UNIT, init_x)
+        alg = spec.G_sign * trace.lams + spec.g.grad(trace.ys)
+        assert np.all(alg == 0.0)
+
     def test_flow_decreases_objective(self):
         spec = get_instance("lasso_8x6_smoothed")
         config = IntegratorConfig(s=1.0, delta=0.01, T=5.0)

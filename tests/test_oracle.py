@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from admmcert import oracle
 from admmcert.cli import main
 from admmcert.errors import OracleConvergenceError, ParameterError
-from admmcert.library import get_instance
+from admmcert.library import _difference_matrix, get_instance
 from admmcert.oracle import long_run_oracle, saddle_point_oracle, sign_pattern_oracle
-from admmcert.problems import build_generalized_lasso, kkt_residuals, load_instance
+from admmcert.problems import build_generalized_lasso, kkt_residuals, load_instance, save_instance
 
 
 def enumerated_saddle(spec, tol=1e-8):
@@ -105,6 +106,27 @@ class TestLongRun:
         with pytest.raises(OracleConvergenceError) as exc:
             long_run_oracle(spec, tol=1e-15, budget=200)
         assert exc.value.best_residual > 0.0
+
+    def test_stalled_residual_exits_before_the_budget(self, monkeypatch, tmp_path, capsys):
+        # scaled by 1e6, this tv instance's best KKT residual stops at 1.7e-9, at
+        # iteration 200, above the 1e-9 that solve's default tol asks of the long run
+        rng = np.random.default_rng(0)
+        path = tmp_path / "stall.txt"
+        save_instance(build_generalized_lasso(np.eye(20), 1e6 * rng.standard_normal(20),
+                                              _difference_matrix(20, 1), 0.5e6), path)
+        calls = []
+
+        class CountingStep(oracle.Step):
+            def __call__(self, *args):
+                calls.append(None)
+                return super().__call__(*args)
+
+        monkeypatch.setattr(oracle, "Step", CountingStep)
+        assert main(["solve", "--spec", str(path), "--N", "100",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert len(calls) == (2 + oracle.STALL_CHECKS) * oracle._CHECK_EVERY
+        err = capsys.readouterr().err
+        assert f"stalled at iteration {len(calls)}: its best residual 1.70" in err
 
     def test_rank_deficient_y_lambda_unique(self):
         # x* is non-unique along the shared null direction; y*, lambda* are not

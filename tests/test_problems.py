@@ -6,6 +6,7 @@ import pytest
 from admmcert.cli import main
 from admmcert.errors import ProblemConstructionError
 from admmcert.functions import AffineIndicator, HuberSmoothedL1, Quadratic, ScaledL1
+from admmcert.library import get_instance, instance_names
 from admmcert.problems import (
     ProblemSpec,
     build_basis_pursuit,
@@ -169,6 +170,23 @@ class TestProblemSpec:
         assert main(["solve", "--spec", str(path), "--out", str(out)]) == 2
         assert shape in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", instance_names())
+    def test_rebuilt_from_its_own_parts(self, name):
+        # perfbench/traced.py times ProblemSpec(spec.f, spec.g, spec.F, spec.G, spec.h)
+        spec = get_instance(name)
+        again = ProblemSpec(spec.f, spec.g, spec.F, spec.G, spec.h)
+        assert again.G_sign == spec.G_sign
+        same_bits(again.FtF, spec.FtF)
+        assert again.FtF_norm == spec.FtF_norm
+        # G is kept as its sign and built when read, as a read-only array
+        same_bits(spec.G, spec.G_sign * np.eye(spec.m))
+        with pytest.raises(ValueError):
+            spec.G[0, 0] = 0.0
+        with pytest.raises(AttributeError):
+            spec.G = np.eye(spec.m)
+        assert "G" not in vars(spec)
+        assert not hasattr(spec, "tag")
 
     def test_arrays_frozen(self):
         spec = scalar_spec()
