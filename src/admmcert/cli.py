@@ -41,6 +41,18 @@ def _write_sidecar(outdir, note):
         fh.write(f"created: {stamp}\n{note}\n")
 
 
+def _repeats(traces):
+    """Sidecar lines naming, for each (file, trace), the row at which its loop stopped
+    stepping because the row repeated an earlier one bit for bit (Trace.store)."""
+    lines = ""
+    for fname, trace in traces:
+        if trace is not None and trace.repeat is not None:
+            i, p = trace.repeat
+            lines += (f"\n{fname}: row {i + p} repeats row {i} (period {p}); "
+                      "the rows after it were copied, not stepped")
+    return lines
+
+
 def _load_manifest(path):
     """The manifest's settings; an empty ConfigParser, whose every lookup falls back,
     when no manifest is given."""
@@ -135,15 +147,16 @@ def cmd_solve(args):
                              "pass --variant general or set [solver] variant = general")
     config = SolverConfig(s=s, N=N, variant=variant, r=r)
     name, spec = _load_spec(args, cp)
-    out = _outdir(args, cp)
 
     saddle = saddle_point_oracle(spec, tol)
     trace = run(spec, config, saddle=saddle)
+    out = _outdir(args, cp)  # a run refused above leaves no directory behind
     trace.to_csv(os.path.join(out, TRACE_CSV))
     trace.to_json(os.path.join(out, "trace.json"))
     report = (certify_general if variant == GENERAL else certify_standard)(trace, saddle)
     report.save(os.path.join(out, "certificates.json"))
-    _write_sidecar(out, f"solve {name} variant={variant} s={s!r} N={N}")
+    _write_sidecar(out, f"solve {name} variant={variant} s={s!r} N={N}"
+                   + _repeats([(TRACE_CSV, trace)]))
     for entry in report.entries:
         print(f"{entry.theorem}: {'pass' if entry.passed else 'FAIL'} "
               f"(worst slack {entry.worst_slack!r})")
@@ -161,12 +174,12 @@ def cmd_simulate(args):
     T = _resolve(args, cp, "simulate", "horizon", float, 20.0 * s)
     tol = _resolve(args, cp, "diagnostics", "tol", float, 1e-8)
     config = IntegratorConfig(s=s, delta=delta, T=T)  # refused steps exit before any write
-    out = _outdir(args, cp)
 
     if delta < s and not spec.g.smooth:
         spec = spec.smoothed(library.HUBER_DELTA)
     saddle = saddle_point_oracle(spec, tol)
     high = simulate_high_res(spec, config, saddle=saddle)
+    out = _outdir(args, cp)  # a run refused above leaves no directory behind
     written = []
 
     def path(fname):  # every table goes through here, so the closing line names it
@@ -194,7 +207,9 @@ def cmd_simulate(args):
     write_csv(path("comparison.csv"),
               ["t", "deviation_high_res", "deviation_low_res", "deviation_discrete",
                "lyapunov_high_res", "lyapunov_discrete"], high.axis[js].tolist(), table)
-    _write_sidecar(out, f"simulate {name} s={s!r} delta={delta!r} T={T!r}")
+    _write_sidecar(out, f"simulate {name} s={s!r} delta={delta!r} T={T!r}"
+                   + _repeats([("high_res.csv", high), ("discrete.csv", trace),
+                               ("low_res.csv", low)]))
     print("wrote " + ", ".join(f"{out}/{fname}" for fname in written))
     return EXIT_PASS
 

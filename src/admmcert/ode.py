@@ -237,21 +237,24 @@ def simulate_high_res(spec, config, init=None, saddle=None):
     """Integrate the high-resolution system over [0, T] from init = (X, Y, Lam)
     (zeros by default); the lyapunov column is NaN without a saddle.
 
-    A step that fails (an x-update solve check, or the pattern iteration) raises
+    Node j sits at t = delta + ... + delta (j terms, summed in order). A step is a
+    function of the node it starts from, so once a node repeats an earlier one bit for
+    bit the loop stops and Trace.store copies the remaining nodes from the cycle. A
+    step that fails (an x-update solve check, or the pattern iteration) raises
     InnerSolveError naming the node t it was stepping to."""
     X, Y, Lam = check_start(spec, init)
     step = ImplicitStep(spec, config.s, config.delta)
     trace = _continuous_trace(spec, config)
-    t = 0.0
+    trace.axis[1:] = config.delta
+    np.cumsum(trace.axis, out=trace.axis)
+    trace.store(0, X, Y, Lam)
     try:
-        for j in range(len(trace)):
-            if j:
-                X, Y, Lam = step(Y, Lam)
-                t = t + config.delta
-            trace.axis[j] = t
-            trace.xs[j], trace.ys[j], trace.lams[j] = X, Y, Lam
+        for j in range(1, len(trace)):
+            X, Y, Lam = step(Y, Lam)
+            if trace.store(j, X, Y, Lam):
+                break
     except (IllConditionedError, InnerSolveError) as exc:
-        raise InnerSolveError(f"implicit step to node t = {t + config.delta!r}: {exc}") \
+        raise InnerSolveError(f"implicit step to node t = {float(trace.axis[j])!r}: {exc}") \
             from None
     # the algebraic leg G^T Lam + grad g(Y) = 0 must hold at every node
     if spec.g.smooth:
@@ -271,7 +274,9 @@ def simulate_low_res(spec, config, init_x=None, saddle=None):
     columns.
 
     Y = G_sign (h - F X) eliminates Y through the constraint (G = +/-I), so the
-    deviation is zero by construction at every node.
+    deviation is zero by construction at every node. The RK4 step is a function of x
+    alone (Y and Lam are filled after the loop), so once x repeats an earlier node bit
+    for bit the loop stops and Trace.store copies the remaining nodes from the cycle.
     """
     x = check_start(spec, None if init_x is None
                     else (init_x, np.zeros(spec.d2), np.zeros(spec.m)))[0]
@@ -294,15 +299,17 @@ def simulate_low_res(spec, config, init_x=None, saddle=None):
 
     delta = config.delta
     trace = _continuous_trace(spec, config)
-    trace.xs[0] = x
-    for j in range(len(trace) - 1):
+    trace.axis[:] = np.arange(len(trace)) * delta
+    zero_y, zero_lam = trace.ys[0], trace.lams[0]  # stay zero until after the loop
+    trace.store(0, x, zero_y, zero_lam)
+    for j in range(1, len(trace)):
         k1 = field(x)
         k2 = field(x + 0.5 * delta * k1)
         k3 = field(x + 0.5 * delta * k2)
         k4 = field(x + delta * k3)
         x = x + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        trace.axis[j + 1] = (j + 1) * delta
-        trace.xs[j + 1] = x
+        if trace.store(j, x, zero_y, zero_lam):
+            break
     trace.ys[:] = spec.G_sign * (spec.h - trace.xs @ spec.F.T)
     # the algebraic leg G^T Lam + grad g(Y) = 0 defines a multiplier surrogate along the flow
     trace.lams[:] = -(spec.G_sign * spec.g.grad(trace.ys))

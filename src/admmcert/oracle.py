@@ -16,7 +16,7 @@ from .errors import IllConditionedError, OracleConvergenceError, ParameterError
 from .functions import Quadratic, ScaledL1
 from .problems import SaddlePoint, kkt_residuals
 from .prox import Step, settle_pattern
-from .solver import default_r
+from .solver import RowMemo, default_r
 
 SIGN_PATTERN_MAX_DIM = 12
 LONG_RUN_BUDGET = 10_000_000
@@ -85,14 +85,23 @@ def long_run_oracle(spec, tol=1e-8, budget=LONG_RUN_BUDGET):
     """Drive the r-proximal iteration from zero until all KKT residuals fall below tol.
 
     The run gives up early, with OracleConvergenceError, once STALL_CHECKS checks in a
-    row have not improved on the best residual: it has stalled above tol."""
+    row have not improved on the best residual: it has stalled above tol. Its last
+    _CHECK_EVERY states are kept (RowMemo); once a state repeats one of them bit for
+    bit, the iteration cycles, so it stops stepping and each later check reads the
+    kept state that its step repeats, with the same results."""
     step = Step(spec, 1.0, default_r(spec))
+    window = RowMemo(*(np.zeros((_CHECK_EVERY + 1, d)) for d in (spec.d1, spec.d2, spec.m)))
     x, y, lam = np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m)
+    window.store(0, x, y, lam)
     best_res, stalled = np.inf, 0
     try:
-        for it in range(budget):
-            x, y, lam = step(x, y, lam)
-            if (it + 1) % _CHECK_EVERY == 0 or it + 1 == budget:
+        for it in range(1, budget + 1):
+            if window.repeat is None:
+                x, y, lam = step(x, y, lam)
+                window.store(it, x, y, lam)
+            if it % _CHECK_EVERY == 0 or it == budget:
+                if window.repeat is not None:
+                    x, y, lam = (b[window.source(it)] for b in window.blocks)
                 res = max(kkt_residuals(spec, x, y, lam))
                 if res <= tol:
                     return SaddlePoint(x, y, lam, res)
@@ -102,11 +111,11 @@ def long_run_oracle(spec, tol=1e-8, budget=LONG_RUN_BUDGET):
                     stalled += 1
                     if stalled == STALL_CHECKS:
                         raise OracleConvergenceError(
-                            f"long-run oracle stalled at iteration {it + 1}: its best residual "
+                            f"long-run oracle stalled at iteration {it}: its best residual "
                             f"{best_res:.3e} misses {tol!r} and did not improve in the last "
                             f"{STALL_CHECKS} checks", best_res)
     except IllConditionedError as exc:
-        raise IllConditionedError(f"long-run oracle, step k = {it + 1}: {exc}") from None
+        raise IllConditionedError(f"long-run oracle, step k = {it}: {exc}") from None
     raise OracleConvergenceError(
         f"long-run oracle did not reach {tol!r} within {budget} iterations "
         f"(best residual {best_res:.3e})", best_res)

@@ -67,6 +67,25 @@ def test_solve_general_without_r_certifies_at_default_r(tmp_path):
     assert all(e["constants"]["r"] == r for e in entries)
 
 
+@pytest.mark.parametrize("argv, lines", [
+    (["solve", "--spec", "scalar_lasso", "--N", "50"],
+     ["trace.csv: row 36 repeats row 35 (period 1)"]),
+    (["solve", "--spec", "tv_d50", "--N", "100"], []),
+    (["simulate", "--spec", "scalar_lasso", "--horizon", "20"],
+     ["high_res.csv: row 1666 repeats row 1665 (period 1)",
+      "low_res.csv: row 1671 repeats row 1670 (period 1)"]),
+], ids=["solve_repeats", "solve_no_repeat", "simulate"])
+def test_repeat_noted_in_the_sidecar_only(tmp_path, argv, lines):
+    # a loop that stopped stepping at an exact repeat says so in metadata.txt, and
+    # nowhere in the byte-compared artifacts
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 0
+    noted = [line.split(";")[0] for line in (out / "metadata.txt").read_text().splitlines()
+             if " repeats row " in line]
+    assert noted == lines
+    assert all("repeat" not in p.read_text() for p in out.iterdir() if p.name != "metadata.txt")
+
+
 def test_solve_rerun_identical_artifacts(tmp_path):
     o1, o2 = tmp_path / "r1", tmp_path / "r2"
     for o in (o1, o2):
