@@ -43,7 +43,7 @@ def _write_sidecar(outdir, note):
 
 def _repeats(traces):
     """Sidecar lines naming, for each (file, trace), the row at which its loop stopped
-    stepping because the row repeated an earlier one bit for bit (Trace.store)."""
+    stepping because the row repeated an earlier one bit for bit (Trace.step_rows)."""
     lines = ""
     for fname, trace in traces:
         if trace is not None and trace.repeat is not None:
@@ -196,10 +196,10 @@ def cmd_simulate(args):
     if spec.f.smooth and spec.g.smooth:
         low = simulate_low_res(spec, config, saddle=saddle)
         low.to_csv(path("low_res.csv"))
-    per = int(round(s / delta))  # a whole number, checked by IntegratorConfig
-    ks = np.arange(len(trace))
-    ks = ks[ks * per < len(high)]  # discrete steps k with a high-resolution node at k*s
-    js = ks * per
+    # the high-resolution node j = k * s/delta of each discrete step k up to T; a range,
+    # as s/delta (a whole number, checked by IntegratorConfig) may not fit an int64
+    js = np.array(range(0, len(high), int(round(s / delta)))[:len(trace)])
+    ks = np.arange(len(js))
     dev_l = low.scalars["deviation"][js] if low is not None else np.full(len(ks), np.nan)
     table = np.column_stack([high.scalars["deviation"][js], dev_l,
                              trace.scalars["primal_res"][ks], high.scalars["lyapunov"][js],

@@ -15,7 +15,10 @@ low-resolution flow eliminates Y through the constraint and therefore
 never leaves the hyperplane F x + G y = h; the deviation columns of the
 two trajectories make the dual-correction effect measurable.
 
-This module only integrates. Both integrators are called like solver.run, as
+This module only integrates. Both integrators produce their nodes through
+solver.Trace.step_rows, the loop behind every row of every iteration, which
+stops stepping once a node repeats an earlier one bit for bit and names the
+node t of a failing step. Both are called like solver.run, as
 (spec, config, init=None, saddle=None), where simulate_low_res's start is x
 alone (init_x): they start from zeros by default and fill the lyapunov
 column against the saddle when one is given. The continuous
@@ -239,23 +242,16 @@ def simulate_high_res(spec, config, init=None, saddle=None):
 
     Node j sits at t = delta + ... + delta (j terms, summed in order). A step is a
     function of the node it starts from, so once a node repeats an earlier one bit for
-    bit the loop stops and Trace.store copies the remaining nodes from the cycle. A
-    step that fails (an x-update solve check, or the pattern iteration) raises
-    InnerSolveError naming the node t it was stepping to."""
-    X, Y, Lam = check_start(spec, init)
+    bit Trace.step_rows stops stepping and copies the remaining nodes from the cycle. A
+    step that fails raises IllConditionedError (an x-update solve check) or
+    InnerSolveError (the pattern iteration) naming the node it was computing
+    (step t = 0.25: ...)."""
+    row = check_start(spec, init)
     step = ImplicitStep(spec, config.s, config.delta)
     trace = _continuous_trace(spec, config)
     trace.axis[1:] = config.delta
     np.cumsum(trace.axis, out=trace.axis)
-    trace.store(0, X, Y, Lam)
-    try:
-        for j in range(1, len(trace)):
-            X, Y, Lam = step(Y, Lam)
-            if trace.store(j, X, Y, Lam):
-                break
-    except (IllConditionedError, InnerSolveError) as exc:
-        raise InnerSolveError(f"implicit step to node t = {float(trace.axis[j])!r}: {exc}") \
-            from None
+    trace.step_rows(lambda X, Y, Lam: step(Y, Lam), row)
     # the algebraic leg G^T Lam + grad g(Y) = 0 must hold at every node
     if spec.g.smooth:
         ls = trace.lams[1:]
@@ -276,7 +272,8 @@ def simulate_low_res(spec, config, init_x=None, saddle=None):
     Y = G_sign (h - F X) eliminates Y through the constraint (G = +/-I), so the
     deviation is zero by construction at every node. The RK4 step is a function of x
     alone (Y and Lam are filled after the loop), so once x repeats an earlier node bit
-    for bit the loop stops and Trace.store copies the remaining nodes from the cycle.
+    for bit Trace.step_rows stops stepping and copies the remaining nodes from the
+    cycle. A failed solve raises IllConditionedError naming the node (step t = 0.01).
     """
     x = check_start(spec, None if init_x is None
                     else (init_x, np.zeros(spec.d2), np.zeros(spec.m)))[0]
@@ -297,19 +294,17 @@ def simulate_low_res(spec, config, init_x=None, saddle=None):
                 f"low-resolution flow solve failed (LAPACK dgetrs info {info})")
         return z
 
-    delta = config.delta
-    trace = _continuous_trace(spec, config)
-    trace.axis[:] = np.arange(len(trace)) * delta
-    zero_y, zero_lam = trace.ys[0], trace.lams[0]  # stay zero until after the loop
-    trace.store(0, x, zero_y, zero_lam)
-    for j in range(1, len(trace)):
+    def rk4(x, y, lam):  # y and lam stay zero until after the loop
         k1 = field(x)
         k2 = field(x + 0.5 * delta * k1)
         k3 = field(x + 0.5 * delta * k2)
         k4 = field(x + delta * k3)
-        x = x + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if trace.store(j, x, zero_y, zero_lam):
-            break
+        return x + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), y, lam
+
+    delta = config.delta
+    trace = _continuous_trace(spec, config)
+    trace.axis[:] = np.arange(len(trace)) * delta
+    trace.step_rows(rk4, (x, trace.ys[0], trace.lams[0]))
     trace.ys[:] = spec.G_sign * (spec.h - trace.xs @ spec.F.T)
     # the algebraic leg G^T Lam + grad g(Y) = 0 defines a multiplier surrogate along the flow
     trace.lams[:] = -(spec.G_sign * spec.g.grad(trace.ys))

@@ -4,8 +4,9 @@ For an l1 regularizer with quadratic f in at most SIGN_PATTERN_MAX_DIM
 coordinates, a primal-dual active-set search (prox.settle_pattern) finds the
 sign pattern of y whose KKT linear system is self-consistent; otherwise (or
 as a cross-check) a long r-proximal ADMM run drives the KKT residuals below
-the requested tolerance. Every returned saddle is re-certified by evaluating
-the KKT residuals at it.
+the requested tolerance, stepping in blocks of _CHECK_EVERY rows through
+Trace.step_rows. Every returned saddle is re-certified by evaluating the KKT
+residuals at it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .errors import IllConditionedError, OracleConvergenceError, ParameterError
 from .functions import Quadratic, ScaledL1
 from .problems import SaddlePoint, kkt_residuals
 from .prox import Step, settle_pattern
-from .solver import RowMemo, default_r
+from .solver import Trace, default_r
 
 SIGN_PATTERN_MAX_DIM = 12
 LONG_RUN_BUDGET = 10_000_000
@@ -84,38 +85,39 @@ def sign_pattern_oracle(spec, tol=1e-8):
 def long_run_oracle(spec, tol=1e-8, budget=LONG_RUN_BUDGET):
     """Drive the r-proximal iteration from zero until all KKT residuals fall below tol.
 
-    The run gives up early, with OracleConvergenceError, once STALL_CHECKS checks in a
-    row have not improved on the best residual: it has stalled above tol. Its last
-    _CHECK_EVERY states are kept (RowMemo); once a state repeats one of them bit for
-    bit, the iteration cycles, so it stops stepping and each later check reads the
-    kept state that its step repeats, with the same results."""
+    The run steps in blocks of _CHECK_EVERY steps, each a Trace of its own whose axis
+    holds the iteration numbers, and checks the residuals at the end of each block. It
+    gives up early, with OracleConvergenceError, once STALL_CHECKS checks in a row have
+    not improved on the best residual: it has stalled above tol. A block stops stepping
+    once a state repeats an earlier state of the block bit for bit (Trace.step_rows), so
+    a run that cycles with period p <= _CHECK_EVERY steps p states per block, not 100,
+    with the same results."""
     step = Step(spec, 1.0, default_r(spec))
-    window = RowMemo(*(np.zeros((_CHECK_EVERY + 1, d)) for d in (spec.d1, spec.d2, spec.m)))
-    x, y, lam = np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m)
-    window.store(0, x, y, lam)
+    row = np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m)
     best_res, stalled = np.inf, 0
-    try:
-        for it in range(1, budget + 1):
-            if window.repeat is None:
-                x, y, lam = step(x, y, lam)
-                window.store(it, x, y, lam)
-            if it % _CHECK_EVERY == 0 or it == budget:
-                if window.repeat is not None:
-                    x, y, lam = (b[window.source(it)] for b in window.blocks)
-                res = max(kkt_residuals(spec, x, y, lam))
-                if res <= tol:
-                    return SaddlePoint(x, y, lam, res)
-                if res < best_res:
-                    best_res, stalled = res, 0
-                else:
-                    stalled += 1
-                    if stalled == STALL_CHECKS:
-                        raise OracleConvergenceError(
-                            f"long-run oracle stalled at iteration {it}: its best residual "
-                            f"{best_res:.3e} misses {tol!r} and did not improve in the last "
-                            f"{STALL_CHECKS} checks", best_res)
-    except IllConditionedError as exc:
-        raise IllConditionedError(f"long-run oracle, step k = {it}: {exc}") from None
+    for start in range(0, budget, _CHECK_EVERY):
+        it = min(start + _CHECK_EVERY, budget)
+        block = Trace(spec, it - start + 1, scalars=())
+        block.axis[:] = np.arange(start, it + 1)
+        try:
+            block.step_rows(step, row)
+        except IllConditionedError as exc:
+            raise IllConditionedError(f"long-run oracle, {exc}") from None
+        # copies, so that the block is freed before the next one is allocated
+        row = x, y, lam = block.xs[-1].copy(), block.ys[-1].copy(), block.lams[-1].copy()
+        del block
+        res = max(kkt_residuals(spec, x, y, lam))
+        if res <= tol:
+            return SaddlePoint(x, y, lam, res)
+        if res < best_res:
+            best_res, stalled = res, 0
+        else:
+            stalled += 1
+            if stalled == STALL_CHECKS:
+                raise OracleConvergenceError(
+                    f"long-run oracle stalled at iteration {it}: its best residual "
+                    f"{best_res:.3e} misses {tol!r} and did not improve in the last "
+                    f"{STALL_CHECKS} checks", best_res)
     raise OracleConvergenceError(
         f"long-run oracle did not reach {tol!r} within {budget} iterations "
         f"(best residual {best_res:.3e})", best_res)

@@ -3,12 +3,13 @@
 The dual step is lam_{k+1} = lam_k + (F x_{k+1} + G y_{k+1} - h)/s, so
 s*(lam_{k+1} - lam_k) equals the constraint violation at every iterate;
 that identity is what pushes the trajectory off the constraint hyperplane
-and is recorded per step. The run loop only steps and stores the iterates;
-the per-row columns are computed from them afterwards, in one array pass.
-Every loop that stores rows (run and the two ode integrators) stops stepping
-once a row repeats an earlier one bit for bit (RowMemo): each step is a
-deterministic function of the row it starts from, so from there on the rows
-cycle, and the trace copies them instead of recomputing them.
+and is recorded per step. Every row of every iteration (run, the two ode
+integrators and the long-run oracle's blocks) is produced by one loop,
+Trace.step_rows, which only steps and stores the iterates; the per-row columns
+are computed from them afterwards, in one array pass. It stops stepping once a
+row repeats an earlier one bit for bit: each step is a deterministic function
+of the row it starts from, so from there on the rows cycle, and the trace
+copies them instead of recomputing them.
 A solver run's rows are serialized once, to trace.csv; trace.json holds only
 its head (columns, config, stop reason) and names that CSV. One writer,
 write_csv, writes every table: each cell is the Python repr of its float, and
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics as diag
-from .errors import IllConditionedError, ParameterError
+from .errors import IllConditionedError, InnerSolveError, ParameterError
 from .problems import kkt_residuals
 from .prox import FactorizationCache, Step
 
@@ -83,29 +84,48 @@ class Trace:
         self.r = r
         self.axis_name = axis
         self.prefixes = prefixes
-        self.axis = np.zeros(n, dtype=int if axis == "k" else float)
-        self.xs = np.zeros((n, spec.d1))
-        self.ys = np.zeros((n, spec.d2))
-        self.lams = np.zeros((n, spec.m))
-        self.scalars = {name: np.full(n, np.nan) for name in scalars}
-        self.repeat = None  # (i, p) once row i + p repeated row i; see store
-        self._memo = RowMemo(self.xs, self.ys, self.lams)
+        try:
+            self.axis = np.zeros(n, dtype=int if axis == "k" else float)
+            self.xs = np.zeros((n, spec.d1))
+            self.ys = np.zeros((n, spec.d2))
+            self.lams = np.zeros((n, spec.m))
+            self.scalars = {name: np.full(n, np.nan) for name in scalars}
+        except (MemoryError, ValueError) as exc:  # numpy's refusal of an oversized array
+            raise ParameterError(f"a trace of {n:.6g} rows cannot be allocated ({exc})") \
+                from None
+        self.repeat = None  # (i, p) once row i + p repeated row i; see step_rows
 
-    def store(self, j, x, y, lam):
-        """Store row j. Returns True when it repeats an earlier row i bit for bit: then
-        repeat is (i, j - i), rows j+1.. are filled with the rows they repeat (row r is
-        row i + ((r - i) mod (j - i))), and the loop that steps the rows must stop. That
-        is exact only for a loop whose next row is a function of the current row alone."""
-        memo = self._memo
-        if not memo.store(j, x, y, lam):
-            if j == len(self) - 1:
-                self._memo = None  # the last row: its dict is no longer needed
-            return False
-        self.repeat, self._memo = memo.repeat, None
-        src = memo.source(np.arange(j + 1, len(self)))
-        for block in memo.blocks:
-            block[j + 1:] = block[src]
-        return True
+    def step_rows(self, step, row):
+        """Fill every row from row = (x, y, lam): row 0 is row, and row j is step(*row
+        j - 1). The stepping stops at the first row equal as int64 to an earlier row i
+        (so 0.0 and -0.0 differ and NaN payloads are compared as bits, as in write_csv):
+        then repeat is (i, p) and each later row r is the row i + ((r - i) mod p) it
+        repeats. That is exact because step is a function of the row it starts from.
+        A step that raises IllConditionedError or InnerSolveError is re-raised as the
+        same type, naming the row being computed (step k = 5, step t = 0.25)."""
+        blocks = xs, ys, ls = self.xs, self.ys, self.lams
+        seen = {}
+        try:
+            for j in range(len(self)):
+                if j:
+                    row = step(*row)
+                xs[j], ys[j], ls[j] = row
+                # a row is looked up by the hash of its bytes and confirmed as int64; the
+                # key is a tuple display, as tuple() over a generator left up to 2,000
+                # freed tuples on CPython's free list (+0.1 MB of verify's peak RSS)
+                key = hash((xs[j].tobytes(), ys[j].tobytes(), ls[j].tobytes()))
+                i = seen.setdefault(key, j)
+                if i < j and all(np.array_equal(b[i].view(np.int64), b[j].view(np.int64))
+                                 for b in blocks):
+                    self.repeat = (i, j - i)
+                    src = i + (np.arange(j + 1, len(self)) - i) % (j - i)
+                    for b in blocks:
+                        b[j + 1:] = b[src]
+                    break
+        except (IllConditionedError, InnerSolveError) as exc:
+            raise type(exc)(f"step {self.axis_name} = {self.axis[j].item()!r}: {exc}") \
+                from None
+        return self
 
     def __len__(self):
         return self.axis.shape[0]
@@ -140,49 +160,6 @@ class Trace:
                 "stop_reason": "completed"}
         with open(path, "w") as fh:
             fh.write(json.dumps(head, sort_keys=True) + "\n")
-
-
-class RowMemo:
-    """The rows (x, y, lam) of a deterministic iteration, stored one at a time in the
-    preallocated (n, d) blocks xs, ys and lams (row j in slot j mod n), that notices the
-    first row equal bit for bit to one still kept, that is, to one of the last n - 1.
-
-    A row is looked up by the hash of the bytes of x, y and lam among the kept rows (a
-    dict of hash ints, not of the bytes), and a hit is confirmed by comparing the two
-    stored rows as int64, so 0.0 and -0.0 differ and NaN payloads are compared as bits,
-    as in write_csv. (Every caller passes float arrays; any other dtype could only hide
-    a repeat, never make one.) If the next row is a function of the current one, then
-    once row j repeats row i every later row repeats too: row r >= i is the row in slot
-    source(r).
-    """
-
-    def __init__(self, xs, ys, lams):
-        self.blocks = xs, ys, lams
-        self.n = xs.shape[0]
-        self.repeat = None  # (i, p): row i + p repeated row i
-        self._seen = {}  # hash of a kept row -> its row index
-        self._keys = [None] * self.n  # the hash of the row in each slot
-
-    def store(self, j, x, y, lam):
-        """Store row j; True when it repeats a kept row, bit for bit."""
-        (xs, ys, ls), seen, slot = self.blocks, self._seen, j % self.n
-        old = self._keys[slot]
-        if old is not None and seen.get(old) == j - self.n:
-            del seen[old]  # row j - n leaves the window
-        xs[slot], ys[slot], ls[slot] = x, y, lam
-        key = self._keys[slot] = hash((x.tobytes(), y.tobytes(), lam.tobytes()))
-        i = seen.setdefault(key, j)
-        if i == j or not all(np.array_equal(b[i % self.n].view(np.int64), b[slot].view(np.int64))
-                             for b in self.blocks):
-            return False
-        self.repeat = (i, j - i)
-        return True
-
-    def source(self, r):
-        """The slot that holds row r >= i once row i + p repeated row i (r may be an
-        array of rows)."""
-        i, p = self.repeat
-        return (i + (r - i) % p) % self.n
 
 
 def write_csv(path, columns, axis, table):
@@ -245,12 +222,12 @@ def run(spec, config, init=None, saddle=None):
     its inputs.
 
     A step is a function of the row it starts from, so once a row repeats an earlier
-    one bit for bit the loop stops stepping and Trace.store copies the remaining rows
-    from the cycle (trace.repeat names it); the bits are those of N computed steps.
+    one bit for bit Trace.step_rows stops stepping and copies the remaining rows from
+    the cycle (trace.repeat names it); the bits are those of N computed steps.
     The per-row columns are computed after the loop from all stored iterates;
     lyapunov is NaN without a saddle, and ne on the last row, which has no successor.
     """
-    x, y, lam = check_start(spec, init)
+    row = check_start(spec, init)
     if config.variant == GENERAL:
         r = config.r if config.r is not None else default_r(spec)
     else:
@@ -261,14 +238,7 @@ def run(spec, config, init=None, saddle=None):
     # reused freed blocks and raised the certificate checks' peak RSS by 1 MB at d = 600
     step = Step(spec, config.s, r)
     trace.axis[:] = np.arange(config.N + 1)
-    trace.store(0, x, y, lam)
-    try:
-        for j in range(1, config.N + 1):
-            x, y, lam = step(x, y, lam)
-            if trace.store(j, x, y, lam):
-                break
-    except IllConditionedError as exc:
-        raise IllConditionedError(f"step k = {j}: {exc}") from None
+    trace.step_rows(step, row)
 
     xs, ys, ls, cols = trace.xs, trace.ys, trace.lams, trace.scalars
     cols["primal_res"], cols["dual_x_res"], cols["dual_y_res"] = kkt_residuals(spec, xs, ys, ls)

@@ -187,6 +187,46 @@ def test_solve_rejects_too_few_steps_before_any_write(tmp_path, monkeypatch, cap
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, rows", [
+    (["solve", "--spec", "scalar_lasso", "--N", str(2**62)], "4.61169e+18"),
+    (["simulate", "--spec", "scalar_lasso_smoothed", "--s", "1e-300", "--delta", "1e-300",
+      "--horizon", "1"], "1e+300"),
+])
+def test_run_too_long_to_allocate_exits_2_before_any_write(tmp_path, monkeypatch, capsys,
+                                                          argv, rows):
+    # numpy refuses both sizes outright, without trying to allocate
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "o"]) == 2
+    assert f"error: a trace of {rows} rows cannot be allocated" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_trace_out_of_memory_exits_2_before_any_write(tmp_path, monkeypatch, capsys):
+    # a size numpy would try, and fail, to allocate: stand in for the failure
+    zeros = np.zeros
+
+    def no_memory(shape, *args, **kwargs):
+        if np.prod(shape) > 10**9:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", no_memory)
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--spec", "scalar_lasso", "--out", "o", "--N", "100000000000"]) == 2
+    assert ("error: a trace of 1e+11 rows cannot be allocated (Unable to allocate"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_step_ratio_past_int64(tmp_path):
+    # s/delta = 1e19 does not fit an int64; only t = 0 is shared by the three runs
+    out = tmp_path / "o"
+    assert main(["simulate", "--spec", "scalar_lasso_smoothed", "--s", "1", "--delta", "1e-19",
+                 "--horizon", "1e-19", "--out", str(out)]) == 0
+    rows = (out / "comparison.csv").read_text().splitlines()[1:]
+    assert len(rows) == 1 and rows[0].startswith("0.0,")
+
+
 def _mutated_instance(tmp_path, block, mutate):
     """A generated 4x3 lasso instance with the first line of one block rewritten."""
     path = tmp_path / "inst.txt"

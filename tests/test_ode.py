@@ -6,7 +6,7 @@ import pytest
 from admmcert import ode
 from admmcert.diagnostics import (certify_continuous, check_continuous_strong_avg,
                                   check_theorem_3_2_weak, check_theorem_3_3_monotone)
-from admmcert.errors import InnerSolveError, ParameterError
+from admmcert.errors import IllConditionedError, ParameterError
 from admmcert.library import get_instance, get_saddle
 from admmcert.ode import ImplicitStep, IntegratorConfig, simulate_high_res, simulate_low_res
 from admmcert.prox import Step
@@ -108,7 +108,7 @@ class TestSimulateHighRes:
         # a NaN start is refused before any step; this finite one overflows in the first
         # step's x-update, whose solve check then fails (the overflow is the point here)
         init = (np.zeros(spec.d1), np.full(spec.d2, np.finfo(float).max), np.zeros(spec.m))
-        with pytest.raises(InnerSolveError, match=r"node t = 0\.25: .*condition estimate"), \
+        with pytest.raises(IllConditionedError, match=r"step t = 0\.25: .*condition estimate"), \
                 np.errstate(over="ignore", invalid="ignore"):
             simulate_high_res(spec, config, init)
 

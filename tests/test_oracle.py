@@ -110,8 +110,9 @@ class TestLongRun:
     def test_stalled_residual_exits_before_the_budget(self, monkeypatch, tmp_path, capsys):
         # scaled by 1e6, this tv instance's best KKT residual stops at 1.7e-9, at
         # iteration 200, above the 1e-9 that solve's default tol asks of the long run.
-        # Its state at step 136 repeats that at step 132 bit for bit, so the oracle
-        # stops stepping there and reads the cycle's kept states at its later checks
+        # Its state at step 136 repeats that at step 132 bit for bit, so the oracle's
+        # second block stops stepping there, and each of its 500 later blocks steps one
+        # period (4 steps) before its start state repeats
         rng = np.random.default_rng(0)
         path = tmp_path / "stall.txt"
         save_instance(build_generalized_lasso(np.eye(20), 1e6 * rng.standard_normal(20),
@@ -126,7 +127,7 @@ class TestLongRun:
         monkeypatch.setattr(oracle, "Step", CountingStep)
         assert main(["solve", "--spec", str(path), "--N", "100",
                      "--out", str(tmp_path / "out")]) == 2
-        assert len(calls) == 136
+        assert len(calls) == 136 + 500 * 4
         err = capsys.readouterr().err
         assert "stalled at iteration 50200: its best residual 1.70" in err
         assert not (tmp_path / "out").exists()  # refused before any output

@@ -1,10 +1,12 @@
-"""The exact-cycle shortcut: a loop that stores rows stops stepping at the first row
-equal bit for bit to an earlier one, and copies the rest from the cycle.
+"""The exact-cycle shortcut: Trace.step_rows, the one loop that produces rows, stops
+stepping at the first row equal bit for bit to an earlier one, and copies the rest
+from the cycle.
 
 Each case below is checked against a reference that computes every row: a plain
-loop over Step or ImplicitStep, or, for the RK4 flow, the integrator itself with
-the repeat never reported. The rows must agree as int64 (so 0.0 and -0.0 differ),
-and the detected (first row of the cycle, period) is pinned.
+loop over Step or ImplicitStep, or, for the RK4 flow and the long-run oracle, the
+same code with Trace.step_rows replaced by a loop that computes every row. The rows
+must agree as int64 (so 0.0 and -0.0 differ), and the detected (first row of the
+cycle, period) is pinned.
 """
 
 from types import SimpleNamespace
@@ -12,12 +14,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from admmcert import solver
+from admmcert import ode, solver
+from admmcert.cli import main
 from admmcert.errors import IllConditionedError
-from admmcert.library import get_instance
+from admmcert.library import _difference_matrix, get_instance
 from admmcert.ode import ImplicitStep, IntegratorConfig, simulate_high_res, simulate_low_res
+from admmcert.oracle import long_run_oracle
+from admmcert.problems import build_generalized_lasso, save_instance
 from admmcert.prox import Step
-from admmcert.solver import GENERAL, RowMemo, SolverConfig, Trace, check_start, run
+from admmcert.solver import GENERAL, SolverConfig, Trace, check_start, run
 
 SMOOTH_CONFIG = IntegratorConfig(s=1.0, delta=0.01, T=20.0)
 
@@ -39,6 +44,15 @@ def stepped_rows(step, start, n):
     for _ in range(n - 1):
         rows.append(step(*rows[-1]))
     return [np.array(col) for col in zip(*rows)]
+
+
+def every_row(trace, step, row):
+    """Trace.step_rows without the shortcut: every row computed, no repeat reported."""
+    for j in range(len(trace)):
+        if j:
+            row = step(*row)
+        trace.xs[j], trace.ys[j], trace.lams[j] = row
+    return trace
 
 
 def assert_same_bits(trace, xs, ys, lams):
@@ -79,12 +93,56 @@ def test_low_res_matches_every_step_computed(monkeypatch):
     spec = get_instance("scalar_lasso_smoothed")
     trace = simulate_low_res(spec, SMOOTH_CONFIG)
     assert trace.repeat == (1670, 1)
-    store = RowMemo.store
-    monkeypatch.setattr(RowMemo, "store", lambda *args: store(*args) and False)
+    monkeypatch.setattr(Trace, "step_rows", every_row)
     full = simulate_low_res(spec, SMOOTH_CONFIG)
     assert full.repeat is None
     assert_same_bits(trace, full.xs, full.ys, full.lams)
     assert first_repeat(full.xs, full.ys, full.lams) == (1670, 1)
+
+
+@pytest.mark.parametrize("name", ["tv_d50", "trend_d50", "lasso_20x50", "basis_pursuit_10x30",
+                                  "lasso_8x6_smoothed"])
+def test_long_run_oracle_matches_every_step_computed(monkeypatch, name):
+    spec = get_instance(name)
+    got = long_run_oracle(spec, tol=1e-9)
+    monkeypatch.setattr(Trace, "step_rows", every_row)
+    want = long_run_oracle(spec, tol=1e-9)
+    assert got.kkt_residual == want.kkt_residual
+    for a, b in zip((got.x_star, got.y_star, got.lambda_star),
+                    (want.x_star, want.y_star, want.lambda_star)):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_stalled_oracle_matches_every_step_computed(monkeypatch, tmp_path, capsys):
+    # the stall repro of test_oracle: its states cycle with period 4 from step 132
+    rng = np.random.default_rng(0)
+    path = tmp_path / "stall.txt"
+    save_instance(build_generalized_lasso(np.eye(20), 1e6 * rng.standard_normal(20),
+                                          _difference_matrix(20, 1), 0.5e6), path)
+    argv = ["solve", "--spec", str(path), "--N", "100", "--out", str(tmp_path / "out")]
+    got = main(argv), capsys.readouterr().err
+    monkeypatch.setattr(Trace, "step_rows", every_row)
+    assert (main(argv), capsys.readouterr().err) == got
+    assert got[0] == 2 and "stalled at iteration 50200" in got[1]
+
+
+def test_every_entry_point_steps_through_step_rows(monkeypatch):
+    calls = []
+    step_rows = Trace.step_rows
+
+    def counting(trace, *args):
+        calls.append(trace.axis_name)
+        return step_rows(trace, *args)
+
+    monkeypatch.setattr(Trace, "step_rows", counting)
+    spec, config = get_instance("scalar_lasso_smoothed"), IntegratorConfig(s=1.0, delta=0.5, T=2.0)
+    run(spec, SolverConfig(s=1.0, N=5))
+    assert calls == ["k"]
+    simulate_high_res(spec, config)
+    simulate_low_res(spec, config)
+    assert calls == ["k", "t", "t"]
+    long_run_oracle(spec, tol=1e-9)
+    assert len(calls) > 3 and set(calls[3:]) == {"k"}
 
 
 def test_loops_stop_stepping_at_the_repeat(monkeypatch):
@@ -128,66 +186,56 @@ def test_failed_step_still_names_its_k(monkeypatch):
         run(get_instance("tv_d50"), SolverConfig(s=1.0, N=50))
 
 
+def test_failed_low_res_solve_names_its_t(monkeypatch):
+    monkeypatch.setattr(ode, "_flapack", SimpleNamespace(dgetrs=lambda *args: (args[-1], 1)))
+    with pytest.raises(IllConditionedError,
+                       match=r"^step t = 0\.01: low-resolution flow solve failed"):
+        simulate_low_res(get_instance("scalar_lasso_smoothed"), SMOOTH_CONFIG)
+
+
 class TestFill:
-    """Trace.store on hand-made rows (x, y, lam) = (a, -a, 2a) of one coordinate each."""
+    """Trace.step_rows on hand-made rows (x, y, lam) = (a, -a, 2a) of one coordinate each,
+    replayed by a step that returns the next of the given rows."""
 
     @staticmethod
-    def stored(values, n):
-        trace = Trace(SimpleNamespace(d1=1, d2=1, m=1), n)
-        for j, a in enumerate(values):
-            if trace.store(j, np.array([a]), np.array([-a]), np.array([2.0 * a])):
-                return trace, j
-        return trace, None
+    def stepped(values, n):
+        rows = iter([(np.array([a]), np.array([-a]), np.array([2.0 * a])) for a in values])
+        calls = []
 
-    @pytest.mark.parametrize("values, n, stop, repeat, xs", [
+        def replay(*row):
+            calls.append(None)
+            return next(rows)
+
+        trace = Trace(SimpleNamespace(d1=1, d2=1, m=1), n).step_rows(replay, next(rows))
+        return trace, len(calls)
+
+    @pytest.mark.parametrize("values, n, steps, repeat, xs", [
         ([1.0, 2.0, 3.0, 3.0], 7, 3, (2, 1), [1.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0]),
         ([1.0, 2.0, 3.0, 4.0, 2.0], 9, 4, (1, 3), [1.0, 2.0, 3.0, 4.0, 2.0, 3.0, 4.0, 2.0, 3.0]),
         ([5.0, 6.0, 5.0], 6, 2, (0, 2), [5.0, 6.0, 5.0, 6.0, 5.0, 6.0]),
         ([1.0, 2.0, 3.0, 2.0], 4, 3, (1, 2), [1.0, 2.0, 3.0, 2.0]),  # last row: nothing to fill
     ])
-    def test_rows_after_the_repeat_follow_the_cycle(self, values, n, stop, repeat, xs):
-        trace, j = self.stored(values, n)
-        assert j == stop and trace.repeat == repeat
+    def test_rows_after_the_repeat_follow_the_cycle(self, values, n, steps, repeat, xs):
+        trace, calls = self.stepped(values, n)
+        assert calls == steps and trace.repeat == repeat
         assert trace.xs[:, 0].tolist() == xs
         assert trace.ys[:, 0].tolist() == [-a for a in xs]
         assert trace.lams[:, 0].tolist() == [2.0 * a for a in xs]
 
     def test_signed_zeros_are_not_a_repeat(self):
-        trace, j = self.stored([0.0, -0.0, 0.0], 4)
-        assert (j, trace.repeat) == (2, (0, 2))  # only the third row repeats (the first)
-        trace, j = self.stored([1.0, 0.0, -0.0], 3)
-        assert (j, trace.repeat) == (None, None)
+        trace, calls = self.stepped([0.0, -0.0, 0.0], 4)
+        assert (calls, trace.repeat) == (2, (0, 2))  # only the third row repeats (the first)
+        trace, calls = self.stepped([1.0, 0.0, -0.0], 3)
+        assert (calls, trace.repeat) == (2, None)
         assert np.signbit(trace.xs[:, 0]).tolist() == [False, False, True]
 
     def test_nan_payloads_compare_as_bits(self):
         quiet = np.array([np.nan])
-        other = quiet.view(np.int64) + 1
-        memo = RowMemo(np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((3, 1)))
+        other = (quiet.view(np.int64) + 1).view(float)
         zero = np.zeros(1)
-        assert not memo.store(0, quiet, zero, zero)
-        assert not memo.store(1, other.view(float), zero, zero)
-        assert memo.store(2, quiet, zero, zero) and memo.repeat == (0, 2)
-
-
-class TestWindow:
-    """A RowMemo with n slots keeps the last n - 1 rows, as the long-run oracle's does."""
-
-    @staticmethod
-    def window(values, n):
-        memo = RowMemo(np.zeros((n, 1)), np.zeros((n, 1)), np.zeros((n, 1)))
-        zero = np.zeros(1)
-        for j, a in enumerate(values):
-            if memo.store(j, np.array([a]), zero, zero):
-                break
-        return memo
-
-    def test_period_below_the_window_is_found(self):
-        memo = self.window([7.0, 1.0, 2.0, 3.0, 1.0], 4)
-        assert memo.repeat == (1, 3)
-        xs = memo.blocks[0][:, 0]
-        assert xs[memo.source(np.arange(1, 12))].tolist() == [1.0, 2.0, 3.0] * 3 + [1.0, 2.0]
-
-    def test_period_of_the_window_size_is_not(self):
-        memo = self.window([1.0, 2.0, 3.0, 1.0, 2.0, 3.0], 3)
-        assert memo.repeat is None
-        assert memo.blocks[0][:, 0].tolist() == [1.0, 2.0, 3.0]  # rows 3, 4, 5
+        rows = iter([(other, zero, zero), (quiet, zero, zero), (other, zero, zero)])
+        trace = Trace(SimpleNamespace(d1=1, d2=1, m=1), 5)
+        trace.step_rows(lambda *row: next(rows), (quiet, zero, zero))
+        q, o = quiet.view(np.int64)[0], other.view(np.int64)[0]
+        assert trace.repeat == (0, 2)
+        assert trace.xs.view(np.int64)[:, 0].tolist() == [q, o, q, o, q]
