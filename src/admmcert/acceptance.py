@@ -64,13 +64,13 @@ def criterion_1():
 
 
 def _core_criterion(cid, title, check):
-    """Run check(trace, saddle) -> entries on the 1000-step run of every core
+    """Run check(trace) -> entries on the 1000-step run of every core
     instance. The criterion passes when every entry does; an instance's details
     are the worst slack of its one entry, or a dict of them by theorem."""
     details = {}
     ok = True
     for name in CORE_INSTANCES:
-        entries = check(_standard_trace(name, 1000), library.get_saddle(name))
+        entries = check(_standard_trace(name, 1000))
         details[name] = (entries[0].worst_slack if len(entries) == 1
                          else {e.theorem: e.worst_slack for e in entries})
         ok = ok and all(e.passed for e in entries)
@@ -91,8 +91,7 @@ def criterion_3():
 def criterion_4():
     """NE monotone (1e-12) and last-iterate bound at every prefix."""
     return _core_criterion(4, "numerical-error monotonicity and last-iterate rate",
-                           lambda trace, saddle:
-                           diag.check_ne_monotone_theorem_5(trace, saddle)[:2])
+                           lambda trace: diag.check_ne_monotone_theorem_5(trace)[:2])
 
 
 def criterion_5():
@@ -100,10 +99,9 @@ def criterion_5():
     details = {}
     ok = True
     for name in STRONG_INSTANCES:
-        saddle = library.get_saddle(name)
         trace = _standard_trace(name, 10_000)
-        strong, = diag.check_strong_avg_theorem_4_4(trace, saddle)
-        tele, = diag.check_ne_telescoping(trace, saddle)
+        strong, = diag.check_strong_avg_theorem_4_4(trace)
+        tele, = diag.check_ne_telescoping(trace)
         details[name] = {"strong_avg": strong.worst_slack, "ne_telescoping": tele.worst_slack,
                          "mu": strong.constants["mu"]}
         ok = ok and strong.passed and tele.passed
@@ -123,7 +121,7 @@ def criterion_6():
         for factor in (1.1, 2.0, 10.0):
             r = factor * spec.FtF_norm
             trace = run(spec, SolverConfig(s=_S, N=1000, variant=GENERAL, r=r), saddle=saddle)
-            entries = diag.check_general_rates_theorems_6(trace, saddle)
+            entries = diag.check_general_rates_theorems_6(trace)
             per[f"r={factor}x"] = max(e.worst_slack for e in entries)
             ok = ok and all(e.passed for e in entries)
         details[name] = per
@@ -149,7 +147,7 @@ def criterion_7():
         spec = library.get_instance(name)
         saddle = library.get_saddle(name)
         high = simulate_high_res(spec, config, saddle=saddle)
-        report = diag.certify_continuous(high, saddle)
+        report = diag.certify_continuous(high)
 
         low = simulate_low_res(spec, config, saddle=saddle)
         low_dev = float(np.max(low.scalars["deviation"]))
@@ -197,9 +195,8 @@ def criterion_9():
     """Certificate JSON is byte-identical across repeated pipeline runs."""
     def one_pass():
         spec = library.get_instance("scalar_lasso")
-        saddle = library.get_saddle("scalar_lasso")
-        trace = run(spec, SolverConfig(s=_S, N=500), saddle=saddle)
-        return diag.certify_standard(trace, saddle).to_json_bytes()
+        trace = run(spec, SolverConfig(s=_S, N=500), saddle=library.get_saddle("scalar_lasso"))
+        return diag.certify_standard(trace).to_json_bytes()
 
     first, second = one_pass(), one_pass()
     # the full aggregate report is compared across processes by the test suite

@@ -24,7 +24,7 @@ import numpy as np
 from . import acceptance, library
 from .diagnostics import certify_general, certify_standard
 from .errors import AdmmError, ParameterError
-from .ode import IntegratorConfig, simulate_high_res, simulate_low_res
+from .ode import IntegratorConfig, low_res_refusal, simulate_high_res, simulate_low_res
 from .oracle import saddle_point_oracle
 from .problems import build_basis_pursuit, build_generalized_lasso, load_instance, save_instance
 from .solver import GENERAL, TRACE_CSV, SolverConfig, run, write_csv
@@ -148,12 +148,11 @@ def cmd_solve(args):
     config = SolverConfig(s=s, N=N, variant=variant, r=r)
     name, spec = _load_spec(args, cp)
 
-    saddle = saddle_point_oracle(spec, tol)
-    trace = run(spec, config, saddle=saddle)
+    trace = run(spec, config, saddle=saddle_point_oracle(spec, tol))
     out = _outdir(args, cp)  # a run refused above leaves no directory behind
     trace.to_csv(os.path.join(out, TRACE_CSV))
     trace.to_json(os.path.join(out, "trace.json"))
-    report = (certify_general if variant == GENERAL else certify_standard)(trace, saddle)
+    report = (certify_general if variant == GENERAL else certify_standard)(trace)
     report.save(os.path.join(out, "certificates.json"))
     _write_sidecar(out, f"solve {name} variant={variant} s={s!r} N={N}"
                    + _repeats([(TRACE_CSV, trace)]))
@@ -179,6 +178,13 @@ def cmd_simulate(args):
         spec = spec.smoothed(library.HUBER_DELTA)
     saddle = saddle_point_oracle(spec, tol)
     high = simulate_high_res(spec, config, saddle=saddle)
+    # the discrete steps k = 0..N with k s <= T (at least one), from the two whole
+    # numbers T/delta and s/delta that IntegratorConfig checked
+    ratio = round(s / delta)
+    trace = run(spec, SolverConfig(s=s, N=max(1, round(T / delta) // ratio)), saddle=saddle)
+    # the flow is skipped where it does not apply, as for basis pursuit or any F^T F
+    # left singular by a difference operator
+    low = None if low_res_refusal(spec) else simulate_low_res(spec, config, saddle=saddle)
     out = _outdir(args, cp)  # a run refused above leaves no directory behind
     written = []
 
@@ -187,18 +193,12 @@ def cmd_simulate(args):
         return os.path.join(out, fname)
 
     high.to_csv(path("high_res.csv"))
-
-    solver_cfg = SolverConfig(s=s, N=max(1, int(round(T / s))))
-    trace = run(spec, solver_cfg, saddle=saddle)
     trace.to_csv(path("discrete.csv"))
-
-    low = None
-    if spec.f.smooth and spec.g.smooth:
-        low = simulate_low_res(spec, config, saddle=saddle)
+    if low is not None:
         low.to_csv(path("low_res.csv"))
     # the high-resolution node j = k * s/delta of each discrete step k up to T; a range,
-    # as s/delta (a whole number, checked by IntegratorConfig) may not fit an int64
-    js = np.array(range(0, len(high), int(round(s / delta)))[:len(trace)])
+    # as s/delta may not fit an int64
+    js = np.array(range(0, len(high), ratio))
     ks = np.arange(len(js))
     dev_l = low.scalars["deviation"][js] if low is not None else np.full(len(ks), np.nan)
     table = np.column_stack([high.scalars["deviation"][js], dev_l,

@@ -10,10 +10,10 @@ deltas (mono), and 10*delta for a high-resolution trace (continuous), whose
 node values carry O(delta) error. A continuous check is the discrete kernel
 (energy, weak gap, strong gap) read at elapsed time t, fed trapezoid time means.
 
-Every check and bundle is called as (trace, saddle): the problem, the step s
-(and delta), and the r of an r-proximal run come from the trace, _entry adds
-them to each entry's constants, and the NE checks read its ne column, the
-series solver.run computed once.
+Every check and bundle takes the trace alone: the problem, s (and delta), the r
+of an r-proximal run and the saddle come from it, and _entry adds the first three
+to each entry's constants. The NE checks read its ne column and the Lyapunov
+checks its lyapunov column, as the run computed them: edited rows need both anew.
 """
 
 from __future__ import annotations
@@ -133,21 +133,17 @@ def _extended_energy(x, y, lam, ref_x, ref_y, ref_lam, spec, s, r):
     return extra + _energy(y, lam, ref_y, ref_lam, s)
 
 
-def _start_constant(y0, lam0, ref_y, ref_lam, s):
-    """C = ||G(y0 - ref_y)||^2 + s^2 ||lam0 - ref_lam||^2, the constant of every rate
-    bound that starts from (y0, lam0); the weak probes measure lam from ref_lam = 0."""
-    dy, dl = y0 - ref_y, lam0 - ref_lam
-    return float(dy @ dy) + s * s * float(dl @ dl)
+def _start_constant(v0, lam0, ref_v, ref_lam, s):
+    """C = ||v0 - ref_v||^2 + s^2 ||lam0 - ref_lam||^2, the constant of every rate bound
+    that starts from (v0, lam0): v is G y (G = +/-I drops out), or x in the strong-average
+    bounds; the weak probes measure lam from ref_lam = 0."""
+    dv, dl = v0 - ref_v, lam0 - ref_lam
+    return float(dv @ dv) + s * s * float(dl @ dl)
 
 
-def _rate_constant(trace, saddle):
-    return _start_constant(trace.ys[0], trace.lams[0], saddle.y_star, saddle.lambda_star,
-                           trace.config.s)
-
-
-def _lyapunov(trace, saddle):
-    """E(k) with the saddle as reference, for every row of the trace."""
-    return _energy(trace.ys, trace.lams, saddle.y_star, saddle.lambda_star, trace.config.s)
+def _rate_constant(trace):
+    return _start_constant(trace.ys[0], trace.lams[0], trace.saddle.y_star,
+                           trace.saddle.lambda_star, trace.config.s)
 
 
 def _u_series(trace):
@@ -161,10 +157,10 @@ def _prefix_slacks(u, bound):
     return np.maximum(np.cumsum(u) / n - bound, np.minimum.accumulate(u) - bound)
 
 
-def check_lemma_iterative_inequality(trace, saddle):
+def check_lemma_iterative_inequality(trace):
     """Per-step Lyapunov difference inequality at the two probe points of the theorem
     derivations, (x*, y*, 0) and (x*, y*, lam*)."""
-    spec, s = trace.spec, trace.config.s
+    spec, s, saddle = trace.spec, trace.config.s, trace.saddle
     xs, ys, ls = trace.xs, trace.ys, trace.lams
     ne = trace.scalars["ne"][:-1]
     fx, gy = spec.f.value(xs[1:]), spec.g.value(ys[1:])
@@ -183,22 +179,22 @@ def check_lemma_iterative_inequality(trace, saddle):
     return [_entry("lemma_iterative_inequality", trace, slacks, probes=2)]
 
 
-def check_convergence1(trace, saddle):
+def check_convergence1(trace):
     """E(k+1) - E(k) + NE(k) <= 0 with the saddle as reference (energy decay)."""
-    e = _lyapunov(trace, saddle)
+    e = trace.scalars["lyapunov"]
     slacks = np.diff(e) + trace.scalars["ne"][:-1]
     return [_entry("energy_decay_with_ne", trace, slacks, E0=e[0])]
 
 
-def check_lyapunov_monotone(trace, saddle):
-    e = _lyapunov(trace, saddle)
+def check_lyapunov_monotone(trace):
+    e = trace.scalars["lyapunov"]
     return [_entry("lyapunov_monotone", trace, np.diff(e), E0=e[0])]
 
 
-def check_rate_theorem_4_3(trace, saddle):
+def check_rate_theorem_4_3(trace):
     """Average and min of ||G dy||^2 + s^2 ||dlam||^2 over each prefix, against C/(N+1)."""
     u = _u_series(trace)
-    C = _rate_constant(trace, saddle)
+    C = _rate_constant(trace)
     slacks = _prefix_slacks(u, C / np.arange(1, u.size + 1))
     return [_entry("theorem_4_3_rate", trace, slacks, C=C)]
 
@@ -210,8 +206,9 @@ def _prefix_means(arr):
     return means
 
 
-def _weak_probes(saddle, spec):
+def _weak_probes(trace):
     """(x*, y*), zero and a seeded random point; x stays at x* when f is an indicator."""
+    spec, saddle = trace.spec, trace.saddle
     rng = np.random.default_rng(_PROBE_SEED)
     if isinstance(spec.f, AffineIndicator):
         # zeros/random x would leave the indicator set; probe at x* instead
@@ -226,7 +223,7 @@ def _weak_probes(saddle, spec):
     ]
 
 
-def check_weak_rate_theorem_4_2(trace, saddle):
+def check_weak_rate_theorem_4_2(trace):
     """Duality-gap-like quantity at averaged iterates, bounded by C_probe/(2s(N+1)).
 
     Averages run over iterates 1..N+1, matching the telescoped derivation;
@@ -237,18 +234,18 @@ def check_weak_rate_theorem_4_2(trace, saddle):
     xs, ys, ls = trace.xs, trace.ys, trace.lams
     t = s * np.arange(1, len(trace))
     mbar = _prefix_means(ls) - spec.G_sign * (ys[1:] - ys[0]) / t.reshape(-1, 1)
-    slacks, consts = _weak_gap(trace, saddle, _weak_probes(saddle, spec), _prefix_means(xs),
+    slacks, consts = _weak_gap(trace, _weak_probes(trace), _prefix_means(xs),
                                _prefix_means(ys), mbar, t)
     return [_entry("theorem_4_2_weak_rate", trace, slacks, **consts)]
 
 
-def _weak_gap(trace, saddle, probes, xbar, ybar, mbar, t):
+def _weak_gap(trace, probes, xbar, ybar, mbar, t):
     """Per row of averages (xbar, ybar, mbar) at elapsed time t, the max over probes
     p = (px, py) of f(xbar) - f(px) + g(ybar) - g(py) - <mbar, F(px - x*) + G(py - y*)>
     - C_p/(2t), C_p the start constant of the trace from (py, 0); and the constants
     C_probe<i>. Theorem 4.2 feeds prefix means at t = s(N+1), Theorem 3.2 trapezoid
     time means; a probe where f or g is infinite makes the bound vacuous and is skipped."""
-    spec, s = trace.spec, trace.config.s
+    spec, s, saddle = trace.spec, trace.config.s, trace.saddle
     fx, gy = spec.f.value(xbar), spec.g.value(ybar)
     slacks = np.full(len(t), -np.inf)
     consts = {}
@@ -275,18 +272,17 @@ def strong_convexity_modulus(spec):
     return mu
 
 
-def _strong_gap(xbar, trace, saddle, mu, t):
+def _strong_gap(xbar, trace, mu, t):
     """||xbar - x*||^2 - C/(mu t) row by row, and C = ||x_0 - x*||^2 + s^2 ||lam_0 - lam*||^2.
     Theorem 4.4 feeds means of iterates at t = s(N+1), Theorem 3.4 trapezoid time means."""
-    s = trace.config.s
-    dx0 = trace.xs[0] - saddle.x_star
-    dl0 = trace.lams[0] - saddle.lambda_star
-    C = float(dx0 @ dx0) + s * s * float(dl0 @ dl0)
+    saddle = trace.saddle
+    C = _start_constant(trace.xs[0], trace.lams[0], saddle.x_star, saddle.lambda_star,
+                        trace.config.s)
     # squaring the temporary lets numpy reuse its buffer: one (n, d) array less
     return np.sum((xbar - saddle.x_star) ** 2, axis=-1) - C / (mu * t), C
 
 
-def check_strong_avg_theorem_4_4(trace, saddle):
+def check_strong_avg_theorem_4_4(trace):
     """Printed strong-average bound ||xbar_{N+1} - x*||^2 <= C/(mu s (N+1)).
 
     The literal reading averages x_0..x_{N+1}; the shifted reading (what the
@@ -299,22 +295,21 @@ def check_strong_avg_theorem_4_4(trace, saddle):
     n = np.arange(1, xs.shape[0])
     lit = np.cumsum(xs, axis=0)[1:]
     lit /= (n + 1).reshape(-1, 1)  # mean of x_0..x_{N+1}, divided in place
-    slacks, C = _strong_gap(lit, trace, saddle, mu, s * n)
+    slacks, C = _strong_gap(lit, trace, mu, s * n)
     del lit  # one (n, d) array fewer while the shifted means are built
-    shifted, _ = _strong_gap(_prefix_means(xs), trace, saddle, mu, s * n)
+    shifted, _ = _strong_gap(_prefix_means(xs), trace, mu, s * n)
     return [_entry("theorem_4_4_strong_avg", trace, slacks, C=C, mu=mu,
                    worst_slack_shifted=float(np.max(shifted)))]
 
 
-def check_ne_telescoping(trace, saddle):
+def check_ne_telescoping(trace):
     """Telescoped numerical error: sum_{k<=N} NE(k) <= E(0) for every prefix."""
-    s = trace.config.s
-    e0 = _energy(trace.ys[0], trace.lams[0], saddle.y_star, saddle.lambda_star, s)
+    e0 = trace.scalars["lyapunov"][0]
     slacks = np.cumsum(trace.scalars["ne"][:-1]) - e0
     return [_entry("ne_telescoping", trace, slacks, E0=e0)]
 
 
-def check_ne_monotone_theorem_5(trace, saddle):
+def check_ne_monotone_theorem_5(trace):
     """NE monotonicity, the last-iterate rate bound, and the supporting triple inequality."""
     if len(trace) < 3:
         raise ParameterError("NE monotonicity needs a trace of length >= 3")
@@ -323,7 +318,7 @@ def check_ne_monotone_theorem_5(trace, saddle):
     mono = _entry("theorem_5_1_ne_monotone", trace, np.diff(trace.scalars["ne"][:-1]))
 
     u = _u_series(trace)
-    C = _rate_constant(trace, saddle)
+    C = _rate_constant(trace)
     n = np.arange(1, u.size + 1)
     last = _entry("theorem_5_1_last_iterate", trace, u - C / n, C=C)
 
@@ -337,17 +332,17 @@ def check_ne_monotone_theorem_5(trace, saddle):
     return [mono, last, triple]
 
 
-def check_general_rates_theorems_6(trace, saddle):
+def check_general_rates_theorems_6(trace):
     """x-difference rate bounds and extended Lyapunov/NE monotonicity (r-proximal runs),
     at the r the run stepped with."""
     if trace.config.variant != "general":
         raise ParameterError("general-rate certificates require an r-proximal trace")
-    spec, s, r = trace.spec, trace.config.s, trace.r
+    spec, s, r, saddle = trace.spec, trace.config.s, trace.r, trace.saddle
     if not r > spec.FtF_norm:
         raise ParameterError("r must exceed the spectral norm of F^T F")
     xs, ys, ls = trace.xs, trace.ys, trace.lams
     dx0 = xs[0] - saddle.x_star
-    C = r * float(dx0 @ dx0) + _rate_constant(trace, saddle)
+    C = r * float(dx0 @ dx0) + _rate_constant(trace)
     dxsq = np.sum(np.diff(xs, axis=0) ** 2, axis=1)
     bound = C / (np.arange(1, dxsq.size + 1) * (r - spec.FtF_norm))
     e61 = _entry("theorem_6_1_x_diff_rate", trace, _prefix_slacks(dxsq, bound), C=C,
@@ -379,31 +374,31 @@ def _sampled_time_means(trace, *series):
     return means, t
 
 
-def check_theorem_3_3_monotone(trace, saddle):
+def check_theorem_3_3_monotone(trace):
     """Continuous Lyapunov (saddle reference) nonincreasing along the trajectory."""
-    e = _lyapunov(trace, saddle)
+    e = trace.scalars["lyapunov"]
     return [_entry("theorem_3_3_lyapunov_monotone", trace, np.diff(e), E0=e[0])]
 
 
-def check_theorem_3_2_weak(trace, saddle):
+def check_theorem_3_2_weak(trace):
     """Time-average weak gap against C/(2t) at sampled times: the Theorem 4.2 kernel fed
     trapezoid time means, with the multiplier Lam - G dY/dt, at elapsed time t.
     dY/dt is estimated by central differences (one-sided at the ends)."""
-    spec = trace.spec
+    spec, saddle = trace.spec, trace.saddle
     probes = [(saddle.x_star, saddle.y_star), (np.zeros(spec.d1), np.zeros(spec.d2))]
     mult = trace.lams - spec.G_sign * np.gradient(trace.ys, trace.axis, axis=0)
     (xbar, ybar, mbar), t = _sampled_time_means(trace, trace.xs, trace.ys, mult)
-    slacks, _ = _weak_gap(trace, saddle, probes, xbar, ybar, mbar, t)
+    slacks, _ = _weak_gap(trace, probes, xbar, ybar, mbar, t)
     return [_entry("theorem_3_2_weak_rate", trace, slacks)]
 
 
-def check_continuous_strong_avg(trace, saddle):
+def check_continuous_strong_avg(trace):
     """Strong time-average bound ||Xbar - x*||^2 <= C/(mu t) at sampled times: the
     Theorem 4.4 kernel fed trapezoid time means at elapsed time t. Raises
     ParameterError unless f is strongly convex."""
     mu = strong_convexity_modulus(trace.spec)
     (xbar,), t = _sampled_time_means(trace, trace.xs)
-    slacks, C = _strong_gap(xbar, trace, saddle, mu, t)
+    slacks, C = _strong_gap(xbar, trace, mu, t)
     return [_entry("theorem_3_4_strong_avg", trace, slacks, C=C, mu=mu)]
 
 
@@ -411,37 +406,40 @@ def check_continuous_strong_avg(trace, saddle):
 # bundles
 
 
-def _bundle(trace, saddle, checks, strong_avg=None):
+def _bundle(trace, checks, strong_avg=None):
     """Every entry of checks, in order, then those of strong_avg unless its gate refuses
     a not strongly convex f. The bundles pass their checks in at each call, so the
     module's current checks run, wrapped ones included."""
+    if trace.saddle is None:
+        raise ParameterError("certificates need a saddle: the trace was run without one, "
+                             "so its lyapunov column is NaN")
     entries = []
     for check in checks:
-        entries += check(trace, saddle)
+        entries += check(trace)
     if strong_avg is not None:
         try:
-            entries += strong_avg(trace, saddle)
+            entries += strong_avg(trace)
         except ParameterError:
             pass  # the strong-average bound needs a strongly convex f
     return CertificateReport(entries)
 
 
-def certify_standard(trace, saddle):
+def certify_standard(trace):
     """Full certificate bundle for a standard-ADMM trace; Theorem 4.4 joins it when f
     is strongly convex."""
-    return _bundle(trace, saddle, (
+    return _bundle(trace, (
         check_convergence1, check_lyapunov_monotone, check_lemma_iterative_inequality,
         check_rate_theorem_4_3, check_weak_rate_theorem_4_2, check_ne_telescoping,
         check_ne_monotone_theorem_5), check_strong_avg_theorem_4_4)
 
 
-def certify_general(trace, saddle):
+def certify_general(trace):
     """Certificate bundle for an r-proximal trace."""
-    return _bundle(trace, saddle, (check_general_rates_theorems_6,))
+    return _bundle(trace, (check_general_rates_theorems_6,))
 
 
-def certify_continuous(trace, saddle):
+def certify_continuous(trace):
     """Certificate bundle for a high-resolution trace; Theorem 3.4 joins it when f is
     strongly convex."""
-    return _bundle(trace, saddle, (check_theorem_3_3_monotone, check_theorem_3_2_weak),
+    return _bundle(trace, (check_theorem_3_3_monotone, check_theorem_3_2_weak),
                    check_continuous_strong_avg)

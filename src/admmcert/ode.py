@@ -20,8 +20,8 @@ solver.Trace.step_rows, the loop behind every row of every iteration, which
 stops stepping once a node repeats an earlier one bit for bit and names the
 node t of a failing step. Both are called like solver.run, as
 (spec, config, init=None, saddle=None), where simulate_low_res's start is x
-alone (init_x): they start from zeros by default and fill the lyapunov
-column against the saddle when one is given. The continuous
+alone (init_x): they start from zeros by default, and the trace carries the
+saddle and its lyapunov column when one is given. The continuous
 certificates (Theorems 3.2-3.4) and their bundle, certify_continuous, live in
 diagnostics with the discrete ones.
 """
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import _energy, _lyapunov
+from .diagnostics import _energy
 from .errors import IllConditionedError, InnerSolveError, ParameterError, UnsupportedProblemError
 from .functions import AffineIndicator, HuberSmoothedL1
 from .prox import COND_LIMIT, Step, _flapack, _norm, lapack_factor, settle_pattern, sym_cond
@@ -71,23 +71,23 @@ class IntegratorConfig:
         _refuse_rounded_s(self.s, self.delta)
 
 
-def _continuous_trace(spec, config):
-    """The trace of one integration over [0, T], one row per node, carrying config."""
-    return Trace(spec, int(round(config.T / config.delta)) + 1, axis="t",
-                 prefixes=CONT_PREFIXES, scalars=CONT_SCALAR_COLUMNS, config=config)
+def _continuous_trace(spec, config, saddle):
+    """The trace of one integration over [0, T], one row per node, carrying config and saddle."""
+    return Trace(spec, int(round(config.T / config.delta)) + 1, axis="t", prefixes=CONT_PREFIXES,
+                 scalars=CONT_SCALAR_COLUMNS, config=config, saddle=saddle)
 
 
-def _fill_columns(trace, saddle):
+def _fill_columns(trace):
     """The scalar columns: deviation ||F X + G Y - h||, the Lyapunov energy
-    against the saddle (NaN without one) and, at interior nodes, the continuous NE
+    against the trace's saddle (NaN without one) and, at interior nodes, the continuous NE
     (s/2)||G Ydot||^2 + (s^3/2)||Lamdot||^2, the energy of (s Ydot, s Lamdot).
     Lamdot comes from the dual ODE (exact), Ydot from a central difference.
     The NE is reported only: its continuous monotonicity is not certified."""
-    spec, s, cols = trace.spec, trace.config.s, trace.scalars
+    spec, s, cols, saddle = trace.spec, trace.config.s, trace.scalars, trace.saddle
     r = spec.constraint_residual(trace.xs, trace.ys)
     cols["deviation"] = np.linalg.norm(r, axis=1)
     if saddle is not None:
-        cols["lyapunov"] = _lyapunov(trace, saddle)
+        cols["lyapunov"] = _energy(trace.ys, trace.lams, saddle.y_star, saddle.lambda_star, s)
     t = trace.axis
     ydot = (trace.ys[2:] - trace.ys[:-2]) / (t[2:] - t[:-2]).reshape(-1, 1)
     cols["ne_continuous"][1:-1] = _energy(s * ydot, r[1:-1] / s, 0.0, 0.0, s)
@@ -248,7 +248,7 @@ def simulate_high_res(spec, config, init=None, saddle=None):
     (step t = 0.25: ...)."""
     row = check_start(spec, init)
     step = ImplicitStep(spec, config.s, config.delta)
-    trace = _continuous_trace(spec, config)
+    trace = _continuous_trace(spec, config, saddle)
     trace.axis[1:] = config.delta
     np.cumsum(trace.axis, out=trace.axis)
     trace.step_rows(lambda X, Y, Lam: step(Y, Lam), row)
@@ -261,7 +261,18 @@ def simulate_high_res(spec, config, init=None, saddle=None):
             j = bad[0] + 1
             raise InnerSolveError(f"algebraic constraint violated at node {j} "
                                   f"(t = {float(trace.axis[j])!r}): {alg[j - 1]:.3e}")
-    return _fill_columns(trace, saddle)
+    return _fill_columns(trace)
+
+
+def low_res_refusal(spec):
+    """Why the low-resolution flow does not apply to spec, or None when it does: its
+    field needs differentiable f and g, and solves with F^T F, which every difference
+    operator leaves singular (D^T D annihilates constants)."""
+    if not (spec.f.smooth and spec.g.smooth):
+        return "low-resolution flow needs differentiable f and g"
+    if not sym_cond(spec.FtF) <= COND_LIMIT:
+        return "F^T F is numerically singular"
+    return None
 
 
 def simulate_low_res(spec, config, init_x=None, saddle=None):
@@ -277,10 +288,8 @@ def simulate_low_res(spec, config, init_x=None, saddle=None):
     """
     x = check_start(spec, None if init_x is None
                     else (init_x, np.zeros(spec.d2), np.zeros(spec.m)))[0]
-    if not (spec.f.smooth and spec.g.smooth):
-        raise ParameterError("low-resolution flow needs differentiable f and g")
-    if not sym_cond(spec.FtF) <= COND_LIMIT:
-        raise ParameterError("F^T F is numerically singular")
+    if refusal := low_res_refusal(spec):
+        raise ParameterError(refusal)
 
     # F^T F is factored once (scipy.linalg.lu_factor's dgetrf); every RK4 stage
     # only back-substitutes
@@ -302,10 +311,10 @@ def simulate_low_res(spec, config, init_x=None, saddle=None):
         return x + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), y, lam
 
     delta = config.delta
-    trace = _continuous_trace(spec, config)
+    trace = _continuous_trace(spec, config, saddle)
     trace.axis[:] = np.arange(len(trace)) * delta
     trace.step_rows(rk4, (x, trace.ys[0], trace.lams[0]))
     trace.ys[:] = spec.G_sign * (spec.h - trace.xs @ spec.F.T)
     # the algebraic leg G^T Lam + grad g(Y) = 0 defines a multiplier surrogate along the flow
     trace.lams[:] = -(spec.G_sign * spec.g.grad(trace.ys))
-    return _fill_columns(trace, saddle)
+    return _fill_columns(trace)

@@ -74,14 +74,16 @@ class Trace:
     named per-row scalar column. The axis name and the x/y/lambda column
     prefixes are data, so one writer serves every trace. The trace fixes what its
     certificates read: the problem (spec), the step s (and delta) from config, a
-    SolverConfig or IntegratorConfig, and the r an r-proximal run stepped with.
+    SolverConfig or IntegratorConfig, the r an r-proximal run stepped with, and the
+    saddle its lyapunov column was measured against (None for a run without one).
     """
 
     def __init__(self, spec, n, axis="k", prefixes=("x", "y", "lambda"),
-                 scalars=TRACE_SCALAR_COLUMNS, config=None, r=None):
+                 scalars=TRACE_SCALAR_COLUMNS, config=None, r=None, saddle=None):
         self.spec = spec
         self.config = config
         self.r = r
+        self.saddle = saddle
         self.axis_name = axis
         self.prefixes = prefixes
         try:
@@ -233,7 +235,7 @@ def run(spec, config, init=None, saddle=None):
     else:
         r = None
 
-    trace = Trace(spec, config.N + 1, config=config, r=r)
+    trace = Trace(spec, config.N + 1, config=config, r=r, saddle=saddle)
     # built after the trace is allocated: the other order changed how the heap
     # reused freed blocks and raised the certificate checks' peak RSS by 1 MB at d = 600
     step = Step(spec, config.s, r)
@@ -244,7 +246,7 @@ def run(spec, config, init=None, saddle=None):
     cols["primal_res"], cols["dual_x_res"], cols["dual_y_res"] = kkt_residuals(spec, xs, ys, ls)
     cols["objective"] = spec.objective(xs, ys)
     if saddle is not None:
-        cols["lyapunov"] = diag._lyapunov(trace, saddle)
+        cols["lyapunov"] = diag._energy(ys, ls, saddle.y_star, saddle.lambda_star, config.s)
     # NE(k), the energy of row k+1 measured from row k: the series the NE checks read
     cols["ne"][:-1] = diag._energy(ys[1:], ls[1:], ys[:-1], ls[:-1], config.s)
     return trace

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from admmcert.cli import main
+from admmcert.errors import ParameterError
 from admmcert.library import get_instance
 from admmcert.problems import load_instance
 from admmcert.solver import default_r
@@ -145,6 +146,63 @@ def test_simulate_smooths_for_micro_steps(tmp_path, capsys):
     low = np.loadtxt(out / "low_res.csv", delimiter=",", skiprows=1)
     dev_col = low[:, 4]  # t, X0, Y0, Lambda0, deviation, ...
     assert np.max(dev_col) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["tv_d50", "trend_d50", "basis_pursuit_10x30"])
+def test_simulate_skips_the_low_res_flow_where_it_does_not_apply(tmp_path, name):
+    # a difference operator leaves F^T F singular and basis pursuit's f is not
+    # differentiable: the flow is skipped, and the other three runs are written
+    out = tmp_path / "sim"
+    assert main(["simulate", "--spec", name, "--delta", "0.01", "--horizon", "1",
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["comparison.csv", "discrete.csv",
+                                                     "high_res.csv", "metadata.txt"]
+    header, *rows = (out / "comparison.csv").read_text().splitlines()
+    i = header.split(",").index("deviation_low_res")
+    assert len(rows) == 2 and all(row.split(",")[i] == "nan" for row in rows)
+
+
+@pytest.mark.parametrize("horizon, last", [("3.5", 3), ("2.5", 2)])
+def test_simulate_discrete_steps_stop_at_the_horizon(tmp_path, horizon, last):
+    # N is the whole part of T/s: no step past T, whichever way T/s rounds
+    out = tmp_path / "sim"
+    assert main(["simulate", "--spec", "scalar_lasso_smoothed", "--s", "1", "--delta", "0.5",
+                 "--horizon", horizon, "--out", str(out)]) == 0
+    ks = [line.split(",")[0] for line in (out / "discrete.csv").read_text().splitlines()[1:]]
+    assert ks == [str(k) for k in range(last + 1)]
+    ts = [line.split(",")[0] for line in (out / "comparison.csv").read_text().splitlines()[1:]]
+    assert ts == [f"{k}.0" for k in range(last + 1)]
+
+
+@pytest.mark.parametrize("runner", ["run", "simulate_low_res"])
+def test_simulate_refused_run_leaves_no_directory(tmp_path, monkeypatch, capsys, runner):
+    # all three runs are computed before the output directory is made
+    import admmcert.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise ParameterError("refused")
+
+    monkeypatch.setattr(cli, runner, refuse)
+    assert main(["simulate", "--spec", "scalar_lasso_smoothed", "--delta", "0.5",
+                 "--horizon", "2", "--out", str(tmp_path / "sim")]) == 2
+    assert "error: refused" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+def test_solve_exits_1_naming_the_failing_certificate(tmp_path, capsys):
+    # the README's erratum: the printed Theorem 4.4 bound fails at N = 0 on this
+    # instance, and its shifted reading passes
+    inst, out = tmp_path / "inst.txt", tmp_path / "run"
+    assert main(["generate", "lasso", "--dims", "20,9", "--seed", "1", "--out", str(inst)]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--spec", str(inst), "--N", "1000", "--out", str(out)]) == 1
+    assert "failing: theorem_4_4_strong_avg" in capsys.readouterr().err.splitlines()
+    payload = json.loads((out / "certificates.json").read_text())
+    assert payload["all_pass"] is False
+    failing = [e for e in payload["certificates"] if not e["pass"]]
+    assert [e["theorem"] for e in failing] == ["theorem_4_4_strong_avg"]
+    assert failing[0]["worst_slack"] == pytest.approx(0.0549, abs=1e-4)
+    assert failing[0]["constants"]["worst_slack_shifted"] < 0.0
 
 
 def test_report_from_solve_artifacts(tmp_path, capsys):
@@ -315,6 +373,26 @@ def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, monkeypatch, capsys, 
     assert [p.name for p in tmp_path.iterdir()] == ["m.ini"]  # refused before any write
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "lasso", "--dims", "0"], "dimensions must be positive"),
+    (["generate", "lasso", "--dims", "5"], "lasso needs dims m,d"),
+    (["generate", "tv", "--dims", "3,4"], "tv needs a single dimension d"),
+    (["generate", "basis_pursuit", "--dims", "9,4"], "basis_pursuit needs m <= d"),
+    (["report"], "report needs --spec"),
+    (["report", "--spec", "m.ini"], "m.ini is not JSON"),
+    (["solve", "--manifest", "missing.ini"], "manifest 'missing.ini' not found"),
+], ids=["generate_zero_dim", "generate_lasso_one_dim", "generate_tv_two_dims",
+        "generate_basis_pursuit_wide", "report_no_spec", "report_not_json",
+        "solve_missing_manifest"])
+def test_refused_input_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, argv,
+                                                  message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.ini").write_text("[instance]\nspec = scalar_lasso\n")
+    assert _exit_code(argv) == 2
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ini"]
+
+
 # (dims, seed, delta, horizon) pairs on which the block-update pattern search cycled;
 # lasso 12,10 seeds 0, 9 and 11 at delta = 0.01 also cycle when warm-started, so
 # they need the single-coordinate fallback
@@ -341,11 +419,10 @@ def test_simulate_generated_lasso_settles_and_certifies(tmp_path, monkeypatch,
         return wrapped
 
     monkeypatch.setattr(cli, "simulate_high_res", keep(cli.simulate_high_res, "high"))
-    monkeypatch.setattr(cli, "saddle_point_oracle", keep(cli.saddle_point_oracle, "saddle"))
     inst = tmp_path / "inst.txt"
     assert main(["generate", "lasso", "--dims", dims, "--seed", str(seed),
                  "--out", str(inst)]) == 0
     assert main(["simulate", "--spec", str(inst), "--delta", delta, "--horizon", horizon,
                  "--out", str(tmp_path / "sim")]) == 0
-    report = certify_continuous(seen["high"][1], seen["saddle"][1])
+    report = certify_continuous(seen["high"][1])
     assert report.all_pass, report.failing()

@@ -6,7 +6,7 @@ import pytest
 from admmcert import diagnostics as diag
 from admmcert.errors import ParameterError
 from admmcert.library import get_instance, get_saddle
-from admmcert.ode import IntegratorConfig, simulate_high_res
+from admmcert.ode import IntegratorConfig, simulate_high_res, simulate_low_res
 from admmcert.solver import GENERAL, SolverConfig, run
 from test_row_passes import inclusion_residuals, lemma_slacks
 
@@ -48,7 +48,7 @@ def runs():
 class TestStandardChecks:
     def test_convergence1_all_instances(self, runs):
         for trace, spec, sad in runs.values():
-            entry, = diag.check_convergence1(trace, sad)
+            entry, = diag.check_convergence1(trace)
             assert entry.passed, entry.worst_slack
 
     def test_lemma_inequality_with_extra_probe(self, runs):
@@ -64,20 +64,20 @@ class TestStandardChecks:
         sad = get_saddle("scalar_lasso")
         init = (sad.x_star, sad.y_star, sad.lambda_star)
         trace = run(spec, SolverConfig(s=1.0, N=10), init=init, saddle=sad)
-        entry, = diag.check_rate_theorem_4_3(trace, sad)
+        entry, = diag.check_rate_theorem_4_3(trace)
         assert entry.passed
         assert entry.constants["C"] == pytest.approx(0.0, abs=1e-20)
 
     def test_weak_rate_all_instances(self, runs):
         for trace, spec, sad in runs.values():
-            entry, = diag.check_weak_rate_theorem_4_2(trace, sad)
+            entry, = diag.check_weak_rate_theorem_4_2(trace)
             assert entry.passed, (entry.theorem, entry.worst_slack)
 
     def test_weak_rate_zero_bound_probe(self, monkeypatch):
         # probe y = y0 and lam0 = 0 makes the bound exactly 0 at every prefix
         trace, spec, sad = scalar_run(50)
         monkeypatch.setattr(diag, "_weak_probes", lambda *_: [(sad.x_star, trace.ys[0])])
-        entry, = diag.check_weak_rate_theorem_4_2(trace, sad)
+        entry, = diag.check_weak_rate_theorem_4_2(trace)
         assert entry.passed
         assert entry.constants["C_probe0"] == 0.0
         assert entry.worst_slack <= 0.0  # LHS <= 0 under a zero bound
@@ -89,14 +89,14 @@ class TestStandardChecks:
 
     def test_strong_avg_scalar(self):
         trace, spec, sad = scalar_run(500)
-        entry, = diag.check_strong_avg_theorem_4_4(trace, sad)
+        entry, = diag.check_strong_avg_theorem_4_4(trace)
         assert entry.passed
         assert entry.constants["mu"] == pytest.approx(2.0)
         assert "worst_slack_shifted" in entry.constants
 
     def test_ne_monotone_and_last_iterate(self, runs):
         for trace, spec, sad in runs.values():
-            mono, last, triple = diag.check_ne_monotone_theorem_5(trace, sad)
+            mono, last, triple = diag.check_ne_monotone_theorem_5(trace)
             assert mono.passed and mono.tolerance == 1e-12
             assert last.passed
             assert triple.passed
@@ -112,14 +112,14 @@ class TestGeneralChecks:
     def test_requires_general_trace(self):
         trace, spec, sad = scalar_run(10)
         with pytest.raises(ParameterError, match="r-proximal"):
-            diag.check_general_rates_theorems_6(trace, sad)
+            diag.check_general_rates_theorems_6(trace)
 
     def test_bundle_passes(self):
         spec = get_instance("rank_deficient_lasso")
         sad = get_saddle("rank_deficient_lasso")
         r = 2.0 * spec.FtF_norm
         trace = run(spec, SolverConfig(s=1.0, N=400, variant=GENERAL, r=r), saddle=sad)
-        entries = diag.check_general_rates_theorems_6(trace, sad)
+        entries = diag.check_general_rates_theorems_6(trace)
         names = [e.theorem for e in entries]
         assert names == ["theorem_6_1_x_diff_rate", "theorem_6_2_x_diff_last",
                          "theorem_6_extended_ne_monotone",
@@ -145,14 +145,14 @@ class TestCertificateTable:
         smooth, smooth_sad = get_instance("lasso_8x6_smoothed"), get_saddle("lasso_8x6_smoothed")
         high = simulate_high_res(smooth, IntegratorConfig(s=1.0, delta=0.25, T=5.0),
                                  saddle=smooth_sad)
-        return [(diag.certify_standard, run(spec, SolverConfig(s=1.0, N=50), saddle=sad), sad),
-                (diag.certify_general, run(spec, general, saddle=sad), sad),
-                (diag.certify_continuous, high, smooth_sad)]
+        return [(diag.certify_standard, run(spec, SolverConfig(s=1.0, N=50), saddle=sad)),
+                (diag.certify_general, run(spec, general, saddle=sad)),
+                (diag.certify_continuous, high)]
 
     def test_bundles_report_every_row_once_in_table_order(self, traces):
         reported = []
-        for bundle, trace, sad in traces:
-            names = [e.theorem for e in bundle(trace, sad).entries]
+        for bundle, trace in traces:
+            names = [e.theorem for e in bundle(trace).entries]
             assert names == [name for name in diag.CERTIFICATES if name in names]
             reported += names
         assert reported == list(diag.CERTIFICATES)
@@ -167,16 +167,16 @@ class TestCertificateTable:
                 returned[_name] = _check(*args)
                 return returned[_name]
             monkeypatch.setattr(diag, name, wrapped)
-        for bundle, trace, sad in traces:
-            bundle(trace, sad)
+        for bundle, trace in traces:
+            bundle(trace)
         assert sorted(returned) == sorted(names)  # every check runs in some bundle
         for out in returned.values():
             assert isinstance(out, list) and out
             assert all(isinstance(e, diag.CertificateEntry) for e in out)
 
     def test_entry_reads_tolerance_and_constants_from_table_and_trace(self, traces):
-        for bundle, trace, sad in traces:
-            for e in bundle(trace, sad).entries:
+        for bundle, trace in traces:
+            for e in bundle(trace).entries:
                 rule = diag.CERTIFICATES[e.theorem]
                 assert e.tolerance == (10.0 * trace.config.delta if rule == "continuous" else
                                        {"step": 1e-9, "rate": 1e-9, "mono": 1e-12}[rule])
@@ -185,14 +185,31 @@ class TestCertificateTable:
                 assert e.constants.get("delta") == getattr(trace.config, "delta", None)
 
 
+def test_trace_carries_its_saddle_and_bundles_refuse_one_without():
+    spec, smooth = get_instance("scalar_lasso"), get_instance("lasso_8x6_smoothed")
+    sad, smooth_sad = get_saddle("scalar_lasso"), get_saddle("lasso_8x6_smoothed")
+    config = IntegratorConfig(s=1.0, delta=0.25, T=1.0)
+    assert run(spec, SolverConfig(s=1.0, N=5), saddle=sad).saddle is sad
+    assert simulate_high_res(smooth, config, saddle=smooth_sad).saddle is smooth_sad
+    assert simulate_low_res(smooth, config, saddle=smooth_sad).saddle is smooth_sad
+    general = SolverConfig(s=1.0, N=5, variant=GENERAL)
+    for bundle, trace in ((diag.certify_standard, run(spec, SolverConfig(s=1.0, N=5))),
+                          (diag.certify_general, run(spec, general)),
+                          (diag.certify_continuous, simulate_high_res(smooth, config))):
+        assert trace.saddle is None and np.all(np.isnan(trace.scalars["lyapunov"]))
+        with pytest.raises(ParameterError, match="^certificates need a saddle: the trace "
+                                                 "was run without one"):
+            bundle(trace)
+
+
 class TestReportSerialization:
     def test_json_schema_and_determinism(self, tmp_path):
         trace, spec, sad = scalar_run(100)
-        report = diag.certify_standard(trace, sad)
+        report = diag.certify_standard(trace)
         assert report.all_pass
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         report.save(p1)
-        diag.certify_standard(trace, sad).save(p2)
+        diag.certify_standard(trace).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
         payload = json.loads(p1.read_text())
         assert payload["all_pass"] is True

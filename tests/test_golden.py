@@ -29,8 +29,9 @@ GOLDEN = {
             "trace.json": "d62bf6bbc7f72e0baf4758643920934ff26962672230b82b414aac26d304860e",
         },
     ),
-    # at T = 20 the implicit step accepts its ADMM-shaped first sweep on 337 of
-    # 2000 steps; at T <= 10 it accepts none, so only this case reaches that path
+    # at T = 20 the run computes 1,666 implicit steps (row 1666 repeats row 1665) and
+    # accepts the ADMM-shaped first sweep on 3 of them, rows 1664-1666; at T <= 10 it
+    # accepts none, so only this case reaches that path
     "simulate_accepted_sweep": (
         ["simulate", "--spec", "scalar_lasso_smoothed", "--delta", "0.01", "--horizon", "20"],
         {

@@ -7,7 +7,7 @@ from admmcert import ode
 from admmcert.diagnostics import (certify_continuous, check_continuous_strong_avg,
                                   check_theorem_3_2_weak, check_theorem_3_3_monotone)
 from admmcert.errors import IllConditionedError, ParameterError
-from admmcert.library import get_instance, get_saddle
+from admmcert.library import HUBER_DELTA, get_instance, get_saddle
 from admmcert.ode import ImplicitStep, IntegratorConfig, simulate_high_res, simulate_low_res
 from admmcert.prox import Step
 from admmcert.solver import SolverConfig, check_start, run
@@ -84,6 +84,30 @@ class TestImplicitMicroSteps:
         half = ImplicitStep(spec, s, 0.05)
         fine, _, _ = half(*half(Y, Lam)[1:])
         assert abs(coarse[0] - fine[0]) < 0.05
+
+
+class TestIndicatorExactSolve:
+    def test_pattern_newton_solves_the_step_for_an_affine_indicator_f(self):
+        # the ADMM-shaped first sweep is accepted at every step of this run, so the
+        # exact solve is called directly from some of its nodes
+        spec = get_instance("basis_pursuit_10x30").smoothed(HUBER_DELTA)
+        F, G, h, A, b = spec.F, spec.G, spec.h, spec.f.A, spec.f.b
+        s, delta = 1.0, 0.01
+        trace = simulate_high_res(spec, IntegratorConfig(s=s, delta=delta, T=2.0))
+        step = ImplicitStep(spec, s, delta)
+        for j in (0, 1, 50, 199):
+            Y, Lam = trace.ys[j], trace.lams[j]
+            X1, Y1, L1 = step._pattern_newton(Y, Lam)
+            # x: F^T G dY/delta - F^T Lam lies in the normal cone of {A x = b}, range(A^T)
+            vx = F.T @ G @ (Y1 - Y) / delta - F.T @ L1
+            rA = vx - A.T @ np.linalg.lstsq(A.T, vx, rcond=None)[0]
+            rB = G.T @ L1 + spec.g.grad(Y1)
+            rC = s * s * (L1 - Lam) / delta - (F @ X1 + G @ Y1 - h)
+            scale = 1.0 + np.linalg.norm(X1) + np.linalg.norm(Y1) + np.linalg.norm(L1)
+            assert max(map(np.linalg.norm, (rA, rB, rC))) <= ode.INNER_TOL * scale
+            assert np.linalg.norm(A @ X1 - b) <= ode.INNER_TOL * (1.0 + np.linalg.norm(b))
+            # the same step as the accepted sweep's, up to the solves' rounding
+            np.testing.assert_allclose(X1, trace.xs[j + 1], rtol=0, atol=1e-9)
 
 
 class TestSimulateHighRes:
@@ -199,23 +223,23 @@ class TestContinuousDiagnostics:
 
     def test_monotone_certificate(self, high):
         trace, spec, sad, config = high
-        entry, = check_theorem_3_3_monotone(trace, sad)
+        entry, = check_theorem_3_3_monotone(trace)
         assert entry.passed, entry.worst_slack
         assert entry.tolerance == pytest.approx(10 * config.delta)
 
     def test_weak_rate_certificate(self, high):
         trace, spec, sad, config = high
-        entry, = check_theorem_3_2_weak(trace, sad)
+        entry, = check_theorem_3_2_weak(trace)
         assert entry.passed, entry.worst_slack
 
     def test_strong_avg_certificate(self, high):
         trace, spec, sad, config = high
-        entry, = check_continuous_strong_avg(trace, sad)
+        entry, = check_continuous_strong_avg(trace)
         assert entry.passed, entry.worst_slack
 
     def test_bundle(self, high):
         trace, spec, sad, config = high
-        report = certify_continuous(trace, sad)
+        report = certify_continuous(trace)
         assert report.all_pass
         assert [e.theorem for e in report.entries] == [
             "theorem_3_3_lyapunov_monotone", "theorem_3_2_weak_rate",

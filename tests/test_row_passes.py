@@ -181,7 +181,7 @@ def test_lemma_slacks(case):
     for plam in (np.zeros(spec.m), ref.lambda_star):  # the check's two probes
         rows, size = lemma_slacks(spec, trace, ref, s, (ref.x_star, ref.y_star, plam))
         slacks, scale = slacks + rows, max(scale, size)
-    entry, = diag.check_lemma_iterative_inequality(trace, ref)
+    entry, = diag.check_lemma_iterative_inequality(trace)
     close(entry.worst_slack, max(slacks), scale)
 
 
@@ -191,7 +191,7 @@ def test_weak_rate_slacks(case):
     spec, trace, ref, s, _ = case
     xs, ys, ls = trace.xs, trace.ys, trace.lams
     slacks, scale = [], 0.0
-    for px, py in diag._weak_probes(ref, spec):
+    for px, py in diag._weak_probes(trace):
         fp, gp = spec.f.value(px), spec.g.value(py)
         gy0 = spec.G @ (ys[0] - py)
         C = float(gy0 @ gy0) + s * s * float(ls[0] @ ls[0])
@@ -204,7 +204,7 @@ def test_weak_rate_slacks(case):
             md, bound = mult @ disp, C / (2.0 * s * n)
             slacks.append(fx - fp + gy - gp - md - bound)
             scale = max(scale, *map(abs, (fx, fp, gy, gp, md, bound)))
-    entry, = diag.check_weak_rate_theorem_4_2(trace, ref)
+    entry, = diag.check_weak_rate_theorem_4_2(trace)
     close(entry.worst_slack, max(slacks), scale)
 
 
@@ -264,7 +264,7 @@ def test_continuous_weak_and_strong_slacks(case):
             md, bound = mean(mult, j) @ disp, C / (2.0 * t[j])
             slacks.append(fx - fp + gy - gp - md - bound)
             scale = max(scale, *map(abs, (fx, fp, gy, gp, md, bound)))
-    entry, = diag.check_theorem_3_2_weak(high, ref)
+    entry, = diag.check_theorem_3_2_weak(high)
     close(entry.worst_slack, max(slacks), scale)
 
     if isinstance(spec.f, Quadratic) and spec.f.strong_convexity_modulus() > 1e-10:
@@ -273,6 +273,6 @@ def test_continuous_weak_and_strong_slacks(case):
         C = float(dx0 @ dx0) + s * s * float(dl0 @ dl0)
         rows = [(float((mean(xs, j) - ref.x_star) @ (mean(xs, j) - ref.x_star)),
                  C / (mu * t[j])) for j in nodes]
-        entry, = diag.check_continuous_strong_avg(high, ref)
+        entry, = diag.check_continuous_strong_avg(high)
         close(entry.worst_slack, max(a - b for a, b in rows), max(max(r) for r in rows))
         assert entry.constants["C"] == C

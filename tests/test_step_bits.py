@@ -128,8 +128,7 @@ def test_sign_flip_matches_dense_g(name, from_zero):
 
     lyap = dense_energy(ys, ls, ref.y_star, ref.lambda_star, G, s)
     ne = dense_energy(ys[1:], ls[1:], ys[:-1], ls[:-1], G, s)
-    for got, want in ((diag._lyapunov(trace, ref), lyap), (trace.scalars["lyapunov"], lyap),
-                      (trace.scalars["ne"][:-1], ne)):
+    for got, want in ((trace.scalars["lyapunov"], lyap), (trace.scalars["ne"][:-1], ne)):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     residual = xs @ spec.F.T + ys @ G.T - spec.h
