@@ -14,6 +14,8 @@ Every check and bundle takes the trace alone: the problem, s (and delta), the r
 of an r-proximal run and the saddle come from it, and _entry adds the first three
 to each entry's constants. The NE checks read its ne column and the Lyapunov
 checks its lyapunov column, as the run computed them: edited rows need both anew.
+Every check reads the saddle, directly or through that column, and so asks _saddle
+for it, which refuses a trace run without one.
 """
 
 from __future__ import annotations
@@ -141,9 +143,25 @@ def _start_constant(v0, lam0, ref_v, ref_lam, s):
     return float(dv @ dv) + s * s * float(dl @ dl)
 
 
+def _saddle(trace):
+    """The saddle the trace was run against; ParameterError for a trace run without one,
+    whose lyapunov column is NaN. Every check calls it, itself or through a helper."""
+    if trace.saddle is None:
+        raise ParameterError("certificates need a saddle: the trace was run without one, "
+                             "so its lyapunov column is NaN")
+    return trace.saddle
+
+
+def _lyapunov(trace):
+    """The lyapunov column, measured against the trace's saddle."""
+    _saddle(trace)
+    return trace.scalars["lyapunov"]
+
+
 def _rate_constant(trace):
-    return _start_constant(trace.ys[0], trace.lams[0], trace.saddle.y_star,
-                           trace.saddle.lambda_star, trace.config.s)
+    saddle = _saddle(trace)
+    return _start_constant(trace.ys[0], trace.lams[0], saddle.y_star, saddle.lambda_star,
+                           trace.config.s)
 
 
 def _u_series(trace):
@@ -160,7 +178,7 @@ def _prefix_slacks(u, bound):
 def check_lemma_iterative_inequality(trace):
     """Per-step Lyapunov difference inequality at the two probe points of the theorem
     derivations, (x*, y*, 0) and (x*, y*, lam*)."""
-    spec, s, saddle = trace.spec, trace.config.s, trace.saddle
+    spec, s, saddle = trace.spec, trace.config.s, _saddle(trace)
     xs, ys, ls = trace.xs, trace.ys, trace.lams
     ne = trace.scalars["ne"][:-1]
     fx, gy = spec.f.value(xs[1:]), spec.g.value(ys[1:])
@@ -181,20 +199,20 @@ def check_lemma_iterative_inequality(trace):
 
 def check_convergence1(trace):
     """E(k+1) - E(k) + NE(k) <= 0 with the saddle as reference (energy decay)."""
-    e = trace.scalars["lyapunov"]
+    e = _lyapunov(trace)
     slacks = np.diff(e) + trace.scalars["ne"][:-1]
     return [_entry("energy_decay_with_ne", trace, slacks, E0=e[0])]
 
 
 def check_lyapunov_monotone(trace):
-    e = trace.scalars["lyapunov"]
+    e = _lyapunov(trace)
     return [_entry("lyapunov_monotone", trace, np.diff(e), E0=e[0])]
 
 
 def check_rate_theorem_4_3(trace):
     """Average and min of ||G dy||^2 + s^2 ||dlam||^2 over each prefix, against C/(N+1)."""
-    u = _u_series(trace)
     C = _rate_constant(trace)
+    u = _u_series(trace)
     slacks = _prefix_slacks(u, C / np.arange(1, u.size + 1))
     return [_entry("theorem_4_3_rate", trace, slacks, C=C)]
 
@@ -208,7 +226,7 @@ def _prefix_means(arr):
 
 def _weak_probes(trace):
     """(x*, y*), zero and a seeded random point; x stays at x* when f is an indicator."""
-    spec, saddle = trace.spec, trace.saddle
+    spec, saddle = trace.spec, _saddle(trace)
     rng = np.random.default_rng(_PROBE_SEED)
     if isinstance(spec.f, AffineIndicator):
         # zeros/random x would leave the indicator set; probe at x* instead
@@ -231,10 +249,11 @@ def check_weak_rate_theorem_4_2(trace):
     G(y_{N+1} - y_0)/(s(N+1)).
     """
     spec, s = trace.spec, trace.config.s
+    probes = _weak_probes(trace)
     xs, ys, ls = trace.xs, trace.ys, trace.lams
     t = s * np.arange(1, len(trace))
     mbar = _prefix_means(ls) - spec.G_sign * (ys[1:] - ys[0]) / t.reshape(-1, 1)
-    slacks, consts = _weak_gap(trace, _weak_probes(trace), _prefix_means(xs),
+    slacks, consts = _weak_gap(trace, probes, _prefix_means(xs),
                                _prefix_means(ys), mbar, t)
     return [_entry("theorem_4_2_weak_rate", trace, slacks, **consts)]
 
@@ -245,7 +264,7 @@ def _weak_gap(trace, probes, xbar, ybar, mbar, t):
     - C_p/(2t), C_p the start constant of the trace from (py, 0); and the constants
     C_probe<i>. Theorem 4.2 feeds prefix means at t = s(N+1), Theorem 3.2 trapezoid
     time means; a probe where f or g is infinite makes the bound vacuous and is skipped."""
-    spec, s, saddle = trace.spec, trace.config.s, trace.saddle
+    spec, s, saddle = trace.spec, trace.config.s, _saddle(trace)
     fx, gy = spec.f.value(xbar), spec.g.value(ybar)
     slacks = np.full(len(t), -np.inf)
     consts = {}
@@ -275,7 +294,7 @@ def strong_convexity_modulus(spec):
 def _strong_gap(xbar, trace, mu, t):
     """||xbar - x*||^2 - C/(mu t) row by row, and C = ||x_0 - x*||^2 + s^2 ||lam_0 - lam*||^2.
     Theorem 4.4 feeds means of iterates at t = s(N+1), Theorem 3.4 trapezoid time means."""
-    saddle = trace.saddle
+    saddle = _saddle(trace)
     C = _start_constant(trace.xs[0], trace.lams[0], saddle.x_star, saddle.lambda_star,
                         trace.config.s)
     # squaring the temporary lets numpy reuse its buffer: one (n, d) array less
@@ -304,13 +323,14 @@ def check_strong_avg_theorem_4_4(trace):
 
 def check_ne_telescoping(trace):
     """Telescoped numerical error: sum_{k<=N} NE(k) <= E(0) for every prefix."""
-    e0 = trace.scalars["lyapunov"][0]
+    e0 = _lyapunov(trace)[0]
     slacks = np.cumsum(trace.scalars["ne"][:-1]) - e0
     return [_entry("ne_telescoping", trace, slacks, E0=e0)]
 
 
 def check_ne_monotone_theorem_5(trace):
     """NE monotonicity, the last-iterate rate bound, and the supporting triple inequality."""
+    C = _rate_constant(trace)
     if len(trace) < 3:
         raise ParameterError("NE monotonicity needs a trace of length >= 3")
     spec, s = trace.spec, trace.config.s
@@ -318,7 +338,6 @@ def check_ne_monotone_theorem_5(trace):
     mono = _entry("theorem_5_1_ne_monotone", trace, np.diff(trace.scalars["ne"][:-1]))
 
     u = _u_series(trace)
-    C = _rate_constant(trace)
     n = np.arange(1, u.size + 1)
     last = _entry("theorem_5_1_last_iterate", trace, u - C / n, C=C)
 
@@ -335,9 +354,10 @@ def check_ne_monotone_theorem_5(trace):
 def check_general_rates_theorems_6(trace):
     """x-difference rate bounds and extended Lyapunov/NE monotonicity (r-proximal runs),
     at the r the run stepped with."""
+    saddle = _saddle(trace)
     if trace.config.variant != "general":
         raise ParameterError("general-rate certificates require an r-proximal trace")
-    spec, s, r, saddle = trace.spec, trace.config.s, trace.r, trace.saddle
+    spec, s, r = trace.spec, trace.config.s, trace.r
     if not r > spec.FtF_norm:
         raise ParameterError("r must exceed the spectral norm of F^T F")
     xs, ys, ls = trace.xs, trace.ys, trace.lams
@@ -376,7 +396,7 @@ def _sampled_time_means(trace, *series):
 
 def check_theorem_3_3_monotone(trace):
     """Continuous Lyapunov (saddle reference) nonincreasing along the trajectory."""
-    e = trace.scalars["lyapunov"]
+    e = _lyapunov(trace)
     return [_entry("theorem_3_3_lyapunov_monotone", trace, np.diff(e), E0=e[0])]
 
 
@@ -384,7 +404,7 @@ def check_theorem_3_2_weak(trace):
     """Time-average weak gap against C/(2t) at sampled times: the Theorem 4.2 kernel fed
     trapezoid time means, with the multiplier Lam - G dY/dt, at elapsed time t.
     dY/dt is estimated by central differences (one-sided at the ends)."""
-    spec, saddle = trace.spec, trace.saddle
+    spec, saddle = trace.spec, _saddle(trace)
     probes = [(saddle.x_star, saddle.y_star), (np.zeros(spec.d1), np.zeros(spec.d2))]
     mult = trace.lams - spec.G_sign * np.gradient(trace.ys, trace.axis, axis=0)
     (xbar, ybar, mbar), t = _sampled_time_means(trace, trace.xs, trace.ys, mult)
@@ -409,10 +429,8 @@ def check_continuous_strong_avg(trace):
 def _bundle(trace, checks, strong_avg=None):
     """Every entry of checks, in order, then those of strong_avg unless its gate refuses
     a not strongly convex f. The bundles pass their checks in at each call, so the
-    module's current checks run, wrapped ones included."""
-    if trace.saddle is None:
-        raise ParameterError("certificates need a saddle: the trace was run without one, "
-                             "so its lyapunov column is NaN")
+    module's current checks run, wrapped ones included. Each check refuses a trace run
+    without a saddle."""
     entries = []
     for check in checks:
         entries += check(trace)

@@ -143,8 +143,9 @@ class HuberSmoothedL1:
         return self.w * np.sum(per, axis=-1)
 
     def grad(self, v):
+        # np.clip's bits, NaN included, without its Python wrapper
         v = np.asarray(v, dtype=float)
-        return self.w * np.clip(v / self.delta, -1.0, 1.0)
+        return self.w * np.minimum(np.maximum(v / self.delta, -1.0), 1.0)
 
     def subgrad_distance(self, target, at):
         return np.linalg.norm(np.asarray(target, dtype=float) - self.grad(at), axis=-1)

@@ -10,7 +10,8 @@ is integrated by implicit Euler only: with step delta = s each implicit
 step coincides with one discrete ADMM step, and for delta < s (with the
 regularizer Huber-smoothed) the coupled piecewise-linear step equations
 are solved exactly for their Huber region pattern by prox.settle_pattern,
-warm-started from the previous node's pattern. The
+warm-started from the previous node's pattern. Each step's residual is
+checked after the loop, once per integration (ImplicitStep.check_rows). The
 low-resolution flow eliminates Y through the constraint and therefore
 never leaves the hyperplane F x + G y = h; the deviation columns of the
 two trajectories make the dual-correction effect measurable.
@@ -35,7 +36,8 @@ import numpy as np
 from .diagnostics import _energy
 from .errors import IllConditionedError, InnerSolveError, ParameterError, UnsupportedProblemError
 from .functions import AffineIndicator, HuberSmoothedL1
-from .prox import COND_LIMIT, Step, _flapack, _norm, lapack_factor, settle_pattern, sym_cond
+from .prox import (COND_LIMIT, Step, _flapack, _norm, lapack_factor, row_norms, settle_pattern,
+                   sym_cond)
 from .solver import Trace, check_start
 
 ALGEBRAIC_TOL = 1e-11
@@ -98,22 +100,6 @@ def _fill_columns(trace):
 # implicit Euler for the high-resolution system
 
 
-def _implicit_residual(spec, s, delta, Y_old, L_old, X1, Y1, L1):
-    """Scaled residual of the three step equations, with G = G_sign * I."""
-    vx = spec.G_sign * (spec.F.T @ (Y1 - Y_old)) / delta - spec.F.T @ L1
-    if isinstance(spec.f, AffineIndicator):
-        rA = spec.f.subgrad_distance(vx, X1)
-        if not np.isfinite(rA):
-            rA = _norm(spec.f.A @ X1 - spec.f.b)
-    else:
-        rA = _norm(vx - spec.f.grad(X1))
-    rB = spec.g.subgrad_distance(-(spec.G_sign * L1), Y1)
-    rc = s * s * (L1 - L_old) / delta - (spec.F @ X1 + spec.G_sign * Y1 - spec.h)
-    rC = _norm(rc)
-    scale = 1.0 + _norm(X1) + _norm(Y1) + _norm(L1)
-    return max(rA, rB, rC) / scale
-
-
 def _pattern(Y, g):
     out = np.zeros(Y.shape[0], dtype=int)
     out[Y > g.delta] = 1
@@ -163,9 +149,11 @@ class ImplicitStep:
 
     The first sweep is the ADMM-shaped x- and y-update of Step(spec, s) for
     delta = s, where it already satisfies the step equations, so a call is exactly
-    one ADMM step; for delta < s it is that of Step(spec, s^2/delta). A sweep that
-    misses the step equations is replaced by their exact solution for Huber g
-    (_pattern_newton), whose pattern-independent system is built at the first miss.
+    one ADMM step; for delta < s it is that of Step(spec, s^2/delta). A sweep whose
+    residual misses INNER_TOL is replaced by the exact solution of the step equations
+    for Huber g (_pattern_newton), whose pattern-independent system is built at the
+    first miss. That solution is checked after the loop, with every other computed
+    node, by check_rows.
     """
 
     def __init__(self, spec, s, delta):
@@ -177,6 +165,39 @@ class ImplicitStep:
         self.spec, self.s, self.delta = spec, s, delta
         self.sweep = Step(spec, s if delta == s else s * s / delta)
         self._system = None
+        # the constants of residual, bound once
+        self._f, self._g, self._F, self._Ft = spec.f, spec.g, spec.F, spec.F.T
+        self._h, self._G_sign, self._ss = spec.h, spec.G_sign, s * s
+        self._indicator = isinstance(spec.f, AffineIndicator)
+        self._huber = isinstance(spec.g, HuberSmoothedL1)
+
+    def residual(self, Y_old, L_old, X1, Y1, L1):
+        """Scaled residual of the three step equations from (Y_old, L_old) to (X1, Y1,
+        L1), with G = G_sign * I: one value for (d,) vectors, one per row for (n, d)
+        arrays of steps. For vectors, which the loop's acceptance test reads, v @ F has
+        the bits of F^T @ v, and row_norms those of the Huber g's subgrad_distance; for
+        arrays, a NaN in any of the three equations propagates."""
+        f, F, Gs, delta = self._f, self._F, self._G_sign, self.delta
+        one = X1.ndim == 1
+        norm = _norm if one else row_norms
+        vx = Gs * ((Y1 - Y_old) @ F) / delta - L1 @ F
+        if self._indicator:
+            rA = f.subgrad_distance(vx, X1)
+            off = ~np.isfinite(rA)  # X1 off the constraint set: measure how far
+            if off.any():
+                rA = np.where(off, norm(X1 @ f.A.T - f.b), rA)
+        else:
+            rA = norm(vx - f.grad(X1))
+        target = -(Gs * L1)
+        if self._huber:
+            rB = row_norms(target - self._g.grad(Y1))
+        else:
+            rB = self._g.subgrad_distance(target, Y1)
+        rC = norm(self._ss * (L1 - L_old) / delta - (X1 @ self._Ft + Gs * Y1 - self._h))
+        scale = 1.0 + norm(X1) + norm(Y1) + norm(L1)
+        if one:
+            return max(rA, rB, rC) / scale
+        return np.maximum(np.maximum(rA, rB), rC) / scale
 
     def __call__(self, Y, Lam):
         spec, s, delta, step = self.spec, self.s, self.delta, self.sweep
@@ -188,7 +209,8 @@ class ImplicitStep:
             L1 = Lam + resid / s
         else:
             L1 = Lam + (delta / (s * s)) * resid
-        if _implicit_residual(spec, s, delta, Y, Lam, X1, Y1, L1) <= INNER_TOL:
+        # the acceptance test decides which solution a node gets, so its bits must not move
+        if self.residual(Y, Lam, X1, Y1, L1) <= INNER_TOL:
             return X1, Y1, L1
         return self._pattern_newton(Y, Lam)
 
@@ -197,7 +219,8 @@ class ImplicitStep:
 
         The system is linear once the quadratic/saturated region of every Y coordinate
         is fixed; settle_pattern finds the self-consistent regions, warm-started from
-        those of Y_old.
+        those of Y_old. A non-finite solution raises InnerSolveError here; the
+        residual of a finite one is checked after the loop, by check_rows.
         """
         spec, s, delta, g = self.spec, self.s, self.delta, self.spec.g
         if not isinstance(g, HuberSmoothedL1):
@@ -228,12 +251,29 @@ class ImplicitStep:
                 return np.linalg.lstsq(M, v, rcond=None)[0]
 
         z = settle_pattern(solve, lambda z: _pattern(z[sy:sl], g), _pattern(Y_old, g))
-        X, Y, L = z[sx:sy], z[sy:sl], z[sl:sl + m]
-        res = _implicit_residual(spec, s, delta, Y_old, L_old, X, Y, L)
-        if res > INNER_TOL:
-            raise InnerSolveError(f"implicit step solved its pattern system but residual "
-                                  f"{res:.3e} exceeds {INNER_TOL!r}")
-        return X, Y, L
+        # checked here, not after the loop: from a NaN node the next node's x-update
+        # check would fail first, under that next node's name
+        if not np.isfinite(z).all():
+            raise InnerSolveError("implicit step's pattern system has a non-finite solution")
+        return z[sx:sy], z[sy:sl], z[sl:sl + m]
+
+    def check_rows(self, trace):
+        """The residual check of every node trace.step_rows computed with this step: one
+        array pass, and the single-node residual on a node the pass flags
+        (Trace.raise_first). Each must reach INNER_TOL, as an accepted first sweep
+        already did in the loop and an exact solve is first shown to here. Copied nodes,
+        after trace.repeat, need none. Raises InnerSolveError naming the first failing
+        node (step t = 0.25: ...)."""
+        n = trace.computed_rows()
+        Xs, Ys, Ls = trace.xs[:n], trace.ys[:n], trace.lams[:n]
+        res = self.residual(Ys[:-1], Ls[:-1], Xs[1:], Ys[1:], Ls[1:])
+
+        def recheck(j):
+            r = self.residual(Ys[j - 1], Ls[j - 1], Xs[j], Ys[j], Ls[j])
+            if not r <= INNER_TOL:
+                raise InnerSolveError(f"implicit step residual {r:.3e} exceeds {INNER_TOL!r}")
+
+        trace.raise_first(res, INNER_TOL, recheck)
 
 
 def simulate_high_res(spec, config, init=None, saddle=None):
@@ -243,20 +283,23 @@ def simulate_high_res(spec, config, init=None, saddle=None):
     Node j sits at t = delta + ... + delta (j terms, summed in order). A step is a
     function of the node it starts from, so once a node repeats an earlier one bit for
     bit Trace.step_rows stops stepping and copies the remaining nodes from the cycle. A
-    step that fails raises IllConditionedError (an x-update solve check) or
-    InnerSolveError (the pattern iteration) naming the node it was computing
-    (step t = 0.25: ...)."""
+    step that fails raises IllConditionedError (the first sweep's x-update solve check)
+    or InnerSolveError (the pattern iteration, or a non-finite exact solve) naming
+    the node it was computing (step t = 0.25: ...). After the loop, ImplicitStep.check_rows checks every computed
+    node's residual and then every node's algebraic leg; a miss, NaN included, raises
+    InnerSolveError naming the node."""
     row = check_start(spec, init)
     step = ImplicitStep(spec, config.s, config.delta)
     trace = _continuous_trace(spec, config, saddle)
     trace.axis[1:] = config.delta
     np.cumsum(trace.axis, out=trace.axis)
     trace.step_rows(lambda X, Y, Lam: step(Y, Lam), row)
+    step.check_rows(trace)
     # the algebraic leg G^T Lam + grad g(Y) = 0 must hold at every node
     if spec.g.smooth:
         ls = trace.lams[1:]
         alg = np.linalg.norm(spec.G_sign * ls + spec.g.grad(trace.ys[1:]), axis=1)
-        bad = np.flatnonzero(alg > ALGEBRAIC_TOL * (1.0 + np.linalg.norm(ls, axis=1)))
+        bad = np.flatnonzero(~(alg <= ALGEBRAIC_TOL * (1.0 + np.linalg.norm(ls, axis=1))))
         if bad.size:
             j = bad[0] + 1
             raise InnerSolveError(f"algebraic constraint violated at node {j} "

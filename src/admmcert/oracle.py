@@ -86,9 +86,10 @@ def long_run_oracle(spec, tol=1e-8, budget=LONG_RUN_BUDGET):
     """Drive the r-proximal iteration from zero until all KKT residuals fall below tol.
 
     The run steps in blocks of _CHECK_EVERY steps, each a Trace of its own whose axis
-    holds the iteration numbers, and checks the residuals at the end of each block. It
-    gives up early, with OracleConvergenceError, once STALL_CHECKS checks in a row have
-    not improved on the best residual: it has stalled above tol. A block stops stepping
+    holds the iteration numbers, and checks each block's x-update solves
+    (Step.check_rows), then the KKT residuals at its end. It gives up early, with
+    OracleConvergenceError, once STALL_CHECKS checks in a row have not improved on the
+    best residual: it has stalled above tol. A block stops stepping
     once a state repeats an earlier state of the block bit for bit (Trace.step_rows), so
     a run that cycles with period p <= _CHECK_EVERY steps p states per block, not 100,
     with the same results."""
@@ -101,6 +102,7 @@ def long_run_oracle(spec, tol=1e-8, budget=LONG_RUN_BUDGET):
         block.axis[:] = np.arange(start, it + 1)
         try:
             block.step_rows(step, row)
+            step.check_rows(block)
         except IllConditionedError as exc:
             raise IllConditionedError(f"long-run oracle, {exc}") from None
         # copies, so that the block is freed before the next one is allocated

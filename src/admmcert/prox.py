@@ -8,6 +8,11 @@ componentwise shrink (or Huber prox) and needs G = +I or -I. A Step owns
 the whole iteration of one (problem, s, r): the loop that runs it builds it
 once, and each call does only the per-step work. settle_pattern finds the region
 pattern of a piecewise-linear system for the implicit step and the oracle.
+
+A step checks only LAPACK's info. The loop that runs it checks every x-update
+solve of the run afterwards, in one array pass over the stored rows
+(Step.check_rows); a single step (Step.check_step) and an x-update called alone
+check their own solve.
 """
 
 from __future__ import annotations
@@ -83,6 +88,12 @@ def sym_cond(M):
 def _norm(v):
     """||v|| for a (d,) vector: the same bits as np.linalg.norm, without its dispatch."""
     return math.sqrt(v @ v)
+
+
+def row_norms(v):
+    """||v|| of each row of an (n, d) array (or of a (d,) vector): numpy's own expression
+    for np.linalg.norm(v, axis=-1), so the same bits, without its Python wrapper."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
 
 
 def _shrink(v, t):
@@ -168,9 +179,11 @@ class Step:
     c = F^T (h - G y_k - s lam_k), plus r x_k - F^T F x_k for the r-proximal
     step, a quadratic f solves (2s A^T A + P) x = 2s A^T b + c by Cholesky, and
     an affine-indicator f solves the KKT system [[P, A^T], [A, 0]] (x, nu) = (c, b)
-    by LU. G = +/-I is required, so G y is G_sign * y. Every solve is checked: the
-    linear residual for a quadratic f, the constraint A x = b for an indicator f,
-    so that a non-finite iterate or a failed solve raises IllConditionedError.
+    by LU. G = +/-I is required, so G y is G_sign * y. A call checks only LAPACK's
+    info; check_rows checks every solve of a finished run in one pass, check_step
+    that of one step, and x_update its own: the linear residual for a quadratic f, the constraint A x = b
+    for an indicator f, so that a non-finite iterate or a failed solve raises
+    IllConditionedError.
     """
 
     def __init__(self, spec, s, r=None):
@@ -201,7 +214,7 @@ class Step:
                 f"{what} has condition estimate {cond:.3e} > {COND_LIMIT:.0e}{hint}"
             )
         self.spec, self.s, self.r, self.matrix, self.cond = spec, s, r, M, cond
-        self.G_sign, self._F, self._Ft = spec.G_sign, spec.F, spec.F.T
+        self.G_sign, self._F = spec.G_sign, spec.F
         # the routines and options of scipy.linalg's cho_factor(M, lower=True) and
         # lu_factor(M), and the layouts they return: (c, lower) and (lu, piv)
         if self.quadratic:
@@ -210,39 +223,91 @@ class Step:
             self._rhs0 = 2.0 * s * f.gram_rhs
         else:
             self._factor, self._lapack = lapack_factor("dgetrf", M), _flapack.dgetrs
-            self._tol = SOLVE_TOL * (1.0 + np.linalg.norm(f.b))
+
+    def _drive(self, x_k, y_k, lambda_k):
+        """c of one step, or of each row of (n, d) arrays of rows; v @ F has the bits of
+        F^T @ v for a vector v."""
+        spec, r = self.spec, self.r
+        drive = (spec.h - self.G_sign * y_k - self.s * lambda_k) @ self._F
+        if r is not None:
+            drive = drive + r * x_k - x_k @ spec.FtF.T
+        return drive
+
+    def _rhs(self, x_k, y_k, lambda_k):
+        """The right-hand side the x-update from (x_k, y_k, lambda_k) solves: 2s A^T b + c
+        for a quadratic f, (c, b) for an indicator f."""
+        drive = self._drive(x_k, y_k, lambda_k)
+        if self.quadratic:
+            return self._rhs0 + drive
+        return np.concatenate([drive, self.spec.f.b])
+
+    def _solve(self, y_k, lambda_k, x_k):
+        """x_{k+1} and the right-hand side it solved; raises only on LAPACK's info."""
+        rhs = self._rhs(x_k, y_k, lambda_k)
+        if self.quadratic:
+            x, info = self._lapack(self._factor[0], rhs, lower=True)
+        else:
+            z, info = self._lapack(*self._factor, rhs)
+            x = z[: self.spec.d1]
+        if info:
+            raise IllConditionedError(self._failure(self._residual(x, rhs)[0], info))
+        return x, rhs
+
+    def _residual(self, x, rhs):
+        """The residual of a solve and the bound it must not exceed, for one x_{k+1} or
+        for each row of an (n, d1) array, with the right-hand sides solved: ||M x - rhs||
+        and SOLVE_TOL (1 + ||rhs||) for a quadratic f; ||A x - b|| and SOLVE_TOL
+        (1 + ||b||) for an indicator f, which needs no rhs."""
+        K, c = (self.matrix, rhs) if self.quadratic else (self.spec.f.A, self.spec.f.b)
+        norm = _norm if x.ndim == 1 else row_norms
+        return norm(x @ K.T - c), SOLVE_TOL * (1.0 + norm(c))
+
+    def _failure(self, res, info=0):
+        if self.quadratic:
+            return (f"x-update solve residual {res:.3e} exceeds {SOLVE_TOL:.0e} * (1 + ||rhs||) "
+                    f"(LAPACK dpotrs info {info}; condition estimate {self.cond:.3e})")
+        return (f"indicator x-update left the constraint set (LAPACK dgetrs info {info}; "
+                f"condition estimate {self.cond:.3e})")
+
+    def _check(self, x, rhs):
+        res, bound = self._residual(x, rhs)
+        if not res <= bound:
+            raise IllConditionedError(self._failure(res))
 
     def x_update(self, y_k, lambda_k, x_k=None):
-        """x_{k+1}; the r-proximal step needs x_k, the standard one ignores it."""
-        spec, r = self.spec, self.r
-        drive = self._Ft @ (spec.h - self.G_sign * y_k - self.s * lambda_k)
-        if r is not None:
-            drive = drive + r * x_k - spec.FtF @ x_k
-        if self.quadratic:
-            rhs = self._rhs0 + drive
-            x, info = self._lapack(self._factor[0], rhs, lower=True)
-            res = _norm(self.matrix @ x - rhs)
-            if info or not res <= SOLVE_TOL * (1.0 + _norm(rhs)):
-                raise IllConditionedError(
-                    f"x-update solve residual {res:.3e} exceeds {SOLVE_TOL:.0e} * (1 + ||rhs||) "
-                    f"(LAPACK dpotrs info {info}; condition estimate {self.cond:.3e})")
-            return x
-        f = spec.f
-        z, info = self._lapack(*self._factor, np.concatenate([drive, f.b]))
-        x = z[: spec.d1]
-        if info or not _norm(f.A @ x - f.b) <= self._tol:
-            raise IllConditionedError(
-                f"indicator x-update left the constraint set (LAPACK dgetrs info {info}; "
-                f"condition estimate {self.cond:.3e})")
+        """x_{k+1}, its solve checked; the r-proximal step needs x_k, the standard one
+        ignores it."""
+        x, rhs = self._solve(y_k, lambda_k, x_k)
+        self._check(x, rhs)
         return x
 
     def __call__(self, x_k, y_k, lambda_k):
         """(x, y, lam)_{k+1}: x-minimization, y-minimization, dual ascent; F x_{k+1}
-        is computed once, for the y-update and the dual step."""
-        x1 = self.x_update(y_k, lambda_k, x_k)
+        is computed once, for the y-update and the dual step. The solve is not checked
+        here: check_rows checks a run's, check_step a single step's."""
+        x1 = self._solve(y_k, lambda_k, x_k)[0]
         Fx = self._F @ x1
         y1 = self.y_update.from_Fx(Fx, lambda_k)
         return x1, y1, lambda_k + (Fx + self.G_sign * y1 - self.spec.h) / self.s
+
+    def check_step(self, x_k, y_k, lambda_k, x1):
+        """The x-update check of the step from (x_k, y_k, lambda_k) to x1, with the
+        single-step kernels x_update checks with: its right-hand side is rebuilt, which
+        has the bits of the one solved. Raises IllConditionedError."""
+        self._check(x1, self._rhs(x_k, y_k, lambda_k))
+
+    def check_rows(self, trace):
+        """The x-update checks of every row trace.step_rows computed with this step:
+        one array pass over the rows, row j's right-hand side rebuilt from row j - 1,
+        and check_step on a row the pass flags (Trace.raise_first). Copied rows, after
+        trace.repeat, need none. Raises IllConditionedError naming the first failing
+        row (step k = 5: ...)."""
+        n = trace.computed_rows()
+        xs, ys, ls = trace.xs[:n], trace.ys[:n], trace.lams[:n]
+        rhs = self._rhs(xs[:-1], ys[:-1], ls[:-1]) if self.quadratic else None
+        res, bound = self._residual(xs[1:], rhs)
+        trace.raise_first(res, bound, lambda j: self.check_step(xs[j - 1], ys[j - 1], ls[j - 1],
+                                                                xs[j]))
 
 
 class FactorizationCache:

@@ -6,7 +6,9 @@ that identity is what pushes the trajectory off the constraint hyperplane
 and is recorded per step. Every row of every iteration (run, the two ode
 integrators and the long-run oracle's blocks) is produced by one loop,
 Trace.step_rows, which only steps and stores the iterates; the per-row columns
-are computed from them afterwards, in one array pass. It stops stepping once a
+are computed from them afterwards, in one array pass, after the step operator
+has checked every row it computed (prox.Step.check_rows: each x-update solve
+to its tolerance, before any column or file is written). It stops stepping once a
 row repeats an earlier one bit for bit: each step is a deterministic function
 of the row it starts from, so from there on the rows cycle, and the trace
 copies them instead of recomputing them.
@@ -125,9 +127,30 @@ class Trace:
                         b[j + 1:] = b[src]
                     break
         except (IllConditionedError, InnerSolveError) as exc:
-            raise type(exc)(f"step {self.axis_name} = {self.axis[j].item()!r}: {exc}") \
-                from None
+            raise type(exc)(f"{self.row_name(j)}: {exc}") from None
         return self
+
+    def computed_rows(self):
+        """How many rows step_rows computed: all of them, or those up to the row that
+        repeated an earlier one (the later rows are copies)."""
+        return len(self) if self.repeat is None else sum(self.repeat) + 1
+
+    def raise_first(self, res, bound, recheck):
+        """Raise for the first computed row j >= 1 that fails its check. res[j - 1] is
+        row j's value from an array pass over the rows and bound its limit; a row whose
+        value is not <= bound (NaN included) is checked again by recheck(j), with the
+        kernels of a single step, which raises IllConditionedError or InnerSolveError,
+        re-raised naming the row. Array kernels round differently from single-step
+        ones, so the pass only screens: a row fails as a check in the loop fails it."""
+        for j in np.flatnonzero(~(res <= bound)).tolist():
+            try:
+                recheck(j + 1)
+            except (IllConditionedError, InnerSolveError) as exc:
+                raise type(exc)(f"{self.row_name(j + 1)}: {exc}") from None
+
+    def row_name(self, j):
+        """How an error names row j: step k = 5, or step t = 0.25."""
+        return f"step {self.axis_name} = {self.axis[j].item()!r}"
 
     def __len__(self):
         return self.axis.shape[0]
@@ -187,9 +210,12 @@ def write_csv(path, columns, axis, table):
 
 def admm_step(state, spec, s, cache=None, r=None):
     """One ADMM step: x-minimization (r-proximal when r is given), y-minimization,
-    dual ascent; the cached Step of (spec, s, r) does the work."""
+    dual ascent; the cached Step of (spec, s, r) does the work and checks its x-update
+    solve (IllConditionedError)."""
     cache = cache if cache is not None else FactorizationCache()
-    x1, y1, lam1 = cache.get(spec, s, r)(state.x, state.y, state.lam)
+    step = cache.get(spec, s, r)
+    x1, y1, lam1 = step(state.x, state.y, state.lam)
+    step.check_step(state.x, state.y, state.lam, x1)
     return IterateState(x1, y1, lam1, state.k + 1)
 
 
@@ -226,8 +252,10 @@ def run(spec, config, init=None, saddle=None):
     A step is a function of the row it starts from, so once a row repeats an earlier
     one bit for bit Trace.step_rows stops stepping and copies the remaining rows from
     the cycle (trace.repeat names it); the bits are those of N computed steps.
-    The per-row columns are computed after the loop from all stored iterates;
-    lyapunov is NaN without a saddle, and ne on the last row, which has no successor.
+    Every computed step's x-update solve is checked after the loop, before the
+    columns: a failed one raises IllConditionedError naming its k. The per-row columns
+    are computed from all stored iterates; lyapunov is NaN without a saddle, and ne
+    on the last row, which has no successor.
     """
     row = check_start(spec, init)
     if config.variant == GENERAL:
@@ -241,6 +269,7 @@ def run(spec, config, init=None, saddle=None):
     step = Step(spec, config.s, r)
     trace.axis[:] = np.arange(config.N + 1)
     trace.step_rows(step, row)
+    step.check_rows(trace)
 
     xs, ys, ls, cols = trace.xs, trace.ys, trace.lams, trace.scalars
     cols["primal_res"], cols["dual_x_res"], cols["dual_y_res"] = kkt_residuals(spec, xs, ys, ls)
