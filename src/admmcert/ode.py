@@ -10,11 +10,13 @@ is integrated by implicit Euler only: with step delta = s each implicit
 step coincides with one discrete ADMM step, and for delta < s (with the
 regularizer Huber-smoothed) the coupled piecewise-linear step equations
 are solved exactly for their Huber region pattern by prox.settle_pattern,
-warm-started from the previous node's pattern. Each step's residual is
-checked after the loop, once per integration (ImplicitStep.check_rows). The
-low-resolution flow eliminates Y through the constraint and therefore
-never leaves the hyperplane F x + G y = h; the deviation columns of the
-two trajectories make the dual-correction effect measurable.
+warm-started from the previous node's pattern; only an affine-indicator f
+first tries the ADMM-shaped sweep there, which it accepts at every step.
+Each step's residual is checked after the loop, once per integration
+(ImplicitStep.check_rows). The low-resolution flow eliminates Y through the
+constraint and therefore never leaves the hyperplane F x + G y = h; the
+deviation columns of the two trajectories make the dual-correction effect
+measurable.
 
 This module only integrates. Both integrators produce their nodes through
 solver.Trace.step_rows, the loop behind every row of every iteration, which
@@ -147,13 +149,15 @@ class ImplicitStep:
     delta), the counterpart of prox.Step: validated and built once, then called once
     per step with (Y, Lam), returning (X, Y, Lam) at the next node.
 
-    The first sweep is the ADMM-shaped x- and y-update of Step(spec, s) for
-    delta = s, where it already satisfies the step equations, so a call is exactly
-    one ADMM step; for delta < s it is that of Step(spec, s^2/delta). A sweep whose
-    residual misses INNER_TOL is replaced by the exact solution of the step equations
-    for Huber g (_pattern_newton), whose pattern-independent system is built at the
-    first miss. That solution is checked after the loop, with every other computed
-    node, by check_rows.
+    For delta = s a call is the ADMM-shaped x- and y-update of Step(spec, s), which
+    already satisfies the step equations, so a call is exactly one ADMM step. For
+    delta < s and a quadratic f every call is the exact solution of the step
+    equations for Huber g (_pattern_newton); Step(spec, s^2/delta) is still built,
+    and refuses an ill-conditioned x-system, whose step would be just as non-unique.
+    An affine-indicator f first tries that Step's sweep, which it accepts at every
+    step. A sweep whose residual misses INNER_TOL is replaced by the exact solution,
+    whose pattern-independent system is built at the first call that needs it. Every
+    computed node is checked after the loop by check_rows.
     """
 
     def __init__(self, spec, s, delta):
@@ -164,6 +168,7 @@ class ImplicitStep:
             raise ParameterError("delta < s requires a smoothed (differentiable) regularizer")
         self.spec, self.s, self.delta = spec, s, delta
         self.sweep = Step(spec, s if delta == s else s * s / delta)
+        self._exact = delta != s and self.sweep.quadratic  # no sweep: the exact solve
         self._system = None
         # the constants of residual, bound once
         self._f, self._g, self._F, self._Ft = spec.f, spec.g, spec.F, spec.F.T
@@ -200,6 +205,8 @@ class ImplicitStep:
         return np.maximum(np.maximum(rA, rB), rC) / scale
 
     def __call__(self, Y, Lam):
+        if self._exact:
+            return self._pattern_newton(Y, Lam)
         spec, s, delta, step = self.spec, self.s, self.delta, self.sweep
         X1 = step.x_update(Y, Lam)
         FX = spec.F @ X1
@@ -245,14 +252,14 @@ class ImplicitStep:
             M[diag, diag] = g.w / g.delta
             v = rhs.copy()
             v[sy:sl] = np.where(quad, 0.0, -g.w * pattern)
-            try:
-                return np.linalg.solve(M, v)
-            except np.linalg.LinAlgError:
+            z, info = _flapack.dgesv(M, v)[2:]
+            if info > 0:  # exactly singular
                 return np.linalg.lstsq(M, v, rcond=None)[0]
+            return z
 
         z = settle_pattern(solve, lambda z: _pattern(z[sy:sl], g), _pattern(Y_old, g))
-        # checked here, not after the loop: from a NaN node the next node's x-update
-        # check would fail first, under that next node's name
+        # checked here, not after the loop, so that the error names the node that first
+        # went non-finite, not a later one stepped from it
         if not np.isfinite(z).all():
             raise InnerSolveError("implicit step's pattern system has a non-finite solution")
         return z[sx:sy], z[sy:sl], z[sl:sl + m]
@@ -260,8 +267,8 @@ class ImplicitStep:
     def check_rows(self, trace):
         """The residual check of every node trace.step_rows computed with this step: one
         array pass, and the single-node residual on a node the pass flags
-        (Trace.raise_first). Each must reach INNER_TOL, as an accepted first sweep
-        already did in the loop and an exact solve is first shown to here. Copied nodes,
+        (Trace.raise_first). Each must reach INNER_TOL, as an accepted sweep already did
+        in the loop and an exact solve is first shown to here. Copied nodes,
         after trace.repeat, need none. Raises InnerSolveError naming the first failing
         node (step t = 0.25: ...)."""
         n = trace.computed_rows()
@@ -283,11 +290,11 @@ def simulate_high_res(spec, config, init=None, saddle=None):
     Node j sits at t = delta + ... + delta (j terms, summed in order). A step is a
     function of the node it starts from, so once a node repeats an earlier one bit for
     bit Trace.step_rows stops stepping and copies the remaining nodes from the cycle. A
-    step that fails raises IllConditionedError (the first sweep's x-update solve check)
-    or InnerSolveError (the pattern iteration, or a non-finite exact solve) naming
-    the node it was computing (step t = 0.25: ...). After the loop, ImplicitStep.check_rows checks every computed
-    node's residual and then every node's algebraic leg; a miss, NaN included, raises
-    InnerSolveError naming the node."""
+    step that fails raises IllConditionedError (a sweep's x-update solve check) or
+    InnerSolveError (the pattern iteration, or a non-finite exact solve) naming the
+    node it was computing (step t = 0.25: ...). After the loop, ImplicitStep.check_rows
+    checks every computed node's residual and then every node's algebraic leg; a miss,
+    NaN included, raises InnerSolveError naming the node."""
     row = check_start(spec, init)
     step = ImplicitStep(spec, config.s, config.delta)
     trace = _continuous_trace(spec, config, saddle)

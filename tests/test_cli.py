@@ -73,7 +73,7 @@ def test_solve_general_without_r_certifies_at_default_r(tmp_path):
      ["trace.csv: row 36 repeats row 35 (period 1)"]),
     (["solve", "--spec", "tv_d50", "--N", "100"], []),
     (["simulate", "--spec", "scalar_lasso", "--horizon", "20"],
-     ["high_res.csv: row 1666 repeats row 1665 (period 1)",
+     ["high_res.csv: row 1714 repeats row 1713 (period 1)",
       "low_res.csv: row 1671 repeats row 1670 (period 1)"]),
 ], ids=["solve_repeats", "solve_no_repeat", "simulate"])
 def test_repeat_noted_in_the_sidecar_only(tmp_path, argv, lines):
@@ -186,6 +186,15 @@ def test_simulate_refused_run_leaves_no_directory(tmp_path, monkeypatch, capsys,
     assert main(["simulate", "--spec", "scalar_lasso_smoothed", "--delta", "0.5",
                  "--horizon", "2", "--out", str(tmp_path / "sim")]) == 2
     assert "error: refused" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+def test_simulate_refuses_an_ill_conditioned_micro_step(tmp_path, capsys):
+    # smoothed at delta = 0.01, the implicit step's build refuses rank_deficient_lasso,
+    # whose micro-step has no unique X, before the output directory is made
+    assert main(["simulate", "--spec", "rank_deficient_lasso", "--out",
+                 str(tmp_path / "sim")]) == 2
+    assert "error: x-update system has condition estimate" in capsys.readouterr().err
     assert not (tmp_path / "sim").exists()
 
 

@@ -29,15 +29,16 @@ GOLDEN = {
             "trace.json": "d62bf6bbc7f72e0baf4758643920934ff26962672230b82b414aac26d304860e",
         },
     ),
-    # at T = 20 the run computes 1,666 implicit steps (row 1666 repeats row 1665) and
-    # accepts the ADMM-shaped first sweep on 3 of them, rows 1664-1666; at T <= 10 it
-    # accepts none, so only this case reaches that path
+    # at T = 20 the high-resolution run computes 1,714 implicit steps, each an exact
+    # pattern solve, and row 1714 repeats row 1713, so this case also pins the rows
+    # copied after an exact repeat (at T <= 10 no row repeats); it is named for the
+    # ADMM-shaped sweeps it accepted at rows 1664-1666 while delta < s still tried one
     "simulate_accepted_sweep": (
         ["simulate", "--spec", "scalar_lasso_smoothed", "--delta", "0.01", "--horizon", "20"],
         {
-            "comparison.csv": "fc979d6d242548fa7a73cd3b026603965663202d37c72f8b2caf65653bbc100f",
+            "comparison.csv": "d4b1c9baef4c40152b9211a49226828684237a0bb0c9900f1d7f590ce19e0746",
             "discrete.csv": "f2f8af2186a2a07f95c71b3f9cec607a038b929cf8d4394b05523704f52801d9",
-            "high_res.csv": "48f90fb7da8771e18ce30657d3322269454046faf4f91e5acdd54fa351c76dcd",
+            "high_res.csv": "5b04097430370fe3f17e6ea2c0096da556f79ac4410d7f1f4a0b662b4bd72afa",
             "low_res.csv": "d1adf2a92d5bf7faa1a64d17948a092f99c117fe8866f5865bc56550c60eb89d",
         },
     ),

@@ -3,10 +3,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from admmcert import ode
+from admmcert import acceptance, ode
 from admmcert.diagnostics import (certify_continuous, check_continuous_strong_avg,
                                   check_theorem_3_2_weak, check_theorem_3_3_monotone)
-from admmcert.errors import IllConditionedError, ParameterError
+from admmcert.errors import IllConditionedError, InnerSolveError, ParameterError
 from admmcert.library import HUBER_DELTA, get_instance, get_saddle
 from admmcert.ode import ImplicitStep, IntegratorConfig, simulate_high_res, simulate_low_res
 from admmcert.prox import Step
@@ -86,6 +86,69 @@ class TestImplicitMicroSteps:
         assert abs(coarse[0] - fine[0]) < 0.05
 
 
+class TestStepDispatch:
+    """Below delta = s a quadratic f's every node is the exact pattern solve, through
+    LAPACK dgesv; an indicator f's is the ADMM-shaped sweep, as every node's at
+    delta = s."""
+
+    @pytest.mark.parametrize("off", [False, True], ids=["zero", "off"])
+    @pytest.mark.parametrize("name", acceptance.SMOOTH_INSTANCES)
+    def test_criterion_7_runs_take_no_sweep(self, monkeypatch, name, off):
+        residual = ImplicitStep.residual
+
+        def no_sweep(*args):
+            raise AssertionError("a sweep's x-update ran")
+
+        def arrays_only(self, *args):  # check_rows' one array pass, after the loop
+            if args[0].ndim == 1:
+                raise AssertionError("a single-node residual ran")
+            return residual(self, *args)
+
+        monkeypatch.setattr(Step, "x_update", no_sweep)
+        monkeypatch.setattr(ImplicitStep, "residual", arrays_only)
+        spec = get_instance(name)
+        init = (np.ones(spec.d1), np.zeros(spec.d2), np.zeros(spec.m)) if off else None
+        trace = simulate_high_res(spec, IntegratorConfig(s=1.0, delta=0.01, T=20.0), init)
+        assert trace.computed_rows() > 1
+
+    def test_indicator_f_takes_the_sweep_at_every_step(self, monkeypatch):
+        x_update, sweeps = Step.x_update, []
+
+        def counted(self, *args):
+            sweeps.append(None)
+            return x_update(self, *args)
+
+        def no_exact(*args):
+            raise AssertionError("the exact solve ran")
+
+        monkeypatch.setattr(Step, "x_update", counted)
+        monkeypatch.setattr(ImplicitStep, "_pattern_newton", no_exact)
+        spec = get_instance("basis_pursuit_10x30").smoothed(HUBER_DELTA)
+        trace = simulate_high_res(spec, IntegratorConfig(s=1.0, delta=0.01, T=2.0))
+        assert len(sweeps) == trace.computed_rows() - 1 == 200
+
+    def test_ill_conditioned_step_refused_at_build(self):
+        # the micro-step's X is as non-unique as the x-update of Step(spec, s^2/delta)
+        spec = get_instance("rank_deficient_lasso").smoothed(HUBER_DELTA)
+        with pytest.raises(IllConditionedError, match=r"^x-update system has condition "
+                                                      r"estimate 1\.\d{3}e\+17 > 1e\+12"):
+            ImplicitStep(spec, 1.0, 0.01)
+
+    def test_singular_pattern_system_falls_back_to_lstsq(self, monkeypatch):
+        systems = []
+
+        def singular(M, v):  # dgesv's (lu, piv, x, info) for an exactly singular M
+            systems.append((M.copy(), v.copy()))
+            return M, np.zeros(len(v), dtype=np.int32), np.full(len(v), np.nan), 1
+
+        monkeypatch.setattr(ode._flapack, "dgesv", singular)
+        spec = get_instance("lasso_8x6_smoothed")
+        _, Y, Lam = check_start(spec, None)
+        z = np.concatenate(ImplicitStep(spec, 1.0, 0.01)(Y, Lam))
+        M, v = systems[-1]
+        np.testing.assert_array_equal(z, np.linalg.lstsq(M, v, rcond=None)[0])
+
+
 class TestIndicatorExactSolve:
     def test_pattern_newton_solves_the_step_for_an_affine_indicator_f(self):
         # the ADMM-shaped first sweep is accepted at every step of this run, so the
@@ -126,15 +189,28 @@ class TestSimulateHighRes:
             alg = np.linalg.norm(spec.G.T @ trace.lams[j] + spec.g.grad(trace.ys[j]))
             assert alg <= 1e-11 * (1.0 + np.linalg.norm(trace.lams[j]))
 
-    def test_failed_step_names_the_node(self):
-        spec = get_instance("lasso_8x6_smoothed")
-        config = IntegratorConfig(s=1.0, delta=0.25, T=1.0)
+    @staticmethod
+    def overflowing_start(spec):
         # a NaN start is refused before any step; this finite one overflows in the first
-        # step's x-update, whose solve check then fails (the overflow is the point here)
-        init = (np.zeros(spec.d1), np.full(spec.d2, np.finfo(float).max), np.zeros(spec.m))
+        # step (the overflow is the point here)
+        return np.zeros(spec.d1), np.full(spec.d2, np.finfo(float).max), np.zeros(spec.m)
+
+    def test_failed_step_names_the_node(self):
+        # at delta = s the step is the ADMM sweep, whose x-update solve check fails
+        spec = get_instance("lasso_8x6_smoothed")
+        config = IntegratorConfig(s=0.25, delta=0.25, T=1.0)
         with pytest.raises(IllConditionedError, match=r"step t = 0\.25: .*condition estimate"), \
                 np.errstate(over="ignore", invalid="ignore"):
-            simulate_high_res(spec, config, init)
+            simulate_high_res(spec, config, self.overflowing_start(spec))
+
+    def test_failed_exact_step_names_the_node(self):
+        # below delta = s the step is the exact pattern solve, whose solution is not finite
+        spec = get_instance("lasso_8x6_smoothed")
+        config = IntegratorConfig(s=1.0, delta=0.25, T=1.0)
+        with pytest.raises(InnerSolveError, match=r"^step t = 0\.25: implicit step's pattern "
+                                                  r"system has a non-finite solution$"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            simulate_high_res(spec, config, self.overflowing_start(spec))
 
     @pytest.mark.parametrize("name, delta", [("scalar_lasso_smoothed", 2.0),
                                              ("scalar_lasso_smoothed", 0.9999999999999999),

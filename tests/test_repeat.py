@@ -86,7 +86,7 @@ def test_high_res_matches_every_step_computed():
     rows = stepped_rows(lambda X, Y, Lam: implicit(Y, Lam), tuple(check_start(spec, None)),
                         len(trace))
     assert_same_bits(trace, *rows)
-    assert trace.repeat == first_repeat(*rows) == (1665, 1)
+    assert trace.repeat == first_repeat(*rows) == (1713, 1)
 
 
 def test_low_res_matches_every_step_computed(monkeypatch):
