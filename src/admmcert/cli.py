@@ -173,15 +173,18 @@ def cmd_simulate(args):
     T = _resolve(args, cp, "simulate", "horizon", float, 20.0 * s)
     tol = _resolve(args, cp, "diagnostics", "tol", float, 1e-8)
     config = IntegratorConfig(s=s, delta=delta, T=T)  # refused steps exit before any write
+    if T < s:
+        raise ParameterError(f"horizon T = {T!r} is shorter than the step s = {s!r}: the "
+                             "discrete run's first step would end past it")
 
     if delta < s and not spec.g.smooth:
         spec = spec.smoothed(library.HUBER_DELTA)
     saddle = saddle_point_oracle(spec, tol)
     high = simulate_high_res(spec, config, saddle=saddle)
-    # the discrete steps k = 0..N with k s <= T (at least one), from the two whole
-    # numbers T/delta and s/delta that IntegratorConfig checked
+    # the discrete steps k = 0..N with k s <= T, from the two whole numbers T/delta and
+    # s/delta that IntegratorConfig checked; T >= s makes N at least 1
     ratio = round(s / delta)
-    trace = run(spec, SolverConfig(s=s, N=max(1, round(T / delta) // ratio)), saddle=saddle)
+    trace = run(spec, SolverConfig(s=s, N=round(T / delta) // ratio), saddle=saddle)
     # the flow is skipped where it does not apply, as for basis pursuit or any F^T F
     # left singular by a difference operator
     low = None if low_res_refusal(spec) else simulate_low_res(spec, config, saddle=saddle)
@@ -196,9 +199,8 @@ def cmd_simulate(args):
     trace.to_csv(path("discrete.csv"))
     if low is not None:
         low.to_csv(path("low_res.csv"))
-    # the high-resolution node j = k * s/delta of each discrete step k up to T; a range,
-    # as s/delta may not fit an int64
-    js = np.array(range(0, len(high), ratio))
+    # the high-resolution node j = k * s/delta of each discrete step k up to T
+    js = np.arange(0, len(high), ratio)
     ks = np.arange(len(js))
     dev_l = low.scalars["deviation"][js] if low is not None else np.full(len(ks), np.nan)
     table = np.column_stack([high.scalars["deviation"][js], dev_l,

@@ -209,7 +209,7 @@ class ImplicitStep:
             return self._pattern_newton(Y, Lam)
         spec, s, delta, step = self.spec, self.s, self.delta, self.sweep
         X1 = step.x_update(Y, Lam)
-        FX = spec.F @ X1
+        FX = step.F.dot(X1)  # the step's own product, so that delta = s has its bits
         Y1 = step.y_update.from_Fx(FX, Lam)
         resid = FX + step.G_sign * Y1 - spec.h
         if delta == s:

@@ -90,24 +90,35 @@ def long_run_oracle(spec, tol=1e-8, budget=LONG_RUN_BUDGET):
     (Step.check_rows), then the KKT residuals at its end. It gives up early, with
     OracleConvergenceError, once STALL_CHECKS checks in a row have not improved on the
     best residual: it has stalled above tol. A block stops stepping
-    once a state repeats an earlier state of the block bit for bit (Trace.step_rows), so
-    a run that cycles with period p <= _CHECK_EVERY steps p states per block, not 100,
-    with the same results."""
+    once a state repeats an earlier state of the block bit for bit (Trace.step_rows).
+    From then on the run cycles with that block's period p <= _CHECK_EVERY, so every
+    later block takes its end state from the cycle's p states without stepping, with
+    the same results."""
     step = Step(spec, 1.0, default_r(spec))
     row = np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m)
     best_res, stalled = np.inf, 0
+    cycle, at = None, 0  # once found: the cycle's states (xs, ys, lams), and row's index
     for start in range(0, budget, _CHECK_EVERY):
         it = min(start + _CHECK_EVERY, budget)
-        block = Trace(spec, it - start + 1, scalars=())
-        block.axis[:] = np.arange(start, it + 1)
-        try:
-            block.step_rows(step, row)
-            step.check_rows(block)
-        except IllConditionedError as exc:
-            raise IllConditionedError(f"long-run oracle, {exc}") from None
-        # copies, so that the block is freed before the next one is allocated
-        row = x, y, lam = block.xs[-1].copy(), block.ys[-1].copy(), block.lams[-1].copy()
-        del block
+        if cycle is None:
+            block = Trace(spec, it - start + 1, scalars=())
+            block.axis[:] = np.arange(start, it + 1)
+            try:
+                block.step_rows(step, row)
+                step.check_rows(block)
+            except IllConditionedError as exc:
+                raise IllConditionedError(f"long-run oracle, {exc}") from None
+            if block.repeat is not None:
+                i, p = block.repeat
+                cycle = [b[i:i + p].copy() for b in (block.xs, block.ys, block.lams)]
+                at = (len(block) - 1 - i) % p
+            # copies, so that the block is freed before the next one is allocated
+            row = block.xs[-1].copy(), block.ys[-1].copy(), block.lams[-1].copy()
+            del block
+        else:  # the cycle's state it - start steps on
+            at = (at + it - start) % len(cycle[0])
+            row = tuple(b[at] for b in cycle)
+        x, y, lam = row
         res = max(kkt_residuals(spec, x, y, lam))
         if res <= tol:
             return SaddlePoint(x, y, lam, res)

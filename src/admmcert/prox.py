@@ -1,10 +1,13 @@
 """Closed-form subproblem solvers, and the one step operator per (problem, s, r).
 
-The x-update for a quadratic f solves (2s A^T A + F^T F) x = rhs; for an
-affine indicator it solves the equality-constrained least-squares KKT
-system. The r-proximal variant replaces F^T F on the left by r*I, which
-stays solvable even when A and F share a null direction. The y-update is a
-componentwise shrink (or Huber prox) and needs G = +I or -I. A Step owns
+The x-update for a quadratic f solves (2s A^T A + F^T F) x = rhs by a
+Cholesky factor in LAPACK band storage, at the bandwidth of the system's
+nonzeros, so that total variation and trend filtering (A = I, F a difference
+operator) solve at O(d) a step; F x and F^T v go through BLAS dgbmv where F's
+band allows. For an affine indicator it solves the equality-constrained
+least-squares KKT system. The r-proximal variant replaces F^T F on the left by
+r*I, which stays solvable even when A and F share a null direction. The
+y-update is a componentwise shrink (or Huber prox) and needs G = +I or -I. A Step owns
 the whole iteration of one (problem, s, r): the loop that runs it builds it
 once, and each call does only the per-step work. settle_pattern finds the region
 pattern of a piecewise-linear system for the implicit step and the oracle.
@@ -33,45 +36,94 @@ SOLVE_TOL = 1e-10  # relative residual every x-update solve must reach
 INNER_MAX = 500  # linear solves settle_pattern may spend before it gives up
 
 
-def _load_flapack():
-    """scipy's compiled LAPACK module, scipy/linalg/_flapack, loaded from its file.
+def _load_linalg(name):
+    """scipy's compiled module scipy/linalg/<name> (_flapack for LAPACK, _fblas for
+    BLAS), loaded from its file.
 
-    scipy.linalg hands back these same routines for float64 data, so every factor
-    and solve has the bits it would have through scipy.linalg, without that
+    scipy.linalg hands back these same routines for float64 data, so every factor,
+    solve and product has the bits it would have through scipy.linalg, without that
     package's import (about 0.3 s and 18 MB at start-up). The module is entered in
     sys.modules, where a later `import scipy.linalg` finds and reuses it.
     """
-    name = "scipy.linalg._flapack"
-    module = sys.modules.get(name)
+    full = f"scipy.linalg.{name}"
+    module = sys.modules.get(full)
     if module is not None:
         return module
     scipy_spec = importlib.util.find_spec("scipy")  # locates the package, runs none of it
     if scipy_spec is None:
-        raise ImportError("scipy is not installed; its LAPACK module scipy/linalg/_flapack "
+        raise ImportError(f"scipy is not installed; its module scipy/linalg/{name} "
                           "is required")
-    base = os.path.join(scipy_spec.submodule_search_locations[0], "linalg", "_flapack")
+    base = os.path.join(scipy_spec.submodule_search_locations[0], "linalg", name)
     paths = [base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if os.path.isfile(p)), None)
     if path is None:
-        raise ImportError(f"scipy's LAPACK module is missing: no {paths[0]}")
-    spec = importlib.util.spec_from_file_location(name, path)
+        raise ImportError(f"scipy's compiled module is missing: no {paths[0]}")
+    spec = importlib.util.spec_from_file_location(full, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules[name] = module
+    sys.modules[full] = module
     return module
 
 
-_flapack = _load_flapack()
+_flapack = _load_linalg("_flapack")
+_fblas = _load_linalg("_fblas")
 
 
 def lapack_factor(name, M, **options):
-    """The outputs of the LAPACK factorization `name` ("dpotrf" or "dgetrf") of M but
-    its info; a non-zero info raises IllConditionedError naming the routine."""
+    """The outputs of the LAPACK factorization `name` ("dpbtrf" of band storage or
+    "dgetrf") of an n x n matrix but its info; a non-zero info raises
+    IllConditionedError naming the routine."""
     *factor, info = getattr(_flapack, name)(M, **options)
     if info:
-        raise IllConditionedError(
-            f"LAPACK {name} failed on the {M.shape[0]}x{M.shape[1]} matrix (info {info})")
+        n = M.shape[1]
+        raise IllConditionedError(f"LAPACK {name} failed on the {n}x{n} matrix (info {info})")
     return tuple(factor)
+
+
+def bandwidths(A):
+    """(kl, ku): how far the nonzeros of A reach below and above its diagonal."""
+    i, j = np.nonzero(A)
+    return int(np.max(i - j, initial=0)), int(np.max(j - i, initial=0))
+
+
+def band_storage(A, kl, ku):
+    """A's band in LAPACK general band storage: row ku + i - j of column j holds
+    A[i, j]. With ku = 0 it is the lower symmetric band storage of dpbtrf."""
+    ab = np.zeros((kl + ku + 1, A.shape[1]))
+    for o in range(-ku, kl + 1):  # the diagonal i - j = o, from column j0
+        diagonal, j0 = np.diagonal(A, -o), max(0, -o)
+        ab[ku + o, j0:j0 + diagonal.size] = diagonal
+    return ab
+
+
+class Banded:
+    """A fixed (m, n) matrix A, applied as A x by dot and as A^T v by tdot. A vector
+    goes through BLAS dgbmv on A's band storage when the band fits that routine
+    (kl + ku + 1 <= m; f2py's dgbmv refuses a wider one), so a difference operator
+    costs O(d), not O(d^2). A denser A, and the rows of an (n, .) array, take the
+    dense products x @ A.T and v @ A (for a vector, the bits of A @ x and A.T @ v)."""
+
+    def __init__(self, A):
+        m, n = A.shape
+        kl, ku = bandwidths(A)
+        self.A, self.banded = A, kl + ku + 1 <= m
+        if self.banded:
+            self._args = m, n, kl, ku, 1.0, band_storage(A, kl, ku)
+            # trans goes by position, after beta = 0 and a y whose zeros only fix its
+            # length: f2py takes about 1 us a call to parse a keyword
+            self._tail = 1, 0, 0.0, np.zeros(n), 1, 0, 1
+
+    def dot(self, x):
+        """A x for a vector x, or A x_j for each row x_j of an (n, cols) array."""
+        if self.banded and x.ndim == 1:
+            return _fblas.dgbmv(*self._args, x)
+        return x @ self.A.T
+
+    def tdot(self, v):
+        """A^T v for a vector v, or A^T v_j for each row v_j of an (n, rows) array."""
+        if self.banded and v.ndim == 1:
+            return _fblas.dgbmv(*self._args, v, *self._tail)
+        return v @ self.A
 
 
 def sym_cond(M):
@@ -173,13 +225,21 @@ class YUpdate:
 class Step:
     """One ADMM step of one (problem, s, r), with everything that does not change
     between steps built once: the factored x-system and the LAPACK routine that
-    solves it, the constant part of its right-hand side, and the y-update.
+    solves it, the products with F, the constant part of its right-hand
+    side, and the y-update.
 
     With P = F^T F (standard step, r is None) or P = r*I (r-proximal step) and
     c = F^T (h - G y_k - s lam_k), plus r x_k - F^T F x_k for the r-proximal
-    step, a quadratic f solves (2s A^T A + P) x = 2s A^T b + c by Cholesky, and
-    an affine-indicator f solves the KKT system [[P, A^T], [A, 0]] (x, nu) = (c, b)
-    by LU. G = +/-I is required, so G y is G_sign * y. A call checks only LAPACK's
+    step, a quadratic f solves (2s A^T A + P) x = 2s A^T b + c by a banded
+    Cholesky: M = 2s A^T A + P is stored in LAPACK symmetric band storage at the
+    bandwidth kd its nonzeros reach (kd = d - 1 for a dense M, 1 for total
+    variation with A = I, 2 for trend filtering), factored by dpbtrf and solved by
+    dpbtrs at O(d kd) a step. An affine-indicator f solves the KKT system
+    [[P, A^T], [A, 0]] (x, nu) = (c, b) by LU (dgetrf, dgetrs). F x and F^T v go
+    through BLAS dgbmv where F's band fits it (Banded); the implicit step's sweep
+    takes F x from F.dot, so that it has the step's bits. G = +/-I is required, so
+    G y is G_sign * y. The dense M is kept as matrix, for the condition estimate
+    and every solve check. A call checks only LAPACK's
     info; check_rows checks every solve of a finished run in one pass, check_step
     that of one step, and x_update its own: the linear residual for a quadratic f, the constraint A x = b
     for an indicator f, so that a non-finite iterate or a failed solve raises
@@ -214,24 +274,25 @@ class Step:
                 f"{what} has condition estimate {cond:.3e} > {COND_LIMIT:.0e}{hint}"
             )
         self.spec, self.s, self.r, self.matrix, self.cond = spec, s, r, M, cond
-        self.G_sign, self._F = spec.G_sign, spec.F
-        # the routines and options of scipy.linalg's cho_factor(M, lower=True) and
-        # lu_factor(M), and the layouts they return: (c, lower) and (lu, piv)
+        self.G_sign, self.F = spec.G_sign, Banded(spec.F)
+        # the routines and options of scipy.linalg's cholesky_banded(ab, lower=True)
+        # and lu_factor(M), and the layouts their solves take: (cb, lower) and (lu, piv)
         if self.quadratic:
-            c, = lapack_factor("dpotrf", M, lower=1, clean=0)
-            self._factor, self._lapack = (c, True), _flapack.dpotrs
+            self.kd = max(bandwidths(M))
+            cb, = lapack_factor("dpbtrf", band_storage(M, self.kd, 0), lower=1)
+            self._factor, self._lapack = (cb, True), _flapack.dpbtrs
             self._rhs0 = 2.0 * s * f.gram_rhs
         else:
             self._factor, self._lapack = lapack_factor("dgetrf", M), _flapack.dgetrs
 
     def _drive(self, x_k, y_k, lambda_k):
-        """c of one step, or of each row of (n, d) arrays of rows; v @ F has the bits of
-        F^T @ v for a vector v."""
-        spec, r = self.spec, self.r
-        drive = (spec.h - self.G_sign * y_k - self.s * lambda_k) @ self._F
-        if r is not None:
-            drive = drive + r * x_k - x_k @ spec.FtF.T
-        return drive
+        """c of one step, or of each row of (n, d) arrays of rows: F^T v with
+        v = h - G y_k - s lam_k, and for the r-proximal step F^T (v - F x_k) + r x_k,
+        which is F^T v + r x_k - F^T F x_k with two products, not three."""
+        v = self.spec.h - self.G_sign * y_k - self.s * lambda_k
+        if self.r is None:
+            return self.F.tdot(v)
+        return self.F.tdot(v - self.F.dot(x_k)) + self.r * x_k
 
     def _rhs(self, x_k, y_k, lambda_k):
         """The right-hand side the x-update from (x_k, y_k, lambda_k) solves: 2s A^T b + c
@@ -265,7 +326,7 @@ class Step:
     def _failure(self, res, info=0):
         if self.quadratic:
             return (f"x-update solve residual {res:.3e} exceeds {SOLVE_TOL:.0e} * (1 + ||rhs||) "
-                    f"(LAPACK dpotrs info {info}; condition estimate {self.cond:.3e})")
+                    f"(LAPACK dpbtrs info {info}; condition estimate {self.cond:.3e})")
         return (f"indicator x-update left the constraint set (LAPACK dgetrs info {info}; "
                 f"condition estimate {self.cond:.3e})")
 
@@ -286,7 +347,7 @@ class Step:
         is computed once, for the y-update and the dual step. The solve is not checked
         here: check_rows checks a run's, check_step a single step's."""
         x1 = self._solve(y_k, lambda_k, x_k)[0]
-        Fx = self._F @ x1
+        Fx = self.F.dot(x1)
         y1 = self.y_update.from_Fx(Fx, lambda_k)
         return x1, y1, lambda_k + (Fx + self.G_sign * y1 - self.spec.h) / self.s
 

@@ -178,9 +178,10 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
         assert "scipy.linalg" not in sys.modules, "building a Step imported scipy.linalg"
         import scipy.linalg
         assert sys.modules["scipy.linalg._flapack"] is prox._flapack
-        assert chol._lapack is scipy.linalg.lapack.dpotrs
+        assert sys.modules["scipy.linalg._fblas"] is prox._fblas
+        assert chol._lapack is scipy.linalg.lapack.dpbtrs
         assert kkt._lapack is scipy.linalg.lapack.dgetrs
-        for step, solve in ((chol, scipy.linalg.cho_solve), (kkt, scipy.linalg.lu_solve)):
+        for step, solve in ((chol, scipy.linalg.cho_solve_banded), (kkt, scipy.linalg.lu_solve)):
             b = np.arange(1.0, step.matrix.shape[0] + 1.0)
             x = solve(step._factor, b)
             assert np.linalg.norm(step.matrix @ x - b) <= 1e-9 * np.linalg.norm(b)

@@ -285,13 +285,27 @@ def test_trace_out_of_memory_exits_2_before_any_write(tmp_path, monkeypatch, cap
     assert list(tmp_path.iterdir()) == []
 
 
-def test_simulate_step_ratio_past_int64(tmp_path):
-    # s/delta = 1e19 does not fit an int64; only t = 0 is shared by the three runs
-    out = tmp_path / "o"
-    assert main(["simulate", "--spec", "scalar_lasso_smoothed", "--s", "1", "--delta", "1e-19",
-                 "--horizon", "1e-19", "--out", str(out)]) == 0
-    rows = (out / "comparison.csv").read_text().splitlines()[1:]
-    assert len(rows) == 1 and rows[0].startswith("0.0,")
+def test_simulate_step_ratio_past_int64(tmp_path, monkeypatch, capsys):
+    # s/delta = 1e19 does not fit an int64: a horizon below s is refused, and from s on
+    # the T/delta >= 1e19 nodes cannot be allocated; both exit 2 before any write
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--spec", "scalar_lasso_smoothed", "--s", "1", "--delta", "1e-19",
+            "--out", "o", "--horizon"]
+    assert main(argv + ["1e-19"]) == 2
+    assert "horizon T = 1e-19 is shorter than the step s = 1.0" in capsys.readouterr().err
+    assert main(argv + ["1"]) == 2
+    assert "error: a trace of 1e+19 rows cannot be allocated" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_refuses_a_horizon_shorter_than_s(tmp_path, monkeypatch, capsys):
+    # one discrete step of s = 1 would end at t = 1, past T = 0.5
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--spec", "scalar_lasso_smoothed", "--s", "1", "--delta", "0.5",
+                 "--horizon", "0.5", "--out", "o"]) == 2
+    assert ("error: horizon T = 0.5 is shorter than the step s = 1.0: the discrete run's "
+            "first step would end past it") in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _mutated_instance(tmp_path, block, mutate):

@@ -16,8 +16,8 @@ GOLDEN = {
     "solve": (
         ["solve", "--spec", "scalar_lasso", "--N", "50"],
         {
-            "certificates.json": "875407ea52791f418892a032165d2c267bf0b2484ab10643c1efeb30c5d758c5",
-            "trace.csv": "ad8f08224200ff943afe9cc1142da676b6c432e1551a1cac148a4762e915b801",
+            "certificates.json": "407387fd374d55efe66c033e13bc3c38fcf65b44aa0e4d18290c123c7ee27cee",
+            "trace.csv": "7ee79f21ab291ac19066f93f35200899662971386faa054a0e4427b0ea18e19d",
             "trace.json": "2af47f8536f165ef042c8d63b5d614e9790bf037229ab6f8845ab0178650b389",
         },
     ),
@@ -36,19 +36,19 @@ GOLDEN = {
     "simulate_accepted_sweep": (
         ["simulate", "--spec", "scalar_lasso_smoothed", "--delta", "0.01", "--horizon", "20"],
         {
-            "comparison.csv": "d4b1c9baef4c40152b9211a49226828684237a0bb0c9900f1d7f590ce19e0746",
-            "discrete.csv": "f2f8af2186a2a07f95c71b3f9cec607a038b929cf8d4394b05523704f52801d9",
-            "high_res.csv": "5b04097430370fe3f17e6ea2c0096da556f79ac4410d7f1f4a0b662b4bd72afa",
-            "low_res.csv": "d1adf2a92d5bf7faa1a64d17948a092f99c117fe8866f5865bc56550c60eb89d",
+            "comparison.csv": "9191fe1eb281497cdb7319d087c1ab1585202ee9f19460e8f3c842ffa6bd6967",
+            "discrete.csv": "f84aebb55f1e06d6fed82c31f5a34fe43030eb379183fc52513d5f666a92a555",
+            "high_res.csv": "ec68f8955a5227a5603e8a0de8dcdf59a6036738dfa6f6bac0c1c4e93fa4f719",
+            "low_res.csv": "994c5464f52f6b60ae5777851d1a89242e9eedd25944423f998efc4f3a03de53",
         },
     ),
     "simulate": (
         ["simulate", "--spec", "scalar_lasso_smoothed", "--delta", "0.01", "--horizon", "1"],
         {
-            "comparison.csv": "4b819764261b9bf5c045cbaacf7d726eba227db28d3ea315f84238c5ec1b18f4",
-            "discrete.csv": "5479685156185a1b15d49c221d08ffd5081b95ba45645731b0def3b06a471d3d",
-            "high_res.csv": "6c11c78f75cb0a9351b386f39ec1b79fa6959ae7f2d10e9badf6ecac745298e8",
-            "low_res.csv": "652c21a850fbc2f029a9e22f4a2b4654569ed8ab81906e387c3aca220388fc3d",
+            "comparison.csv": "eeb973584ba5ca98bd1c0bd9396f9cc5748b769dbadd503177065f81b94ea164",
+            "discrete.csv": "ed9c6c9c55a29644d59dbaa140fcfd44212b35fb10c3eee6d7c2b52d9259372e",
+            "high_res.csv": "c7d6c3ddf590dee9aa08b5866b6e938413d85f06253e6fdca376aab9555150b0",
+            "low_res.csv": "68596530d51a2baa526a6c59bd99eb95a0860ea6b3a3608c8a5c99bc2186c7c5",
         },
     ),
 }

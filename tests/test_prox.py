@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
+from test_step_bits import plus_identity_instance
 
 from admmcert.errors import IllConditionedError, InnerSolveError, ParameterError
 from admmcert import prox
@@ -15,6 +16,7 @@ from admmcert.prox import (
     COND_LIMIT,
     FactorizationCache,
     INNER_MAX,
+    SOLVE_TOL,
     huber_prox,
     lapack_factor,
     settle_pattern,
@@ -178,13 +180,14 @@ class TestXUpdates:
 
 class TestLapack:
     def test_loader_returns_the_registered_module(self):
-        assert prox._load_flapack() is sys.modules["scipy.linalg._flapack"] is prox._flapack
+        module = sys.modules["scipy.linalg._flapack"]
+        assert prox._load_linalg("_flapack") is module is prox._flapack
 
     def test_missing_module_names_its_path(self, monkeypatch):
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
         with pytest.raises(ImportError, match=r"scipy.linalg._flapack\.missing\.so"):
-            prox._load_flapack()
+            prox._load_linalg("_flapack")
 
     def test_indefinite_matrix_refused_by_dpotrf(self):
         with pytest.raises(IllConditionedError, match=r"LAPACK dpotrf .*\(info 2\)"):
@@ -197,13 +200,53 @@ class TestLapack:
     @pytest.mark.parametrize("name", ["lasso_8x6", "basis_pursuit_10x30"])
     def test_factor_matches_scipy_linalg(self, name):
         step = FactorizationCache().get(get_instance(name), 1.0)
-        if step.quadratic:
-            expected = scipy.linalg.cho_factor(step.matrix, lower=True)
+        if step.quadratic:  # M's lower band, at the bandwidth the step read
+            band = [np.concatenate([np.diagonal(step.matrix, -k), np.zeros(k)])
+                    for k in range(step.kd + 1)]
+            expected = scipy.linalg.cholesky_banded(np.array(band), lower=True), True
         else:
             expected = scipy.linalg.lu_factor(step.matrix)
         assert len(step._factor) == len(expected)
         for got, want in zip(step._factor, expected):
             np.testing.assert_array_equal(got, want)
+
+
+def _one_row_F_instance():
+    """A least-squares instance whose F is one dense row: its band reaches d - 1
+    above the diagonal, wider than dgbmv takes for a 1-row matrix."""
+    rng = np.random.default_rng(12)
+    return build_generalized_lasso(np.eye(6), rng.standard_normal(6), np.ones((1, 6)), 0.5)
+
+
+BAND_CASES = {  # instance, r factor of ||F^T F||, kd of the x-system, F through dgbmv
+    "tv_d50": (lambda: get_instance("tv_d50"), None, 1, True),
+    "trend_d50": (lambda: get_instance("trend_d50"), None, 2, True),
+    "lasso_20x50": (lambda: get_instance("lasso_20x50"), None, 49, True),
+    "tv_d50_r_proximal": (lambda: get_instance("tv_d50"), 2.0, 0, True),
+    "plus_identity": (plus_identity_instance, None, 4, False),
+    "one_row_F": (_one_row_F_instance, None, 5, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAND_CASES))
+def test_step_factors_at_the_band_and_picks_the_F_product(case):
+    build, factor, kd, banded = BAND_CASES[case]
+    spec = build()
+    r = None if factor is None else factor * spec.FtF_norm
+    step = prox.Step(spec, 0.8, r)
+    assert step.kd == kd
+    assert step._factor[0].shape == (kd + 1, spec.d1)
+    assert step.F.banded is banded
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        x_k, y, lam = (rng.standard_normal(n) for n in (spec.d1, spec.d2, spec.m))
+        assert np.allclose(step.F.dot(x_k), spec.F @ x_k, rtol=1e-14, atol=1e-14)
+        assert np.allclose(step.F.tdot(lam), spec.F.T @ lam, rtol=1e-14, atol=1e-14)
+        x = step.x_update(y, lam, x_k)
+        P_x = spec.FtF @ x if r is None else r * (x - x_k) + spec.FtF @ x_k
+        rhs = 2.0 * 0.8 * spec.f.gram_rhs + spec.F.T @ (spec.h - spec.G @ y - 0.8 * lam)
+        res = np.linalg.norm(2.0 * 0.8 * spec.f.gram @ x + P_x - rhs)
+        assert res <= SOLVE_TOL * (1.0 + np.linalg.norm(rhs))
 
 
 def _x_systems():

@@ -61,10 +61,10 @@ def assert_same_bits(trace, xs, ys, lams):
 
 
 @pytest.mark.parametrize("name, N, factor, repeat", [
-    ("tv_d50", 3000, None, (2745, 2)),
-    ("lasso_8x6", 1000, None, (438, 9)),
-    ("trend_d50", 7100, None, (7023, 26)),
-    ("rank_deficient_lasso", 1000, 1.1, (874, 16)),
+    ("tv_d50", 3000, None, (2784, 1)),
+    ("lasso_8x6", 1000, None, (436, 10)),
+    ("trend_d50", 35000, None, (34552, 84)),
+    ("rank_deficient_lasso", 1000, 1.1, (734, 175)),
 ])
 def test_run_matches_every_step_computed(name, N, factor, repeat):
     spec = get_instance(name)
@@ -114,7 +114,7 @@ def test_long_run_oracle_matches_every_step_computed(monkeypatch, name):
 
 
 def test_stalled_oracle_matches_every_step_computed(monkeypatch, tmp_path, capsys):
-    # the stall repro of test_oracle: its states cycle with period 4 from step 132
+    # the stall repro of test_oracle: its states cycle with period 2 from step 126
     rng = np.random.default_rng(0)
     path = tmp_path / "stall.txt"
     save_instance(build_generalized_lasso(np.eye(20), 1e6 * rng.standard_normal(20),

@@ -1,7 +1,8 @@
 """The step operator gives the same bits as the plain textbook loop.
 
-The reference loop below writes each step out with dense G products, scipy's
-checked solves, the public prox functions and ProblemSpec.constraint_residual.
+The reference loop below writes each step out with dense G and F products,
+scipy's checked solves (a banded Cholesky of the x-system at its own
+bandwidth), the public prox functions and ProblemSpec.constraint_residual.
 `run` (and the implicit-Euler step at delta = s) must reproduce its iterates
 exactly, on the Cholesky and the LU paths, standard and r-proximal, for
 G = -I and G = +I, from non-zero starts. The energy columns and residuals, which
@@ -23,23 +24,38 @@ from admmcert.solver import GENERAL, STANDARD, SolverConfig, default_r, run
 STEPS = 50
 
 
+def lower_band(M):
+    """M in lower symmetric band storage, at the bandwidth its nonzeros reach."""
+    i, j = np.nonzero(M)
+    kd = int(np.max(np.abs(i - j), initial=0))
+    ab = np.zeros((kd + 1, M.shape[0]))
+    for k in range(kd + 1):
+        ab[k, :M.shape[0] - k] = np.diagonal(M, -k)
+    return ab
+
+
 def reference_rows(spec, s, r, x, y, lam, n=STEPS):
-    """(xs, ys, lams) of n steps from (x, y, lam), one expression per update."""
+    """(xs, ys, lams) of n steps from (x, y, lam), one expression per update. The
+    cases' F rows have one or two terms (or F is dense), where the dense products
+    have the bits of the step's banded ones."""
     f = spec.f
     P = spec.FtF if r is None else r * np.eye(spec.d1)
     quadratic = isinstance(f, Quadratic)
     if quadratic:
-        factor = scipy.linalg.cho_factor(2.0 * s * f.gram + P, lower=True)
+        factor = (scipy.linalg.cholesky_banded(lower_band(2.0 * s * f.gram + P), lower=True),
+                  True)
     else:
         m1 = f.A.shape[0]
         factor = scipy.linalg.lu_factor(np.block([[P, f.A.T], [f.A, np.zeros((m1, m1))]]))
     rows = []
     for _ in range(n):
-        drive = spec.F.T @ (spec.h - spec.G @ y - s * lam)
-        if r is not None:
-            drive = drive + r * x - spec.FtF @ x
+        v = spec.h - spec.G @ y - s * lam
+        if r is None:
+            drive = spec.F.T @ v
+        else:  # F^T v + r x - F^T F x, with F^T F x through F
+            drive = spec.F.T @ (v - spec.F @ x) + r * x
         if quadratic:
-            x = scipy.linalg.cho_solve(factor, 2.0 * s * f.gram_rhs + drive)
+            x = scipy.linalg.cho_solve_banded(factor, 2.0 * s * f.gram_rhs + drive)
         else:
             x = scipy.linalg.lu_solve(factor, np.concatenate([drive, f.b]))[: spec.d1]
         u = spec.G_sign * (spec.h - spec.F @ x - s * lam)
