@@ -303,6 +303,9 @@ def main(argv=None):
     except (AdmmError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # numpy's refusal to allocate an array included
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

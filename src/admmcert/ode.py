@@ -7,12 +7,11 @@ The high-resolution system
     s^2 dLam/dt = F X + G Y - h
 
 is integrated by implicit Euler only: with step delta = s each implicit
-step coincides with one discrete ADMM step, and for delta < s (with the
-regularizer Huber-smoothed) the coupled piecewise-linear step equations
-are solved exactly for their Huber region pattern by prox.settle_pattern,
-warm-started from the previous node's pattern; only an affine-indicator f
-first tries the ADMM-shaped sweep there, which it accepts at every step.
-Each step's residual is checked after the loop, once per integration
+step is one discrete ADMM step, prox.Step's own call, and for delta < s
+(with the regularizer Huber-smoothed) the coupled piecewise-linear step
+equations are solved exactly for their Huber region pattern by
+prox.settle_pattern, warm-started from the previous node's pattern, for
+every f. Each step's residual is checked after the loop, once per integration
 (ImplicitStep.check_rows). The low-resolution flow eliminates Y through the
 constraint and therefore never leaves the hyperplane F x + G y = h; the
 deviation columns of the two trajectories make the dual-correction effect
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import _energy
-from .errors import IllConditionedError, InnerSolveError, ParameterError, UnsupportedProblemError
+from .errors import IllConditionedError, InnerSolveError, ParameterError
 from .functions import AffineIndicator, HuberSmoothedL1
 from .prox import (COND_LIMIT, Step, _flapack, _norm, lapack_factor, row_norms, settle_pattern,
                    sym_cond)
@@ -49,10 +48,19 @@ CONT_PREFIXES = ("X", "Y", "Lambda")
 CONT_SCALAR_COLUMNS = ["deviation", "lyapunov", "ne_continuous"]
 
 
+def _ratio(name, num, den):
+    """num/den for positive finite num and den (Python floats), refused when it
+    overflows to inf, which round() cannot take and no step count reaches."""
+    ratio = num / den
+    if ratio == np.inf:
+        raise ParameterError(f"{name} = {num!r}/{den!r} overflows a float: pass a larger delta")
+    return ratio
+
+
 def _refuse_rounded_s(s, delta):
     """delta != s selects micro-steps (and a smoothed g in simulate); a delta whose
     step ratio rounds to 1 is s up to rounding, not a micro-step, and is refused."""
-    if delta != s and round(s / delta) == 1:
+    if delta != s and round(_ratio("s/delta", s, delta)) == 1:
         raise ParameterError(f"delta = {delta!r} differs from s = {s!r} but "
                              "s/delta rounds to 1: pass delta equal to s, or at most s/2")
 
@@ -69,7 +77,8 @@ class IntegratorConfig:
         if self.delta > self.s:
             raise ParameterError("micro-step delta must not exceed s")
         # nodes land on T, and every s/delta-th node on an ADMM step
-        for name, ratio in (("T/delta", self.T / self.delta), ("s/delta", self.s / self.delta)):
+        for name, num in (("T/delta", self.T), ("s/delta", self.s)):
+            ratio = _ratio(name, num, self.delta)
             if abs(ratio - round(ratio)) > 1e-9 * ratio:
                 raise ParameterError(f"{name} = {ratio!r} must be a whole number")
         _refuse_rounded_s(self.s, self.delta)
@@ -149,15 +158,13 @@ class ImplicitStep:
     delta), the counterpart of prox.Step: validated and built once, then called once
     per step with (Y, Lam), returning (X, Y, Lam) at the next node.
 
-    For delta = s a call is the ADMM-shaped x- and y-update of Step(spec, s), which
-    already satisfies the step equations, so a call is exactly one ADMM step. For
-    delta < s and a quadratic f every call is the exact solution of the step
-    equations for Huber g (_pattern_newton); Step(spec, s^2/delta) is still built,
-    and refuses an ill-conditioned x-system, whose step would be just as non-unique.
-    An affine-indicator f first tries that Step's sweep, which it accepts at every
-    step. A sweep whose residual misses INNER_TOL is replaced by the exact solution,
-    whose pattern-independent system is built at the first call that needs it. Every
-    computed node is checked after the loop by check_rows.
+    For delta = s a call is one call of step, the ADMM Step(spec, s), which solves the
+    step equations, so a node is exactly one ADMM step. For delta < s every call
+    is the exact solution of the step equations for Huber g (_pattern_newton), with
+    its pattern-independent system built here; step is then Step(spec, s^2/delta),
+    built only for its refusal of an ill-conditioned x-system, whose micro-step would
+    be just as non-unique. Every computed node is checked after the loop by
+    check_rows.
     """
 
     def __init__(self, spec, s, delta):
@@ -167,9 +174,9 @@ class ImplicitStep:
         if delta != s and not spec.g.smooth:
             raise ParameterError("delta < s requires a smoothed (differentiable) regularizer")
         self.spec, self.s, self.delta = spec, s, delta
-        self.sweep = Step(spec, s if delta == s else s * s / delta)
-        self._exact = delta != s and self.sweep.quadratic  # no sweep: the exact solve
-        self._system = None
+        self.step = Step(spec, s if delta == s else s * s / delta)
+        if delta != s:
+            self._system = _newton_system(spec, s, delta)
         # the constants of residual, bound once
         self._f, self._g, self._F, self._Ft = spec.f, spec.g, spec.F, spec.F.T
         self._h, self._G_sign, self._ss = spec.h, spec.G_sign, s * s
@@ -179,9 +186,9 @@ class ImplicitStep:
     def residual(self, Y_old, L_old, X1, Y1, L1):
         """Scaled residual of the three step equations from (Y_old, L_old) to (X1, Y1,
         L1), with G = G_sign * I: one value for (d,) vectors, one per row for (n, d)
-        arrays of steps. For vectors, which the loop's acceptance test reads, v @ F has
-        the bits of F^T @ v, and row_norms those of the Huber g's subgrad_distance; for
-        arrays, a NaN in any of the three equations propagates."""
+        arrays of steps. For vectors, which check_rows reads on a node its array pass
+        flags, v @ F has the bits of F^T @ v, and row_norms those of the Huber g's
+        subgrad_distance; for arrays, a NaN in any of the three equations propagates."""
         f, F, Gs, delta = self._f, self._F, self._G_sign, self.delta
         one = X1.ndim == 1
         norm = _norm if one else row_norms
@@ -205,39 +212,21 @@ class ImplicitStep:
         return np.maximum(np.maximum(rA, rB), rC) / scale
 
     def __call__(self, Y, Lam):
-        if self._exact:
-            return self._pattern_newton(Y, Lam)
-        spec, s, delta, step = self.spec, self.s, self.delta, self.sweep
-        X1 = step.x_update(Y, Lam)
-        FX = step.F.dot(X1)  # the step's own product, so that delta = s has its bits
-        Y1 = step.y_update.from_Fx(FX, Lam)
-        resid = FX + step.G_sign * Y1 - spec.h
-        if delta == s:
-            L1 = Lam + resid / s
-        else:
-            L1 = Lam + (delta / (s * s)) * resid
-        # the acceptance test decides which solution a node gets, so its bits must not move
-        if self.residual(Y, Lam, X1, Y1, L1) <= INNER_TOL:
-            return X1, Y1, L1
+        if self.delta == self.s:
+            return self.step(None, Y, Lam)  # the standard step never reads x_k
         return self._pattern_newton(Y, Lam)
 
     def _pattern_newton(self, Y_old, L_old):
-        """Solve the implicit-Euler step equations exactly for Huber g.
+        """Solve the implicit-Euler step equations exactly for Huber g, the only g below s.
 
         The system is linear once the quadratic/saturated region of every Y coordinate
         is fixed; settle_pattern finds the self-consistent regions, warm-started from
         those of Y_old. A non-finite solution raises InnerSolveError here; the
         residual of a finite one is checked after the loop, by check_rows.
         """
-        spec, s, delta, g = self.spec, self.s, self.delta, self.spec.g
-        if not isinstance(g, HuberSmoothedL1):
-            raise UnsupportedProblemError(
-                "implicit micro-steps (delta < s) need the Huber-smoothed regularizer"
-            )
+        spec, s, g = self.spec, self.s, self.spec.g
         d1, d2, m = spec.d1, spec.d2, spec.m
         sx, sy, sl = 0, d1, d1 + d2
-        if self._system is None:
-            self._system = _newton_system(spec, s, delta)
         base, rhs, gram_term, dh = self._system
         rhs = rhs.copy()
         rhs[sx:sy] = spec.G_sign * (spec.F.T @ Y_old) - gram_term
@@ -265,12 +254,15 @@ class ImplicitStep:
         return z[sx:sy], z[sy:sl], z[sl:sl + m]
 
     def check_rows(self, trace):
-        """The residual check of every node trace.step_rows computed with this step: one
-        array pass, and the single-node residual on a node the pass flags
-        (Trace.raise_first). Each must reach INNER_TOL, as an accepted sweep already did
-        in the loop and an exact solve is first shown to here. Copied nodes,
-        after trace.repeat, need none. Raises InnerSolveError naming the first failing
-        node (step t = 0.25: ...)."""
+        """The checks of every node trace.step_rows computed with this step. At delta = s
+        the ADMM step's x-update solve checks come first (Step.check_rows, which raises
+        IllConditionedError). Then every node's residual, in one array pass, and the
+        single-node residual on a node the pass flags (Trace.raise_first), must reach
+        INNER_TOL; at delta = s this certifies that the ADMM step solves the implicit
+        step equations. Copied nodes, after trace.repeat, need none. Raises naming the
+        first failing node (step t = 0.25: ...), InnerSolveError for a residual."""
+        if self.delta == self.s:
+            self.step.check_rows(trace)
         n = trace.computed_rows()
         Xs, Ys, Ls = trace.xs[:n], trace.ys[:n], trace.lams[:n]
         res = self.residual(Ys[:-1], Ls[:-1], Xs[1:], Ys[1:], Ls[1:])
@@ -290,11 +282,12 @@ def simulate_high_res(spec, config, init=None, saddle=None):
     Node j sits at t = delta + ... + delta (j terms, summed in order). A step is a
     function of the node it starts from, so once a node repeats an earlier one bit for
     bit Trace.step_rows stops stepping and copies the remaining nodes from the cycle. A
-    step that fails raises IllConditionedError (a sweep's x-update solve check) or
-    InnerSolveError (the pattern iteration, or a non-finite exact solve) naming the
-    node it was computing (step t = 0.25: ...). After the loop, ImplicitStep.check_rows
-    checks every computed node's residual and then every node's algebraic leg; a miss,
-    NaN included, raises InnerSolveError naming the node."""
+    step that fails raises IllConditionedError (LAPACK's info) or InnerSolveError (the
+    pattern iteration, or a non-finite exact solve) naming the node it was computing
+    (step t = 0.25: ...). After the loop, ImplicitStep.check_rows checks every computed
+    node (at delta = s first its x-update solve, raising IllConditionedError) and its
+    residual, and then every node's algebraic leg is checked; a residual or leg that
+    misses, NaN included, raises InnerSolveError naming the node."""
     row = check_start(spec, init)
     step = ImplicitStep(spec, config.s, config.delta)
     trace = _continuous_trace(spec, config, saddle)

@@ -236,9 +236,9 @@ class Step:
     variation with A = I, 2 for trend filtering), factored by dpbtrf and solved by
     dpbtrs at O(d kd) a step. An affine-indicator f solves the KKT system
     [[P, A^T], [A, 0]] (x, nu) = (c, b) by LU (dgetrf, dgetrs). F x and F^T v go
-    through BLAS dgbmv where F's band fits it (Banded); the implicit step's sweep
-    takes F x from F.dot, so that it has the step's bits. G = +/-I is required, so
-    G y is G_sign * y. The dense M is kept as matrix, for the condition estimate
+    through BLAS dgbmv where F's band fits it (Banded); the implicit step at
+    delta = s is this call itself, so it has the step's bits. G = +/-I is required,
+    so G y is G_sign * y. The dense M is kept as matrix, for the condition estimate
     and every solve check. A call checks only LAPACK's
     info; check_rows checks every solve of a finished run in one pass, check_step
     that of one step, and x_update its own: the linear residual for a quadratic f, the constraint A x = b

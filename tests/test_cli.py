@@ -298,6 +298,34 @@ def test_simulate_step_ratio_past_int64(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--delta", "1e-320"], "T/delta = 20.0/1e-320 overflows a float"),
+    (["--s", "1e300", "--delta", "1e-300"], "T/delta = 2e+301/1e-300 overflows a float"),
+], ids=["subnormal_delta", "huge_s"])
+def test_simulate_refuses_an_overflowing_step_ratio(tmp_path, monkeypatch, capsys, argv,
+                                                    message):
+    # a ratio of inf has no step count: refused by name, not by round(inf)'s OverflowError
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--spec", "scalar_lasso_smoothed", *argv, "--out", "o"]) == 2
+    assert capsys.readouterr().err == f"error: {message}: pass a larger delta\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_of_memory_exits_2_without_a_traceback(tmp_path, monkeypatch, capsys):
+    # generate tv --dims 1000000 builds A = I, 7.28 TiB dense: stand in for numpy's refusal
+    def no_memory(d, *args, **kwargs):
+        raise MemoryError(f"Unable to allocate 7.28 TiB for an array with shape ({d}, {d}) "
+                          "and data type float64")
+
+    monkeypatch.setattr(np, "eye", no_memory)
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "tv", "--dims", "1000000", "--out", "tv.txt"]) == 2
+    assert capsys.readouterr().err == ("error: out of memory: Unable to allocate 7.28 TiB for an "
+                                       "array with shape (1000000, 1000000) and data type "
+                                       "float64\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_refuses_a_horizon_shorter_than_s(tmp_path, monkeypatch, capsys):
     # one discrete step of s = 1 would end at t = 1, past T = 0.5
     monkeypatch.chdir(tmp_path)

@@ -31,8 +31,9 @@ GOLDEN = {
     ),
     # at T = 20 the high-resolution run computes 1,714 implicit steps, each an exact
     # pattern solve, and row 1714 repeats row 1713, so this case also pins the rows
-    # copied after an exact repeat (at T <= 10 no row repeats); it is named for the
-    # ADMM-shaped sweeps it accepted at rows 1664-1666 while delta < s still tried one
+    # copied after an exact repeat (at T <= 10 no row repeats); its key is kept from
+    # when a least-squares f still tried an ADMM step first below delta = s, which this
+    # run accepted at rows 1664-1666
     "simulate_accepted_sweep": (
         ["simulate", "--spec", "scalar_lasso_smoothed", "--delta", "0.01", "--horizon", "20"],
         {

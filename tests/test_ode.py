@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +20,18 @@ class TestIntegratorConfig:
             IntegratorConfig(s=1.0, delta=2.0, T=1.0)  # delta > s
         with pytest.raises(ParameterError):
             IntegratorConfig(s=1.0, delta=0.1, T=0.0)
+
+    @pytest.mark.parametrize("s, delta, T, message", [
+        (1, 1e-320, 1, "T/delta = 1/1e-320"),
+        (1e300, 1e-300, 1e-10, "s/delta = 1e+300/1e-300"),  # T/delta = 1e290 is whole
+    ])
+    def test_overflowing_step_ratio_refused(self, s, delta, T, message):
+        with pytest.raises(ParameterError, match=rf"^{re.escape(message)} overflows a float"):
+            IntegratorConfig(s=s, delta=delta, T=T)
+
+    def test_overflowing_step_ratio_refused_by_the_step(self):
+        with pytest.raises(ParameterError, match=r"^s/delta = 1\.0/1e-320 overflows a float"):
+            ImplicitStep(get_instance("scalar_lasso_smoothed"), 1.0, 1e-320)
 
 
 class TestImplicitStepAtDeltaS:
@@ -87,9 +100,8 @@ class TestImplicitMicroSteps:
 
 
 class TestStepDispatch:
-    """Below delta = s a quadratic f's every node is the exact pattern solve, through
-    LAPACK dgesv; an indicator f's is the ADMM-shaped sweep, as every node's at
-    delta = s."""
+    """Below delta = s every node is the exact pattern solve, through LAPACK dgesv, for
+    every f; at delta = s every node is the ADMM Step's own call."""
 
     @pytest.mark.parametrize("off", [False, True], ids=["zero", "off"])
     @pytest.mark.parametrize("name", acceptance.SMOOTH_INSTANCES)
@@ -111,21 +123,40 @@ class TestStepDispatch:
         trace = simulate_high_res(spec, IntegratorConfig(s=1.0, delta=0.01, T=20.0), init)
         assert trace.computed_rows() > 1
 
-    def test_indicator_f_takes_the_sweep_at_every_step(self, monkeypatch):
-        x_update, sweeps = Step.x_update, []
+    @pytest.mark.parametrize("name, delta, T", [
+        ("basis_pursuit_10x30", 0.01, 2.0),  # an affine-indicator f, smoothed
+        ("scalar_lasso_smoothed", 0.01, 20.0),  # the two criterion-7 runs
+        ("lasso_8x6_smoothed", 0.01, 20.0),
+        ("basis_pursuit_10x30", 1.0, 40.0),  # delta = s, l1 g and indicator f
+        ("lasso_8x6_smoothed", 1.0, 20.0),
+    ], ids=["indicator", "scalar_lasso_smoothed", "lasso_8x6_smoothed", "delta_s_indicator",
+            "delta_s_lasso"])
+    def test_each_node_is_one_step_call_or_one_exact_solve(self, monkeypatch, name, delta, T):
+        # at delta = s each node is exactly one Step.__call__, below it one exact solve;
+        # no x-update and no single-node residual runs, in the loop or after it
+        calls = {"step": 0, "x_update": 0, "exact": 0, "node_residual": 0}
 
-        def counted(self, *args):
-            sweeps.append(None)
-            return x_update(self, *args)
+        def counted(owner, attr, key, nodes_only=False):
+            method = getattr(owner, attr)
 
-        def no_exact(*args):
-            raise AssertionError("the exact solve ran")
+            def wrapper(self, *args):
+                if not nodes_only or args[0].ndim == 1:
+                    calls[key] += 1
+                return method(self, *args)
+            monkeypatch.setattr(owner, attr, wrapper)
 
-        monkeypatch.setattr(Step, "x_update", counted)
-        monkeypatch.setattr(ImplicitStep, "_pattern_newton", no_exact)
-        spec = get_instance("basis_pursuit_10x30").smoothed(HUBER_DELTA)
-        trace = simulate_high_res(spec, IntegratorConfig(s=1.0, delta=0.01, T=2.0))
-        assert len(sweeps) == trace.computed_rows() - 1 == 200
+        counted(Step, "__call__", "step")
+        counted(Step, "x_update", "x_update")
+        counted(ImplicitStep, "_pattern_newton", "exact")
+        counted(ImplicitStep, "residual", "node_residual", nodes_only=True)
+        spec = get_instance(name)
+        if delta < 1.0 and not spec.g.smooth:
+            spec = spec.smoothed(HUBER_DELTA)
+        trace = simulate_high_res(spec, IntegratorConfig(s=1.0, delta=delta, T=T))
+        steps = trace.computed_rows() - 1
+        assert steps > 1
+        one = "step" if delta == 1.0 else "exact"
+        assert calls == {"step": 0, "x_update": 0, "exact": 0, "node_residual": 0, one: steps}
 
     def test_ill_conditioned_step_refused_at_build(self):
         # the micro-step's X is as non-unique as the x-update of Step(spec, s^2/delta)
@@ -151,16 +182,18 @@ class TestStepDispatch:
 
 class TestIndicatorExactSolve:
     def test_pattern_newton_solves_the_step_for_an_affine_indicator_f(self):
-        # the ADMM-shaped first sweep is accepted at every step of this run, so the
-        # exact solve is called directly from some of its nodes
+        # every node of this run is the exact solve; for an indicator f the ADMM step
+        # Step(spec, s^2/delta) solves the same step equations, so the two differ only
+        # by the solves' rounding
         spec = get_instance("basis_pursuit_10x30").smoothed(HUBER_DELTA)
         F, G, h, A, b = spec.F, spec.G, spec.h, spec.f.A, spec.f.b
         s, delta = 1.0, 0.01
         trace = simulate_high_res(spec, IntegratorConfig(s=s, delta=delta, T=2.0))
-        step = ImplicitStep(spec, s, delta)
+        step, admm = ImplicitStep(spec, s, delta), Step(spec, s * s / delta)
         for j in (0, 1, 50, 199):
             Y, Lam = trace.ys[j], trace.lams[j]
             X1, Y1, L1 = step._pattern_newton(Y, Lam)
+            np.testing.assert_array_equal(X1, trace.xs[j + 1])
             # x: F^T G dY/delta - F^T Lam lies in the normal cone of {A x = b}, range(A^T)
             vx = F.T @ G @ (Y1 - Y) / delta - F.T @ L1
             rA = vx - A.T @ np.linalg.lstsq(A.T, vx, rcond=None)[0]
@@ -169,8 +202,9 @@ class TestIndicatorExactSolve:
             scale = 1.0 + np.linalg.norm(X1) + np.linalg.norm(Y1) + np.linalg.norm(L1)
             assert max(map(np.linalg.norm, (rA, rB, rC))) <= ode.INNER_TOL * scale
             assert np.linalg.norm(A @ X1 - b) <= ode.INNER_TOL * (1.0 + np.linalg.norm(b))
-            # the same step as the accepted sweep's, up to the solves' rounding
-            np.testing.assert_allclose(X1, trace.xs[j + 1], rtol=0, atol=1e-9)
+            # the same step as the ADMM step's, up to the solves' rounding
+            for got, want in zip((X1, Y1, L1), admm(None, Y, Lam)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 class TestSimulateHighRes:
