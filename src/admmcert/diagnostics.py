@@ -131,7 +131,7 @@ def _energy(y, lam, ref_y, ref_lam, s):
 def _extended_energy(x, y, lam, ref_x, ref_y, ref_lam, spec, s, r):
     """_energy plus (r||x - ref_x||^2 - ||F(x - ref_x)||^2)/(2s), row by row."""
     dx = x - ref_x
-    extra = (r * _sq(dx) - _sq(dx @ spec.F.T)) / (2.0 * s)
+    extra = (r * _sq(dx) - _sq(spec.F_op.dot(dx))) / (2.0 * s)
     return extra + _energy(y, lam, ref_y, ref_lam, s)
 
 
@@ -183,7 +183,7 @@ def check_lemma_iterative_inequality(trace):
     ne = trace.scalars["ne"][:-1]
     fx, gy = spec.f.value(xs[1:]), spec.g.value(ys[1:])
     mult = ls[1:] - spec.G_sign * (ys[1:] - ys[:-1]) / s
-    dev = (xs[1:] - saddle.x_star) @ spec.F.T + spec.G_sign * (ys[1:] - saddle.y_star)
+    dev = spec.F_op.dot(xs[1:] - saddle.x_star) + spec.G_sign * (ys[1:] - saddle.y_star)
     slacks = np.full(len(trace) - 1, -np.inf)
     for px, py, plam in ((saddle.x_star, saddle.y_star, np.zeros(spec.m)),
                          (saddle.x_star, saddle.y_star, saddle.lambda_star)):
@@ -343,7 +343,7 @@ def check_ne_monotone_theorem_5(trace):
 
     # triple inequality: <G ddy, F dx_{k+2}> >= s^2 <dlam_{k+1}, dlam_{k+1} - dlam_k>
     gdy = spec.G_sign * (ys[1:] - ys[:-1])
-    fdx = (xs[1:] - xs[:-1]) @ spec.F.T
+    fdx = spec.F_op.dot(xs[1:] - xs[:-1])
     dl = ls[1:] - ls[:-1]
     lhs = np.sum((gdy[1:] - gdy[:-1]) * fdx[1:], axis=1)
     rhs = s * s * np.sum(dl[1:] * (dl[1:] - dl[:-1]), axis=1)

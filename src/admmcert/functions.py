@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .band import Banded, band_extremes, gram_band
 from .errors import ProblemConstructionError
 
 # Membership tolerance for the affine indicator: points produced by the
@@ -34,7 +35,9 @@ def _as_vector(v, name):
 
 
 class Quadratic:
-    """f(v) = ||A v - b||^2 (no 1/2 factor; strong convexity modulus 2*lam_min(A^T A))."""
+    """f(v) = ||A v - b||^2 (no 1/2 factor; strong convexity modulus 2*lam_min(A^T A)).
+    A is applied through band.Banded, and A^T A is kept only as its lower band storage
+    gram_band, so an identity or banded A builds no d x d array."""
 
     smooth = True
 
@@ -46,23 +49,24 @@ class Quadratic:
                 f"rows of A ({self.A.shape[0]}) do not match length of b ({self.b.shape[0]})"
             )
         self.dim = self.A.shape[1]
-        self.gram = self.A.T @ self.A
+        self.A_op = Banded(self.A)
+        self.gram_band = gram_band(self.A_op)
         self.gram_rhs = self.A.T @ self.b
         self.A.flags.writeable = False
         self.b.flags.writeable = False
 
     def value(self, v):
-        r = v @ self.A.T - self.b
+        r = self.A_op.dot(v) - self.b
         return np.sum(r * r, axis=-1)
 
     def grad(self, v):
-        return 2.0 * ((v @ self.A.T - self.b) @ self.A)
+        return 2.0 * self.A_op.tdot(self.A_op.dot(v) - self.b)
 
     def subgrad_distance(self, target, at):
         return np.linalg.norm(target - self.grad(at), axis=-1)
 
     def strong_convexity_modulus(self):
-        return 2.0 * float(np.linalg.eigvalsh(self.gram)[0])
+        return 2.0 * band_extremes(self.gram_band)[0]
 
 
 class ScaledL1:

@@ -141,7 +141,7 @@ def _newton_system(spec, s, delta):
         rhs[sl + m:] = f.b
         gram_term = 0.0
     else:
-        base[sx:sy, sx:sy] = -2.0 * delta * f.gram
+        base[sx:sy, sx:sy] = -2.0 * delta * (f.A.T @ f.A)
         base[sx:sy, sy:sl] = spec.G_sign * spec.F.T
         base[sx:sy, sl:sl + m] = -delta * spec.F.T
         gram_term = 2.0 * delta * f.gram_rhs
@@ -313,7 +313,7 @@ def low_res_refusal(spec):
     operator leaves singular (D^T D annihilates constants)."""
     if not (spec.f.smooth and spec.g.smooth):
         return "low-resolution flow needs differentiable f and g"
-    if not sym_cond(spec.FtF) <= COND_LIMIT:
+    if not sym_cond(spec.F.T @ spec.F) <= COND_LIMIT:
         return "F^T F is numerically singular"
     return None
 
@@ -336,7 +336,7 @@ def simulate_low_res(spec, config, init_x=None, saddle=None):
 
     # F^T F is factored once (scipy.linalg.lu_factor's dgetrf); every RK4 stage
     # only back-substitutes
-    FtF_lu = lapack_factor("dgetrf", spec.FtF)
+    FtF_lu = lapack_factor("dgetrf", spec.F.T @ spec.F)
 
     def field(x):
         y = spec.G_sign * (spec.h - spec.F @ x)

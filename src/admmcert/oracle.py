@@ -37,6 +37,7 @@ def sign_pattern_oracle(spec, tol=1e-8):
         raise ParameterError("sign-pattern oracle requires a quadratic f")
     w = spec.g.w
     d1, d2, m = spec.d1, spec.d2, spec.m
+    gram2 = 2.0 * (f.A.T @ f.A)
 
     def solve(sigma):
         P = np.flatnonzero(sigma != 0)
@@ -47,7 +48,7 @@ def sign_pattern_oracle(spec, tol=1e-8):
         rhs = []
         # 2 A^T A x + F^T lam = 2 A^T b
         blk = np.zeros((d1, nun))
-        blk[:, :d1] = 2.0 * f.gram
+        blk[:, :d1] = gram2
         blk[:, d1 + p:d1 + p + m] = spec.F.T
         rows.append(blk)
         rhs.append(2.0 * f.gram_rhs)

@@ -1,20 +1,26 @@
 """Constrained problem model: min f(x) + g(y) subject to F x + G y = h, G = +I or -I.
 
 Holds the problem container, the canonical builders (generalized lasso,
-basis pursuit), KKT residuals, and the instance file format.
+basis pursuit), KKT residuals, and the instance file format. The container
+applies F through one band.Banded, shared by every step, residual and
+certificate, and keeps F^T F only as its lower band, whose largest eigenvalue
+is ||F^T F||: a banded F builds no d x d array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .band import Banded, band_extremes, gram_band
 from .errors import ProblemConstructionError
 from .functions import AffineIndicator, HuberSmoothedL1, Quadratic, ScaledL1
 
 
 class ProblemSpec:
     """Immutable problem instance (f, g, F, G, h). G must be +I or -I; the spec keeps
-    only its sign, G_sign, and builds the matrix G_sign * I when spec.G is read."""
+    only its sign, G_sign, and builds the matrix G_sign * I when spec.G is read.
+    F_op applies F (band.Banded), FtF_band is the lower band storage of F^T F, and
+    FtF_norm = ||F^T F|| is that band's largest eigenvalue."""
 
     def __init__(self, f, g, F, G, h):
         self.f = f
@@ -40,18 +46,14 @@ class ProblemSpec:
 
         # the y-update needs G = c*I with c in {+1, -1}, so every kernel reads G y as
         # G_sign * y; y = c (h - F x) solves the constraint for every x
-        eye = np.eye(self.m)
-        if self.d2 == self.m and np.array_equal(G, eye):
-            self.G_sign = 1.0
-        elif self.d2 == self.m and np.array_equal(G, -eye):
-            self.G_sign = -1.0
-        else:
+        self.G_sign = _identity_sign(G) if self.d2 == self.m else None
+        if self.G_sign is None:
             raise ProblemConstructionError(
                 f"G ({self.m}x{self.d2}) is not +I or -I; the y-update step needs G = +I or -I")
 
-        self.FtF = self.F.T @ self.F
-        sv = np.linalg.svd(self.F, compute_uv=False)
-        self.FtF_norm = float(sv[0] ** 2)
+        self.F_op = Banded(self.F)
+        self.FtF_band = gram_band(self.F_op)
+        self.FtF_norm = band_extremes(self.FtF_band)[1]
 
         for arr in (self.F, self.h):
             arr.flags.writeable = False
@@ -65,7 +67,7 @@ class ProblemSpec:
 
     def constraint_residual(self, x, y):
         """F x + G y - h for one pair of (d,) vectors or row by row for (n, d) arrays."""
-        return x @ self.F.T + self.G_sign * y - self.h
+        return self.F_op.dot(x) + self.G_sign * y - self.h
 
     def objective(self, x, y):
         return self.f.value(x) + self.g.value(y)
@@ -77,6 +79,16 @@ class ProblemSpec:
         if not isinstance(self.g, ScaledL1):
             raise ProblemConstructionError("only an l1 regularizer can be smoothed")
         return ProblemSpec(self.f, HuberSmoothedL1(self.g.w, huber_delta), self.F, self.G, self.h)
+
+
+def _identity_sign(G):
+    """+1.0 or -1.0 when the square G is +I or -I, else None; read off G's diagonal and
+    its count of nonzeros, with no identity matrix built."""
+    diagonal = np.diagonal(G)
+    for sign in (1.0, -1.0):
+        if np.all(diagonal == sign) and np.count_nonzero(G) == G.shape[0]:
+            return sign
+    return None
 
 
 class SaddlePoint:
@@ -114,7 +126,7 @@ def kkt_residuals(spec, x, y, lam):
     """(primal, dual_x, dual_y): constraint norm and subgradient-membership distances,
     for one point or row by row for (n, d) arrays."""
     primal = np.linalg.norm(spec.constraint_residual(x, y), axis=-1)
-    dual_x = spec.f.subgrad_distance(-(lam @ spec.F), x)
+    dual_x = spec.f.subgrad_distance(-spec.F_op.tdot(lam), x)
     dual_y = spec.g.subgrad_distance(-(spec.G_sign * lam), y)
     return primal, dual_x, dual_y
 

@@ -2,14 +2,16 @@
 
 The x-update for a quadratic f solves (2s A^T A + F^T F) x = rhs by a
 Cholesky factor in LAPACK band storage, at the bandwidth of the system's
-nonzeros, so that total variation and trend filtering (A = I, F a difference
-operator) solve at O(d) a step; F x and F^T v go through BLAS dgbmv where F's
-band allows. For an affine indicator it solves the equality-constrained
-least-squares KKT system. The r-proximal variant replaces F^T F on the left by
-r*I, which stays solvable even when A and F share a null direction. The
-y-update is a componentwise shrink (or Huber prox) and needs G = +I or -I. A Step owns
-the whole iteration of one (problem, s, r): the loop that runs it builds it
-once, and each call does only the per-step work. settle_pattern finds the region
+nonzeros, assembled from the band storage of A^T A and F^T F that the problem
+keeps, so that total variation and trend filtering (A = I, F a difference
+operator) build, check and solve it at O(d) a step with no d x d array; F x
+and F^T v go through the spec's band.Banded F. For an affine indicator it
+solves the dense equality-constrained least-squares KKT system. The
+r-proximal variant replaces F^T F on the left by r*I, which stays solvable
+even when A and F share a null direction. The y-update is a componentwise
+shrink (or Huber prox) and needs G = +I or -I. A Step owns the whole
+iteration of one (problem, s, r): the loop that runs it builds it once, and
+each call does only the per-step work. settle_pattern finds the region
 pattern of a piecewise-linear system for the implicit step and the oracle.
 
 A step checks only LAPACK's info. The loop that runs it checks every x-update
@@ -20,53 +22,17 @@ check their own solve.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 
 import numpy as np
 
+from .band import Banded, _fblas, _flapack, band_cond, trimmed  # noqa: F401 (_fblas: prox._fblas)
 from .errors import IllConditionedError, InnerSolveError, ParameterError, UnsupportedProblemError
 from .functions import AffineIndicator, HuberSmoothedL1, Quadratic, ScaledL1
 
 COND_LIMIT = 1e12
 SOLVE_TOL = 1e-10  # relative residual every x-update solve must reach
 INNER_MAX = 500  # linear solves settle_pattern may spend before it gives up
-
-
-def _load_linalg(name):
-    """scipy's compiled module scipy/linalg/<name> (_flapack for LAPACK, _fblas for
-    BLAS), loaded from its file.
-
-    scipy.linalg hands back these same routines for float64 data, so every factor,
-    solve and product has the bits it would have through scipy.linalg, without that
-    package's import (about 0.3 s and 18 MB at start-up). The module is entered in
-    sys.modules, where a later `import scipy.linalg` finds and reuses it.
-    """
-    full = f"scipy.linalg.{name}"
-    module = sys.modules.get(full)
-    if module is not None:
-        return module
-    scipy_spec = importlib.util.find_spec("scipy")  # locates the package, runs none of it
-    if scipy_spec is None:
-        raise ImportError(f"scipy is not installed; its module scipy/linalg/{name} "
-                          "is required")
-    base = os.path.join(scipy_spec.submodule_search_locations[0], "linalg", name)
-    paths = [base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-    path = next((p for p in paths if os.path.isfile(p)), None)
-    if path is None:
-        raise ImportError(f"scipy's compiled module is missing: no {paths[0]}")
-    spec = importlib.util.spec_from_file_location(full, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[full] = module
-    return module
-
-
-_flapack = _load_linalg("_flapack")
-_fblas = _load_linalg("_fblas")
 
 
 def lapack_factor(name, M, **options):
@@ -80,56 +46,12 @@ def lapack_factor(name, M, **options):
     return tuple(factor)
 
 
-def bandwidths(A):
-    """(kl, ku): how far the nonzeros of A reach below and above its diagonal."""
-    i, j = np.nonzero(A)
-    return int(np.max(i - j, initial=0)), int(np.max(j - i, initial=0))
-
-
-def band_storage(A, kl, ku):
-    """A's band in LAPACK general band storage: row ku + i - j of column j holds
-    A[i, j]. With ku = 0 it is the lower symmetric band storage of dpbtrf."""
-    ab = np.zeros((kl + ku + 1, A.shape[1]))
-    for o in range(-ku, kl + 1):  # the diagonal i - j = o, from column j0
-        diagonal, j0 = np.diagonal(A, -o), max(0, -o)
-        ab[ku + o, j0:j0 + diagonal.size] = diagonal
-    return ab
-
-
-class Banded:
-    """A fixed (m, n) matrix A, applied as A x by dot and as A^T v by tdot. A vector
-    goes through BLAS dgbmv on A's band storage when the band fits that routine
-    (kl + ku + 1 <= m; f2py's dgbmv refuses a wider one), so a difference operator
-    costs O(d), not O(d^2). A denser A, and the rows of an (n, .) array, take the
-    dense products x @ A.T and v @ A (for a vector, the bits of A @ x and A.T @ v)."""
-
-    def __init__(self, A):
-        m, n = A.shape
-        kl, ku = bandwidths(A)
-        self.A, self.banded = A, kl + ku + 1 <= m
-        if self.banded:
-            self._args = m, n, kl, ku, 1.0, band_storage(A, kl, ku)
-            # trans goes by position, after beta = 0 and a y whose zeros only fix its
-            # length: f2py takes about 1 us a call to parse a keyword
-            self._tail = 1, 0, 0.0, np.zeros(n), 1, 0, 1
-
-    def dot(self, x):
-        """A x for a vector x, or A x_j for each row x_j of an (n, cols) array."""
-        if self.banded and x.ndim == 1:
-            return _fblas.dgbmv(*self._args, x)
-        return x @ self.A.T
-
-    def tdot(self, v):
-        """A^T v for a vector v, or A^T v_j for each row v_j of an (n, rows) array."""
-        if self.banded and v.ndim == 1:
-            return _fblas.dgbmv(*self._args, v, *self._tail)
-        return v @ self.A
-
-
 def sym_cond(M):
-    """The 2-norm condition number of a symmetric M, max|lambda| / min|lambda| over its
-    eigenvalues: what np.linalg.cond(M) gets from a full SVD, at a fraction of the
-    cost. inf when M is singular or not finite."""
+    """The 2-norm condition number of a dense symmetric M, max|lambda| / min|lambda|
+    over its eigenvalues: what np.linalg.cond(M) gets from a full SVD, at a fraction
+    of the cost. inf when M is singular or not finite. It serves the indefinite KKT
+    system of an indicator f and the low-resolution flow's F^T F; a least-squares
+    x-system takes band.band_cond of its band."""
     if not np.isfinite(M).all():
         return math.inf
     ev = np.abs(np.linalg.eigvalsh(M))
@@ -195,6 +117,17 @@ def settle_pattern(solve, pattern_of, start):
     raise InnerSolveError(f"pattern search did not settle within {INNER_MAX} passes")
 
 
+def _x_system(gram, FtF, r):
+    """The lower band storage of 2s A^T A + F^T F, or of 2s A^T A + r I when r is
+    given, from the lower bands gram of 2s A^T A and FtF of F^T F: each entry is the
+    sum the dense matrices would form, trimmed to the bandwidth its nonzeros reach."""
+    P = FtF if r is None else np.full((1, gram.shape[1]), r)
+    M = np.zeros((max(gram.shape[0], P.shape[0]), gram.shape[1]))
+    M[:gram.shape[0]] = gram
+    M[:P.shape[0]] += P
+    return trimmed(M)
+
+
 class YUpdate:
     """The y-update of one (problem, s): y = prox_{s g}(G (h - F x_{k+1} - s lam_k)),
     valid for G = +/-I. The prox (shrink for w||.||_1, Huber prox for its smoothing)
@@ -231,19 +164,22 @@ class Step:
     With P = F^T F (standard step, r is None) or P = r*I (r-proximal step) and
     c = F^T (h - G y_k - s lam_k), plus r x_k - F^T F x_k for the r-proximal
     step, a quadratic f solves (2s A^T A + P) x = 2s A^T b + c by a banded
-    Cholesky: M = 2s A^T A + P is stored in LAPACK symmetric band storage at the
-    bandwidth kd its nonzeros reach (kd = d - 1 for a dense M, 1 for total
-    variation with A = I, 2 for trend filtering), factored by dpbtrf and solved by
-    dpbtrs at O(d kd) a step. An affine-indicator f solves the KKT system
-    [[P, A^T], [A, 0]] (x, nu) = (c, b) by LU (dgetrf, dgetrs). F x and F^T v go
-    through BLAS dgbmv where F's band fits it (Banded); the implicit step at
-    delta = s is this call itself, so it has the step's bits. G = +/-I is required,
-    so G y is G_sign * y. The dense M is kept as matrix, for the condition estimate
-    and every solve check. A call checks only LAPACK's
-    info; check_rows checks every solve of a finished run in one pass, check_step
-    that of one step, and x_update its own: the linear residual for a quadratic f, the constraint A x = b
-    for an indicator f, so that a non-finite iterate or a failed solve raises
-    IllConditionedError.
+    Cholesky: M = 2s A^T A + P is assembled in LAPACK symmetric band storage from
+    the lower bands of A^T A and F^T F (or r on the diagonal), at the bandwidth kd
+    its nonzeros reach (kd = d - 1 for a dense M, 1 for total variation with
+    A = I, 2 for trend filtering), factored by dpbtrf and solved by dpbtrs at
+    O(d kd) a step; its condition estimate comes from the band's extreme
+    eigenvalues (band_cond), and its solve checks go through its band (Banded), so
+    no d x d array is built for a banded M. An affine-indicator f solves the dense
+    KKT system [[P, A^T], [A, 0]] (x, nu) = (c, b) by LU (dgetrf, dgetrs), with
+    the condition estimate sym_cond. F x and F^T v go through the spec's Banded F;
+    the implicit step at delta = s is this call itself, so it has the step's bits.
+    G = +/-I is required, so G y is G_sign * y. The factored system is kept as
+    system: M's lower band storage, or the dense KKT matrix. A call checks only
+    LAPACK's info; check_rows checks every solve of a finished run in one pass,
+    check_step that of one step, and x_update its own: the linear residual for a
+    quadratic f, the constraint A x = b for an indicator f, so that a non-finite
+    iterate or a failed solve raises IllConditionedError.
     """
 
     def __init__(self, spec, s, r=None):
@@ -254,32 +190,32 @@ class Step:
                 f"({spec.FtF_norm!r})"
             )
         f = spec.f
-        P = spec.FtF if r is None else r * np.eye(spec.d1)
         self.quadratic = isinstance(f, Quadratic)
         if self.quadratic:
-            M = 2.0 * s * f.gram + P
+            M = _x_system(2.0 * s * f.gram_band, spec.FtF_band, r)
+            cond = band_cond(M)
             what, hint = "x-update system", "; use the r-proximal variant instead"
         elif isinstance(f, AffineIndicator):
             m1 = f.A.shape[0]
             M = np.block([
-                [P, f.A.T],
+                [spec.F.T @ spec.F if r is None else r * np.eye(spec.d1), f.A.T],
                 [f.A, np.zeros((m1, m1))],
             ])
+            cond = sym_cond(M)
             what, hint = "KKT system", ""
         else:
             raise UnsupportedProblemError(f"no closed-form x-update for {type(f).__name__}")
-        cond = sym_cond(M)
         if not cond <= COND_LIMIT:
             raise IllConditionedError(
                 f"{what} has condition estimate {cond:.3e} > {COND_LIMIT:.0e}{hint}"
             )
-        self.spec, self.s, self.r, self.matrix, self.cond = spec, s, r, M, cond
-        self.G_sign, self.F = spec.G_sign, Banded(spec.F)
+        self.spec, self.s, self.r, self.system, self.cond = spec, s, r, M, cond
+        self.G_sign, self.F = spec.G_sign, spec.F_op
         # the routines and options of scipy.linalg's cholesky_banded(ab, lower=True)
         # and lu_factor(M), and the layouts their solves take: (cb, lower) and (lu, piv)
         if self.quadratic:
-            self.kd = max(bandwidths(M))
-            cb, = lapack_factor("dpbtrf", band_storage(M, self.kd, 0), lower=1)
+            self.kd, self._M = M.shape[0] - 1, Banded.symmetric(M)
+            cb, = lapack_factor("dpbtrf", M, lower=1)
             self._factor, self._lapack = (cb, True), _flapack.dpbtrs
             self._rhs0 = 2.0 * s * f.gram_rhs
         else:
@@ -319,9 +255,13 @@ class Step:
         for each row of an (n, d1) array, with the right-hand sides solved: ||M x - rhs||
         and SOLVE_TOL (1 + ||rhs||) for a quadratic f; ||A x - b|| and SOLVE_TOL
         (1 + ||b||) for an indicator f, which needs no rhs."""
-        K, c = (self.matrix, rhs) if self.quadratic else (self.spec.f.A, self.spec.f.b)
+        if self.quadratic:
+            res, c = self._M.dot(x), rhs
+        else:
+            res, c = x @ self.spec.f.A.T, self.spec.f.b
+        res -= c  # in place: a run's pass holds one (n, d1) array fewer
         norm = _norm if x.ndim == 1 else row_norms
-        return norm(x @ K.T - c), SOLVE_TOL * (1.0 + norm(c))
+        return norm(res), SOLVE_TOL * (1.0 + norm(c))
 
     def _failure(self, res, info=0):
         if self.quadratic:

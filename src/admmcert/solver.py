@@ -17,7 +17,7 @@ its head (columns, config, stop reason) and names that CSV. One writer,
 write_csv, writes every table: each cell is the Python repr of its float, and
 a cell whose bits equal the cell above reuses that cell's text, so only the
 cells that changed are formatted (an l1 run freezes most coordinates once it
-has found its active set).
+has found its active set), each distinct value once per block of rows.
 """
 
 from __future__ import annotations
@@ -187,11 +187,17 @@ class Trace:
             fh.write(json.dumps(head, sort_keys=True) + "\n")
 
 
+WRITE_BLOCK = 64  # rows whose changed cells write_csv formats together
+
+
 def write_csv(path, columns, axis, table):
     """The one table writer: a header line, then per row the axis value (an int k or a
     float t) and the row of the (n, c) float table, each by Python repr. A cell whose
     bits equal those of the cell above (so 0.0 and -0.0 differ, and NaN payloads are
-    compared as bits) keeps the text of the row above; only changed cells are formatted."""
+    compared as bits) keeps the text of the row above; only changed cells are
+    formatted, and each distinct bit pattern among a block of WRITE_BLOCK rows' changed
+    cells only once (np.unique over their int64 bits). Blocks, not the whole table,
+    bound the memory the formatted values take."""
     table = np.ascontiguousarray(table, dtype=float)
     if table.ndim != 2 or table.shape[0] != len(axis):
         raise RuntimeError(f"a table of shape {table.shape} does not have one row per "
@@ -202,10 +208,18 @@ def write_csv(path, columns, axis, table):
     cells = np.empty(table.shape[1], dtype=object)  # the text of the row above
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        for j, a in enumerate(axis):
-            idx = np.flatnonzero(changed[j])
-            cells[idx] = list(map(repr, table[j, idx].tolist()))
-            fh.write(",".join([repr(a), *cells.tolist()]) + "\n")
+        for b0 in range(0, len(axis), WRITE_BLOCK):
+            rows, cols = np.nonzero(changed[b0:b0 + WRITE_BLOCK])
+            distinct, which = np.unique(bits[b0 + rows, cols], return_inverse=True)
+            text = np.array(list(map(repr, distinct.view(np.float64).tolist())),
+                            dtype=object)[which]
+            ends = np.searchsorted(rows, np.arange(1, WRITE_BLOCK + 1)).tolist()
+            lines, start = [], 0
+            for j, a in enumerate(axis[b0:b0 + WRITE_BLOCK]):
+                cells[cols[start:ends[j]]] = text[start:ends[j]]
+                lines.append(",".join([repr(a), *cells.tolist()]))
+                start = ends[j]
+            fh.write("\n".join(lines) + "\n")
 
 
 def admm_step(state, spec, s, cache=None, r=None):

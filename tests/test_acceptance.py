@@ -181,10 +181,13 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
         assert sys.modules["scipy.linalg._fblas"] is prox._fblas
         assert chol._lapack is scipy.linalg.lapack.dpbtrs
         assert kkt._lapack is scipy.linalg.lapack.dgetrs
-        for step, solve in ((chol, scipy.linalg.cho_solve_banded), (kkt, scipy.linalg.lu_solve)):
-            b = np.arange(1.0, step.matrix.shape[0] + 1.0)
+        spec = chol.spec  # chol factors M = 2 A^T A + F^T F (s = 1); kkt keeps its dense system
+        M = 2.0 * (spec.f.A.T @ spec.f.A) + spec.F.T @ spec.F
+        for step, solve, K in ((chol, scipy.linalg.cho_solve_banded, M),
+                               (kkt, scipy.linalg.lu_solve, kkt.system)):
+            b = np.arange(1.0, K.shape[0] + 1.0)
             x = solve(step._factor, b)
-            assert np.linalg.norm(step.matrix @ x - b) <= 1e-9 * np.linalg.norm(b)
+            assert np.linalg.norm(K @ x - b) <= 1e-9 * np.linalg.norm(b)
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60, env=_child_env())

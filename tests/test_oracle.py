@@ -22,7 +22,7 @@ def enumerated_saddle(spec, tol=1e-8):
         P = np.flatnonzero(sigma != 0.0)
         p = P.size
         M = np.zeros((d1 + p + m, d1 + p + m))
-        M[:d1, :d1] = 2.0 * f.gram
+        M[:d1, :d1] = 2.0 * (f.A.T @ f.A)
         M[:d1, d1 + p:] = spec.F.T
         M[d1:d1 + p, d1 + p:] = spec.G.T[P, :]
         M[d1 + p:, :d1] = spec.F

@@ -177,7 +177,7 @@ class TestProblemSpec:
         spec = get_instance(name)
         again = ProblemSpec(spec.f, spec.g, spec.F, spec.G, spec.h)
         assert again.G_sign == spec.G_sign
-        same_bits(again.FtF, spec.FtF)
+        same_bits(again.FtF_band, spec.FtF_band)
         assert again.FtF_norm == spec.FtF_norm
         # G is kept as its sign and built when read, as a read-only array
         same_bits(spec.G, spec.G_sign * np.eye(spec.m))

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from test_step_bits import plus_identity_instance
 
 from admmcert.errors import IllConditionedError, InnerSolveError, ParameterError
-from admmcert import prox
+from admmcert import band, prox
 from admmcert.library import get_instance, instance_names
 from admmcert.problems import build_basis_pursuit, build_generalized_lasso
 from admmcert.prox import (
@@ -171,7 +171,7 @@ class TestXUpdates:
         x_k, y, lam = (rng.standard_normal(n) for n in (spec.d1, spec.d2, spec.m))
         x = op.x_update(y, lam, x_k)
         assert np.linalg.norm(spec.f.A @ x - spec.f.b) <= 1e-10 * (1.0 + np.linalg.norm(spec.f.b))
-        wrong = op.matrix.copy()
+        wrong = op.system.copy()
         wrong[spec.d1:, :spec.d1] *= 2.0  # a factor whose solution has 2 A x = b
         op._factor = scipy.linalg.lu_factor(wrong)
         with pytest.raises(IllConditionedError, match="left the constraint set"):
@@ -181,13 +181,13 @@ class TestXUpdates:
 class TestLapack:
     def test_loader_returns_the_registered_module(self):
         module = sys.modules["scipy.linalg._flapack"]
-        assert prox._load_linalg("_flapack") is module is prox._flapack
+        assert band._load_linalg("_flapack") is module is prox._flapack
 
     def test_missing_module_names_its_path(self, monkeypatch):
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
         with pytest.raises(ImportError, match=r"scipy.linalg._flapack\.missing\.so"):
-            prox._load_linalg("_flapack")
+            band._load_linalg("_flapack")
 
     def test_indefinite_matrix_refused_by_dpotrf(self):
         with pytest.raises(IllConditionedError, match=r"LAPACK dpotrf .*\(info 2\)"):
@@ -199,13 +199,16 @@ class TestLapack:
 
     @pytest.mark.parametrize("name", ["lasso_8x6", "basis_pursuit_10x30"])
     def test_factor_matches_scipy_linalg(self, name):
-        step = FactorizationCache().get(get_instance(name), 1.0)
-        if step.quadratic:  # M's lower band, at the bandwidth the step read
-            band = [np.concatenate([np.diagonal(step.matrix, -k), np.zeros(k)])
-                    for k in range(step.kd + 1)]
-            expected = scipy.linalg.cholesky_banded(np.array(band), lower=True), True
+        spec = get_instance(name)
+        step = FactorizationCache().get(spec, 1.0)
+        if step.quadratic:  # the lower band of the dense M, at the bandwidth the step read
+            M = dense_x_system(spec, 1.0, None)
+            lower = np.array([np.concatenate([np.diagonal(M, -k), np.zeros(k)])
+                              for k in range(step.kd + 1)])
+            np.testing.assert_array_equal(step.system, lower)
+            expected = scipy.linalg.cholesky_banded(lower, lower=True), True
         else:
-            expected = scipy.linalg.lu_factor(step.matrix)
+            expected = scipy.linalg.lu_factor(step.system)
         assert len(step._factor) == len(expected)
         for got, want in zip(step._factor, expected):
             np.testing.assert_array_equal(got, want)
@@ -243,39 +246,54 @@ def test_step_factors_at_the_band_and_picks_the_F_product(case):
         assert np.allclose(step.F.dot(x_k), spec.F @ x_k, rtol=1e-14, atol=1e-14)
         assert np.allclose(step.F.tdot(lam), spec.F.T @ lam, rtol=1e-14, atol=1e-14)
         x = step.x_update(y, lam, x_k)
-        P_x = spec.FtF @ x if r is None else r * (x - x_k) + spec.FtF @ x_k
+        FtF = spec.F.T @ spec.F
+        P_x = FtF @ x if r is None else r * (x - x_k) + FtF @ x_k
         rhs = 2.0 * 0.8 * spec.f.gram_rhs + spec.F.T @ (spec.h - spec.G @ y - 0.8 * lam)
-        res = np.linalg.norm(2.0 * 0.8 * spec.f.gram @ x + P_x - rhs)
+        res = np.linalg.norm(2.0 * 0.8 * (spec.f.A.T @ spec.f.A) @ x + P_x - rhs)
         assert res <= SOLVE_TOL * (1.0 + np.linalg.norm(rhs))
 
 
+def dense_x_system(spec, s, r):
+    """The dense x-system of a least-squares f, 2s A^T A + F^T F, or + r I when r is
+    given: what Step assembles in band storage."""
+    P = spec.F.T @ spec.F if r is None else r * np.eye(spec.d1)
+    return 2.0 * s * (spec.f.A.T @ spec.f.A) + P
+
+
 def _x_systems():
-    """(label, M) for every built-in x-system or KKT matrix a Step builds, at three s
-    and, for the r-proximal step, three r; and every F^T F."""
+    """(label, step, M) for every built-in Step, at three s and, for the r-proximal
+    step, three r: M is the dense x-system, rebuilt here, or the step's KKT matrix."""
     for name in instance_names():
         spec = get_instance(name)
-        yield f"{name}/FtF", spec.FtF
         for s in (0.1, 1.0, 10.0):
             for r in (None, 1.1 * spec.FtF_norm, 2.0 * spec.FtF_norm, 10.0 * spec.FtF_norm):
                 try:
-                    yield f"{name}/s={s}/r={r}", prox.Step(spec, s, r).matrix
+                    step = prox.Step(spec, s, r)
                 except IllConditionedError:
                     assert name == "rank_deficient_lasso" and r is None
+                    continue
+                M = dense_x_system(spec, s, r) if step.quadratic else step.system
+                yield f"{name}/s={s}/r={r}", step, M
 
 
 class TestSymCond:
     def test_matches_svd_condition_number(self):
-        checked = 0
-        for label, M in _x_systems():
+        # a least-squares step's estimate comes from its band (band_cond), an
+        # indicator's from its dense KKT matrix (sym_cond)
+        checked = {True: 0, False: 0}
+        for label, step, M in _x_systems():
             want = np.linalg.cond(M)
             if want < 1e6:
-                assert sym_cond(M) == pytest.approx(want, rel=1e-8), label
-                checked += 1
-        assert checked >= 9 * 3
+                assert step.cond == pytest.approx(want, rel=1e-8), label
+                checked[step.quadratic] += 1
+        # every least-squares step but rank_deficient_lasso's three refused standard ones
+        assert checked[True] == 8 * 3 * 4 - 3 and checked[False] >= 3 * 4
 
     def test_rank_deficient_system_exceeds_the_limit(self):
         spec = get_instance("rank_deficient_lasso")
-        assert sym_cond(2.0 * spec.f.gram + spec.FtF) > COND_LIMIT
+        M = dense_x_system(spec, 1.0, None)
+        assert sym_cond(M) > COND_LIMIT
+        assert band.band_cond(band.band_storage(M, spec.d1 - 1, 0)) > COND_LIMIT
         with pytest.raises(IllConditionedError, match="condition estimate .* > 1e\\+12"):
             prox.Step(spec, 1.0)
 

@@ -25,7 +25,7 @@ from admmcert.functions import AffineIndicator, HuberSmoothedL1
 from admmcert.library import get_instance
 from admmcert.ode import ImplicitStep, IntegratorConfig, simulate_high_res
 from admmcert.oracle import long_run_oracle
-from admmcert.prox import Step, band_storage, lapack_factor
+from admmcert.prox import Step, lapack_factor
 from admmcert.solver import GENERAL, SolverConfig, run
 
 CRITERION_7 = IntegratorConfig(s=1.0, delta=0.01, T=20.0)
@@ -123,10 +123,9 @@ class DoubledFactorStep(Step):
     def __init__(self, *args):
         super().__init__(*args)
         if self.quadratic:
-            self._factor = (lapack_factor("dpbtrf", band_storage(2.0 * self.matrix, self.kd, 0),
-                                          lower=1)[0], True)
+            self._factor = (lapack_factor("dpbtrf", 2.0 * self.system, lower=1)[0], True)
         else:
-            self._factor = lapack_factor("dgetrf", 2.0 * self.matrix)
+            self._factor = lapack_factor("dgetrf", 2.0 * self.system)
 
 
 @pytest.mark.parametrize("name, message", [

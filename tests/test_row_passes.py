@@ -133,7 +133,7 @@ def inclusion_residuals(spec, trace, s, r):
         target = spec.F.T @ spec.G @ (ys[k + 1] - ys[k]) / s - spec.F.T @ ls[k + 1]
         if r is not None:
             dx = xs[k + 1] - xs[k]
-            target = target - (r * dx - spec.FtF @ dx) / s
+            target = target - (r * dx - (spec.F.T @ spec.F) @ dx) / s
         res_x.append(subgrad_distance(spec.f, target, xs[k + 1]))
         res_y.append(subgrad_distance(spec.g, -(spec.G.T @ ls[k + 1]), ys[k + 1]))
         scale = max(scale, np.max(np.abs(target)), np.max(np.abs(spec.G.T @ ls[k + 1])))

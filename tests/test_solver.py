@@ -14,6 +14,7 @@ from admmcert.solver import (
     IterateState,
     SolverConfig,
     Trace,
+    WRITE_BLOCK,
     admm_step,
     default_r,
     run,
@@ -51,6 +52,42 @@ def tables(draw):
     else:
         axis = [draw(st.floats(allow_subnormal=True)) for _ in range(n)]
     return axis, table
+
+
+def _non_adjacent_repeats():
+    # each column cycles through three values, so a value comes back two rows later,
+    # in the same block and in the next, never in the row above
+    n = 3 * WRITE_BLOCK + 5
+    values = np.array([0.1, -2.5, 1e-300])
+    table = np.stack([np.roll(values, i)[np.arange(n) % 3] for i in range(4)], axis=1)
+    return list(range(n)), table
+
+
+def _special_values():
+    # signed zeros, NaNs with other signs and payloads, infinities and subnormals, in
+    # every column at shifted phases, over two block boundaries
+    n, cells = 2 * WRITE_BLOCK + 7, np.array(SPECIAL_CELLS)
+    index = (np.arange(n)[:, None] // 2 + np.arange(5)[None, :] * 3) % cells.size
+    return [0.5 * j for j in range(n)], cells[index]
+
+
+def _block_boundary():
+    # constant but for changes exactly at the last row of the first block and at the
+    # first row of the second, where a block's formatted cells start anew
+    n = 2 * WRITE_BLOCK + 1
+    table = np.full((n, 3), 0.25)
+    table[WRITE_BLOCK - 1:, 0] = -0.0
+    table[WRITE_BLOCK:, 1] = np.nan
+    table[WRITE_BLOCK:, 2] = 0.25 + 1e-16 * np.arange(n - WRITE_BLOCK)
+    return list(range(n)), table
+
+
+BLOCK_TABLES = {
+    "non_adjacent_repeats": _non_adjacent_repeats,
+    "special_values": _special_values,
+    "block_boundary": _block_boundary,
+    "single_row": lambda: ([7], np.array([[-0.0, QUIET_NAN_PAYLOAD, np.inf, 0.1]])),
+}
 
 
 class TestConfig:
@@ -199,6 +236,18 @@ class TestTraceSerialization:
             with open(path, "rb") as fh:
                 written = fh.read()
         assert written == (",".join(columns) + "\n" + expected).encode()
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_TABLES))
+    def test_write_csv_bytes_across_blocks(self, tmp_path, case):
+        # write_csv formats each distinct bit pattern once per block of WRITE_BLOCK rows;
+        # its bytes must equal those of a plain writer that formats every cell
+        axis, table = BLOCK_TABLES[case]()
+        columns = ["k"] + [f"c{i}" for i in range(table.shape[1])]
+        path = tmp_path / "t.csv"
+        write_csv(path, columns, axis, table)
+        expected = ",".join(columns) + "\n" + "".join(
+            ",".join(map(repr, [a] + row)) + "\n" for a, row in zip(axis, table.tolist()))
+        assert path.read_bytes() == expected.encode()
 
     def test_write_csv_refuses_rows_that_do_not_match_the_axis(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -39,10 +39,10 @@ def reference_rows(spec, s, r, x, y, lam, n=STEPS):
     cases' F rows have one or two terms (or F is dense), where the dense products
     have the bits of the step's banded ones."""
     f = spec.f
-    P = spec.FtF if r is None else r * np.eye(spec.d1)
+    P = spec.F.T @ spec.F if r is None else r * np.eye(spec.d1)
     quadratic = isinstance(f, Quadratic)
     if quadratic:
-        factor = (scipy.linalg.cholesky_banded(lower_band(2.0 * s * f.gram + P), lower=True),
+        factor = (scipy.linalg.cholesky_banded(lower_band(2.0 * s * (f.A.T @ f.A) + P), lower=True),
                   True)
     else:
         m1 = f.A.shape[0]
