@@ -4,8 +4,8 @@ A difference operator F, an identity A and the x-system 2s A^T A + F^T F they ma
 have a few nonzero diagonals. Banded applies such a matrix to a vector through BLAS
 dgbmv and to the rows of an (n, .) array diagonal by diagonal, gram_band forms
 A^T A's lower band from A's band, and band_extremes reads the extreme eigenvalues of
-a symmetric band through LAPACK dsbevx. So nothing here builds a d x d array for a
-banded matrix; a matrix whose band is nearly full keeps its dense products.
+a symmetric band through LAPACK dsbevx. So only Banded.dense builds a d x d array for
+a banded matrix; a matrix whose band is nearly full keeps its dense array and products.
 
 LAPACK and BLAS come from scipy's compiled modules, loaded from their files
 (_load_linalg), not through the scipy.linalg package.
@@ -117,6 +117,7 @@ class Banded:
             self._set_band(band_storage(A, self.kl, self.ku))
         else:
             self.A = A
+            A.flags.writeable = False
 
     @classmethod
     def symmetric(cls, lower):
@@ -124,15 +125,22 @@ class Banded:
         op = cls.__new__(cls)
         kd, d = lower.shape[0] - 1, lower.shape[1]
         op.shape, op.kl, op.ku, op.banded = (d, d), kd, kd, 2 * kd + 1 <= d
-        if op.banded:  # row kd - o of column j holds the upper entry M[j - o, j]
-            ab = np.zeros((2 * kd + 1, d))
-            ab[kd:] = lower
-            for o in range(1, kd + 1):
-                ab[kd - o, o:] = lower[o, :d - o]
+        ab = np.zeros((2 * kd + 1, d))  # row kd - o, column j: the upper entry M[j - o, j]
+        ab[kd:] = lower
+        for o in range(1, kd + 1):
+            ab[kd - o, o:] = lower[o, :d - o]
+        if op.banded:
             op._set_band(ab)
         else:
-            op.A = _symmetric_matrix(lower)
+            op.A = _band_matrix(ab, op.shape, kd, kd)
         return op
+
+    def dense(self):
+        """A as a read-only (m, n) array: the stored one, or built from the band with its
+        bits; an entry off the band is 0.0, also where the A it came from held -0.0."""
+        if not self.banded:
+            return self.A
+        return _band_matrix(self.band, self.shape, self.kl, self.ku)
 
     def _set_band(self, ab):
         m, n = self.shape
@@ -170,13 +178,14 @@ class Banded:
         return _rows(v, self.shape[1], self._tdot_terms)
 
 
-def _symmetric_matrix(lower):
-    """The dense symmetric matrix whose lower band storage is lower."""
-    kd, d = lower.shape[0] - 1, lower.shape[1]
-    M = np.zeros((d, d))
-    for o in range(kd + 1):
-        i = np.arange(d - o)
-        M[i + o, i] = M[i, i + o] = lower[o, :d - o]
+def _band_matrix(ab, shape, kl, ku):
+    """The read-only matrix of the given shape whose general band storage is ab."""
+    (m, n), M = shape, np.zeros(shape)
+    for o in range(-ku, kl + 1):  # the diagonal i - j = o from (j0 + o, j0), flat stride n + 1
+        j0 = max(0, -o)
+        size = min(m - j0 - o, n - j0)
+        M.reshape(-1)[(j0 + o) * n + j0::n + 1][:size] = ab[ku + o, j0:j0 + size]
+    M.flags.writeable = False
     return M
 
 
@@ -227,7 +236,7 @@ def band_extremes(lower):
         return -math.inf, math.inf
     kd, n = lower.shape[0] - 1, lower.shape[1]
     if 2 * kd + 1 > n:
-        ev = np.linalg.eigvalsh(_symmetric_matrix(lower))
+        ev = np.linalg.eigvalsh(Banded.symmetric(lower).dense())
         return float(ev[0]), float(ev[-1])
     extremes = []
     for i in (1, n):

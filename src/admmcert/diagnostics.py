@@ -190,7 +190,7 @@ def check_lemma_iterative_inequality(trace):
         fp, gp = spec.f.value(px), spec.g.value(py)
         if not np.isfinite(fp) or not np.isfinite(gp):
             continue  # infinite probe value makes the inequality vacuous
-        disp = spec.F @ (px - saddle.x_star) + spec.G_sign * (py - saddle.y_star)
+        disp = spec.F_op.dot(px - saddle.x_star) + spec.G_sign * (py - saddle.y_star)
         lhs = np.diff(_energy(ys, ls, py, plam, s))
         rhs = fp - fx + gp - gy + mult @ disp - dev @ plam - ne
         slacks = np.maximum(slacks, lhs - rhs)
@@ -274,7 +274,7 @@ def _weak_gap(trace, probes, xbar, ybar, mbar, t):
         if not np.isfinite(fp) or not np.isfinite(gp):
             continue
         C = consts[f"C_probe{i}"] = _start_constant(trace.ys[0], trace.lams[0], py, 0.0, s)
-        disp = spec.F @ (px - saddle.x_star) + spec.G_sign * (py - saddle.y_star)
+        disp = spec.F_op.dot(px - saddle.x_star) + spec.G_sign * (py - saddle.y_star)
         # summing (or integrating) the per-step inequality puts the multiplier
         # term on the bound side, so it enters the gap with a minus sign
         slacks = np.maximum(slacks, fx - fp + gy - gp - mbar @ disp - C / (2.0 * t))

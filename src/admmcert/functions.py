@@ -36,24 +36,28 @@ def _as_vector(v, name):
 
 class Quadratic:
     """f(v) = ||A v - b||^2 (no 1/2 factor; strong convexity modulus 2*lam_min(A^T A)).
-    A is applied through band.Banded, and A^T A is kept only as its lower band storage
-    gram_band, so an identity or banded A builds no d x d array."""
+    A is kept only as A_op (band.Banded), and f.A built from it when read, and A^T A
+    only as its lower band storage gram_band: a banded A keeps no d x d array."""
 
     smooth = True
 
     def __init__(self, A, b):
-        self.A = _as_matrix(A, "A")
+        A = _as_matrix(A, "A")
         self.b = _as_vector(b, "b")
-        if self.A.shape[0] != self.b.shape[0]:
+        if A.shape[0] != self.b.shape[0]:
             raise ProblemConstructionError(
-                f"rows of A ({self.A.shape[0]}) do not match length of b ({self.b.shape[0]})"
+                f"rows of A ({A.shape[0]}) do not match length of b ({self.b.shape[0]})"
             )
-        self.dim = self.A.shape[1]
-        self.A_op = Banded(self.A)
+        self.dim = A.shape[1]
+        self.A_op = Banded(A)
         self.gram_band = gram_band(self.A_op)
-        self.gram_rhs = self.A.T @ self.b
-        self.A.flags.writeable = False
+        self.gram_rhs = self.A_op.tdot(self.b)
         self.b.flags.writeable = False
+
+    @property
+    def A(self):
+        """The read-only matrix A; a banded A is built anew at each read."""
+        return self.A_op.dense()
 
     def value(self, v):
         r = self.A_op.dot(v) - self.b

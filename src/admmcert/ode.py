@@ -35,10 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import _energy
+from .band import Banded, band_cond
 from .errors import IllConditionedError, InnerSolveError, ParameterError
 from .functions import AffineIndicator, HuberSmoothedL1
-from .prox import (COND_LIMIT, Step, _flapack, _norm, lapack_factor, row_norms, settle_pattern,
-                   sym_cond)
+from .prox import COND_LIMIT, Step, _flapack, _norm, lapack_factor, row_norms, settle_pattern
 from .solver import Trace, check_start
 
 ALGEBRAIC_TOL = 1e-11
@@ -123,7 +123,7 @@ def _newton_system(spec, s, delta):
     per (spec, s, delta): the block matrix, the right-hand side's constant block
     (b for an indicator f), and the terms 2 delta A^T b and delta h that each step
     subtracts from its own blocks. G = G_sign * I puts G_sign on the diagonals of
-    its two blocks."""
+    its two blocks; a least-squares f's A^T A is its gram_band's dense form."""
     f = spec.f
     indicator = isinstance(f, AffineIndicator)
     d1, d2, m = spec.d1, spec.d2, spec.m
@@ -133,19 +133,18 @@ def _newton_system(spec, s, delta):
 
     base = np.zeros((n, n))
     rhs = np.zeros(n)
+    F = spec.F
+    base[sx:sy, sy:sl] = spec.G_sign * F.T
+    base[sx:sy, sl:sl + m] = -delta * F.T
     if indicator:
-        base[sx:sy, sy:sl] = spec.G_sign * spec.F.T
-        base[sx:sy, sl:sl + m] = -delta * spec.F.T
         base[sx:sy, sl + m:] = -f.A.T
         base[sl + m:, sx:sy] = f.A
         rhs[sl + m:] = f.b
         gram_term = 0.0
     else:
-        base[sx:sy, sx:sy] = -2.0 * delta * (f.A.T @ f.A)
-        base[sx:sy, sy:sl] = spec.G_sign * spec.F.T
-        base[sx:sy, sl:sl + m] = -delta * spec.F.T
+        base[sx:sy, sx:sy] = -2.0 * delta * Banded.symmetric(f.gram_band).dense()
         gram_term = 2.0 * delta * f.gram_rhs
-    base[sl:sl + m, sx:sy] = -delta * spec.F
+    base[sl:sl + m, sx:sy] = -delta * F
     diag = np.arange(m)
     base[sl + diag, sy + diag] = -delta * spec.G_sign
     base[sl:sl + m, sl:sl + m] = s * s * np.eye(m)
@@ -178,7 +177,7 @@ class ImplicitStep:
         if delta != s:
             self._system = _newton_system(spec, s, delta)
         # the constants of residual, bound once
-        self._f, self._g, self._F, self._Ft = spec.f, spec.g, spec.F, spec.F.T
+        self._f, self._g, self._F = spec.f, spec.g, spec.F_op
         self._h, self._G_sign, self._ss = spec.h, spec.G_sign, s * s
         self._indicator = isinstance(spec.f, AffineIndicator)
         self._huber = isinstance(spec.g, HuberSmoothedL1)
@@ -186,13 +185,13 @@ class ImplicitStep:
     def residual(self, Y_old, L_old, X1, Y1, L1):
         """Scaled residual of the three step equations from (Y_old, L_old) to (X1, Y1,
         L1), with G = G_sign * I: one value for (d,) vectors, one per row for (n, d)
-        arrays of steps. For vectors, which check_rows reads on a node its array pass
-        flags, v @ F has the bits of F^T @ v, and row_norms those of the Huber g's
-        subgrad_distance; for arrays, a NaN in any of the three equations propagates."""
+        arrays of steps. F goes through the spec's F_op, as in the step; for vectors,
+        which check_rows reads on a node its array pass flags, row_norms has the bits of
+        the Huber g's subgrad_distance; for arrays, a NaN in any equation propagates."""
         f, F, Gs, delta = self._f, self._F, self._G_sign, self.delta
         one = X1.ndim == 1
         norm = _norm if one else row_norms
-        vx = Gs * ((Y1 - Y_old) @ F) / delta - L1 @ F
+        vx = Gs * F.tdot(Y1 - Y_old) / delta - F.tdot(L1)
         if self._indicator:
             rA = f.subgrad_distance(vx, X1)
             off = ~np.isfinite(rA)  # X1 off the constraint set: measure how far
@@ -205,7 +204,7 @@ class ImplicitStep:
             rB = row_norms(target - self._g.grad(Y1))
         else:
             rB = self._g.subgrad_distance(target, Y1)
-        rC = norm(self._ss * (L1 - L_old) / delta - (X1 @ self._Ft + Gs * Y1 - self._h))
+        rC = norm(self._ss * (L1 - L_old) / delta - (F.dot(X1) + Gs * Y1 - self._h))
         scale = 1.0 + norm(X1) + norm(Y1) + norm(L1)
         if one:
             return max(rA, rB, rC) / scale
@@ -229,7 +228,7 @@ class ImplicitStep:
         sx, sy, sl = 0, d1, d1 + d2
         base, rhs, gram_term, dh = self._system
         rhs = rhs.copy()
-        rhs[sx:sy] = spec.G_sign * (spec.F.T @ Y_old) - gram_term
+        rhs[sx:sy] = spec.G_sign * spec.F_op.tdot(Y_old) - gram_term
         rhs[sl:sl + m] = s * s * L_old - dh
 
         def solve(pattern):
@@ -313,7 +312,7 @@ def low_res_refusal(spec):
     operator leaves singular (D^T D annihilates constants)."""
     if not (spec.f.smooth and spec.g.smooth):
         return "low-resolution flow needs differentiable f and g"
-    if not sym_cond(spec.F.T @ spec.F) <= COND_LIMIT:
+    if not band_cond(spec.FtF_band) <= COND_LIMIT:
         return "F^T F is numerically singular"
     return None
 
@@ -334,16 +333,17 @@ def simulate_low_res(spec, config, init_x=None, saddle=None):
     if refusal := low_res_refusal(spec):
         raise ParameterError(refusal)
 
-    # F^T F is factored once (scipy.linalg.lu_factor's dgetrf); every RK4 stage
-    # only back-substitutes
-    FtF_lu = lapack_factor("dgetrf", spec.F.T @ spec.F)
+    # F^T F's band is factored once (scipy.linalg.cholesky_banded's dpbtrf), as
+    # Step factors its x-system; every RK4 stage only back-substitutes (dpbtrs)
+    cb, = lapack_factor("dpbtrf", spec.FtF_band, lower=1)
+    f, g, F, G_sign, h = spec.f, spec.g, spec.F_op, spec.G_sign, spec.h
 
     def field(x):
-        y = spec.G_sign * (spec.h - spec.F @ x)
-        z, info = _flapack.dgetrs(*FtF_lu, -spec.f.grad(x) - spec.F.T @ spec.g.grad(y))
+        y = G_sign * (h - F.dot(x))
+        z, info = _flapack.dpbtrs(cb, -f.grad(x) - F.tdot(g.grad(y)), lower=True)
         if info:
             raise IllConditionedError(
-                f"low-resolution flow solve failed (LAPACK dgetrs info {info})")
+                f"low-resolution flow solve failed (LAPACK dpbtrs info {info})")
         return z
 
     def rk4(x, y, lam):  # y and lam stay zero until after the loop
@@ -357,7 +357,7 @@ def simulate_low_res(spec, config, init_x=None, saddle=None):
     trace = _continuous_trace(spec, config, saddle)
     trace.axis[:] = np.arange(len(trace)) * delta
     trace.step_rows(rk4, (x, trace.ys[0], trace.lams[0]))
-    trace.ys[:] = spec.G_sign * (spec.h - trace.xs @ spec.F.T)
+    trace.ys[:] = G_sign * (h - F.dot(trace.xs))
     # the algebraic leg G^T Lam + grad g(Y) = 0 defines a multiplier surrogate along the flow
     trace.lams[:] = -(spec.G_sign * spec.g.grad(trace.ys))
     return _fill_columns(trace)

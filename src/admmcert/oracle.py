@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .band import Banded
 from .errors import IllConditionedError, OracleConvergenceError, ParameterError
 from .functions import Quadratic, ScaledL1
 from .problems import SaddlePoint, kkt_residuals
@@ -37,7 +38,8 @@ def sign_pattern_oracle(spec, tol=1e-8):
         raise ParameterError("sign-pattern oracle requires a quadratic f")
     w = spec.g.w
     d1, d2, m = spec.d1, spec.d2, spec.m
-    gram2 = 2.0 * (f.A.T @ f.A)
+    gram2 = 2.0 * Banded.symmetric(f.gram_band).dense()
+    F = spec.F  # built once: a banded F is built anew at each read
 
     def solve(sigma):
         P = np.flatnonzero(sigma != 0)
@@ -49,7 +51,7 @@ def sign_pattern_oracle(spec, tol=1e-8):
         # 2 A^T A x + F^T lam = 2 A^T b
         blk = np.zeros((d1, nun))
         blk[:, :d1] = gram2
-        blk[:, d1 + p:d1 + p + m] = spec.F.T
+        blk[:, d1 + p:d1 + p + m] = F.T
         rows.append(blk)
         rhs.append(2.0 * f.gram_rhs)
         if p:
@@ -60,7 +62,7 @@ def sign_pattern_oracle(spec, tol=1e-8):
             rhs.append(-w * sigma[P])
         # F x + G_P y_P = h
         blk = np.zeros((m, nun))
-        blk[:, :d1] = spec.F
+        blk[:, :d1] = F
         if p:
             blk[P, d1 + np.arange(p)] = spec.G_sign
         rows.append(blk)

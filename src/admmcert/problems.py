@@ -2,9 +2,9 @@
 
 Holds the problem container, the canonical builders (generalized lasso,
 basis pursuit), KKT residuals, and the instance file format. The container
-applies F through one band.Banded, shared by every step, residual and
-certificate, and keeps F^T F only as its lower band, whose largest eigenvalue
-is ||F^T F||: a banded F builds no d x d array.
+keeps F only as one band.Banded, shared by every step, residual and
+certificate, and F^T F only as its lower band, whose largest eigenvalue is
+||F^T F||: a banded F keeps no d x d array, and spec.F builds one when read.
 """
 
 from __future__ import annotations
@@ -19,17 +19,17 @@ from .functions import AffineIndicator, HuberSmoothedL1, Quadratic, ScaledL1
 class ProblemSpec:
     """Immutable problem instance (f, g, F, G, h). G must be +I or -I; the spec keeps
     only its sign, G_sign, and builds the matrix G_sign * I when spec.G is read.
-    F_op applies F (band.Banded), FtF_band is the lower band storage of F^T F, and
-    FtF_norm = ||F^T F|| is that band's largest eigenvalue."""
+    F is kept only as F_op (band.Banded), and spec.F built from it when read; FtF_band
+    is F^T F's lower band storage, and FtF_norm = ||F^T F|| its largest eigenvalue."""
 
     def __init__(self, f, g, F, G, h):
         self.f = f
         self.g = g
-        self.F = np.atleast_2d(np.asarray(F, dtype=float))
+        F = np.atleast_2d(np.asarray(F, dtype=float))
         G = np.atleast_2d(np.asarray(G, dtype=float))
         self.h = np.atleast_1d(np.asarray(h, dtype=float))
 
-        self.m, self.d1 = self.F.shape
+        self.m, self.d1 = F.shape
         if G.shape[0] != self.m:
             raise ProblemConstructionError(
                 f"rows of G ({G.shape[0]}) do not match rows of F ({self.m})"
@@ -51,12 +51,15 @@ class ProblemSpec:
             raise ProblemConstructionError(
                 f"G ({self.m}x{self.d2}) is not +I or -I; the y-update step needs G = +I or -I")
 
-        self.F_op = Banded(self.F)
+        self.F_op = Banded(F)
         self.FtF_band = gram_band(self.F_op)
         self.FtF_norm = band_extremes(self.FtF_band)[1]
+        self.h.flags.writeable = False
 
-        for arr in (self.F, self.h):
-            arr.flags.writeable = False
+    @property
+    def F(self):
+        """The read-only m x d1 matrix F; a banded F is built anew at each read."""
+        return self.F_op.dense()
 
     @property
     def G(self):

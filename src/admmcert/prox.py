@@ -49,9 +49,9 @@ def lapack_factor(name, M, **options):
 def sym_cond(M):
     """The 2-norm condition number of a dense symmetric M, max|lambda| / min|lambda|
     over its eigenvalues: what np.linalg.cond(M) gets from a full SVD, at a fraction
-    of the cost. inf when M is singular or not finite. It serves the indefinite KKT
-    system of an indicator f and the low-resolution flow's F^T F; a least-squares
-    x-system takes band.band_cond of its band."""
+    of the cost. inf when M is singular or not finite. It serves only the indefinite
+    KKT system of an indicator f; a least-squares x-system and the low-resolution
+    flow's F^T F take band.band_cond of their band."""
     if not np.isfinite(M).all():
         return math.inf
     ev = np.abs(np.linalg.eigvalsh(M))
@@ -144,10 +144,10 @@ class YUpdate:
             self._prox, self._params = _huber, (cut, g.delta / cut, s * g.w)
         else:
             raise UnsupportedProblemError(f"no closed-form y-update for {type(g).__name__}")
-        self.G_sign, self._h, self._F, self._s = spec.G_sign, spec.h, spec.F, s
+        self.G_sign, self._h, self._F, self._s = spec.G_sign, spec.h, spec.F_op, s
 
     def __call__(self, x_next, lambda_k):
-        return self.from_Fx(self._F @ x_next, lambda_k)
+        return self.from_Fx(self._F.dot(x_next), lambda_k)
 
     def from_Fx(self, Fx, lambda_k):
         """The y-update from F x_{k+1}, for a caller that needs F x_{k+1} again."""
@@ -198,7 +198,8 @@ class Step:
         elif isinstance(f, AffineIndicator):
             m1 = f.A.shape[0]
             M = np.block([
-                [spec.F.T @ spec.F if r is None else r * np.eye(spec.d1), f.A.T],
+                [Banded.symmetric(spec.FtF_band).dense() if r is None
+                 else r * np.eye(spec.d1), f.A.T],
                 [f.A, np.zeros((m1, m1))],
             ])
             cond = sym_cond(M)

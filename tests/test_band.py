@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from admmcert import band, prox
+from admmcert import band, ode, prox
 from admmcert.cli import main
 from admmcert.functions import Quadratic, ScaledL1
 from admmcert.library import _difference_matrix, get_instance, instance_names
@@ -113,6 +113,83 @@ def test_vector_and_row_products_agree_with_dense_on_symmetric_bands(d):
         np.testing.assert_allclose(op.dot(x[0]), M @ x[0], rtol=1e-13, atol=1e-13)
 
 
+def _dense_cases():
+    """(name, A) for the dense-form tests: banded, each narrow enough for dgbmv."""
+    rng = np.random.default_rng(11)
+    random = rng.standard_normal((9, 7))
+    i, j = np.indices(random.shape)
+    random[(i - j > 2) | (j - i > 1)] = 0.0
+    signed = _difference_matrix(6, 1)
+    signed[2, 2] = signed[4, 5] = -0.0  # -0.0 on the band, at either end of a row
+    return _operators(8) + [("second_differences", _difference_matrix(8, 2)),
+                            ("random_banded", random), ("band_with_minus_zero", signed)]
+
+
+@pytest.mark.parametrize("name,A", _dense_cases(), ids=[n for n, _ in _dense_cases()])
+def test_dense_form_has_the_band_bits(name, A):
+    # every entry on the band keeps its bits, -0.0 included; off the band dense()
+    # writes 0.0, also where A held -0.0 (as -np.diff leaves in a difference matrix)
+    op = band.Banded(A)
+    assert op.banded
+    M = op.dense()
+    assert M.shape == A.shape and not M.flags.writeable
+    i, j = np.indices(A.shape)
+    on = (i - j <= op.kl) & (j - i <= op.ku)
+    assert np.array_equal(_bits(M)[on], _bits(A)[on])
+    assert np.array_equal(M, A)
+    assert np.array_equal(_bits(M)[~on], _bits(np.zeros_like(A))[~on])
+
+
+def test_dense_form_of_a_wide_matrix_is_the_stored_array():
+    A = np.random.default_rng(12).standard_normal((4, 6))
+    op = band.Banded(A)
+    assert not op.banded
+    assert op.dense() is A and not A.flags.writeable
+
+
+def _old_symmetric_matrix(lower):
+    """The dense symmetric matrix of a lower band, as band built it before
+    Banded.dense took its place: the reference for its bits."""
+    kd, d = lower.shape[0] - 1, lower.shape[1]
+    M = np.zeros((d, d))
+    for o in range(kd + 1):
+        i = np.arange(d - o)
+        M[i + o, i] = M[i, i + o] = lower[o, :d - o]
+    return M
+
+
+def test_symmetric_dense_form_keeps_the_old_bits_on_every_built_in_band():
+    lowers = [(label, step.system) for label, step, _ in _x_systems() if step.quadratic]
+    for name in instance_names():
+        spec = get_instance(name)
+        lowers.append((f"{name}/FtF", spec.FtF_band))
+        if isinstance(spec.f, Quadratic):
+            lowers.append((f"{name}/gram", spec.f.gram_band))
+    for label, lower in lowers:
+        got = band.Banded.symmetric(lower).dense()
+        assert np.array_equal(_bits(got), _bits(_old_symmetric_matrix(lower))), label
+
+
+@pytest.mark.parametrize("name", instance_names())
+def test_dense_gram_at_every_site_has_the_bits_of_the_dense_product(name):
+    # the indicator's KKT block (prox.Step), the implicit step's x-block
+    # (ode._newton_system) and the active-set system (oracle.sign_pattern_oracle) take
+    # their Gram matrix from the band; on every built-in it has A.T @ A's bits
+    spec = get_instance(name)
+    F = spec.F
+    FtF = band.Banded.symmetric(spec.FtF_band).dense()
+    assert np.array_equal(_bits(FtF), _bits(F.T @ F))
+    if isinstance(spec.f, Quadratic):
+        A = spec.f.A
+        gram = band.Banded.symmetric(spec.f.gram_band).dense()
+        assert np.array_equal(_bits(gram), _bits(A.T @ A))
+        block = ode._newton_system(spec, 1.0, 0.5)[0][:spec.d1, :spec.d1]
+        assert np.array_equal(_bits(block), _bits(-2.0 * 0.5 * (A.T @ A)))
+    else:
+        block = prox.Step(spec, 1.0).system[:spec.d1, :spec.d1]
+        assert np.array_equal(_bits(block), _bits(F.T @ F))
+
+
 def _nonzero_bandwidths(A):
     """The definition bandwidths replaced: np.nonzero's index arrays."""
     i, j = np.nonzero(A)
@@ -178,7 +255,7 @@ def test_band_kernels_match_dense_on_any_band(m, n, kl, ku, data):
     op = band.Banded(A)
     G = A.T @ A
     lower = band.gram_band(op)
-    np.testing.assert_allclose(band._symmetric_matrix(lower), G, rtol=1e-13, atol=1e-12)
+    np.testing.assert_allclose(band.Banded.symmetric(lower).dense(), G, rtol=1e-13, atol=1e-12)
     x = data.draw(arrays(np.float64, (3, n), elements=st.floats(-10.0, 10.0)))
     v = data.draw(arrays(np.float64, (3, m), elements=st.floats(-10.0, 10.0)))
     for got, want in ((op.dot(x), x @ A.T), (op.tdot(v), v @ A), (op.dot(x[0]), A @ x[0]),
@@ -248,3 +325,23 @@ def test_spec_and_step_build_no_d_by_d_temporary():
     # O(d kd) with kd = 1, and the row blocks of the bandwidth scan: a d x d float64
     # array alone would take d * d * 8 = 11.5 MB
     assert peak < 64 * d * 8 + 8 * band.ROW_BLOCK_CELLS
+
+
+def test_spec_keeps_no_d_by_d_array_once_its_inputs_are_dropped():
+    # the dense inputs are traced too, so a spec holding any of them would keep
+    # d * d * 8 = 11.5 MB; F and A are kept only as their bands. A small spec built
+    # first leaves the modules numpy imports on first use out of the count
+    d = 1200
+    A, b, F, G, h = _tv_inputs(8)
+    ProblemSpec(Quadratic(A, b), ScaledL1(0.5), F, G, h)
+    tracemalloc.start()
+    try:
+        inputs = _tv_inputs(d)
+        A, b, F, G, h = inputs
+        spec = ProblemSpec(Quadratic(A, b), ScaledL1(0.5), F, G, h)
+        del inputs, A, b, F, G, h
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert spec.F_op.banded and spec.f.A_op.banded
+    assert kept < 64 * d * 8

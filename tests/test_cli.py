@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from admmcert import cli
 from admmcert.cli import main
 from admmcert.errors import ParameterError
 from admmcert.library import get_instance
-from admmcert.problems import load_instance
+from admmcert.problems import load_instance, save_instance
 from admmcert.solver import default_r
 
 
@@ -25,6 +26,27 @@ def test_generate_trend_second_difference(tmp_path):
     assert main(["generate", "trend", "--dims", "4", "--seed", "1", "--out", str(out)]) == 0
     spec = load_instance(out)
     np.testing.assert_array_equal(spec.F, [[1.0, -2.0, 1.0, 0.0], [0.0, 1.0, -2.0, 1.0]])
+
+
+@pytest.mark.parametrize("kind", ["tv", "trend"])
+def test_generate_round_trips_the_bands(tmp_path, monkeypatch, kind):
+    # the file writes F and A from their bands, so an off-band zero is 0.0 where
+    # -np.diff left -0.0; the loaded spec keeps the bands of the one generate built
+    built = []
+
+    def save(spec, path):
+        built.append(spec)
+        save_instance(spec, path)
+
+    monkeypatch.setattr(cli, "save_instance", save)
+    out = tmp_path / f"{kind}.txt"
+    assert main(["generate", kind, "--dims", "40", "--seed", "2", "--out", str(out)]) == 0
+    spec, loaded = built[0], load_instance(out)
+    for got, want in ((loaded.F_op.band, spec.F_op.band), (loaded.f.A_op.band, spec.f.A_op.band),
+                      (loaded.FtF_band, spec.FtF_band), (loaded.f.gram_band, spec.f.gram_band)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    F_block = out.read_text().split("[F]\n")[1].split("[G]")[0]
+    assert "-0.0" not in F_block.replace("\n", ",").split(",")
 
 
 def test_generate_deterministic_per_seed(tmp_path):

@@ -10,6 +10,7 @@ from admmcert.diagnostics import (certify_continuous, check_continuous_strong_av
 from admmcert.errors import IllConditionedError, InnerSolveError, ParameterError
 from admmcert.library import HUBER_DELTA, get_instance, get_saddle
 from admmcert.ode import ImplicitStep, IntegratorConfig, simulate_high_res, simulate_low_res
+from admmcert.problems import build_generalized_lasso
 from admmcert.prox import Step
 from admmcert.solver import SolverConfig, check_start, run
 
@@ -291,9 +292,54 @@ class TestLowRes:
             simulate_low_res(get_instance("scalar_lasso"), self.UNIT)
 
     def test_requires_invertible_FtF(self):
-        # the first-difference F has a null direction, so the flow matrix is singular
-        with pytest.raises(ParameterError, match="singular"):
-            simulate_low_res(get_instance("tv_d50").smoothed(1e-3), self.UNIT)
+        # a difference F has a null direction (constants; lines too for trend), so the
+        # flow matrix is singular: first, second differences and a short tv F
+        for name in ("tv_d50", "trend_d50", "rank_deficient_lasso"):
+            with pytest.raises(ParameterError, match="singular"):
+                simulate_low_res(get_instance(name).smoothed(1e-3), self.UNIT)
+
+    def test_flow_runs_with_no_dense_solve_or_eigensolver(self, monkeypatch):
+        # the refusal reads F^T F's band (dsbevx), the flow factors it with dpbtrf
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called by the low-resolution flow")
+            return call
+
+        for name in ("dgetrf", "dgetrs"):
+            monkeypatch.setattr(ode._flapack, name, refuse(name))
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse("eigvalsh"))
+        for name in ("scalar_lasso_smoothed", "lasso_8x6_smoothed"):
+            spec = get_instance(name)
+            assert ode.low_res_refusal(spec) is None
+            assert len(simulate_low_res(spec, self.UNIT)) == 11
+
+    def test_band_flow_matches_a_dense_solve_on_a_non_integer_F(self):
+        # every built-in the flow takes has F = I; an upper bidiagonal F with entries 1
+        # and -0.3 is invertible and makes F^T F a tridiagonal band of non-integers,
+        # whose banded Cholesky rounds otherwise than a dense solve (with -0.5 the
+        # factor would be F^T itself, exactly)
+        rng = np.random.default_rng(7)
+        d, delta = 6, 0.01
+        A = rng.standard_normal((8, d)) / np.sqrt(8.0)
+        F = np.eye(d) - 0.3 * np.eye(d, k=1)
+        spec = build_generalized_lasso(A, rng.standard_normal(8), F, 0.3).smoothed(HUBER_DELTA)
+        assert spec.F_op.banded and spec.FtF_band.shape[0] == 2
+        trace = simulate_low_res(spec, IntegratorConfig(s=1.0, delta=delta, T=2.0))
+
+        def field(x):
+            y = spec.G_sign * (spec.h - F @ x)
+            return np.linalg.solve(F.T @ F, -spec.f.grad(x) - F.T @ spec.g.grad(y))
+
+        want = [np.zeros(d)]
+        for _ in range(len(trace) - 1):
+            x = want[-1]
+            k1 = field(x)
+            k2 = field(x + 0.5 * delta * k1)
+            k3 = field(x + 0.5 * delta * k2)
+            k4 = field(x + delta * k3)
+            want.append(x + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        want = np.array(want)
+        assert np.max(np.abs(trace.xs - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("start", [None, 1.0, -1.0], ids=["zero", "plus_one", "minus_one"])
     @pytest.mark.parametrize("name", ["scalar_lasso_smoothed", "lasso_8x6_smoothed"])

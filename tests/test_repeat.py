@@ -187,7 +187,8 @@ def test_failed_step_still_names_its_k(monkeypatch):
 
 
 def test_failed_low_res_solve_names_its_t(monkeypatch):
-    monkeypatch.setattr(ode, "_flapack", SimpleNamespace(dgetrs=lambda *args: (args[-1], 1)))
+    monkeypatch.setattr(ode, "_flapack",
+                        SimpleNamespace(dpbtrs=lambda *args, **kwargs: (args[-1], 1)))
     with pytest.raises(IllConditionedError,
                        match=r"^step t = 0\.01: low-resolution flow solve failed"):
         simulate_low_res(get_instance("scalar_lasso_smoothed"), SMOOTH_CONFIG)
