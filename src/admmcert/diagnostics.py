@@ -8,7 +8,8 @@ and _entry, the only code that decides a pass, applies it: 1e-9 absolute for
 per-step inequalities (step) and rate bounds (rate), 1e-12 for monotonicity
 deltas (mono), and 10*delta for a high-resolution trace (continuous), whose
 node values carry O(delta) error. A continuous check is the discrete kernel
-(energy, weak gap, strong gap) read at elapsed time t, fed trapezoid time means.
+(energy, weak gap, strong gap) read at elapsed time t of every node, fed trapezoid
+time means and, for the weak gap, Theorem 4.2's probes.
 
 Every check and bundle takes the trace alone: the problem, s (and delta), the r
 of an r-proximal run and the saddle come from it, and _entry adds the first three
@@ -379,19 +380,27 @@ def check_general_rates_theorems_6(trace):
 
 
 # ---------------------------------------------------------------------------
-# continuous certificates: the discrete kernels read at elapsed time t
+# continuous certificates: the discrete kernels read at elapsed time t. A time-mean
+# check puts node 0's slack, -inf (every bound is infinite at t = 0), before those of
+# nodes 1.., so that its worst_index is a node index
 
 
-def _sampled_time_means(trace, *series):
-    """Trapezoid time means of each (n, d) series over [0, t] at the nodes nearest
-    1/4, 1/2 and all of the horizon, one row per node, and those elapsed times t."""
-    last = len(trace) - 1
-    idx = sorted({max(1, int(round(f * last))) for f in (0.25, 0.5, 1.0)})
-    t = trace.axis[idx] - trace.axis[0]
+def _time_means(trace, *series):
+    """Trapezoid time means of each (n, d) series over [0, t_j] at every node j >= 1,
+    one row per node, and those t_j: the counterpart of _prefix_means."""
+    t = trace.axis[1:] - trace.axis[0]
     half_dt = 0.5 * np.diff(trace.axis).reshape(-1, 1)
-    means = [np.array([np.sum(half_dt[:j] * (v[1:j + 1] + v[:j]), axis=0) for j in idx])
-             / t.reshape(-1, 1) for v in series]
+    means = [np.cumsum(half_dt * (v[1:] + v[:-1]), axis=0) / t.reshape(-1, 1)
+             for v in series]
     return means, t
+
+
+def _ydot(trace):
+    """dY/dt at every node: central differences (Y_{j+1} - Y_{j-1})/(t_{j+1} - t_{j-1})
+    inside, one-sided at the two ends."""
+    j = np.arange(len(trace))
+    lo, hi = np.maximum(j - 1, 0), np.minimum(j + 1, j[-1])
+    return (trace.ys[hi] - trace.ys[lo]) / (trace.axis[hi] - trace.axis[lo]).reshape(-1, 1)
 
 
 def check_theorem_3_3_monotone(trace):
@@ -401,25 +410,23 @@ def check_theorem_3_3_monotone(trace):
 
 
 def check_theorem_3_2_weak(trace):
-    """Time-average weak gap against C/(2t) at sampled times: the Theorem 4.2 kernel fed
-    trapezoid time means, with the multiplier Lam - G dY/dt, at elapsed time t.
-    dY/dt is estimated by central differences (one-sided at the ends)."""
-    spec, saddle = trace.spec, _saddle(trace)
-    probes = [(saddle.x_star, saddle.y_star), (np.zeros(spec.d1), np.zeros(spec.d2))]
-    mult = trace.lams - spec.G_sign * np.gradient(trace.ys, trace.axis, axis=0)
-    (xbar, ybar, mbar), t = _sampled_time_means(trace, trace.xs, trace.ys, mult)
-    slacks, _ = _weak_gap(trace, probes, xbar, ybar, mbar, t)
-    return [_entry("theorem_3_2_weak_rate", trace, slacks)]
+    """Time-average weak gap against C/(2t) at every node: the Theorem 4.2 kernel fed
+    trapezoid time means, with the multiplier Lam - G dY/dt (_ydot), at elapsed time t,
+    at the probes of Theorem 4.2 (_weak_probes)."""
+    mult = trace.lams - trace.spec.G_sign * _ydot(trace)
+    (xbar, ybar, mbar), t = _time_means(trace, trace.xs, trace.ys, mult)
+    slacks, consts = _weak_gap(trace, _weak_probes(trace), xbar, ybar, mbar, t)
+    return [_entry("theorem_3_2_weak_rate", trace, np.r_[-np.inf, slacks], **consts)]
 
 
 def check_continuous_strong_avg(trace):
-    """Strong time-average bound ||Xbar - x*||^2 <= C/(mu t) at sampled times: the
+    """Strong time-average bound ||Xbar - x*||^2 <= C/(mu t) at every node: the
     Theorem 4.4 kernel fed trapezoid time means at elapsed time t. Raises
     ParameterError unless f is strongly convex."""
     mu = strong_convexity_modulus(trace.spec)
-    (xbar,), t = _sampled_time_means(trace, trace.xs)
+    (xbar,), t = _time_means(trace, trace.xs)
     slacks, C = _strong_gap(xbar, trace, mu, t)
-    return [_entry("theorem_3_4_strong_avg", trace, slacks, C=C, mu=mu)]
+    return [_entry("theorem_3_4_strong_avg", trace, np.r_[-np.inf, slacks], C=C, mu=mu)]
 
 
 # ---------------------------------------------------------------------------

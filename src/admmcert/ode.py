@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import _energy
+from .diagnostics import _energy, _ydot
 from .band import Banded, band_cond
 from .errors import IllConditionedError, InnerSolveError, ParameterError
 from .functions import AffineIndicator, HuberSmoothedL1
@@ -94,16 +94,14 @@ def _fill_columns(trace):
     """The scalar columns: deviation ||F X + G Y - h||, the Lyapunov energy
     against the trace's saddle (NaN without one) and, at interior nodes, the continuous NE
     (s/2)||G Ydot||^2 + (s^3/2)||Lamdot||^2, the energy of (s Ydot, s Lamdot).
-    Lamdot comes from the dual ODE (exact), Ydot from a central difference.
-    The NE is reported only: its continuous monotonicity is not certified."""
+    Lamdot comes from the dual ODE (exact), Ydot from _ydot's central difference, as
+    in Theorem 3.2. The NE is reported only: its monotonicity is not certified."""
     spec, s, cols, saddle = trace.spec, trace.config.s, trace.scalars, trace.saddle
     r = spec.constraint_residual(trace.xs, trace.ys)
     cols["deviation"] = np.linalg.norm(r, axis=1)
     if saddle is not None:
         cols["lyapunov"] = _energy(trace.ys, trace.lams, saddle.y_star, saddle.lambda_star, s)
-    t = trace.axis
-    ydot = (trace.ys[2:] - trace.ys[:-2]) / (t[2:] - t[:-2]).reshape(-1, 1)
-    cols["ne_continuous"][1:-1] = _energy(s * ydot, r[1:-1] / s, 0.0, 0.0, s)
+    cols["ne_continuous"][1:-1] = _energy(s * _ydot(trace)[1:-1], r[1:-1] / s, 0.0, 0.0, s)
     return trace
 
 

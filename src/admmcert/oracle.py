@@ -30,48 +30,33 @@ def sign_pattern_oracle(spec, tol=1e-8):
     """Saddle point of an l1 problem with quadratic f by the primal-dual active set
     (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2002): from the all-zero sign
     pattern, solve that pattern's KKT system, then take sigma_i = sign(q_i) if
-    |q_i| > w else 0, q = y - G^T lam, until the pattern settles."""
+    |q_i| > w else 0, q = y - G^T lam, until the pattern settles. Each pattern's KKT
+    system is sliced from one matrix built per call, as ode._newton_system is: rows
+    2 A^T A x + F^T lam = 2 A^T b, (G^T lam)_i = -w sigma_i and F x + G y = h, columns x,
+    y and lam; it keeps x, lam and the y coordinates (and rows) the pattern sets nonzero."""
     if not isinstance(spec.g, ScaledL1):
         raise ParameterError("sign-pattern oracle requires g = w||.||_1")
     f = spec.f
     if not isinstance(f, Quadratic):  # inconsistent pattern systems mislead the search
         raise ParameterError("sign-pattern oracle requires a quadratic f")
-    w = spec.g.w
-    d1, d2, m = spec.d1, spec.d2, spec.m
-    gram2 = 2.0 * Banded.symmetric(f.gram_band).dense()
-    F = spec.F  # built once: a banded F is built anew at each read
+    w, d2, m = spec.g.w, spec.d2, spec.m
+    sy, sl = spec.d1, spec.d1 + d2  # the first y and lam columns
+    K = np.zeros((sl + m, sl + m))
+    K[:sy, :sy] = 2.0 * Banded.symmetric(f.gram_band).dense()
+    K[sl:, :sy] = F = spec.F  # built once: a banded F is built anew at each read
+    K[:sy, sl:] = F.T
+    i = np.arange(m)
+    K[sy + i, sl + i] = K[sl + i, sy + i] = spec.G_sign
+    rhs = np.concatenate([2.0 * f.gram_rhs, np.zeros(d2), spec.h])
 
     def solve(sigma):
         P = np.flatnonzero(sigma != 0)
-        p = P.size
-        # unknowns: x, y_P, lam
-        nun = d1 + p + m
-        rows = []
-        rhs = []
-        # 2 A^T A x + F^T lam = 2 A^T b
-        blk = np.zeros((d1, nun))
-        blk[:, :d1] = gram2
-        blk[:, d1 + p:d1 + p + m] = F.T
-        rows.append(blk)
-        rhs.append(2.0 * f.gram_rhs)
-        if p:
-            # (G^T lam)_P = -w * sigma_P, with G = G_sign * I
-            blk = np.zeros((p, nun))
-            blk[np.arange(p), d1 + p + P] = spec.G_sign
-            rows.append(blk)
-            rhs.append(-w * sigma[P])
-        # F x + G_P y_P = h
-        blk = np.zeros((m, nun))
-        blk[:, :d1] = F
-        if p:
-            blk[P, d1 + np.arange(p)] = spec.G_sign
-        rows.append(blk)
-        rhs.append(spec.h)
-
-        z, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
+        keep = np.concatenate([np.arange(sy), sy + P, np.arange(sl, sl + m)])
+        rhs[sy:sl] = -w * sigma
+        z, *_ = np.linalg.lstsq(K[np.ix_(keep, keep)], rhs[keep], rcond=None)
         y = np.zeros(d2)
-        y[P] = z[d1:d1 + p]
-        return z[:d1], y, z[d1 + p:]
+        y[P] = z[sy:sy + P.size]
+        return z[:sy], y, z[sy + P.size:]
 
     def pattern_of(sol):
         q = sol[1] - spec.G_sign * sol[2]

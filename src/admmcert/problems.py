@@ -9,6 +9,8 @@ certificate, and F^T F only as its lower band, whose largest eigenvalue is
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .band import Banded, band_extremes, gram_band
@@ -76,12 +78,15 @@ class ProblemSpec:
         return self.f.value(x) + self.g.value(y)
 
     def smoothed(self, huber_delta):
-        """Replace an l1 regularizer by its Huber smoothing (for continuous runs)."""
+        """Replace an l1 regularizer by its Huber smoothing (for continuous runs) in a
+        copy that shares F_op, the bands and h; a Huber g is kept as it is."""
         if isinstance(self.g, HuberSmoothedL1):
             return self
         if not isinstance(self.g, ScaledL1):
             raise ProblemConstructionError("only an l1 regularizer can be smoothed")
-        return ProblemSpec(self.f, HuberSmoothedL1(self.g.w, huber_delta), self.F, self.G, self.h)
+        spec = copy.copy(self)
+        spec.g = HuberSmoothedL1(self.g.w, huber_delta)
+        return spec
 
 
 def _identity_sign(G):

@@ -6,6 +6,7 @@ agreement, 10*delta continuous comparisons); each test asserts the
 criterion's own pass flag and surfaces the numeric details on failure.
 """
 
+import hashlib
 import inspect
 import os
 import pickle
@@ -80,6 +81,13 @@ def test_criterion_8_oracle_cross_validation(results):
     _check(results, 8)
 
 
+# The verify report's bytes, recomputed on numpy 2.4 with its bundled OpenBLAS. Its
+# instances reach d = 50, so unlike the one-dimensional golden runs (test_golden.py) the
+# pin may depend on the BLAS build. A change meant to move the report must update it and
+# say which values moved (tests/compare_artifacts.py).
+VERIFY_REPORT_SHA256 = "9d6417835c2b437dafd27410c30a5a636358cbe5d34035807db5c6ac2632b8ca"
+
+
 def test_criterion_9_verify_is_byte_deterministic(results, tmp_path):
     # in-process repetition (part of the suite) ...
     _check(results, 9)
@@ -94,6 +102,7 @@ def test_criterion_9_verify_is_byte_deterministic(results, tmp_path):
         assert proc.returncode == 0, proc.stdout + proc.stderr
         reports.append((out / "verify_report.json").read_bytes())
     assert reports[0] == reports[1]
+    assert hashlib.sha256(reports[0]).hexdigest() == VERIFY_REPORT_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -345,3 +345,19 @@ def test_spec_keeps_no_d_by_d_array_once_its_inputs_are_dropped():
         tracemalloc.stop()
     assert spec.F_op.banded and spec.f.A_op.banded
     assert kept < 64 * d * 8
+
+
+def test_smoothed_spec_shares_the_operators_and_builds_no_dense_form():
+    # a spec rebuilt from the dense spec.F and spec.G would take d * d * 8 = 11.5 MB
+    d = 1200
+    A, b, F, G, h = _tv_inputs(d)
+    spec = ProblemSpec(Quadratic(A, b), ScaledL1(0.5), F, G, h)
+    tracemalloc.start()
+    try:
+        smooth = spec.smoothed(1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * d * 8
+    assert smooth.g.w == 0.5 and smooth.g.delta == 1e-3 and spec.g.w == 0.5
+    assert smooth.F_op is spec.F_op and smooth.FtF_band is spec.FtF_band and smooth.f is spec.f

@@ -207,6 +207,17 @@ class TestIndicatorExactSolve:
             for got, want in zip((X1, Y1, L1), admm(None, Y, Lam)):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
+    def test_step_off_the_constraint_set_is_measured_and_named(self):
+        # a node planted off A x = b has no subgradient distance (it is inf); the residual
+        # measures ||A X - b|| instead, so the error reports a finite residual
+        spec = get_instance("basis_pursuit_10x30").smoothed(HUBER_DELTA)
+        step = ImplicitStep(spec, 1.0, 0.25)
+        trace = simulate_high_res(spec, IntegratorConfig(s=1.0, delta=0.25, T=1.0))
+        trace.xs[2] += 1e-3 * spec.f.A[0]
+        with pytest.raises(InnerSolveError, match=r"^step t = 0\.5: implicit step residual "
+                                                  r"\d\.\d{3}e[-+]\d+ exceeds 1e-12$"):
+            step.check_rows(trace)
+
 
 class TestSimulateHighRes:
     def test_node_count_and_times(self):
@@ -406,6 +417,29 @@ class TestContinuousDiagnostics:
         ne = trace.scalars["ne_continuous"]
         assert np.isnan(ne[0]) and np.isnan(ne[-1])
         assert np.all(np.isfinite(ne[1:-1])) and np.all(ne[1:-1] >= 0.0)
+
+
+def _planted(size):
+    """Criterion 7's run of lasso_8x6_smoothed (s = 1, delta = s/100, T = 20s) with X
+    moved to x* + size * (1, ..., 1)/sqrt(d1) on the nodes 1..200, of [0, T/10], only."""
+    name = "lasso_8x6_smoothed"
+    spec, sad = get_instance(name), get_saddle(name)
+    trace = simulate_high_res(spec, IntegratorConfig(s=1.0, delta=0.01, T=20.0), saddle=sad)
+    trace.xs[1:201] = sad.x_star + size / np.sqrt(spec.d1)
+    return trace
+
+
+@pytest.mark.parametrize("check, size", [(check_continuous_strong_avg, 5.0),
+                                         (check_theorem_3_2_weak, 3.0)])
+def test_violation_early_in_the_horizon_fails_at_its_node(check, size):
+    # the time means at the nodes nearest T/4, T/2 and T, all that were once read, dilute
+    # the planted stretch below the bound; the means at its own nodes do not, and the
+    # worst one names such a node
+    trace = _planted(size)
+    entry, = check(trace)
+    assert not entry.passed and entry.worst_slack > entry.tolerance
+    assert 1 <= entry.worst_index <= 200
+
 
 
 class TestDeviation:

@@ -198,6 +198,10 @@ class TestProblemSpec:
         assert isinstance(sm.g, HuberSmoothedL1)
         assert sm.g.delta == 1e-3
 
+    def test_smoothed_keeps_an_already_smoothed_spec(self):
+        sm = scalar_spec().smoothed(1e-3)
+        assert sm.smoothed(0.5) is sm and sm.g.delta == 1e-3
+
 
 class TestKKTResiduals:
     def test_saddle_is_a_root(self):

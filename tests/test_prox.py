@@ -25,6 +25,7 @@ from admmcert.prox import (
     x_update,
     y_update,
 )
+from admmcert.solver import SolverConfig, run
 
 finite_vec = arrays(np.float64, st.integers(1, 8),
                     elements=st.floats(-1e6, 1e6, allow_nan=False))
@@ -196,6 +197,14 @@ class TestLapack:
     def test_singular_matrix_refused_by_dgetrf(self):
         with pytest.raises(IllConditionedError, match=r"LAPACK dgetrf .*\(info 2\)"):
             lapack_factor("dgetrf", np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+    def test_failed_band_solve_names_the_step(self, monkeypatch):
+        # a non-zero info from the x-update's dpbtrs raises in the step, naming its row
+        solve = prox._flapack.dpbtrs
+        monkeypatch.setattr(prox._flapack, "dpbtrs", lambda *a, **k: (solve(*a, **k)[0], 1))
+        with pytest.raises(IllConditionedError, match=r"^step k = 1: x-update solve residual "
+                                                      r".*\(LAPACK dpbtrs info 1; "):
+            run(get_instance("lasso_8x6"), SolverConfig(s=1.0, N=3))
 
     @pytest.mark.parametrize("name", ["lasso_8x6", "basis_pursuit_10x30"])
     def test_factor_matches_scipy_linalg(self, name):
