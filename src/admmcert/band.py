@@ -4,8 +4,10 @@ A difference operator F, an identity A and the x-system 2s A^T A + F^T F they ma
 have a few nonzero diagonals. Banded applies such a matrix to a vector through BLAS
 dgbmv and to the rows of an (n, .) array diagonal by diagonal, gram_band forms
 A^T A's lower band from A's band, and band_extremes reads the extreme eigenvalues of
-a symmetric band through LAPACK dsbevx. So only Banded.dense builds a d x d array for
-a banded matrix; a matrix whose band is nearly full keeps its dense array and products.
+a symmetric band through LAPACK dsbevx. A Banded is built from a dense matrix, by
+scanning its bandwidths, or straight from its band (Banded.from_band, as an instance
+file's band block is read). So only Banded.dense builds a d x d array for a banded
+matrix; a matrix whose band is nearly full keeps its dense array and products.
 
 LAPACK and BLAS come from scipy's compiled modules, loaded from their files
 (_load_linalg), not through the scipy.linalg package.
@@ -111,28 +113,37 @@ class Banded:
     """
 
     def __init__(self, A):
-        self.shape, (self.kl, self.ku) = A.shape, bandwidths(A)
-        self.banded = self.kl + self.ku + 1 <= A.shape[0]
-        if self.banded:
-            self._set_band(band_storage(A, self.kl, self.ku))
+        self.shape, (kl, ku) = A.shape, bandwidths(A)
+        if kl + ku + 1 <= A.shape[0]:
+            self._set_band(kl, ku, band_storage(A, kl, ku))
         else:
-            self.A = A
+            self.kl, self.ku, self.banded, self.A = kl, ku, False, A
             A.flags.writeable = False
 
     @classmethod
+    def from_band(cls, shape, kl, ku, ab):
+        """The matrix of the given shape whose general band storage is ab (row ku + i - j
+        of column j holds A[i, j]). Trailing all-zero diagonals are dropped, as
+        bandwidths drops them from a dense matrix (_trimmed_band), so the band and the
+        dense form of one matrix give the same kl, ku and band. A band too wide for
+        dgbmv is kept dense."""
+        op = cls.__new__(cls)
+        op.shape = shape
+        op._set_band(*_trimmed_band(shape, kl, ku, ab))
+        return op
+
+    @classmethod
     def symmetric(cls, lower):
-        """The symmetric d x d matrix whose lower band storage is lower."""
+        """The symmetric d x d matrix whose lower band storage is lower, kept with its
+        bandwidth kd as given (a dense matrix where 2 kd + 1 > d)."""
         op = cls.__new__(cls)
         kd, d = lower.shape[0] - 1, lower.shape[1]
-        op.shape, op.kl, op.ku, op.banded = (d, d), kd, kd, 2 * kd + 1 <= d
+        op.shape = d, d
         ab = np.zeros((2 * kd + 1, d))  # row kd - o, column j: the upper entry M[j - o, j]
         ab[kd:] = lower
         for o in range(1, kd + 1):
             ab[kd - o, o:] = lower[o, :d - o]
-        if op.banded:
-            op._set_band(ab)
-        else:
-            op.A = _band_matrix(ab, op.shape, kd, kd)
+        op._set_band(kd, kd, ab)
         return op
 
     def dense(self):
@@ -142,9 +153,14 @@ class Banded:
             return self.A
         return _band_matrix(self.band, self.shape, self.kl, self.ku)
 
-    def _set_band(self, ab):
+    def _set_band(self, kl, ku, ab):
+        """Keep the band ab, or for a band too wide for dgbmv the dense matrix it
+        stores."""
         m, n = self.shape
-        kl, ku = self.kl, self.ku
+        self.kl, self.ku, self.banded = kl, ku, kl + ku + 1 <= m
+        if not self.banded:
+            self.A = _band_matrix(ab, self.shape, kl, ku)
+            return
         self.band = ab
         self._args = m, n, kl, ku, 1.0, ab
         # trans goes by position, after beta = 0 and a y whose zeros only fix its
@@ -178,12 +194,33 @@ class Banded:
         return _rows(v, self.shape[1], self._tdot_terms)
 
 
+def identity(m, c=1.0):
+    """c I, of size m x m, as the Banded of its one diagonal: no m x m array is built."""
+    return Banded.from_band((m, m), 0, 0, np.full((1, m), c))
+
+
+def _trimmed_band(shape, kl, ku, ab):
+    """(kl, ku, band): a copy of the general band storage ab of an m x n matrix, its
+    cells off the matrix (the corners) 0.0 whatever ab held there, cut to the first
+    and last diagonals that hold a nonzero (a NaN counts), as bandwidths reads them
+    off a dense matrix and trimmed off a lower band."""
+    m, n = shape
+    band = np.zeros((kl + ku + 1, n))
+    for o in range(-ku, kl + 1):  # the diagonal i - j = o, on the columns j0:j1
+        j0 = max(0, -o)
+        j1 = max(j0, min(n, m - o))  # j0 where the diagonal is off the matrix
+        band[ku + o, j0:j1] = ab[ku + o, j0:j1]
+    held = np.flatnonzero(band.any(axis=1)) - ku
+    kl_, ku_ = max(0, int(held.max(initial=0))), max(0, -int(held.min(initial=0)))
+    return kl_, ku_, band[ku - ku_:ku + kl_ + 1]
+
+
 def _band_matrix(ab, shape, kl, ku):
     """The read-only matrix of the given shape whose general band storage is ab."""
     (m, n), M = shape, np.zeros(shape)
     for o in range(-ku, kl + 1):  # the diagonal i - j = o from (j0 + o, j0), flat stride n + 1
         j0 = max(0, -o)
-        size = min(m - j0 - o, n - j0)
+        size = max(0, min(m - j0 - o, n - j0))  # none where the diagonal is off the matrix
         M.reshape(-1)[(j0 + o) * n + j0::n + 1][:size] = ab[ku + o, j0:j0 + size]
     M.flags.writeable = False
     return M

@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from . import acceptance, library
+from .band import identity
 from .diagnostics import certify_general, certify_standard
 from .errors import AdmmError, ParameterError
 from .ode import IntegratorConfig, low_res_refusal, simulate_high_res, simulate_low_res
@@ -111,9 +112,10 @@ def cmd_generate(args):
         order = 1 if kind == "tv" else 2
         if d < order + 1:
             raise ValueError(f"{kind} filtering needs d >= {order + 1}")
-        A = np.eye(d)
+        # A = I and F as their bands, so that no d x d array is built
         b = rng.standard_normal(d)
-        spec = build_generalized_lasso(A, b, library._difference_matrix(d, order), 0.5)
+        spec = build_generalized_lasso(identity(d), b, library.difference_operator(d, order),
+                                       0.5)
     elif kind == "basis_pursuit":
         if len(dims) != 2:
             raise ValueError("basis_pursuit needs dims m,d")

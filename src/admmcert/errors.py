@@ -17,7 +17,23 @@ class UnsupportedProblemError(AdmmError, ValueError):
     """Raised when a subproblem has no closed-form solver for the given structure."""
 
 
-class IllConditionedError(AdmmError, RuntimeError):
+class _StepError(AdmmError, RuntimeError):
+    """A step of a run that failed. ``k`` (a discrete step) or ``t`` (an integrator's
+    time) names the failing row, once Trace.step_rows or Trace.raise_first has named
+    it; both are None for a failure outside a row, such as a refused factorization."""
+
+    def __init__(self, message, k=None, t=None):
+        super().__init__(message)
+        self.k = k
+        self.t = t
+
+    def __reduce__(self):
+        # the default rebuilds from self.args, which lack k and t; a forked worker
+        # pickles its exception
+        return type(self), (str(self), self.k, self.t)
+
+
+class IllConditionedError(_StepError):
     """Raised when the x-update linear system is too ill-conditioned to solve."""
 
 
@@ -36,5 +52,5 @@ class OracleConvergenceError(AdmmError, RuntimeError):
         return type(self), (str(self), self.best_residual)
 
 
-class InnerSolveError(AdmmError, RuntimeError):
+class InnerSolveError(_StepError):
     """Raised when the implicit-step inner solver fails to reach tolerance."""

@@ -36,20 +36,20 @@ def _as_vector(v, name):
 
 class Quadratic:
     """f(v) = ||A v - b||^2 (no 1/2 factor; strong convexity modulus 2*lam_min(A^T A)).
-    A is kept only as A_op (band.Banded), and f.A built from it when read, and A^T A
-    only as its lower band storage gram_band: a banded A keeps no d x d array."""
+    A, a matrix or a band.Banded, is kept only as A_op, and f.A built from it when
+    read, and A^T A only as its lower band storage gram_band: a banded A keeps no
+    d x d array."""
 
     smooth = True
 
     def __init__(self, A, b):
-        A = _as_matrix(A, "A")
+        self.A_op = A if isinstance(A, Banded) else Banded(_as_matrix(A, "A"))
         self.b = _as_vector(b, "b")
-        if A.shape[0] != self.b.shape[0]:
+        rows, self.dim = self.A_op.shape
+        if rows != self.b.shape[0]:
             raise ProblemConstructionError(
-                f"rows of A ({A.shape[0]}) do not match length of b ({self.b.shape[0]})"
+                f"rows of A ({rows}) do not match length of b ({self.b.shape[0]})"
             )
-        self.dim = A.shape[1]
-        self.A_op = Banded(A)
         self.gram_band = gram_band(self.A_op)
         self.gram_rhs = self.A_op.tdot(self.b)
         self.b.flags.writeable = False

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .band import Banded
 from .errors import ParameterError
 from .oracle import saddle_point_oracle
 from .problems import build_basis_pursuit, build_generalized_lasso
@@ -22,6 +23,19 @@ def _difference_matrix(d, order=1):
     for _ in range(order):
         D = -np.diff(D, axis=0)
     return D
+
+
+def difference_operator(d, order=1):
+    """The (d - order) x d difference matrix of _difference_matrix as the Banded of its
+    band, built in O(d): row i holds the stencil (1, -1) or (1, -2, 1) from column i,
+    with the bits -np.diff gives it, so the band is the one Banded reads off the
+    dense matrix."""
+    stencil = _difference_matrix(order + 1, order)[0]
+    m = d - order
+    ab = np.zeros((order + 1, d))  # F[i, i + t] in band row ku - t = order - t
+    for t, c in enumerate(stencil):
+        ab[order - t, t:t + m] = c
+    return Banded.from_band((m, d), 0, order, ab)
 
 
 def scalar_lasso():

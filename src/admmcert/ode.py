@@ -299,8 +299,9 @@ def simulate_high_res(spec, config, init=None, saddle=None):
         bad = np.flatnonzero(~(alg <= ALGEBRAIC_TOL * (1.0 + np.linalg.norm(ls, axis=1))))
         if bad.size:
             j = bad[0] + 1
+            t = float(trace.axis[j])
             raise InnerSolveError(f"algebraic constraint violated at node {j} "
-                                  f"(t = {float(trace.axis[j])!r}): {alg[j - 1]:.3e}")
+                                  f"(t = {t!r}): {alg[j - 1]:.3e}", t=t)
     return _fill_columns(trace)
 
 

@@ -3,10 +3,10 @@
 For an l1 regularizer with quadratic f in at most SIGN_PATTERN_MAX_DIM
 coordinates, a primal-dual active-set search (prox.settle_pattern) finds the
 sign pattern of y whose KKT linear system is self-consistent; otherwise (or
-as a cross-check) a long r-proximal ADMM run drives the KKT residuals below
-the requested tolerance, stepping in blocks of _CHECK_EVERY rows through
-Trace.step_rows. Every returned saddle is re-certified by evaluating the KKT
-residuals at it.
+where that search fails, or as a cross-check) a long r-proximal ADMM run drives
+the KKT residuals below the requested tolerance, stepping in blocks of
+_CHECK_EVERY rows through Trace.step_rows. Every returned saddle is re-certified by
+evaluating the KKT residuals at it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .band import Banded
-from .errors import IllConditionedError, OracleConvergenceError, ParameterError
+from .errors import IllConditionedError, InnerSolveError, OracleConvergenceError, ParameterError
 from .functions import Quadratic, ScaledL1
 from .problems import SaddlePoint, kkt_residuals
 from .prox import Step, settle_pattern
@@ -95,7 +95,7 @@ def long_run_oracle(spec, tol=1e-8, budget=LONG_RUN_BUDGET):
                 block.step_rows(step, row)
                 step.check_rows(block)
             except IllConditionedError as exc:
-                raise IllConditionedError(f"long-run oracle, {exc}") from None
+                raise IllConditionedError(f"long-run oracle, {exc}", k=exc.k) from None
             if block.repeat is not None:
                 i, p = block.repeat
                 cycle = [b[i:i + p].copy() for b in (block.xs, block.ys, block.lams)]
@@ -126,11 +126,23 @@ def long_run_oracle(spec, tol=1e-8, budget=LONG_RUN_BUDGET):
 
 def saddle_point_oracle(spec, tol=1e-8):
     """Certified saddle point: the active set for an l1 g with quadratic f and
-    d2 <= SIGN_PATTERN_MAX_DIM, the long run otherwise."""
+    d2 <= SIGN_PATTERN_MAX_DIM, the long run otherwise, and the long run also where the
+    active set fails (its pattern search does not settle, or settles on a pattern
+    that misses the KKT conditions, as on a rank-deficient A). When that long run
+    fails too, the OracleConvergenceError names both oracles and both reasons."""
     if not 1e-12 <= tol < np.inf:  # also refuses nan
         raise ParameterError(f"saddle tolerance tol = {tol!r} is not certifiable: "
                              "it must lie in [1e-12, inf)")
-    if (isinstance(spec.g, ScaledL1) and isinstance(spec.f, Quadratic)
+    if not (isinstance(spec.g, ScaledL1) and isinstance(spec.f, Quadratic)
             and spec.d2 <= SIGN_PATTERN_MAX_DIM):
+        return long_run_oracle(spec, tol / 10.0)
+    try:
         return sign_pattern_oracle(spec, tol)
-    return long_run_oracle(spec, tol / 10.0)
+    except (OracleConvergenceError, InnerSolveError) as exc:
+        first = exc
+    try:
+        return long_run_oracle(spec, tol / 10.0)
+    except OracleConvergenceError as exc:
+        raise OracleConvergenceError(
+            f"sign-pattern oracle: {first}; then the long-run oracle: {exc}",
+            exc.best_residual) from None

@@ -106,7 +106,8 @@ class Trace:
         then repeat is (i, p) and each later row r is the row i + ((r - i) mod p) it
         repeats. That is exact because step is a function of the row it starts from.
         A step that raises IllConditionedError or InnerSolveError is re-raised as the
-        same type, naming the row being computed (step k = 5, step t = 0.25)."""
+        same type, naming the row being computed (step k = 5, step t = 0.25), in its
+        message and in its attribute k or t."""
         blocks = xs, ys, ls = self.xs, self.ys, self.lams
         seen = {}
         try:
@@ -127,7 +128,7 @@ class Trace:
                         b[j + 1:] = b[src]
                     break
         except (IllConditionedError, InnerSolveError) as exc:
-            raise type(exc)(f"{self.row_name(j)}: {exc}") from None
+            raise self.named(exc, j) from None
         return self
 
     def computed_rows(self):
@@ -140,17 +141,23 @@ class Trace:
         row j's value from an array pass over the rows and bound its limit; a row whose
         value is not <= bound (NaN included) is checked again by recheck(j), with the
         kernels of a single step, which raises IllConditionedError or InnerSolveError,
-        re-raised naming the row. Array kernels round differently from single-step
-        ones, so the pass only screens: a row fails as a check in the loop fails it."""
+        re-raised naming the row (named). Array kernels round differently from
+        single-step ones, so the pass only screens: a row fails as a check in the loop
+        fails it."""
         for j in np.flatnonzero(~(res <= bound)).tolist():
             try:
                 recheck(j + 1)
             except (IllConditionedError, InnerSolveError) as exc:
-                raise type(exc)(f"{self.row_name(j + 1)}: {exc}") from None
+                raise self.named(exc, j + 1) from None
 
     def row_name(self, j):
         """How an error names row j: step k = 5, or step t = 0.25."""
         return f"step {self.axis_name} = {self.axis[j].item()!r}"
+
+    def named(self, exc, j):
+        """exc, as the same type, naming row j in its message (row_name) and in its
+        attribute k or t."""
+        return type(exc)(f"{self.row_name(j)}: {exc}", **{self.axis_name: self.axis[j].item()})
 
     def __len__(self):
         return self.axis.shape[0]

@@ -17,7 +17,8 @@ from hypothesis.extra.numpy import arrays
 from admmcert import band, ode, prox
 from admmcert.cli import main
 from admmcert.functions import Quadratic, ScaledL1
-from admmcert.library import _difference_matrix, get_instance, instance_names
+from admmcert.library import (_difference_matrix, difference_operator, get_instance,
+                              instance_names)
 from admmcert.problems import ProblemSpec
 from test_prox import _x_systems
 from test_row_passes import DERANDOMIZED
@@ -145,6 +146,36 @@ def test_dense_form_of_a_wide_matrix_is_the_stored_array():
     op = band.Banded(A)
     assert not op.banded
     assert op.dense() is A and not A.flags.writeable
+
+
+@pytest.mark.parametrize("name,A", _dense_cases(), ids=[n for n, _ in _dense_cases()])
+def test_band_storage_loads_to_the_banded_of_the_dense_matrix(name, A):
+    # from_band on the band widened by a zero diagonal on each side, with 7.0 in every
+    # cell off the matrix, drops both and gives the Banded the dense scan gives
+    want = band.Banded(A)
+    (m, n), kl, ku = A.shape, want.kl + 1, want.ku + 1
+    ab = band.band_storage(A, kl, ku)
+    for o in range(-ku, kl + 1):  # band row ku + o holds A[j + o, j]
+        j = np.arange(n)
+        ab[ku + o, (j + o < 0) | (j + o >= m)] = 7.0
+    got = band.Banded.from_band(A.shape, kl, ku, ab)
+    assert (got.shape, got.kl, got.ku, got.banded) == (want.shape, want.kl, want.ku, True)
+    assert np.array_equal(_bits(got.band), _bits(want.band))
+
+
+def test_band_too_wide_for_dgbmv_loads_dense():
+    A = np.random.default_rng(13).standard_normal((5, 5))
+    op = band.Banded.from_band(A.shape, 4, 4, band.band_storage(A, 4, 4))
+    assert not op.banded and (op.kl, op.ku) == (4, 4)
+    assert np.array_equal(_bits(op.dense()), _bits(A)) and not op.dense().flags.writeable
+
+
+@pytest.mark.parametrize("d,order", [(3, 1), (9, 1), (5, 2), (9, 2)])
+def test_difference_operator_is_the_banded_of_the_difference_matrix(d, order):
+    # each d leaves the band narrow enough for dgbmv: order + 1 <= d - order rows
+    got, want = difference_operator(d, order), band.Banded(_difference_matrix(d, order))
+    assert (got.shape, got.kl, got.ku) == (want.shape, want.kl, want.ku)
+    assert np.array_equal(_bits(got.band), _bits(want.band))
 
 
 def _old_symmetric_matrix(lower):

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ def test_generate_round_trips_the_bands(tmp_path, monkeypatch, kind):
     for got, want in ((loaded.F_op.band, spec.F_op.band), (loaded.f.A_op.band, spec.f.A_op.band),
                       (loaded.FtF_band, spec.FtF_band), (loaded.f.gram_band, spec.f.gram_band)):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    F_block = out.read_text().split("[F]\n")[1].split("[G]")[0]
+    F_block = out.read_text().split("[F.band]\n")[1].split("[G.band]")[0]
     assert "-0.0" not in F_block.replace("\n", ",").split(",")
 
 
@@ -334,14 +335,16 @@ def test_simulate_refuses_an_overflowing_step_ratio(tmp_path, monkeypatch, capsy
 
 
 def test_out_of_memory_exits_2_without_a_traceback(tmp_path, monkeypatch, capsys):
-    # generate tv --dims 1000000 builds A = I, 7.28 TiB dense: stand in for numpy's refusal
-    def no_memory(d, *args, **kwargs):
-        raise MemoryError(f"Unable to allocate 7.28 TiB for an array with shape ({d}, {d}) "
+    # generate lasso --dims 1000000,1000000 draws a dense A of 7.28 TiB: stand in for
+    # numpy's refusal
+    def no_memory(shape, *args, **kwargs):
+        raise MemoryError(f"Unable to allocate 7.28 TiB for an array with shape {shape} "
                           "and data type float64")
 
-    monkeypatch.setattr(np, "eye", no_memory)
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: SimpleNamespace(standard_normal=no_memory))
     monkeypatch.chdir(tmp_path)
-    assert main(["generate", "tv", "--dims", "1000000", "--out", "tv.txt"]) == 2
+    assert main(["generate", "lasso", "--dims", "1000000,1000000", "--out", "lasso.txt"]) == 2
     assert capsys.readouterr().err == ("error: out of memory: Unable to allocate 7.28 TiB for an "
                                        "array with shape (1000000, 1000000) and data type "
                                        "float64\n")

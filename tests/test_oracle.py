@@ -1,11 +1,12 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from admmcert import oracle
 from admmcert.cli import main
-from admmcert.errors import OracleConvergenceError, ParameterError
+from admmcert.errors import InnerSolveError, OracleConvergenceError, ParameterError
 from admmcert.library import _difference_matrix, get_instance
 from admmcert.oracle import long_run_oracle, saddle_point_oracle, sign_pattern_oracle
 from admmcert.problems import build_generalized_lasso, kkt_residuals, load_instance, save_instance
@@ -170,3 +171,64 @@ class TestDispatcher:
             sad = library.get_saddle(name)
             spec = library.get_instance(name)
             assert max(kkt_residuals(spec, sad.x_star, sad.y_star, sad.lambda_star)) <= 1e-8
+
+
+def drawn(seed, kind, m, d):
+    """A small generalized lasso with w = 0.5, from default_rng(seed): A (m x d) and b
+    standard normal, F the identity ("lasso"), first differences ("tv") or a standard
+    normal d x d matrix ("general")."""
+    rng = np.random.default_rng(seed)
+    A, b = rng.standard_normal((m, d)), rng.standard_normal(m)
+    F = {"lasso": np.eye(d), "tv": _difference_matrix(d, 1)}.get(kind)
+    if F is None:
+        F = rng.standard_normal((d, d))
+    return build_generalized_lasso(A, b, F, 0.5)
+
+
+class TestFallback:
+    """Where the active set fails, the dispatcher falls back on the long run."""
+
+    @pytest.mark.parametrize("seed, kind, m, d, error, reason", [
+        # A of rank 2 < d = 6: the settled pattern's system is inconsistent
+        (1, "lasso", 2, 6, OracleConvergenceError, "misses the KKT conditions"),
+        (7, "general", 3, 5, InnerSolveError, "did not settle within 500 passes"),
+        (20, "tv", 4, 7, InnerSolveError, "did not settle within 500 passes"),
+    ], ids=["lasso_rank_2", "general_cycling", "tv_cycling"])
+    def test_long_run_certifies_where_the_active_set_fails(self, seed, kind, m, d, error,
+                                                          reason):
+        spec = drawn(seed, kind, m, d)
+        with pytest.raises(error, match=reason):
+            sign_pattern_oracle(spec, 1e-8)
+        sad = saddle_point_oracle(spec, 1e-8)
+        lr = long_run_oracle(spec, 1e-9)
+        for got, want in zip((sad.x_star, sad.y_star, sad.lambda_star),
+                             (lr.x_star, lr.y_star, lr.lambda_star)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert max(kkt_residuals(spec, sad.x_star, sad.y_star, sad.lambda_star)) <= 1e-9
+
+    def test_solve_runs_where_the_active_set_fails(self, tmp_path, capsys):
+        path = tmp_path / "tv.txt"
+        save_instance(drawn(20, "tv", 4, 7), path)
+        out = tmp_path / "out"
+        assert main(["solve", "--spec", str(path), "--N", "50", "--out", str(out)]) == 0
+        assert "error" not in capsys.readouterr().err
+        assert (out / "certificates.json").exists()
+
+    def test_both_oracles_failing_names_both(self, monkeypatch, tmp_path, capsys):
+        def stalled(spec, tol):
+            raise OracleConvergenceError("long-run oracle stalled (planted)", 3e-3)
+
+        monkeypatch.setattr(oracle, "long_run_oracle", stalled)
+        with pytest.raises(OracleConvergenceError) as exc:
+            saddle_point_oracle(drawn(1, "lasso", 2, 6))
+        assert exc.value.best_residual == 3e-3
+        assert re.fullmatch(r"sign-pattern oracle: the settled sign pattern misses the KKT "
+                            r"conditions by \S+ > 1e-08; then the long-run oracle: long-run "
+                            r"oracle stalled \(planted\)", str(exc.value))
+        path = tmp_path / "tv.txt"
+        save_instance(drawn(20, "tv", 4, 7), path)
+        assert main(["solve", "--spec", str(path), "--N", "50",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: sign-pattern oracle: pattern search did not settle within 500 passes; "
+            "then the long-run oracle: long-run oracle stalled (planted)\n")

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from admmcert import band
 from admmcert.cli import main
 from admmcert.errors import ProblemConstructionError
 from admmcert.functions import AffineIndicator, HuberSmoothedL1, Quadratic, ScaledL1
@@ -24,7 +25,8 @@ def same_bits(actual, expected):
 
 
 def float_blocks(path):
-    """Every numeric block of an instance file, parsed cell by cell with float()."""
+    """Every numeric block of an instance file, parsed cell by cell with float(); a band
+    block's rows (its header m,n,kl,ku first) are kept as a list."""
     blocks, name = {}, None
     for line in path.read_text().split("\n"):
         if line.startswith("["):
@@ -32,7 +34,7 @@ def float_blocks(path):
             blocks[name] = []
         elif line and name not in ("f.variant", "g.variant"):
             blocks[name].append([float(v) for v in line.split(",")])
-    return {k: np.array(v) for k, v in blocks.items() if v}
+    return {k: v if k.endswith(".band") else np.array(v) for k, v in blocks.items() if v}
 
 
 def scalar_spec():
@@ -256,7 +258,16 @@ class TestInstanceFile:
         expected = float_blocks(path)
         for name, got in (("A", spec.f.A), ("b", spec.f.b), ("F", spec.F), ("G", spec.G),
                           ("h", spec.h)):
-            same_bits(got, expected[name].reshape(got.shape))
+            if f"{name}.band" in expected:  # each cell the band stores, at its (i, j)
+                (m, n, kl, ku), *rows = expected[f"{name}.band"]
+                assert got.shape == (m, n)
+                i, j = np.indices(got.shape)
+                on = (i - j <= kl) & (j - i <= ku)
+                want = band._band_matrix(np.array(rows), got.shape, int(kl), int(ku))
+                got, want = got[on], want[on]
+            else:
+                want = expected[name].reshape(got.shape)
+            same_bits(got, want)
 
     def test_stress_values_parse_to_the_bits_of_float(self, tmp_path):
         # 20 000 cells of A, from subnormal to 1e150 (A^T A stays finite), in the
@@ -267,7 +278,8 @@ class TestInstanceFile:
         forms = ["{!r}", "{:.17e}", "{:.6g}", "{:+.3E}", "{:.0f}", " {!r} "]
         cells = [forms[i % len(forms)].format(x) for i, x in enumerate(v.tolist())]
         rows = [",".join(cells[i:i + 100]) for i in range(0, len(cells), 100)]
-        spec = ProblemSpec(Quadratic(np.eye(200, 100), np.zeros(200)), ScaledL1(1.0),
+        # a dense A, which the file keeps as a dense block
+        spec = ProblemSpec(Quadratic(np.ones((200, 100)), np.zeros(200)), ScaledL1(1.0),
                            np.eye(100), -np.eye(100), np.zeros(100))
         path = tmp_path / "inst.txt"
         save_instance(spec, path)

@@ -9,6 +9,7 @@ must agree as int64 (so 0.0 and -0.0 differ), and the detected (first row of the
 cycle, period) is pinned.
 """
 
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 
 from admmcert import ode, solver
 from admmcert.cli import main
-from admmcert.errors import IllConditionedError
+from admmcert.errors import IllConditionedError, InnerSolveError
 from admmcert.library import _difference_matrix, get_instance
 from admmcert.ode import ImplicitStep, IntegratorConfig, simulate_high_res, simulate_low_res
 from admmcert.oracle import long_run_oracle
@@ -192,6 +193,42 @@ def test_failed_low_res_solve_names_its_t(monkeypatch):
     with pytest.raises(IllConditionedError,
                        match=r"^step t = 0\.01: low-resolution flow solve failed"):
         simulate_low_res(get_instance("scalar_lasso_smoothed"), SMOOTH_CONFIG)
+
+
+def _round_trips(exc):
+    """exc, and exc after a pickle round trip, as verify's forked worker sends it back."""
+    return [exc, pickle.loads(pickle.dumps(exc))]
+
+
+def test_failed_step_carries_its_k_and_t_as_attributes(monkeypatch):
+    class FailingStep(Step):
+        calls = 0
+
+        def __call__(self, *args):
+            FailingStep.calls += 1
+            if FailingStep.calls == 5:
+                raise IllConditionedError("planted failure")
+            return super().__call__(*args)
+
+    monkeypatch.setattr(solver, "Step", FailingStep)
+    with pytest.raises(IllConditionedError) as exc:
+        run(get_instance("tv_d50"), SolverConfig(s=1.0, N=50))
+    for err in _round_trips(exc.value):
+        assert type(err) is IllConditionedError and str(err) == "step k = 5: planted failure"
+        assert (err.k, err.t) == (5, None) and type(err.k) is int
+
+    monkeypatch.setattr(ode, "_flapack",
+                        SimpleNamespace(dpbtrs=lambda *args, **kwargs: (args[-1], 1)))
+    with pytest.raises(IllConditionedError) as exc:
+        simulate_low_res(get_instance("scalar_lasso_smoothed"), SMOOTH_CONFIG)
+    for err in _round_trips(exc.value):
+        assert str(err).startswith("step t = 0.01: low-resolution flow solve failed")
+        assert (err.k, err.t) == (None, 0.01)
+
+
+def test_errors_outside_a_row_carry_no_row():
+    for err in _round_trips(InnerSolveError("no row")):
+        assert (str(err), err.k, err.t) == ("no row", None, None)
 
 
 class TestFill:

@@ -10,6 +10,7 @@ ImplicitStep.residual, whose single-node form decides a node that check_rows' ar
 flags, against the residual as it was written before it was bound to the step.
 """
 
+import pickle
 import re
 
 import numpy as np
@@ -176,6 +177,18 @@ def test_exact_solve_is_checked_after_the_loop(monkeypatch):
     assert str(exc.value).endswith(f" exceeds {ode.INNER_TOL!r}")
 
 
+def test_checked_row_carries_its_t_through_a_pickle(monkeypatch):
+    # Trace.raise_first names the row in the attribute t too, which a forked worker's
+    # pickle keeps
+    exact = off_newton(monkeypatch)
+    with pytest.raises(InnerSolveError) as exc:
+        simulate_high_res(get_instance("lasso_8x6_smoothed"), SHORT)
+    again = pickle.loads(pickle.dumps(exc.value))
+    for err in (exc.value, again):
+        assert (type(err), err.k, err.t) == (InnerSolveError, None, SHORT.delta * exact[0])
+        assert str(err) == str(exc.value)
+
+
 def test_copied_rows_are_not_checked_again():
     # scalar_lasso repeats its row 35 at row 36; rows 37.. are copies, which no check reads
     spec = get_instance("scalar_lasso")
@@ -281,9 +294,10 @@ def test_admm_step_checks_its_solve(monkeypatch, name, message):
 def test_nan_node_fails_the_algebraic_leg(monkeypatch):
     nan_at(monkeypatch, ImplicitStep, 3)
     monkeypatch.setattr(ImplicitStep, "check_rows", lambda self, trace: None)
-    with pytest.raises(InnerSolveError,
-                       match=r"^algebraic constraint violated at node 3 \(t = 0\.75\): nan$"):
+    message = r"^algebraic constraint violated at node 3 \(t = 0\.75\): nan$"
+    with pytest.raises(InnerSolveError, match=message) as exc:
         simulate_high_res(get_instance("lasso_8x6_smoothed"), SHORT)
+    assert (exc.value.k, exc.value.t) == (None, 0.75)
 
 
 def plant_doubled_run(monkeypatch):
