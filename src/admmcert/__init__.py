@@ -19,8 +19,9 @@ from .problems import (
     load_instance,
     save_instance,
 )
-from .prox import FactorizationCache, huber_prox, soft_threshold
-from .solver import IterateState, SolverConfig, Trace, admm_step, run
+# kept but not exported: perfbench/traced.py's probe calls FactorizationCache, admm_step
+from .prox import huber_prox, soft_threshold
+from .solver import SolverConfig, Trace, run
 from .diagnostics import (
     CertificateEntry,
     CertificateReport,
@@ -39,13 +40,11 @@ __all__ = [
     "AffineIndicator",
     "CertificateEntry",
     "CertificateReport",
-    "FactorizationCache",
     "HuberSmoothedL1",
     "IllConditionedError",
     "ImplicitStep",
     "InnerSolveError",
     "IntegratorConfig",
-    "IterateState",
     "OracleConvergenceError",
     "ParameterError",
     "ProblemConstructionError",
@@ -56,7 +55,6 @@ __all__ = [
     "SolverConfig",
     "Trace",
     "UnsupportedProblemError",
-    "admm_step",
     "build_basis_pursuit",
     "build_generalized_lasso",
     "certify_continuous",

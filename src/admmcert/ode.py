@@ -38,7 +38,7 @@ from .diagnostics import _energy, _ydot
 from .band import Banded, band_cond
 from .errors import IllConditionedError, InnerSolveError, ParameterError
 from .functions import AffineIndicator, HuberSmoothedL1
-from .prox import COND_LIMIT, Step, _flapack, _norm, lapack_factor, row_norms, settle_pattern
+from .prox import COND_LIMIT, Step, _flapack, lapack_factor, row_norms, settle_pattern
 from .solver import Trace, check_start
 
 ALGEBRAIC_TOL = 1e-11
@@ -174,11 +174,6 @@ class ImplicitStep:
         self.step = Step(spec, s if delta == s else s * s / delta)
         if delta != s:
             self._system = _newton_system(spec, s, delta)
-        # the constants of residual, bound once
-        self._f, self._g, self._F = spec.f, spec.g, spec.F_op
-        self._h, self._G_sign, self._ss = spec.h, spec.G_sign, s * s
-        self._indicator = isinstance(spec.f, AffineIndicator)
-        self._huber = isinstance(spec.g, HuberSmoothedL1)
 
     def residual(self, Y_old, L_old, X1, Y1, L1):
         """Scaled residual of the three step equations from (Y_old, L_old) to (X1, Y1,
@@ -186,11 +181,12 @@ class ImplicitStep:
         arrays of steps. F goes through the spec's F_op, as in the step; for vectors,
         which check_rows reads on a node its array pass flags, row_norms has the bits of
         the Huber g's subgrad_distance; for arrays, a NaN in any equation propagates."""
-        f, F, Gs, delta = self._f, self._F, self._G_sign, self.delta
+        spec, delta = self.spec, self.delta
+        f, g, F, Gs = spec.f, spec.g, spec.F_op, spec.G_sign
         one = X1.ndim == 1
-        norm = _norm if one else row_norms
+        norm = np.linalg.norm if one else row_norms
         vx = Gs * F.tdot(Y1 - Y_old) / delta - F.tdot(L1)
-        if self._indicator:
+        if isinstance(f, AffineIndicator):
             rA = f.subgrad_distance(vx, X1)
             off = ~np.isfinite(rA)  # X1 off the constraint set: measure how far
             if off.any():
@@ -198,11 +194,11 @@ class ImplicitStep:
         else:
             rA = norm(vx - f.grad(X1))
         target = -(Gs * L1)
-        if self._huber:
-            rB = row_norms(target - self._g.grad(Y1))
+        if isinstance(g, HuberSmoothedL1):
+            rB = row_norms(target - g.grad(Y1))
         else:
-            rB = self._g.subgrad_distance(target, Y1)
-        rC = norm(self._ss * (L1 - L_old) / delta - (F.dot(X1) + Gs * Y1 - self._h))
+            rB = g.subgrad_distance(target, Y1)
+        rC = norm(self.s * self.s * (L1 - L_old) / delta - (F.dot(X1) + Gs * Y1 - spec.h))
         scale = 1.0 + norm(X1) + norm(Y1) + norm(L1)
         if one:
             return max(rA, rB, rC) / scale

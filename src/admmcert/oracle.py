@@ -81,8 +81,12 @@ def long_run_oracle(spec, tol=1e-8, budget=LONG_RUN_BUDGET):
     once a state repeats an earlier state of the block bit for bit (Trace.step_rows).
     From then on the run cycles with that block's period p <= _CHECK_EVERY, so every
     later block takes its end state from the cycle's p states without stepping, with
-    the same results."""
-    step = Step(spec, 1.0, default_r(spec))
+    the same results. An ill-conditioned x-system, refused when the step is built, or a
+    failed x-update solve raises IllConditionedError naming this oracle."""
+    try:
+        step = Step(spec, 1.0, default_r(spec))
+    except IllConditionedError as exc:
+        raise IllConditionedError(f"long-run oracle, {exc}") from None
     row = np.zeros(spec.d1), np.zeros(spec.d2), np.zeros(spec.m)
     best_res, stalled = np.inf, 0
     cycle, at = None, 0  # once found: the cycle's states (xs, ys, lams), and row's index

@@ -9,15 +9,15 @@ and F^T v go through the spec's band.Banded F. For an affine indicator it
 solves the dense equality-constrained least-squares KKT system. The
 r-proximal variant replaces F^T F on the left by r*I, which stays solvable
 even when A and F share a null direction. The y-update is a componentwise
-shrink (or Huber prox) and needs G = +I or -I. A Step owns the whole
-iteration of one (problem, s, r): the loop that runs it builds it once, and
-each call does only the per-step work. settle_pattern finds the region
-pattern of a piecewise-linear system for the implicit step and the oracle.
+shrink (or Huber prox) and needs G = +I or -I. Step, the one step class, owns
+the whole iteration of one (problem, s, r), y-update included: the loop that
+runs it builds it once, and each call does only the per-step work.
+settle_pattern finds the region pattern of a piecewise-linear system.
 
 A step checks only LAPACK's info. The loop that runs it checks every x-update
 solve of the run afterwards, in one array pass over the stored rows
-(Step.check_rows); a single step (Step.check_step) and an x-update called alone
-check their own solve.
+(Step.check_rows); a single step (Step.check_step) and x_update check their own
+solve.
 """
 
 from __future__ import annotations
@@ -57,11 +57,6 @@ def sym_cond(M):
     ev = np.abs(np.linalg.eigvalsh(M))
     lo = float(ev.min())
     return float(ev.max()) / lo if lo > 0.0 else math.inf
-
-
-def _norm(v):
-    """||v|| for a (d,) vector: the same bits as np.linalg.norm, without its dispatch."""
-    return math.sqrt(v @ v)
 
 
 def row_norms(v):
@@ -128,38 +123,26 @@ def _x_system(gram, FtF, r):
     return trimmed(M)
 
 
-class YUpdate:
-    """The y-update of one (problem, s): y = prox_{s g}(G (h - F x_{k+1} - s lam_k)),
-    valid for G = +/-I. The prox (shrink for w||.||_1, Huber prox for its smoothing)
-    and its parameters are chosen and validated once, when the update is built."""
-
-    def __init__(self, spec, s):
-        if not 0 < s < math.inf:  # also refuses nan; the dual step divides by s
-            raise ParameterError(f"step size s = {s!r} must be positive and finite")
-        g = spec.g
-        if isinstance(g, ScaledL1):
-            self._prox, self._params = _shrink, (s * g.w,)
-        elif isinstance(g, HuberSmoothedL1):
-            cut = g.delta + s * g.w
-            self._prox, self._params = _huber, (cut, g.delta / cut, s * g.w)
-        else:
-            raise UnsupportedProblemError(f"no closed-form y-update for {type(g).__name__}")
-        self.G_sign, self._h, self._F, self._s = spec.G_sign, spec.h, spec.F_op, s
-
-    def __call__(self, x_next, lambda_k):
-        return self.from_Fx(self._F.dot(x_next), lambda_k)
-
-    def from_Fx(self, Fx, lambda_k):
-        """The y-update from F x_{k+1}, for a caller that needs F x_{k+1} again."""
-        u = self.G_sign * (self._h - Fx - self._s * lambda_k)
-        return self._prox(u, *self._params)
+def _y_prox(spec, s):
+    """The prox of the y-update of one (problem, s), y = prox_{s g}(G (h - F x_{k+1} -
+    s lam_k)) for G = +/-I, and its parameters: shrink for w||.||_1, Huber prox for its
+    smoothing."""
+    if not 0 < s < math.inf:  # also refuses nan; the dual step divides by s
+        raise ParameterError(f"step size s = {s!r} must be positive and finite")
+    g = spec.g
+    if isinstance(g, ScaledL1):
+        return _shrink, (s * g.w,)
+    if isinstance(g, HuberSmoothedL1):
+        cut = g.delta + s * g.w
+        return _huber, (cut, g.delta / cut, s * g.w)
+    raise UnsupportedProblemError(f"no closed-form y-update for {type(g).__name__}")
 
 
 class Step:
     """One ADMM step of one (problem, s, r), with everything that does not change
     between steps built once: the factored x-system and the LAPACK routine that
     solves it, the products with F, the constant part of its right-hand
-    side, and the y-update.
+    side, and the y-update's prox with its parameters (_y_prox).
 
     With P = F^T F (standard step, r is None) or P = r*I (r-proximal step) and
     c = F^T (h - G y_k - s lam_k), plus r x_k - F^T F x_k for the r-proximal
@@ -174,20 +157,21 @@ class Step:
     KKT system [[P, A^T], [A, 0]] (x, nu) = (c, b) by LU (dgetrf, dgetrs), with
     the condition estimate sym_cond. F x and F^T v go through the spec's Banded F;
     the implicit step at delta = s is this call itself, so it has the step's bits.
-    G = +/-I is required, so G y is G_sign * y. The factored system is kept as
+    G = +/-I is required, so G y is G_sign * y and the y-update is
+    prox(G_sign * (h - F x_{k+1} - s lam_k)). The factored system is kept as
     system: M's lower band storage, or the dense KKT matrix. A call checks only
     LAPACK's info; check_rows checks every solve of a finished run in one pass,
-    check_step that of one step, and x_update its own: the linear residual for a
-    quadratic f, the constraint A x = b for an indicator f, so that a non-finite
-    iterate or a failed solve raises IllConditionedError.
+    check_step that of one step: the linear residual for a quadratic f, the
+    constraint A x = b for an indicator f, so that a non-finite iterate or a
+    failed solve raises IllConditionedError.
     """
 
     def __init__(self, spec, s, r=None):
-        self.y_update = YUpdate(spec, s)
-        if r is not None and not r > spec.FtF_norm:
+        self._prox, self._params = _y_prox(spec, s)
+        if r is not None and not spec.FtF_norm < r < math.inf:  # also refuses nan
             raise ParameterError(
-                f"r = {r!r} must be greater than the maximum eigenvalue of F^T F "
-                f"({spec.FtF_norm!r})"
+                f"r = {r!r} must be finite and greater than the maximum eigenvalue of "
+                f"F^T F ({spec.FtF_norm!r})"
             )
         f = spec.f
         self.quadratic = isinstance(f, Quadratic)
@@ -207,6 +191,8 @@ class Step:
         else:
             raise UnsupportedProblemError(f"no closed-form x-update for {type(f).__name__}")
         if not cond <= COND_LIMIT:
+            # the hint names the r-proximal step as the remedy: that step names its r
+            hint = hint if r is None else f" at r = {r!r}"
             raise IllConditionedError(
                 f"{what} has condition estimate {cond:.3e} > {COND_LIMIT:.0e}{hint}"
             )
@@ -261,7 +247,7 @@ class Step:
         else:
             res, c = x @ self.spec.f.A.T, self.spec.f.b
         res -= c  # in place: a run's pass holds one (n, d1) array fewer
-        norm = _norm if x.ndim == 1 else row_norms
+        norm = np.linalg.norm if x.ndim == 1 else row_norms
         return norm(res), SOLVE_TOL * (1.0 + norm(c))
 
     def _failure(self, res, info=0):
@@ -276,26 +262,19 @@ class Step:
         if not res <= bound:
             raise IllConditionedError(self._failure(res))
 
-    def x_update(self, y_k, lambda_k, x_k=None):
-        """x_{k+1}, its solve checked; the r-proximal step needs x_k, the standard one
-        ignores it."""
-        x, rhs = self._solve(y_k, lambda_k, x_k)
-        self._check(x, rhs)
-        return x
-
     def __call__(self, x_k, y_k, lambda_k):
         """(x, y, lam)_{k+1}: x-minimization, y-minimization, dual ascent; F x_{k+1}
         is computed once, for the y-update and the dual step. The solve is not checked
         here: check_rows checks a run's, check_step a single step's."""
         x1 = self._solve(y_k, lambda_k, x_k)[0]
         Fx = self.F.dot(x1)
-        y1 = self.y_update.from_Fx(Fx, lambda_k)
+        y1 = self._prox(self.G_sign * (self.spec.h - Fx - self.s * lambda_k), *self._params)
         return x1, y1, lambda_k + (Fx + self.G_sign * y1 - self.spec.h) / self.s
 
     def check_step(self, x_k, y_k, lambda_k, x1):
         """The x-update check of the step from (x_k, y_k, lambda_k) to x1, with the
-        single-step kernels x_update checks with: its right-hand side is rebuilt, which
-        has the bits of the one solved. Raises IllConditionedError."""
+        single-step kernels: its right-hand side is rebuilt, which has the bits of the
+        one solved. Raises IllConditionedError."""
         self._check(x1, self._rhs(x_k, y_k, lambda_k))
 
     def check_rows(self, trace):
@@ -331,11 +310,14 @@ class FactorizationCache:
 
 
 def x_update(spec, y_k, lambda_k, s, cache=None, r=None, x_k=None):
-    """x_{k+1} of the standard step, or of the r-proximal step around x_k when r is given."""
-    cache = cache if cache is not None else FactorizationCache()
-    return cache.get(spec, s, r).x_update(y_k, lambda_k, x_k)
+    """x_{k+1} of the standard step, or of the r-proximal step around x_k, checked."""
+    step = (cache if cache is not None else FactorizationCache()).get(spec, s, r)
+    x, rhs = step._solve(y_k, lambda_k, x_k)
+    step._check(x, rhs)
+    return x
 
 
 def y_update(spec, x_next, lambda_k, s):
-    """y_{k+1} for g = w||.||_1 or its Huber smoothing, with G = +/-I."""
-    return YUpdate(spec, s)(x_next, lambda_k)
+    """y_{k+1} for g = w||.||_1 or its Huber smoothing, with G = +/-I: Step's y-update."""
+    prox, params = _y_prox(spec, s)
+    return prox(spec.G_sign * (spec.h - spec.F_op.dot(x_next) - s * lambda_k), *params)

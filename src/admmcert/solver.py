@@ -46,11 +46,6 @@ class IterateState:
     lam: np.ndarray
     k: int
 
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        self.lam = np.asarray(self.lam, dtype=float)
-
 
 @dataclass
 class SolverConfig:
@@ -62,6 +57,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.s < np.inf:
             raise ParameterError("step size s must be positive and finite")
+        if self.r is not None and not abs(self.r) < np.inf:  # also refuses nan
+            raise ParameterError(f"r = {self.r!r} must be finite")
         if self.N < 1:
             raise ParameterError("iteration count N must be at least 1")
         if self.variant not in (STANDARD, GENERAL):

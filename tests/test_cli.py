@@ -1,4 +1,5 @@
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ from admmcert import cli
 from admmcert.cli import main
 from admmcert.errors import ParameterError
 from admmcert.library import get_instance
-from admmcert.problems import load_instance, save_instance
+from admmcert.problems import build_generalized_lasso, load_instance, save_instance
 from admmcert.solver import default_r
 
 
@@ -79,6 +80,44 @@ def test_solve_bad_r_cites_precondition(tmp_path, capsys):
                "--variant", "general", "--r", "0.5", "--N", "10"])
     assert rc == 2
     assert "greater than the maximum eigenvalue" in capsys.readouterr().err
+
+
+def test_solve_refuses_infinite_r_before_the_oracle(tmp_path, monkeypatch, capsys):
+    def no_oracle(*args):
+        raise AssertionError("the saddle oracle ran")
+
+    monkeypatch.setattr(cli, "saddle_point_oracle", no_oracle)
+    rc = main(["solve", "--spec", "scalar_lasso", "--out", str(tmp_path / "o"),
+               "--variant", "general", "--r", "inf", "--N", "10"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: r = inf must be finite\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("a, d, argv, message", [
+    # A = diag(a, 1/a, 1, ..., 1) and F = I in d coordinates: the x-system
+    # 2s A^T A + r I has condition about 2s a^2 / r. The active set fails on the 2-d
+    # instance, and the long run's r-proximal step, at its default r, is refused; the
+    # 13-d instance goes to the long run directly
+    (1e7, 2, ["--variant", "general", "--r", "100"],
+     r"long-run oracle, x-update system has condition estimate 1\.333e\+14 > 1e\+12 "
+     r"at r = 1\.5"),
+    (1e7, 13, [], r"long-run oracle, x-update system has condition estimate 1\.333e\+14 > "
+             r"1e\+12 at r = 1\.5"),
+    # the oracle certifies at s = 1; the run's own r-proximal step at s = 1e5 is refused
+    (1e4, 3, ["--variant", "general", "--s", "1e5"],
+     r"x-update system has condition estimate 1\.33\de\+13 > 1e\+12 at r = 1\.5"),
+], ids=["oracle_2d", "oracle_13d", "run"])
+def test_r_proximal_refusal_names_its_r(tmp_path, capsys, a, d, argv, message):
+    # the r-proximal step is the remedy the standard step's refusal names, so its own
+    # refusal names its r instead
+    inst, out = tmp_path / "stiff.txt", tmp_path / "o"
+    A = np.diag([a, 1.0 / a] + [1.0] * (d - 2))
+    save_instance(build_generalized_lasso(A, np.ones(d), np.eye(d), 0.5), inst)
+    assert main(["solve", "--spec", str(inst), "--N", "5", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {message}\n", err), err
+    assert not out.exists()
 
 
 def test_solve_general_without_r_certifies_at_default_r(tmp_path):

@@ -1,10 +1,14 @@
 """The package's public names: each one in __all__ resolves, in sorted order, once."""
 
+import importlib.util
 import json
 import pathlib
 import re
 
+import numpy as np
+
 import admmcert
+from admmcert.library import get_instance
 
 
 def test_every_export_resolves():
@@ -39,3 +43,16 @@ def test_traced_names_resolve_in_diagnostics():
     assert checks and hooked  # the patterns still find the names they guard
     assert [n for n in checks + hooked
             if not callable(getattr(admmcert.diagnostics, n, None))] == []
+
+
+def test_benchmark_probe_runs_on_the_names_it_calls():
+    # perfbench/traced.py's probe times the one-step API (solver.zero_state and
+    # admm_step, prox.FactorizationCache, x_update and y_update), which the package keeps
+    # only for it: a deleted or reshaped name fails here, not silently under --trace 1
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+    spec = importlib.util.spec_from_file_location("perfbench_traced", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    metrics = traced.probe(get_instance("tv_d50"), [get_instance("tv_d50")])
+    assert metrics
+    assert [k for k, v in metrics.items() if not np.isfinite(v)] == []

@@ -109,7 +109,7 @@ class TestStepDispatch:
     def test_criterion_7_runs_take_no_sweep(self, monkeypatch, name, off):
         residual = ImplicitStep.residual
 
-        def no_sweep(*args):
+        def no_sweep(*args):  # the single-step solve check any extra x-update would run
             raise AssertionError("a sweep's x-update ran")
 
         def arrays_only(self, *args):  # check_rows' one array pass, after the loop
@@ -117,7 +117,7 @@ class TestStepDispatch:
                 raise AssertionError("a single-node residual ran")
             return residual(self, *args)
 
-        monkeypatch.setattr(Step, "x_update", no_sweep)
+        monkeypatch.setattr(Step, "_check", no_sweep)
         monkeypatch.setattr(ImplicitStep, "residual", arrays_only)
         spec = get_instance(name)
         init = (np.ones(spec.d1), np.zeros(spec.d2), np.zeros(spec.m)) if off else None
@@ -134,7 +134,8 @@ class TestStepDispatch:
             "delta_s_lasso"])
     def test_each_node_is_one_step_call_or_one_exact_solve(self, monkeypatch, name, delta, T):
         # at delta = s each node is exactly one Step.__call__, below it one exact solve;
-        # no x-update and no single-node residual runs, in the loop or after it
+        # no x-update (each would run the single-step solve check) and no single-node
+        # residual runs, in the loop or after it
         calls = {"step": 0, "x_update": 0, "exact": 0, "node_residual": 0}
 
         def counted(owner, attr, key, nodes_only=False):
@@ -147,7 +148,7 @@ class TestStepDispatch:
             monkeypatch.setattr(owner, attr, wrapper)
 
         counted(Step, "__call__", "step")
-        counted(Step, "x_update", "x_update")
+        counted(Step, "_check", "x_update")
         counted(ImplicitStep, "_pattern_newton", "exact")
         counted(ImplicitStep, "residual", "node_residual", nodes_only=True)
         spec = get_instance(name)

@@ -167,16 +167,17 @@ class TestXUpdates:
     def test_general_indicator_update_checks_constraint(self):
         # the r-proximal indicator solve gets the standard path's A x = b check
         spec = get_instance("basis_pursuit_10x30")
-        op = FactorizationCache().get(spec, 1.0, 2.0 * spec.FtF_norm)
+        cache, r = FactorizationCache(), 2.0 * spec.FtF_norm
+        op = cache.get(spec, 1.0, r)
         rng = np.random.default_rng(6)
         x_k, y, lam = (rng.standard_normal(n) for n in (spec.d1, spec.d2, spec.m))
-        x = op.x_update(y, lam, x_k)
+        x = x_update(spec, y, lam, 1.0, cache, r, x_k)
         assert np.linalg.norm(spec.f.A @ x - spec.f.b) <= 1e-10 * (1.0 + np.linalg.norm(spec.f.b))
         wrong = op.system.copy()
         wrong[spec.d1:, :spec.d1] *= 2.0  # a factor whose solution has 2 A x = b
         op._factor = scipy.linalg.lu_factor(wrong)
         with pytest.raises(IllConditionedError, match="left the constraint set"):
-            op.x_update(y, lam, x_k)
+            x_update(spec, y, lam, 1.0, cache, r, x_k)
 
 
 class TestLapack:
@@ -254,7 +255,8 @@ def test_step_factors_at_the_band_and_picks_the_F_product(case):
         x_k, y, lam = (rng.standard_normal(n) for n in (spec.d1, spec.d2, spec.m))
         assert np.allclose(step.F.dot(x_k), spec.F @ x_k, rtol=1e-14, atol=1e-14)
         assert np.allclose(step.F.tdot(lam), spec.F.T @ lam, rtol=1e-14, atol=1e-14)
-        x = step.x_update(y, lam, x_k)
+        x = step(x_k, y, lam)[0]
+        step.check_step(x_k, y, lam, x)
         FtF = spec.F.T @ spec.F
         P_x = FtF @ x if r is None else r * (x - x_k) + FtF @ x_k
         rhs = 2.0 * 0.8 * spec.f.gram_rhs + spec.F.T @ (spec.h - spec.G @ y - 0.8 * lam)

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from admmcert.errors import IllConditionedError, ParameterError
 from admmcert.library import get_instance, get_saddle
 from admmcert.problems import kkt_residuals
+from admmcert.prox import Step
 from admmcert.solver import (
     GENERAL,
     IterateState,
@@ -141,6 +142,15 @@ class TestGeneralStep:
         spec = get_instance("scalar_lasso")
         with pytest.raises(ParameterError, match="greater than the maximum eigenvalue"):
             admm_step(zero_state(spec), spec, 1.0, r=0.5)
+
+    @pytest.mark.parametrize("r", [np.inf, np.nan, -np.inf])
+    def test_non_finite_r_rejected(self, r):
+        # by the config, before any run, and by the step, for a library caller
+        with pytest.raises(ParameterError, match=rf"^r = {r!r} must be finite$"):
+            SolverConfig(variant=GENERAL, r=r)
+        spec = get_instance("scalar_lasso")
+        with pytest.raises(ParameterError, match=rf"^r = {r!r} must be finite and greater"):
+            Step(spec, 1.0, r)
 
     def test_default_r_margin(self):
         spec = get_instance("tv_d50")
