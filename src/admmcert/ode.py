@@ -9,9 +9,9 @@ The high-resolution system
 is integrated by implicit Euler only: with step delta = s each implicit
 step is one discrete ADMM step, prox.Step's own call, and for delta < s
 (with the regularizer Huber-smoothed) the coupled piecewise-linear step
-equations are solved exactly for their Huber region pattern by
-prox.settle_pattern, warm-started from the previous node's pattern, for
-every f. Each step's residual is checked after the loop, once per integration
+equations, prox.pattern_system's, are solved exactly for their Huber region
+pattern by prox.settle_pattern, warm-started from the previous node's pattern,
+for every f. Each step's residual is checked after the loop, once per integration
 (ImplicitStep.check_rows). The low-resolution flow eliminates Y through the
 constraint and therefore never leaves the hyperplane F x + G y = h; the
 deviation columns of the two trajectories make the dual-correction effect
@@ -35,10 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import _energy, _ydot
-from .band import Banded, band_cond
+from .band import band_cond
 from .errors import IllConditionedError, InnerSolveError, ParameterError
-from .functions import AffineIndicator, HuberSmoothedL1
-from .prox import COND_LIMIT, Step, _flapack, lapack_factor, row_norms, settle_pattern
+from .functions import AffineIndicator
+from .prox import (COND_LIMIT, R_PROXIMAL_HINT, Step, _flapack, lapack_factor, pattern_system,
+                   row_norms, settle_pattern)
 from .solver import Trace, check_start
 
 ALGEBRAIC_TOL = 1e-11
@@ -116,40 +117,6 @@ def _pattern(Y, g):
     return out
 
 
-def _newton_system(spec, s, delta):
-    """The pattern-independent part of the implicit step's linear system, built once
-    per (spec, s, delta): the block matrix, the right-hand side's constant block
-    (b for an indicator f), and the terms 2 delta A^T b and delta h that each step
-    subtracts from its own blocks. G = G_sign * I puts G_sign on the diagonals of
-    its two blocks; a least-squares f's A^T A is its gram_band's dense form."""
-    f = spec.f
-    indicator = isinstance(f, AffineIndicator)
-    d1, d2, m = spec.d1, spec.d2, spec.m
-    m1 = f.A.shape[0] if indicator else 0
-    n = d1 + d2 + m + m1
-    sx, sy, sl = 0, d1, d1 + d2
-
-    base = np.zeros((n, n))
-    rhs = np.zeros(n)
-    F = spec.F
-    base[sx:sy, sy:sl] = spec.G_sign * F.T
-    base[sx:sy, sl:sl + m] = -delta * F.T
-    if indicator:
-        base[sx:sy, sl + m:] = -f.A.T
-        base[sl + m:, sx:sy] = f.A
-        rhs[sl + m:] = f.b
-        gram_term = 0.0
-    else:
-        base[sx:sy, sx:sy] = -2.0 * delta * Banded.symmetric(f.gram_band).dense()
-        gram_term = 2.0 * delta * f.gram_rhs
-    base[sl:sl + m, sx:sy] = -delta * F
-    diag = np.arange(m)
-    base[sl + diag, sy + diag] = -delta * spec.G_sign
-    base[sl:sl + m, sl:sl + m] = s * s * np.eye(m)
-    base[sy + diag, sl + diag] = spec.G_sign
-    return base, rhs, gram_term, delta * spec.h
-
-
 class ImplicitStep:
     """One implicit-Euler step of the high-resolution system for one (problem, s,
     delta), the counterpart of prox.Step: validated and built once, then called once
@@ -158,10 +125,9 @@ class ImplicitStep:
     For delta = s a call is one call of step, the ADMM Step(spec, s), which solves the
     step equations, so a node is exactly one ADMM step. For delta < s every call
     is the exact solution of the step equations for Huber g (_pattern_newton), with
-    its pattern-independent system built here; step is then Step(spec, s^2/delta),
-    built only for its refusal of an ill-conditioned x-system, whose micro-step would
-    be just as non-unique. Every computed node is checked after the loop by
-    check_rows.
+    its prox.pattern_system built here; step is then Step(spec, s^2/delta), built only
+    for its refusal of an ill-conditioned x-system, whose micro-step would be just as
+    non-unique. Every computed node is checked after the loop by check_rows.
     """
 
     def __init__(self, spec, s, delta):
@@ -171,18 +137,23 @@ class ImplicitStep:
         if delta != s and not spec.g.smooth:
             raise ParameterError("delta < s requires a smoothed (differentiable) regularizer")
         self.spec, self.s, self.delta = spec, s, delta
-        self.step = Step(spec, s if delta == s else s * s / delta)
+        try:
+            self.step = Step(spec, s if delta == s else s * s / delta)
+        except IllConditionedError as exc:  # the r-proximal step is no remedy here
+            reason = str(exc).removesuffix(R_PROXIMAL_HINT)
+            raise IllConditionedError(f"implicit step at delta = {delta!r}: {reason}, so the "
+                                      "step's X is not unique") from None
         if delta != s:
-            self._system = _newton_system(spec, s, delta)
+            self._system = pattern_system(spec, s, delta)
 
     def residual(self, Y_old, L_old, X1, Y1, L1):
         """Scaled residual of the three step equations from (Y_old, L_old) to (X1, Y1,
         L1), with G = G_sign * I: one value for (d,) vectors, one per row for (n, d)
-        arrays of steps. F goes through the spec's F_op, as in the step; for vectors,
-        which check_rows reads on a node its array pass flags, row_norms has the bits of
-        the Huber g's subgrad_distance; for arrays, a NaN in any equation propagates."""
+        arrays of steps. F goes through the spec's F_op, as in the step, and the second
+        equation through g's subgrad_distance, which for the Huber g has row_norms' bits;
+        for arrays, a NaN in any equation propagates."""
         spec, delta = self.spec, self.delta
-        f, g, F, Gs = spec.f, spec.g, spec.F_op, spec.G_sign
+        f, F, Gs = spec.f, spec.F_op, spec.G_sign
         one = X1.ndim == 1
         norm = np.linalg.norm if one else row_norms
         vx = Gs * F.tdot(Y1 - Y_old) / delta - F.tdot(L1)
@@ -193,12 +164,8 @@ class ImplicitStep:
                 rA = np.where(off, norm(X1 @ f.A.T - f.b), rA)
         else:
             rA = norm(vx - f.grad(X1))
-        target = -(Gs * L1)
-        if isinstance(g, HuberSmoothedL1):
-            rB = row_norms(target - g.grad(Y1))
-        else:
-            rB = g.subgrad_distance(target, Y1)
-        rC = norm(self.s * self.s * (L1 - L_old) / delta - (F.dot(X1) + Gs * Y1 - spec.h))
+        rB = spec.g.subgrad_distance(-(Gs * L1), Y1)
+        rC = norm(self.s * self.s * (L1 - L_old) / delta - spec.constraint_residual(X1, Y1))
         scale = 1.0 + norm(X1) + norm(Y1) + norm(L1)
         if one:
             return max(rA, rB, rC) / scale
@@ -218,33 +185,31 @@ class ImplicitStep:
         residual of a finite one is checked after the loop, by check_rows.
         """
         spec, s, g = self.spec, self.s, self.spec.g
-        d1, d2, m = spec.d1, spec.d2, spec.m
-        sx, sy, sl = 0, d1, d1 + d2
-        base, rhs, gram_term, dh = self._system
+        base, rhs, (x, y, lam) = self._system
         rhs = rhs.copy()
-        rhs[sx:sy] = spec.G_sign * spec.F_op.tdot(Y_old) - gram_term
-        rhs[sl:sl + m] = s * s * L_old - dh
+        rhs[x] += spec.G_sign * spec.F_op.tdot(Y_old)
+        rhs[lam] += s * s * L_old
 
         def solve(pattern):
             # a Y coordinate in its quadratic region gets w/delta on the diagonal and
             # right-hand side 0; a saturated one right-hand side -w * sign
             quad = pattern == 0
             M = base.copy()
-            diag = sy + np.flatnonzero(quad)
+            diag = y.start + np.flatnonzero(quad)
             M[diag, diag] = g.w / g.delta
             v = rhs.copy()
-            v[sy:sl] = np.where(quad, 0.0, -g.w * pattern)
+            v[y] = np.where(quad, 0.0, -g.w * pattern)
             z, info = _flapack.dgesv(M, v)[2:]
             if info > 0:  # exactly singular
                 return np.linalg.lstsq(M, v, rcond=None)[0]
             return z
 
-        z = settle_pattern(solve, lambda z: _pattern(z[sy:sl], g), _pattern(Y_old, g))
+        z = settle_pattern(solve, lambda z: _pattern(z[y], g), _pattern(Y_old, g))
         # checked here, not after the loop, so that the error names the node that first
         # went non-finite, not a later one stepped from it
         if not np.isfinite(z).all():
             raise InnerSolveError("implicit step's pattern system has a non-finite solution")
-        return z[sx:sy], z[sy:sl], z[sl:sl + m]
+        return z[x], z[y], z[lam]
 
     def check_rows(self, trace):
         """The checks of every node trace.step_rows computed with this step. At delta = s

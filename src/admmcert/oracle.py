@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .band import Banded
 from .errors import IllConditionedError, InnerSolveError, OracleConvergenceError, ParameterError
 from .functions import Quadratic, ScaledL1
 from .problems import SaddlePoint, kkt_residuals
-from .prox import Step, settle_pattern
+from .prox import Step, pattern_system, settle_pattern
 from .solver import Trace, default_r
 
 SIGN_PATTERN_MAX_DIM = 12
@@ -31,41 +30,32 @@ def sign_pattern_oracle(spec, tol=1e-8):
     (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2002): from the all-zero sign
     pattern, solve that pattern's KKT system, then take sigma_i = sign(q_i) if
     |q_i| > w else 0, q = y - G^T lam, until the pattern settles. Each pattern's KKT
-    system is sliced from one matrix built per call, as ode._newton_system is: rows
+    system is sliced from prox.pattern_system(spec), built once per call: rows
     2 A^T A x + F^T lam = 2 A^T b, (G^T lam)_i = -w sigma_i and F x + G y = h, columns x,
     y and lam; it keeps x, lam and the y coordinates (and rows) the pattern sets nonzero."""
     if not isinstance(spec.g, ScaledL1):
         raise ParameterError("sign-pattern oracle requires g = w||.||_1")
-    f = spec.f
-    if not isinstance(f, Quadratic):  # inconsistent pattern systems mislead the search
+    if not isinstance(spec.f, Quadratic):  # inconsistent pattern systems mislead the search
         raise ParameterError("sign-pattern oracle requires a quadratic f")
-    w, d2, m = spec.g.w, spec.d2, spec.m
-    sy, sl = spec.d1, spec.d1 + d2  # the first y and lam columns
-    K = np.zeros((sl + m, sl + m))
-    K[:sy, :sy] = 2.0 * Banded.symmetric(f.gram_band).dense()
-    K[sl:, :sy] = F = spec.F  # built once: a banded F is built anew at each read
-    K[:sy, sl:] = F.T
-    i = np.arange(m)
-    K[sy + i, sl + i] = K[sl + i, sy + i] = spec.G_sign
-    rhs = np.concatenate([2.0 * f.gram_rhs, np.zeros(d2), spec.h])
+    w = spec.g.w
+    K, rhs, (x, y, lam) = pattern_system(spec)
 
     def solve(sigma):
-        P = np.flatnonzero(sigma != 0)
-        keep = np.concatenate([np.arange(sy), sy + P, np.arange(sl, sl + m)])
-        rhs[sy:sl] = -w * sigma
-        z, *_ = np.linalg.lstsq(K[np.ix_(keep, keep)], rhs[keep], rcond=None)
-        y = np.zeros(d2)
-        y[P] = z[sy:sy + P.size]
-        return z[:sy], y, z[sy + P.size:]
+        keep = np.ones(len(rhs), dtype=bool)
+        keep[y] = sigma != 0
+        rhs[y] = -w * sigma
+        z = np.zeros(len(rhs))
+        z[keep] = np.linalg.lstsq(K[np.ix_(keep, keep)], rhs[keep], rcond=None)[0]
+        return z[x], z[y], z[lam]
 
     def pattern_of(sol):
         q = sol[1] - spec.G_sign * sol[2]
         return np.where(np.abs(q) > w, np.sign(q), 0.0).astype(int)
 
-    x, y, lam = settle_pattern(solve, pattern_of, np.zeros(d2, dtype=int))
-    res = max(kkt_residuals(spec, x, y, lam))
+    saddle = settle_pattern(solve, pattern_of, np.zeros(spec.d2, dtype=int))
+    res = max(kkt_residuals(spec, *saddle))
     if res <= tol:
-        return SaddlePoint(x, y, lam, res)
+        return SaddlePoint(*saddle, res)
     raise OracleConvergenceError(
         f"the settled sign pattern misses the KKT conditions by {res:.3e} > {tol!r}", res)
 

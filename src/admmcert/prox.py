@@ -12,7 +12,8 @@ even when A and F share a null direction. The y-update is a componentwise
 shrink (or Huber prox) and needs G = +I or -I. Step, the one step class, owns
 the whole iteration of one (problem, s, r), y-update included: the loop that
 runs it builds it once, and each call does only the per-step work.
-settle_pattern finds the region pattern of a piecewise-linear system.
+settle_pattern finds the region pattern of a piecewise-linear system, whose
+block matrix pattern_system builds for the saddle oracle and the implicit step.
 
 A step checks only LAPACK's info. The loop that runs it checks every x-update
 solve of the run afterwards, in one array pass over the stored rows
@@ -33,6 +34,7 @@ from .functions import AffineIndicator, HuberSmoothedL1, Quadratic, ScaledL1
 COND_LIMIT = 1e12
 SOLVE_TOL = 1e-10  # relative residual every x-update solve must reach
 INNER_MAX = 500  # linear solves settle_pattern may spend before it gives up
+R_PROXIMAL_HINT = "; use the r-proximal variant instead"  # the standard step's remedy
 
 
 def lapack_factor(name, M, **options):
@@ -112,6 +114,39 @@ def settle_pattern(solve, pattern_of, start):
     raise InnerSolveError(f"pattern search did not settle within {INNER_MAX} passes")
 
 
+def pattern_system(spec, s=None, delta=None):
+    """The pattern-independent block matrix K, constant right-hand side and x, y, lam
+    slices of a pattern search's system (an indicator f's nu last: -A^T at (x, nu) and
+    A x = b, unscaled). With no delta: the saddle's KKT rows 2 A^T A x + F^T lam =
+    2 A^T b, G_sign lam_i = 0 and F x + G y = h (A^T A from gram_band). With delta: the
+    implicit-Euler step's, those x and lam rows times -delta plus G_sign F^T at (x, y)
+    and s^2 I at (lam, lam), so a step adds G_sign F^T Y_old and s^2 Lam_old to rhs."""
+    f, F, Gs = spec.f, spec.F, spec.G_sign  # F read once: a banded F is built at each read
+    indicator = isinstance(f, AffineIndicator)
+    d1, d2, m = spec.d1, spec.d2, spec.m
+    x, y, lam = slice(0, d1), slice(d1, d1 + d2), slice(d1 + d2, d1 + d2 + m)
+    n = lam.stop + (f.A.shape[0] if indicator else 0)
+    c = 1.0 if delta is None else -delta  # the x and lam rows' scale
+    K, rhs = np.zeros((n, n)), np.zeros(n)
+    if indicator:
+        K[x, lam.stop:] = -f.A.T
+        K[lam.stop:, x] = f.A
+        rhs[lam.stop:] = f.b
+    else:
+        K[x, x] = c * (2.0 * Banded.symmetric(f.gram_band).dense())
+        rhs[x] = 2.0 * f.gram_rhs
+    rhs[x] *= c  # also an indicator's zeros: a step's -0.0 drive then keeps its sign
+    K[x, lam] = c * F.T
+    K[lam, x] = c * F
+    np.fill_diagonal(K[lam, y], c * Gs)  # G = G_sign * I, square
+    np.fill_diagonal(K[y, lam], Gs)
+    rhs[lam] = c * spec.h
+    if delta is not None:
+        K[x, y] = Gs * F.T
+        K[lam, lam] = s * s * np.eye(m)
+    return K, rhs, (x, y, lam)
+
+
 def _x_system(gram, FtF, r):
     """The lower band storage of 2s A^T A + F^T F, or of 2s A^T A + r I when r is
     given, from the lower bands gram of 2s A^T A and FtF of F^T F: each entry is the
@@ -178,7 +213,7 @@ class Step:
         if self.quadratic:
             M = _x_system(2.0 * s * f.gram_band, spec.FtF_band, r)
             cond = band_cond(M)
-            what, hint = "x-update system", "; use the r-proximal variant instead"
+            what, hint = "x-update system", R_PROXIMAL_HINT
         elif isinstance(f, AffineIndicator):
             m1 = f.A.shape[0]
             M = np.block([

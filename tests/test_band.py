@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from admmcert import band, ode, prox
+from admmcert import band, prox
 from admmcert.cli import main
 from admmcert.functions import Quadratic, ScaledL1
 from admmcert.library import (_difference_matrix, difference_operator, get_instance,
@@ -203,9 +203,9 @@ def test_symmetric_dense_form_keeps_the_old_bits_on_every_built_in_band():
 
 @pytest.mark.parametrize("name", instance_names())
 def test_dense_gram_at_every_site_has_the_bits_of_the_dense_product(name):
-    # the indicator's KKT block (prox.Step), the implicit step's x-block
-    # (ode._newton_system) and the active-set system (oracle.sign_pattern_oracle) take
-    # their Gram matrix from the band; on every built-in it has A.T @ A's bits
+    # the indicator's KKT block (prox.Step) and the x-blocks of prox.pattern_system, the
+    # active set's (no delta) and the implicit step's, take their Gram matrix from the
+    # band; on every built-in it has A.T @ A's bits
     spec = get_instance(name)
     F = spec.F
     FtF = band.Banded.symmetric(spec.FtF_band).dense()
@@ -214,7 +214,9 @@ def test_dense_gram_at_every_site_has_the_bits_of_the_dense_product(name):
         A = spec.f.A
         gram = band.Banded.symmetric(spec.f.gram_band).dense()
         assert np.array_equal(_bits(gram), _bits(A.T @ A))
-        block = ode._newton_system(spec, 1.0, 0.5)[0][:spec.d1, :spec.d1]
+        saddle = prox.pattern_system(spec)[0][:spec.d1, :spec.d1]
+        assert np.array_equal(_bits(saddle), _bits(2.0 * (A.T @ A)))
+        block = prox.pattern_system(spec, 1.0, 0.5)[0][:spec.d1, :spec.d1]
         assert np.array_equal(_bits(block), _bits(-2.0 * 0.5 * (A.T @ A)))
     else:
         block = prox.Step(spec, 1.0).system[:spec.d1, :spec.d1]

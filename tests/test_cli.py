@@ -252,12 +252,17 @@ def test_simulate_refused_run_leaves_no_directory(tmp_path, monkeypatch, capsys,
 
 
 def test_simulate_refuses_an_ill_conditioned_micro_step(tmp_path, capsys):
-    # smoothed at delta = 0.01, the implicit step's build refuses rank_deficient_lasso,
-    # whose micro-step has no unique X, before the output directory is made
-    assert main(["simulate", "--spec", "rank_deficient_lasso", "--out",
-                 str(tmp_path / "sim")]) == 2
-    assert "error: x-update system has condition estimate" in capsys.readouterr().err
-    assert not (tmp_path / "sim").exists()
+    # smoothed at delta = 0.01, and unsmoothed at delta = s, where the step is
+    # Step(spec, s), the implicit step's build refuses rank_deficient_lasso, whose step has
+    # no unique X, before the output directory is made; simulate has no r-proximal
+    # variant, so the refusal names the implicit step, not that remedy
+    for argv, delta, cond in (([], "0.01", "1.193e+17"), (["--delta", "1"], "1.0", "1.697e+16")):
+        assert main(["simulate", "--spec", "rank_deficient_lasso", *argv, "--out",
+                     str(tmp_path / "sim")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: implicit step at delta = {delta}: x-update system has condition "
+            f"estimate {cond} > 1e+12, so the step's X is not unique\n")
+        assert not (tmp_path / "sim").exists()
 
 
 def test_solve_exits_1_naming_the_failing_certificate(tmp_path, capsys):

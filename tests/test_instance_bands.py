@@ -174,10 +174,11 @@ def test_dense_and_band_block_of_one_matrix_refused(tmp_path, capsys):
 
 
 def test_generate_and_load_stay_linear_in_d(tmp_path):
-    # a d x d float64 array alone would take d * d * 8 = 80 GB; the bound is the one the
-    # banded spec build keeps at d = 1200 (tests/test_band.py). Only tv: trend's
-    # F^T F band (kd = 2) takes dsbevx O(d^2) time to reduce, minutes at this d
-    d = 100_000
+    # a d x d float64 array alone would take d * d * 8 = 800 MB, and a d x d/50 one
+    # 16 MB, both far above the bound, which is the one the banded spec build keeps at
+    # d = 1200 (tests/test_band.py). Only tv: trend's F^T F band (kd = 2) takes dsbevx
+    # O(d^2) time to reduce
+    d = 10_000
     path = tmp_path / "tv.txt"
     load_instance(_generated(tmp_path, "tv", "8", "small.txt"))  # numpy's first-use imports
     tracemalloc.start()

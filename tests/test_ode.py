@@ -161,10 +161,13 @@ class TestStepDispatch:
         assert calls == {"step": 0, "x_update": 0, "exact": 0, "node_residual": 0, one: steps}
 
     def test_ill_conditioned_step_refused_at_build(self):
-        # the micro-step's X is as non-unique as the x-update of Step(spec, s^2/delta)
+        # the micro-step's X is as non-unique as the x-update of Step(spec, s^2/delta);
+        # the refusal names the implicit step and its delta, and no r-proximal remedy
         spec = get_instance("rank_deficient_lasso").smoothed(HUBER_DELTA)
-        with pytest.raises(IllConditionedError, match=r"^x-update system has condition "
-                                                      r"estimate 1\.\d{3}e\+17 > 1e\+12"):
+        with pytest.raises(IllConditionedError, match=r"^implicit step at delta = 0\.01: "
+                                                      r"x-update system has condition estimate "
+                                                      r"1\.\d{3}e\+17 > 1e\+12, so the step's "
+                                                      r"X is not unique$"):
             ImplicitStep(spec, 1.0, 0.01)
 
     def test_singular_pattern_system_falls_back_to_lstsq(self, monkeypatch):

@@ -10,7 +10,8 @@ from test_step_bits import plus_identity_instance
 
 from admmcert.errors import IllConditionedError, InnerSolveError, ParameterError
 from admmcert import band, prox
-from admmcert.library import get_instance, instance_names
+from admmcert.functions import Quadratic
+from admmcert.library import HUBER_DELTA, get_instance, instance_names
 from admmcert.problems import build_basis_pursuit, build_generalized_lasso
 from admmcert.prox import (
     COND_LIMIT,
@@ -19,6 +20,7 @@ from admmcert.prox import (
     SOLVE_TOL,
     huber_prox,
     lapack_factor,
+    pattern_system,
     settle_pattern,
     soft_threshold,
     sym_cond,
@@ -69,6 +71,54 @@ class TestSettlePattern:
         with pytest.raises(InnerSolveError, match=f"within {INNER_MAX} passes"):
             settle_pattern(solve, lambda p: np.where(p > 0, -1, 1), np.array([1]))
         assert len(calls) == INNER_MAX
+
+
+def _smoothed(name):
+    spec = get_instance(name)
+    return spec if spec.g.smooth else spec.smoothed(HUBER_DELTA)
+
+
+class TestPatternSystem:
+    # == on finite doubles is bit equality up to the sign of a zero, so array_equal
+    # checks every nonzero entry bit for bit
+
+    @pytest.mark.parametrize("name", [n for n in instance_names()
+                                      if isinstance(get_instance(n).f, Quadratic)])
+    @pytest.mark.parametrize("s, delta", [(1.0, 0.5), (0.1, 0.01)])
+    def test_step_system_is_the_saddle_system_scaled_plus_two_blocks(self, name, s, delta):
+        # the step's x and lam rows are -delta times the saddle's, right-hand side
+        # included; G_sign F^T at (x, y) and s^2 I at (lam, lam) are the time derivatives
+        spec = _smoothed(name)
+        K0, rhs0, slices = pattern_system(spec)
+        K, rhs, (x, y, lam) = pattern_system(spec, s, delta)
+        assert slices == (x, y, lam) and K.shape == K0.shape == (lam.stop, lam.stop)
+        for rows in (x, lam):
+            for cols in (x, y, lam):
+                if (rows, cols) not in ((x, y), (lam, lam)):
+                    assert np.array_equal(K[rows, cols], -delta * K0[rows, cols])
+            assert np.array_equal(rhs[rows], -delta * rhs0[rows])
+        F, Gs = spec.F, spec.G_sign
+        assert np.array_equal(K[x, y], Gs * F.T)
+        assert np.array_equal(K[lam, lam], s * s * np.eye(spec.m))
+        assert np.array_equal(K[y], K0[y]) and np.array_equal(K[y, lam], Gs * np.eye(spec.m))
+        assert not rhs[y].any() and not K[y, x].any() and not K[y, y].any()
+        A = spec.f.A
+        assert np.array_equal(K0[x, x], 2.0 * (A.T @ A)) and np.array_equal(K0[lam, x], F)
+        assert np.array_equal(rhs0[x], 2.0 * (A.T @ spec.f.b))
+        assert np.array_equal(rhs0[lam], spec.h)
+
+    @pytest.mark.parametrize("s, delta", [(1.0, 0.5), (0.1, 0.01)])
+    def test_indicator_blocks_are_not_scaled(self, s, delta):
+        spec = _smoothed("basis_pursuit_10x30")
+        A, b = spec.f.A, spec.f.b
+        K0, rhs0, (x, y, lam) = pattern_system(spec)
+        K, rhs, _ = pattern_system(spec, s, delta)
+        nu = slice(lam.stop, None)
+        assert K.shape == (lam.stop + A.shape[0],) * 2
+        for M, v in ((K0, rhs0), (K, rhs)):
+            assert np.array_equal(M[x, nu], -A.T) and np.array_equal(M[nu, x], A)
+            assert np.array_equal(v[nu], b) and not M[nu, nu].any() and not M[x, x].any()
+        assert np.array_equal(K[x, lam], -delta * spec.F.T)
 
 
 class TestSoftThreshold:
